@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Lattice
-from .statevec import (PauliString, StateVector, _bit_set, _compress_above,
-                       _qubit_blocks, _single_qubit_exp,
-                       controlled_pauli_exp_inplace, pauli_exp_inplace)
+from .statevec import (PauliString, StateVector, _bit_probability,
+                       _controlled_exps, _qubit_blocks, pauli_exp_inplace)
 
 
 class CircuitError(ValueError):
@@ -152,8 +151,7 @@ def extend_with_ancillas(link_sv: StateVector, circuit: Circuit) -> StateVector:
 
 
 def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
-    is_one = _bit_set(n, qubit)
-    p1 = float(np.sum(np.abs(amps[is_one]) ** 2))
+    p1 = _bit_probability(amps, n, qubit, 1)
     if p1 < 1e-12:
         outcome = 0
     elif p1 > 1 - 1e-12:
@@ -164,57 +162,28 @@ def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
             "and no RNG was provided")
     else:
         outcome = int(rng.random() < p1)
-    keep = is_one if outcome else ~is_one
-    amps[~keep] = 0.0
+    _qubit_blocks(amps, n, qubit)[:, 1 - outcome] = 0.0
     norm = np.sqrt(p1 if outcome else 1.0 - p1)
     amps /= norm
     return outcome
 
 
-def _run_controlled_group(amps: np.ndarray, gates: list[ControlledPauliExp],
-                          n: int) -> None:
-    """Apply a run of controlled gates sharing one (control, basis).
+def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
+                rng: np.random.Generator | None = None) -> dict[int, int]:
+    """Run a gate list in place on the n-qubit amplitudes.
 
-    The controlled branch is extracted once, the whole inner sequence runs
-    on the compressed half-register, and the branch is written back; this
-    is gate-for-gate identical to applying each controlled gate alone.
+    Returns the measurement outcomes keyed by gate position.  Consecutive
+    controlled gates sharing a control and basis are applied through one
+    branch extraction: the whole run executes on the compressed
+    half-register, which is gate-for-gate identical to applying each
+    controlled gate alone (the unitary is unchanged).
     """
-    control, basis = gates[0].control, gates[0].basis
-    if len(gates) == 1:
-        controlled_pauli_exp_inplace(amps, control, basis, gates[0].string,
-                                     gates[0].theta, n)
-        return
-    if basis == "x-":
-        _single_qubit_exp(amps, control, "Y", -np.pi / 4, n)
-    view = _qubit_blocks(amps, n, control)[:, 0]
-    sub = np.ascontiguousarray(view).reshape(-1)
-    for gate in gates:
-        pauli_exp_inplace(sub, _compress_above(gate.string, control),
-                          gate.theta, n - 1)
-    view[...] = sub.reshape(view.shape)
-    if basis == "x-":
-        _single_qubit_exp(amps, control, "Y", +np.pi / 4, n)
-
-
-def run_circuit(circuit: Circuit, link_sv: StateVector,
-                rng: np.random.Generator | None = None
-                ) -> tuple[StateVector, dict[int, int]]:
-    """Run the gate list on link_sv extended with the declared ancillas.
-
-    Returns the final full-register state (global phase applied) and the
-    measurement outcomes keyed by gate position.  Consecutive controlled
-    gates sharing a control and basis are applied through one branch
-    extraction (a pure execution detail; the unitary is unchanged).
-    """
-    sv = extend_with_ancillas(link_sv, circuit)
-    n = sv.n_qubits
     outcomes: dict[int, int] = {}
-    gates = circuit.gates
     gi = 0
     while gi < len(gates):
         gate = gates[gi]
         if isinstance(gate, PauliExp):
-            pauli_exp_inplace(sv.amps, gate.string, gate.theta, n)
+            pauli_exp_inplace(amps, gate.string, gate.theta, n)
             gi += 1
         elif isinstance(gate, ControlledPauliExp):
             run = [gate]
@@ -223,21 +192,35 @@ def run_circuit(circuit: Circuit, link_sv: StateVector,
                    and gates[gi + len(run)].control == gate.control
                    and gates[gi + len(run)].basis == gate.basis):
                 run.append(gates[gi + len(run)])
-            _run_controlled_group(sv.amps, run, n)
+            _controlled_exps(amps, gate.control, gate.basis,
+                             [(g.string, g.theta) for g in run], n)
             gi += len(run)
         elif isinstance(gate, Measure):
-            outcomes[gi] = _measure_bit(sv.amps, gate.qubit, n, rng)
+            outcomes[gi] = _measure_bit(amps, gate.qubit, n, rng)
             gi += 1
         elif isinstance(gate, ResetAncilla):
-            bit = _measure_bit(sv.amps, gate.qubit, n, rng)
+            bit = _measure_bit(amps, gate.qubit, n, rng)
             if bit != gate.target_bit:
-                pauli_exp_inplace(sv.amps, PauliString({gate.qubit: "X"}),
+                pauli_exp_inplace(amps, PauliString({gate.qubit: "X"}),
                                   np.pi / 2, n)
-                sv.amps *= -1j   # undo the iX phase: net is a plain flip
+                amps *= -1j   # undo the iX phase: net is a plain flip
             outcomes[gi] = bit
             gi += 1
         else:  # pragma: no cover
             raise CircuitError(f"unknown gate {gate!r}")
+    return outcomes
+
+
+def run_circuit(circuit: Circuit, link_sv: StateVector,
+                rng: np.random.Generator | None = None
+                ) -> tuple[StateVector, dict[int, int]]:
+    """Run the gate list on link_sv extended with the declared ancillas.
+
+    Returns the final full-register state (global phase applied) and the
+    measurement outcomes keyed by gate position (see :func:`apply_gates`).
+    """
+    sv = extend_with_ancillas(link_sv, circuit)
+    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng)
     if circuit.global_phase:
         sv.amps *= np.exp(1j * circuit.global_phase)
     return sv, outcomes
@@ -255,10 +238,7 @@ def link_register_block(sv: StateVector, circuit: Circuit,
 
 
 def marginal_bit_probability(sv: StateVector, qubit: int, bit: int) -> float:
-    sel = _bit_set(sv.n_qubits, qubit)
-    if bit == 0:
-        sel = ~sel
-    return float(np.sum(np.abs(sv.amps[sel]) ** 2))
+    return _bit_probability(sv.amps, sv.n_qubits, qubit, bit)
 
 
 # ---------------------------------------------------------------------------

@@ -297,11 +297,6 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
     return float(evals[0]), StateVector(sector.n_links, amps)
 
 
-def spectral_gap(model: Z2Model, sector: PhysicalSector) -> float:
-    evals = sector_spectrum(model, sector)
-    return float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
-
-
 def gauge_violation(sv: StateVector, model: Z2Model) -> float:
     """max over vertices of |1 - <sv| star_v |sv>|.
 

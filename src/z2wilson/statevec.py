@@ -16,11 +16,20 @@ whenever the phase is +-1).  No matrix exponentiation, no series truncation.
 The kernels accept either a single vector (2**n,) or a stack of column
 vectors (2**n, k); the second form is used to push whole operator bases
 through a gate sequence in one pass.
+
+Gate kernels update the amplitudes in place.  Single-qubit rotations work
+on the qubit's two half-slices at every qubit position (there is no
+separate small-matrix path for low qubits); the products they need, the
+sign-flipped copy for a diagonal string and a copied controlled branch go
+into reusable scratch buffers keyed by element count, so applying a gate
+allocates nothing of state size.  Only strings with X or Y factors on
+more than one qubit still build their action out of place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,10 +152,6 @@ class PauliString:
         return f"{pre}[{body}]"
 
 
-def identity_string() -> PauliString:
-    return PauliString({})
-
-
 # ---------------------------------------------------------------------------
 # raw array kernels
 # ---------------------------------------------------------------------------
@@ -156,47 +161,44 @@ def _bit_parity(v: np.ndarray) -> np.ndarray:
 
 
 # per-register-size index arrays and per-mask sign/flip arrays; the working
-# set is a handful of masks per run, so a capped dict is enough
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-_SIGN_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_BIT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_CACHE_CAP = 96
+# set is a handful of masks per run.  Entries are read-only, so no caller
+# can corrupt a cached array.
+_CACHE_SIZE = 96
 
 
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=8)
 def _indices(n_qubits: int) -> np.ndarray:
-    if n_qubits not in _INDEX_CACHE:
-        _INDEX_CACHE[n_qubits] = np.arange(1 << n_qubits, dtype=np.uint64)
-    return _INDEX_CACHE[n_qubits]
+    return _readonly(np.arange(1 << n_qubits, dtype=np.uint64))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _signs(n_qubits: int, zmask: int) -> np.ndarray:
-    key = (n_qubits, zmask)
-    if key not in _SIGN_CACHE:
-        if len(_SIGN_CACHE) > _CACHE_CAP:
-            _SIGN_CACHE.clear()
-        par = _bit_parity(_indices(n_qubits) & np.uint64(zmask))
-        _SIGN_CACHE[key] = (1.0 - 2.0 * par).astype(np.float64)
-    return _SIGN_CACHE[key]
+    par = _bit_parity(_indices(n_qubits) & np.uint64(zmask))
+    return _readonly((1.0 - 2.0 * par).astype(np.float64))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _perm(n_qubits: int, xmask: int) -> np.ndarray:
-    key = (n_qubits, xmask)
-    if key not in _PERM_CACHE:
-        if len(_PERM_CACHE) > _CACHE_CAP:
-            _PERM_CACHE.clear()
-        _PERM_CACHE[key] = (_indices(n_qubits) ^ np.uint64(xmask)).astype(np.intp)
-    return _PERM_CACHE[key]
+    return _readonly((_indices(n_qubits) ^ np.uint64(xmask)).astype(np.intp))
 
 
-def _bit_set(n_qubits: int, qubit: int) -> np.ndarray:
-    key = (n_qubits, qubit)
-    if key not in _BIT_CACHE:
-        if len(_BIT_CACHE) > _CACHE_CAP:
-            _BIT_CACHE.clear()
-        idx = _indices(n_qubits)
-        _BIT_CACHE[key] = ((idx >> np.uint64(qubit)) & np.uint64(1)).astype(bool)
-    return _BIT_CACHE[key]
+@lru_cache(maxsize=8)
+def _scratch(size: int, slot: str = "kernel", dtype=np.complex128
+             ) -> np.ndarray:
+    """Reusable flat work buffer of ``size`` elements.
+
+    Keyed by element count, not shape, so every layout of the same size
+    (a vector, a stack of columns, the two halves of a larger register)
+    shares one buffer.  ``slot`` separates buffers that are live at the
+    same time: a controlled branch copied into the "branch" buffer is
+    then updated by kernels that use the "kernel" buffer of that size.
+    """
+    return np.empty(size, dtype=dtype)
 
 
 def _expand(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -240,35 +242,66 @@ def _qubit_blocks(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
     return amps.reshape(hi, 2, lo, amps.shape[1])
 
 
+def _bit_probability(amps: np.ndarray, n_qubits: int, qubit: int,
+                     bit: int) -> float:
+    """Probability that ``qubit`` reads ``bit`` in the 1-D state ``amps``.
+
+    |a|**2 of the qubit's half-view goes into a flat scratch buffer in
+    index order and is summed there, without a boolean-mask gather.
+    """
+    half = _qubit_blocks(amps, n_qubits, qubit)[:, bit]
+    sq = _scratch(half.size, "real", np.float64)
+    np.abs(half, out=sq.reshape(half.shape))
+    np.square(sq, out=sq)
+    return float(sq.sum())
+
+
 def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
                       n_qubits: int) -> None:
-    """e^{i theta sigma_axis(qubit)}, two half-size passes."""
-    c, s = np.cos(theta), np.sin(theta)
-    if qubit < 6 and amps.ndim == 1:
-        # low qubits interleave badly; let BLAS handle the 2x2 mix
-        lo = 1 << qubit
-        if axis == "Z":
-            m = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-        elif axis == "X":
-            m = np.array([[c, 1j * s], [1j * s, c]])
-        else:
-            m = np.array([[c, s], [-s, c]])
-        v = amps.reshape(-1, 2, lo)
-        v[:] = np.matmul(m, v)
-        return
+    """e^{i theta sigma_axis(qubit)} in place on the qubit's two halves.
+
+    Z scales each half by its phase.  X and Y mix the halves: both
+    off-diagonal products go into the two halves of one scratch buffer
+    keyed by element count, then each half is scaled and accumulated in
+    place.  Every qubit position takes this path; nothing of state size is
+    allocated per call.
+    """
     v = _qubit_blocks(amps, n_qubits, qubit)
     if axis == "Z":
         v[:, 0] *= np.exp(1j * theta)
         v[:, 1] *= np.exp(-1j * theta)
         return
-    a0 = v[:, 0].copy()
-    a1 = v[:, 1].copy()
+    c, s = np.cos(theta), np.sin(theta)
+    a0, a1 = v[:, 0], v[:, 1]
+    buf = _scratch(2 * a0.size)
+    t0 = buf[: a0.size].reshape(a0.shape)
+    t1 = buf[a0.size:].reshape(a0.shape)
     if axis == "X":
-        v[:, 0] = c * a0 + 1j * s * a1
-        v[:, 1] = c * a1 + 1j * s * a0
+        mix = 1j * s
+        np.multiply(a1, mix, out=t0)
+        np.multiply(a0, mix, out=t1)
+        a0 *= c
+        a0 += t0
+        a1 *= c
+        a1 += t1
     else:  # Y
-        v[:, 0] = c * a0 + s * a1
-        v[:, 1] = c * a1 - s * a0
+        np.multiply(a1, s, out=t0)
+        np.multiply(a0, s, out=t1)
+        a0 *= c
+        a0 += t0
+        a1 *= c
+        a1 -= t1
+
+
+def _diagonal_exp(amps: np.ndarray, zmask: int, theta: float,
+                  n_qubits: int) -> None:
+    """e^{i theta Z..Z} in place: cos * a + i sin * (signs * a), with the
+    sign-flipped copy in a scratch buffer."""
+    flipped = _scratch(amps.size).reshape(amps.shape)
+    np.multiply(_expand(_signs(n_qubits, zmask), amps), amps, out=flipped)
+    flipped *= 1j * np.sin(theta)
+    amps *= np.cos(theta)
+    amps += flipped
 
 
 def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
@@ -287,6 +320,10 @@ def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
         (qubit, axis), = p.terms
         _single_qubit_exp(amps, qubit, axis, theta * p.phase.real, n_qubits)
         return
+    xm, zm, _ = p.masks()
+    if xm == 0:
+        _diagonal_exp(amps, zm, theta * p.phase.real, n_qubits)
+        return
     pa = pauli_action(amps, p, n_qubits)
     amps *= np.cos(theta)
     amps += (1j * np.sin(theta)) * pa
@@ -298,14 +335,37 @@ def _compress_above(p: PauliString, qubit: int) -> PauliString:
                        p.phase)
 
 
-def _exp_on_branch(amps: np.ndarray, control: int, branch_bit: int,
-                   p: PauliString, theta: float, n_qubits: int) -> None:
-    """e^{i theta P} on the half-space where the control reads branch_bit."""
-    view = _qubit_blocks(amps, n_qubits, control)[:, branch_bit]
-    sub = np.ascontiguousarray(view)
-    flat = sub.reshape(-1) if amps.ndim == 1 else sub.reshape(-1, amps.shape[-1])
-    pauli_exp_inplace(flat, _compress_above(p, control), theta, n_qubits - 1)
-    view[...] = flat.reshape(view.shape)
+def _controlled_exps(amps: np.ndarray, control: int, basis: str, terms,
+                     n_qubits: int) -> None:
+    """Apply a sequence of (P, theta) exponentials on one controlled branch.
+
+    Gate-for-gate identical to applying each controlled exponential alone,
+    with one branch extraction (and one basis rotation pair for "x-") for
+    the whole sequence.  A contiguous branch (the control is the top
+    qubit) is updated through a view; otherwise it is copied once into the
+    "branch" scratch buffer, the sequence runs on the compressed
+    half-register there, and the buffer is copied back.  Arguments are as
+    validated by :func:`controlled_pauli_exp_inplace`.
+    """
+    if basis not in ("z", "x-"):
+        raise PauliStringError(f"unknown control basis {basis!r}")
+    if basis == "x-":
+        # rotate |-> onto spin-up, fire there, rotate back
+        _single_qubit_exp(amps, control, "Y", -np.pi / 4, n_qubits)
+    view = _qubit_blocks(amps, n_qubits, control)[:, 0]
+    if view.flags.c_contiguous:
+        work = view
+    else:
+        work = _scratch(view.size, "branch").reshape(view.shape)
+        np.copyto(work, view)
+    flat = work.reshape((-1,) + amps.shape[1:])
+    for p, theta in terms:
+        pauli_exp_inplace(flat, _compress_above(p, control), theta,
+                          n_qubits - 1)
+    if work is not view:
+        np.copyto(view, work)
+    if basis == "x-":
+        _single_qubit_exp(amps, control, "Y", +np.pi / 4, n_qubits)
 
 
 def controlled_pauli_exp_inplace(amps: np.ndarray, control: int, basis: str,
@@ -323,15 +383,7 @@ def controlled_pauli_exp_inplace(amps: np.ndarray, control: int, basis: str,
         raise PauliStringError(f"control {control} outside register")
     if not p.is_hermitian():
         raise PauliStringError("exponent requires a Hermitian string (phase +-1)")
-    if basis == "z":
-        _exp_on_branch(amps, control, 0, p, theta, n_qubits)
-    elif basis == "x-":
-        # rotate |-> onto spin-up, fire there, rotate back
-        _single_qubit_exp(amps, control, "Y", -np.pi / 4, n_qubits)
-        _exp_on_branch(amps, control, 0, p, theta, n_qubits)
-        _single_qubit_exp(amps, control, "Y", +np.pi / 4, n_qubits)
-    else:
-        raise PauliStringError(f"unknown control basis {basis!r}")
+    _controlled_exps(amps, control, basis, [(p, theta)], n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +479,3 @@ def reduced_qubit_density(sv: StateVector, qubit: int) -> np.ndarray:
 def qubit_purity(sv: StateVector, qubit: int) -> float:
     rho = reduced_qubit_density(sv, qubit)
     return float(np.real(np.trace(rho @ rho)))
-
-
-def basis_state_fidelity(sv: StateVector, qubit: int, bit: int) -> float:
-    """Probability that the given qubit reads ``bit`` (0 = spin-up)."""
-    rho = reduced_qubit_density(sv, qubit)
-    return float(np.real(rho[bit, bit]))

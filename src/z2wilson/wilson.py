@@ -371,9 +371,11 @@ def hadamard_test(psi: StateVector, model: Z2Model, program: LoopProgram,
                   rng: np.random.Generator | None = None) -> float:
     """p_+ of the ancilla-controlled Trotterized loop on |psi>.
 
-    Exact mode (shots None) evaluates p_+ = <psi|(2 + W + W^dag)/4|psi>
-    from the final amplitudes; sampling mode returns the observed frequency
-    of the |+> outcome over the requested number of shots.
+    The circuit runs once, and p_+ = <psi|(2 + W + W^dag)/4|psi> is read
+    from the final amplitudes.  Exact mode (shots None) returns it;
+    sampling mode returns the observed frequency of the |+> outcome over
+    the requested number of shots, drawn from that same p_+ by
+    :func:`sample_p_plus`.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
@@ -388,6 +390,15 @@ def hadamard_test(psi: StateVector, model: Z2Model, program: LoopProgram,
         return p_plus
     if rng is None:
         rng = np.random.Generator(np.random.Philox(0))
+    return sample_p_plus(p_plus, shots, rng)
+
+
+def sample_p_plus(p_plus: float, shots: int, rng: np.random.Generator
+                  ) -> float:
+    """Observed |+> frequency over ``shots`` Hadamard-test shots.
+
+    One binomial draw at p_plus, clamped to [0, 1] against rounding.
+    """
     return float(rng.binomial(shots, min(max(p_plus, 0.0), 1.0)) / shots)
 
 

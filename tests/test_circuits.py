@@ -1,12 +1,15 @@
 """Circuit IR: executor semantics, ancilla handling, census, text export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_state
 from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
-                               Measure, PauliExp, ResetAncilla, circuit_stats,
-                               circuit_to_text, extend_with_ancillas,
+                               Measure, PauliExp, ResetAncilla, apply_gates,
+                               circuit_stats, circuit_to_text,
+                               extend_with_ancillas,
                                link_register_block, marginal_bit_probability,
                                run_circuit, star_commutation_report)
 from z2wilson.lattice import build_cross
@@ -113,6 +116,32 @@ class TestExecutor:
         for s, th in zip(strings, thetas):
             apply_controlled_pauli_exp(ref, a, "x-", s, th)
         assert np.max(np.abs(out.amps - ref.amps)) < 1e-13
+
+    def test_gate_sequence_allocates_less_than_one_state(self):
+        # gates update the amplitudes in place: once the kernel caches and
+        # scratch buffers are warm, rotations at low, middle and high
+        # qubits, a "z" and an "x-" controlled group and a reset allocate
+        # less than one state vector in total
+        n = 16
+        gates = [PauliExp(PauliString({q: ax}), 0.3)
+                 for q in (0, 8, n - 1) for ax in "XYZ"]
+        gates += [ControlledPauliExp(12, "z", PauliString({0: "X"}), 0.2),
+                  ControlledPauliExp(12, "z", PauliString({13: "Z"}), -0.4),
+                  ControlledPauliExp(n - 1, "x-", PauliString({1: "Z"}),
+                                     np.pi / 2),
+                  ControlledPauliExp(n - 1, "x-", PauliString({9: "Y"}),
+                                     -np.pi / 2),
+                  ResetAncilla(14, 0)]
+        amps = random_state(n, np.random.default_rng(2))
+        rng = np.random.Generator(np.random.Philox(3))
+        apply_gates(amps, gates, n, rng)
+        tracemalloc.start()
+        try:
+            apply_gates(amps, gates, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < amps.nbytes
 
 
 class TestCensusAndExport:

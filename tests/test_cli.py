@@ -207,6 +207,25 @@ class TestMeasure:
                               "200", "--seed", "5")
         assert out1 == out2
 
+    def test_shots_drawn_from_the_single_circuit_run(self, capsys,
+                                                      monkeypatch):
+        import z2wilson.wilson as wilson_mod
+
+        real = wilson_mod.run_circuit
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wilson_mod, "run_circuit", counting)
+        code, out, _ = run_main(capsys, "measure", "--nt", "2", "--shots",
+                                "200", "--seed", "5")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        # the sampled value of the two-run implementation, bit for bit
+        assert "p_plus_sampled 0.46999999999999997\n" in out
+
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
         vals = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()}

@@ -7,7 +7,8 @@ from conftest import dense_pauli, expm_i_hermitian, random_state
 from z2wilson.statevec import (PauliString, PauliStringError, StateVector,
                                apply_controlled_pauli_exp, apply_pauli,
                                apply_pauli_exp, expect_pauli, init_basis,
-                               inner, qubit_purity, reduced_qubit_density)
+                               inner, pauli_exp_inplace, qubit_purity,
+                               reduced_qubit_density)
 
 
 def random_string(n, rng, allow_full=True, hermitian=True):
@@ -141,6 +142,22 @@ class TestApplyPauliExp:
             apply_pauli_exp(sv, p, th)
             ref = expm_i_hermitian(th * dense_pauli(p, n)) @ v
             assert np.max(np.abs(sv.amps - ref)) < 1e-12
+        # every axis at every qubit of an 8-qubit register (plus one signed
+        # diagonal string), on one vector and on a stack of three columns
+        n = 8
+        strings = [PauliString({q: ax}) for q in range(n) for ax in "XYZ"]
+        strings.append(PauliString({1: "Z", 4: "Z", 7: "Z"}, phase=-1))
+        for p in strings:
+            th = float(rng.normal())
+            u = expm_i_hermitian(th * dense_pauli(p, n))
+            v = random_state(n, rng)
+            sv = StateVector(n, v.copy())
+            apply_pauli_exp(sv, p, th)
+            assert np.max(np.abs(sv.amps - u @ v)) < 1e-12, p
+            cols = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
+            got = cols.copy()
+            pauli_exp_inplace(got, p, th, n)
+            assert np.max(np.abs(got - u @ cols)) < 1e-12, p
 
     def test_composition(self):
         rng = np.random.default_rng(7)
