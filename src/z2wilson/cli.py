@@ -23,8 +23,9 @@ import numpy as np
 from . import __version__
 from .circuits import circuit_to_text
 from .gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
-                    build_physical_sector, gauge_violation, ground_state,
-                    project_to_sector, sector_basis_dump)
+                    build_physical_sector, ground_state, project_to_sector,
+                    sector_basis_dump, sector_gauge_violation,
+                    sector_ground_state)
 from .lattice import (Lattice, build_cross, build_rect, lattice_from_text,
                       validate)
 from .programs import (BUILTIN_PROGRAMS, LoopProgram, ProgramError,
@@ -198,24 +199,38 @@ def _emit(path: str, text: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
+    """Run a ground-state solver; also report whether it warned that the
+    ground state is degenerate.  Other warnings pass through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateGroundStateWarning)
+        result = solver(model, sector)
+    degenerate = False
+    for w in caught:
+        if issubclass(w.category, DegenerateGroundStateWarning):
+            degenerate = True
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, degenerate
+
+
+def _report_degenerate() -> int:
+    print("degenerate_ground_state true")
+    return EXIT_DEGENERATE
+
+
 def cmd_ground_state(cfg: RunConfig) -> int:
     lat = resolve_lattice(cfg)
     model = Z2Model(lat, cfg.lam)
     sector = build_physical_sector(model)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateGroundStateWarning)
-        energy, gs = ground_state(model, sector)
-    degenerate = any(issubclass(w.category, DegenerateGroundStateWarning)
-                     for w in caught)
-    violation = gauge_violation(gs, model)
+    (energy, coords), degenerate = _solve(sector_ground_state, model, sector)
+    violation = sector_gauge_violation(model, sector, coords)
     print(f"sector_dim {sector.dim}")
     print(f"ground_energy {energy:.17g}")
     print(f"gauge_violation {violation:.17g}")
     if degenerate:
-        print("degenerate_ground_state true")
-        return EXIT_DEGENERATE
+        return _report_degenerate()
     if cfg.out:
-        coords = project_to_sector(sector, gs.amps)
         lines = [provenance_header(cfg).rstrip("\n"),
                  f"# ground_energy {energy:.17g}"]
         lines.append(sector_basis_dump(sector).rstrip("\n"))
@@ -233,14 +248,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if errs:
         raise ConfigError(errs[0])
     sector = build_physical_sector(model)
-    energy, gs = ground_state(model, sector)
+    (_, gs), degenerate = _solve(ground_state, model, sector)
+    if degenerate:
+        return _report_degenerate()
     report = sweep(model, program, gs, list(cfg.nt), sector)
-    for n_T in cfg.nt:
-        w = trotterized_loop_operator(model, sector, program, n_T)
-        if w.unitarity_error() > UNITARITY_TOLERANCE:
+    for (n_T, _, _), err in zip(report.rows, report.unitarity_errors):
+        if err > UNITARITY_TOLERANCE:
             raise NumericalFailure(
                 f"Trotterized operator at n_T={n_T} drifted from unitarity "
-                f"by {w.unitarity_error():.3e}")
+                f"by {err:.3e}")
     text = provenance_header(cfg) + report_to_csv(report)
     reached = [n for n, _, fgs in report.rows if fgs >= cfg.threshold]
     text += (f"# min_n_T_at_threshold {cfg.threshold:.17g}: "
@@ -254,7 +270,9 @@ def cmd_measure(cfg: RunConfig) -> int:
     model = Z2Model(lat, cfg.lam)
     program = resolve_program(cfg)
     sector = build_physical_sector(model)
-    _, gs = ground_state(model, sector)
+    (_, gs), degenerate = _solve(ground_state, model, sector)
+    if degenerate:
+        return _report_degenerate()
     n_T = cfg.nt[0]
     print(f"n_T {n_T}")
     coords = project_to_sector(sector, gs.amps)

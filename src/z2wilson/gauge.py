@@ -7,14 +7,22 @@ The Hamiltonian is
 and the Gauss constraint at every vertex is the star of sigma_1 over
 incident links with eigenvalue +1.  Everything here works in the electric
 (X-diagonal) basis, where a product state is labeled by a bitmask m with
-bit i = 1 meaning sigma_1(e_i) = -1.  Stars are diagonal there, so
-enumerating the physical sector is an integer parity filter, and the
-sector Hamiltonian is a small dense matrix (32 x 32 on the cross):
-the electric part is diagonal, each plaquette is the XOR permutation by
-its link mask.
+bit i = 1 meaning sigma_1(e_i) = -1.  Stars are diagonal there, so a
+charge sector is the solution set of a linear system over GF(2): one
+particular solution shifted by the cycle space of the lattice graph.  The
+sector is enumerated from a basis of that cycle space, never by scanning
+all 2**L masks, so its cost follows the sector dimension 2**(L-V+1).
 
-Embedding back to the computational (Z) basis is a fast Walsh-Hadamard
-transform: |m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
+The sector is the primary representation.  Its Hamiltonian is a small
+dense matrix (32 x 32 on the cross): the electric part is diagonal, each
+plaquette is the XOR permutation by its link mask.  The ground state, its
+energy and its Gauss-law check are all computed in sector coordinates
+(:func:`sector_ground_state`, :func:`sector_gauge_violation`).
+
+Embedding into the computational (Z) basis of the full 2**L space is an
+explicit step, needed only by the literal gate circuits, and is refused
+above 26 links.  It is a fast Walsh-Hadamard transform:
+|m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
 """
 
 from __future__ import annotations
@@ -27,7 +35,10 @@ import numpy as np
 from .lattice import Lattice
 from .statevec import PauliString, StateVector, expect_pauli
 
-_MAX_ENUM_QUBITS = 26  # 2**26 index filter is the practical ceiling here
+_MAX_MASK_BITS = 63         # sector masks are uint64
+_MAX_SECTOR_DIM = 1 << 20   # masks plus the index_of dict take about 150 MB
+_MAX_EMBED_QUBITS = 26      # one full-space vector of 2**26 amplitudes is 1 GiB
+_MAX_DENSE_DIM = 4096       # a dense complex 4096 x 4096 matrix is 256 MB
 
 
 class GaugeError(ValueError):
@@ -96,8 +107,11 @@ def build_physical_sector(model: Z2Model,
     """Enumerate X-basis product states with the given star eigenvalues.
 
     Default charges are +1 at every vertex (the Gauss-invariant sector).
-    The product of all stars is the identity, so admissible patterns carry
-    an even number of -1 entries; anything else enumerates empty and is
+    The star parities form a linear system over GF(2); its solutions are
+    one particular mask XOR any element of the cycle space, which is
+    spanned by doubling over a null-space basis and then sorted.  The
+    product of all stars is the identity, so admissible patterns carry an
+    even number of -1 entries; anything else has no solution and is
     rejected.
     """
     lat = model.lattice
@@ -107,24 +121,60 @@ def build_physical_sector(model: Z2Model,
     charges = tuple(int(q) for q in charges)
     if len(charges) != lat.n_vertices or any(q not in (1, -1) for q in charges):
         raise GaugeError("charges must be +-1 per vertex")
-    if L > _MAX_ENUM_QUBITS:
-        raise GaugeError(f"sector enumeration capped at {_MAX_ENUM_QUBITS} links")
-    idx = np.arange(1 << L, dtype=np.uint64)
-    keep = np.ones(idx.shape, dtype=bool)
-    for v in range(lat.n_vertices):
-        smask = np.uint64(_link_mask(lat.star(v)))
-        want = np.uint64(0 if charges[v] == 1 else 1)
-        keep &= (np.bitwise_count(idx & smask) & 1) == want
-    masks = idx[keep]
-    expected = 1 << (L - lat.n_vertices + 1)
-    if len(masks) != expected:
+    if L > _MAX_MASK_BITS:
+        raise GaugeError(f"sector masks are limited to {_MAX_MASK_BITS} links, "
+                         f"lattice has {L}")
+    stars = [_link_mask(lat.star(v)) for v in range(lat.n_vertices)]
+    particular, null = _gf2_solve(stars, [int(q == -1) for q in charges], L)
+    expected = L - lat.n_vertices + 1
+    if len(null) != expected:
         raise GaugeError(
-            f"sector dimension {len(masks)} != 2**(L-V+1) = {expected}; "
-            "check lattice connectivity and charge-pattern parity"
+            f"sector dimension 2**{len(null)} != 2**(L-V+1) = 2**{expected}; "
+            "check lattice connectivity"
         )
+    if 1 << expected > _MAX_SECTOR_DIM:
+        raise GaugeError(f"sector dimension 2**{expected} exceeds the "
+                         f"enumeration limit {_MAX_SECTOR_DIM}")
+    masks = np.array([particular], dtype=np.uint64)
+    for b in null:
+        masks = np.concatenate([masks, masks ^ np.uint64(b)])
+    masks.sort()
     return PhysicalSector(L, masks,
                           {int(m): k for k, m in enumerate(masks)},
                           charges)
+
+
+def _gf2_solve(rows: list[int], rhs: list[int], n_bits: int
+               ) -> tuple[int, list[int]]:
+    """Solve parity(row & x) = b for every (row, b) over GF(2).
+
+    Returns one solution and a basis of the null space, all as bitmasks
+    over ``n_bits``.  Rows are kept in reduced echelon form keyed by their
+    highest set bit; an inconsistent system raises GaugeError.
+    """
+    pivots: dict[int, tuple[int, int]] = {}      # pivot bit -> (row, b)
+    for row, b in zip(rows, rhs):
+        for p, (prow, pb) in pivots.items():
+            if row >> p & 1:
+                row, b = row ^ prow, b ^ pb
+        if row == 0:
+            if b:
+                raise GaugeError(
+                    "charge pattern is inconsistent with Gauss's law; each "
+                    "connected component needs an even number of -1 charges")
+            continue
+        p = row.bit_length() - 1
+        for q, (qrow, qb) in pivots.items():
+            if qrow >> p & 1:
+                pivots[q] = (qrow ^ row, qb ^ b)
+        pivots[p] = (row, b)
+    particular = sum(1 << p for p, (_, b) in pivots.items() if b)
+    null = []
+    for f in range(n_bits):
+        if f not in pivots:
+            null.append((1 << f) | sum(1 << p for p, (prow, _) in pivots.items()
+                                       if prow >> f & 1))
+    return particular, null
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +199,16 @@ def fwht(a: np.ndarray) -> np.ndarray:
 
 
 def embed_sector_coords(sector: PhysicalSector, coords: np.ndarray) -> np.ndarray:
-    """Sector coefficients -> full-space amplitudes in the Z basis."""
+    """Sector coefficients -> full-space amplitudes in the Z basis.
+
+    Refused above 26 links: the full 2**L space is built only for the
+    gate circuits that need it, and 2**26 amplitudes already take 1 GiB.
+    """
     L = sector.n_links
+    if L > _MAX_EMBED_QUBITS:
+        raise GaugeError(f"full-space embedding needs 2**{L} amplitudes; "
+                         f"the full-space routes are limited to "
+                         f"{_MAX_EMBED_QUBITS} links")
     w = np.zeros((1 << L,) + coords.shape[1:], dtype=np.complex128)
     w[sector.masks.astype(np.intp)] = coords
     return fwht(w) / np.sqrt(1 << L)
@@ -205,7 +263,8 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     """H + sum_{m in modified} 2 sigma_1(e_m), projected to the sector.
 
     The net electric coefficient on a modified link is +sigma_1 (the -sigma_1
-    in H plus the 2 sigma_1 insertion).
+    in H plus the 2 sigma_1 insertion).  Sectors above 4096 states are
+    refused: their dense matrix would take more than 256 MB.
     """
     lat = model.lattice
     L = lat.n_links
@@ -213,6 +272,9 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
         if not 0 <= li < L:
             raise GaugeError(f"modified link {li} out of range")
     dim = sector.dim
+    if dim > _MAX_DENSE_DIM:
+        raise GaugeError(f"sector dimension {dim} exceeds the dense-matrix "
+                         f"limit {_MAX_DENSE_DIM}")
     # electric eigenvalue per link: s_i = +1 when bit i is 0
     masks = sector.masks
     coeff = np.full(L, -1.0)
@@ -273,13 +335,12 @@ def sector_spectrum(model: Z2Model, sector: PhysicalSector) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
-def ground_state(model: Z2Model, sector: PhysicalSector,
-                 gap_tolerance: float = 1e-10) -> tuple[float, StateVector]:
-    """Lowest eigenpair of the sector Hamiltonian, embedded in the full space.
+def _sector_eigh(model: Z2Model, sector: PhysicalSector,
+                 gap_tolerance: float) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the sector Hamiltonian, phase as eigh returns it.
 
-    Phase convention: the largest-magnitude full-space amplitude is made
-    real positive (lowest index wins ties).  A spectral gap below
-    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    A spectral gap below ``gap_tolerance`` raises a
+    DegenerateGroundStateWarning.
     """
     h = hamiltonian_in_sector(model, sector).matrix
     evals, evecs = np.linalg.eigh(h)
@@ -289,12 +350,40 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
             f"gap = {evals[1] - evals[0]:.3e}",
             DegenerateGroundStateWarning,
         )
-    coords = evecs[:, 0]
+    return float(evals[0]), evecs[:, 0]
+
+
+def sector_ground_state(model: Z2Model, sector: PhysicalSector,
+                        gap_tolerance: float = 1e-10
+                        ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the sector Hamiltonian, in sector coordinates.
+
+    Phase convention: the largest-magnitude sector coordinate is made real
+    positive (lowest index wins ties).  For lam > 0 the ground state is a
+    Perron-Frobenius vector in both the electric and the computational
+    basis, so this fixes the same phase as :func:`ground_state` up to
+    rounding.  Nothing of size 2**L is built.  A spectral gap below
+    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    """
+    energy, coords = _sector_eigh(model, sector, gap_tolerance)
+    k = int(np.argmax(np.abs(coords)))
+    return energy, coords / (coords[k] / abs(coords[k]))
+
+
+def ground_state(model: Z2Model, sector: PhysicalSector,
+                 gap_tolerance: float = 1e-10) -> tuple[float, StateVector]:
+    """Lowest eigenpair of the sector Hamiltonian, embedded in the full space.
+
+    Phase convention: the largest-magnitude full-space amplitude is made
+    real positive (lowest index wins ties).  A spectral gap below
+    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    """
+    energy, coords = _sector_eigh(model, sector, gap_tolerance)
     amps = embed_sector_coords(sector, coords)
     k = int(np.argmax(np.abs(amps)))
     ph = amps[k] / abs(amps[k])
     amps = amps / ph
-    return float(evals[0]), StateVector(sector.n_links, amps)
+    return energy, StateVector(sector.n_links, amps)
 
 
 def gauge_violation(sv: StateVector, model: Z2Model) -> float:
@@ -307,6 +396,25 @@ def gauge_violation(sv: StateVector, model: Z2Model) -> float:
     for v in range(model.lattice.n_vertices):
         val = expect_pauli(sv, star_operator(model, v))
         worst = max(worst, abs(1.0 - val))
+    return worst
+
+
+def sector_gauge_violation(model: Z2Model, sector: PhysicalSector,
+                           coords: np.ndarray) -> float:
+    """max over vertices of |1 - <psi| star_v |psi>| for sector coordinates.
+
+    Stars are diagonal in the electric basis, so the expectation is
+    sum_k |c_k|^2 (-1)^popcount(m_k & star_v), evaluated without leaving
+    the sector.  Same quantity as :func:`gauge_violation` of the embedded
+    state: about 0 in the physical sector, 2 in any sector whose charge
+    at some vertex is -1.
+    """
+    probs = np.abs(np.asarray(coords)) ** 2
+    worst = 0.0
+    for v in range(model.lattice.n_vertices):
+        smask = np.uint64(_link_mask(model.lattice.star(v)))
+        signs = 1.0 - 2.0 * (np.bitwise_count(sector.masks & smask) & 1)
+        worst = max(worst, abs(1.0 - float(probs @ signs)))
     return worst
 
 

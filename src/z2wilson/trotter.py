@@ -281,11 +281,16 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Rows (n_T, operator fidelity, state fidelity) plus log-log fits."""
+    """Rows (n_T, operator fidelity, state fidelity) plus log-log fits.
+
+    ``unitarity_errors[i]`` is the unitarity error of the Trotterized
+    operator behind ``rows[i]``.
+    """
 
     rows: tuple[tuple[int, float, float], ...]
     fit_op: PowerLawFit | None
     fit_gs: PowerLawFit | None
+    unitarity_errors: tuple[float, ...] = ()
 
     def __post_init__(self):
         ns = [n for n, _, _ in self.rows]
@@ -349,11 +354,13 @@ def sweep(model: Z2Model, program: LoopProgram, psi: StateVector, n_T_list,
         raise ValueError("psi is not a normalized physical-sector state")
     w_exact = exact_loop_operator(model, sector, program)
     rows = []
+    unitarity_errors = []
     for n_T in n_T_list:
         w_trot = trotterized_loop_operator(model, sector, program, n_T)
         rows.append((int(n_T),
                      operator_fidelity(w_exact, w_trot),
                      state_fidelity(coords, w_exact, w_trot)))
+        unitarity_errors.append(w_trot.unitarity_error())
     fit_op = fit_gs = None
     op_rows = [(n, 1.0 - f) for n, f, _ in rows]
     gs_rows = [(n, 1.0 - f) for n, _, f in rows]
@@ -367,7 +374,7 @@ def sweep(model: Z2Model, program: LoopProgram, psi: StateVector, n_T_list,
             fit_gs = fit_power_law(gs_rows)
         except ValueError:
             pass
-    return FidelityReport(tuple(rows), fit_op, fit_gs)
+    return FidelityReport(tuple(rows), fit_op, fit_gs, tuple(unitarity_errors))
 
 
 def report_to_csv(report: FidelityReport) -> str:

@@ -97,22 +97,30 @@ class TestGroundState:
         assert code == EXIT_CONFIG
         assert "error" in err
 
-    def test_degenerate_exit_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["ground-state", "sweep", "measure"])
+    def test_degenerate_exit_3(self, capsys, monkeypatch, tmp_path, command):
         import warnings as _w
         import z2wilson.cli as cli_mod
         from z2wilson.gauge import DegenerateGroundStateWarning
 
-        real = cli_mod.ground_state
+        # ground-state solves in sector coordinates, the others embed
+        solver = ("sector_ground_state" if command == "ground-state"
+                  else "ground_state")
+        real = getattr(cli_mod, solver)
 
         def warn_and_solve(model, sector, gap_tolerance=1e-10):
             _w.warn("forced", DegenerateGroundStateWarning)
             return real(model, sector)
 
-        monkeypatch.setattr(cli_mod, "ground_state", warn_and_solve)
-        code, out, _ = run_main(capsys, "ground-state", "--lattice",
-                                "rect:1x1")
+        monkeypatch.setattr(cli_mod, solver, warn_and_solve)
+        out_path = tmp_path / "out.txt"
+        code, out, _ = run_main(capsys, command, "--nt", "2",
+                                "--out", str(out_path))
         assert code == 3
-        assert "degenerate_ground_state true" in out
+        assert out.endswith("degenerate_ground_state true\n")
+        if command != "ground-state":     # nothing is written before it
+            assert out == "degenerate_ground_state true\n"
+        assert not out_path.exists()
 
     def test_state_dump(self, capsys, tmp_path):
         out_path = tmp_path / "gs.txt"
@@ -127,6 +135,41 @@ class TestGroundState:
         norm = sum(float(l.split()[2]) ** 2 + float(l.split()[3]) ** 2
                    for l in amp_lines)
         assert norm == pytest.approx(1.0, abs=1e-10)
+
+    def test_rect4x2_never_builds_the_full_space(self, capsys, tmp_path):
+        import tracemalloc
+
+        out_path = tmp_path / "gs.txt"
+        run_main(capsys, "ground-state", "--lattice", "rect:1x1")  # warm-up
+        tracemalloc.start()
+        try:
+            code, _, _ = run_main(capsys, "ground-state", "--lattice",
+                                  "rect:4x2", "--out", str(out_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # one full-space vector of 2**22 amplitudes is 64 MB
+        assert peak < 16 * 2 ** 20
+
+    def test_above_the_full_space_link_cap(self, capsys):
+        # rect:9x1 has 28 links but a 512-dimensional sector
+        code, out, _ = run_main(capsys, "ground-state", "--lattice",
+                                "rect:9x1")
+        assert code == EXIT_OK
+        assert "sector_dim 512" in out
+
+    @pytest.mark.parametrize("lattice, message", [
+        # 38 links, dim 2**15: refused before the dense Hamiltonian
+        ("rect:5x3", "sector dimension 32768 exceeds the dense-matrix limit"),
+        # 60 links, dim 2**25: refused before the masks are spanned
+        ("rect:5x5", "sector dimension 2**25 exceeds the enumeration limit"),
+        ("rect:6x5", "sector masks are limited to 63 links"),
+    ])
+    def test_refuses_oversized_lattices(self, capsys, lattice, message):
+        code, _, err = run_main(capsys, "ground-state", "--lattice", lattice)
+        assert code == EXIT_CONFIG
+        assert message in err
 
 
 class TestSweep:
@@ -226,6 +269,12 @@ class TestMeasure:
         # the sampled value of the two-run implementation, bit for bit
         assert "p_plus_sampled 0.46999999999999997\n" in out
 
+    def test_refuses_the_full_space_above_26_links(self, capsys):
+        code, _, err = run_main(capsys, "measure", "--lattice", "rect:9x1",
+                                "--nt", "1")
+        assert code == EXIT_CONFIG
+        assert "full-space routes are limited to 26 links" in err
+
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
         vals = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()}
@@ -235,16 +284,16 @@ class TestMeasure:
 
 class TestNumericalFailure:
     def test_exit_4_on_unitarity_drift(self, capsys, monkeypatch, tmp_path):
-        import z2wilson.cli as cli_mod
+        import z2wilson.trotter as trotter_mod
         from z2wilson.gauge import SectorOperator
 
-        real = cli_mod.trotterized_loop_operator
+        real = trotter_mod.trotterized_loop_operator
 
         def drifting(model, sector, program, n_T):
             w = real(model, sector, program, n_T)
             return SectorOperator(w.matrix * 1.001)   # breaks unitarity
 
-        monkeypatch.setattr(cli_mod, "trotterized_loop_operator", drifting)
+        monkeypatch.setattr(trotter_mod, "trotterized_loop_operator", drifting)
         code, _, err = run_main(capsys, "sweep", "--nt", "2,4",
                                 "--out", str(tmp_path / "r.csv"))
         assert code == 4

@@ -11,11 +11,12 @@ import pytest
 from conftest import dense_pauli, expm_i_hermitian
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
                             build_physical_sector, embed_sector_coords,
-                            exact_evolve_in_sector, gauge_violation,
-                            ground_state, hamiltonian_in_sector,
-                            project_to_sector, sector_basis_dump,
-                            sector_spectrum, spatial_loop_in_sector,
-                            star_operator)
+                            embed_state, exact_evolve_in_sector,
+                            gauge_violation, ground_state,
+                            hamiltonian_in_sector, project_to_sector,
+                            sector_basis_dump, sector_gauge_violation,
+                            sector_ground_state, sector_spectrum,
+                            spatial_loop_in_sector, star_operator)
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.statevec import PauliString, StateVector, expect_pauli
 
@@ -77,18 +78,27 @@ class TestPhysicalSector:
         sec = build_physical_sector(Z2Model(build_rect(1, 1), 1.0))
         assert sec.dim == 2
 
-    def test_rect21_dim_brute_force(self):
-        lat = build_rect(2, 1)
-        sec = build_physical_sector(Z2Model(lat, 1.0))
-        assert sec.dim == 4
-        # brute force: all 2**7 X-configurations against the 6 star parities
-        masks = []
+    @pytest.mark.parametrize("charged", [False, True],
+                             ids=["neutral", "charged"])
+    @pytest.mark.parametrize("lattice", [
+        "cross", "rect:1x1", "rect:2x1", "rect:2x2", "rect:3x2"])
+    def test_masks_match_brute_force(self, lattice, charged):
+        lat = (build_cross() if lattice == "cross"
+               else build_rect(*(int(n) for n in lattice[5:].split("x"))))
+        charges = [1] * lat.n_vertices
+        if charged:
+            a, b = lat.links[0]
+            charges[a] = charges[b] = -1
+        sec = build_physical_sector(Z2Model(lat, 1.0), charges)
+        assert sec.dim == 2 ** (lat.n_links - lat.n_vertices + 1)
+        # brute force: every X-configuration against the star parities
         stars = [sum(1 << li for li in lat.star(v))
                  for v in range(lat.n_vertices)]
-        for m in range(1 << 7):
-            if all(bin(m & s).count("1") % 2 == 0 for s in stars):
-                masks.append(m)
-        assert sorted(int(x) for x in sec.masks) == masks
+        want = [0 if q == 1 else 1 for q in charges]
+        masks = [m for m in range(1 << lat.n_links)
+                 if all(bin(m & s).count("1") % 2 == w
+                        for s, w in zip(stars, want))]
+        assert [int(x) for x in sec.masks] == masks
 
     def test_every_basis_state_satisfies_stars(self, cross_model,
                                                cross_sector):
@@ -255,6 +265,20 @@ class TestGroundState:
             ground_state(m, sec, gap_tolerance=1e9)
 
 
+    def test_sector_ground_state_matches_full_space_route(self, cross_model,
+                                                          cross_sector):
+        energy, coords = sector_ground_state(cross_model, cross_sector)
+        full_energy, gs = ground_state(cross_model, cross_sector)
+        assert energy == full_energy
+        ref = project_to_sector(cross_sector, gs.amps)
+        assert np.max(np.abs(coords - ref)) < 1e-12
+
+    def test_sector_phase_rule(self, cross_model, cross_sector):
+        _, coords = sector_ground_state(cross_model, cross_sector)
+        k = int(np.argmax(np.abs(coords)))
+        assert coords[k].imag == 0 and coords[k].real > 0
+
+
 class TestEvolution:
     def test_tau0_identity(self, cross_model, cross_sector):
         u = exact_evolve_in_sector(cross_model, cross_sector, 0.0)
@@ -339,3 +363,29 @@ class TestGaugeViolation:
         from z2wilson.statevec import apply_pauli
         apply_pauli(sv, PauliString({0: "Z"}))   # flips electric label
         assert abs(gauge_violation(sv, cross_model) - 2) < 1e-12
+
+    def test_sector_check_matches_full_space_on_physical_states(
+            self, cross_model, cross_sector):
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            c = rng.normal(size=32) + 1j * rng.normal(size=32)
+            c /= np.linalg.norm(c)
+            got = sector_gauge_violation(cross_model, cross_sector, c)
+            full = gauge_violation(embed_state(cross_sector, c), cross_model)
+            assert got < 1e-12
+            assert abs(got - full) < 1e-12
+
+    def test_sector_check_matches_full_space_on_charged_states(
+            self, cross_model):
+        lat = cross_model.lattice
+        charges = [1] * lat.n_vertices
+        a, b = lat.links[3]
+        charges[a] = charges[b] = -1
+        sec = build_physical_sector(cross_model, charges)
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
+        c /= np.linalg.norm(c)
+        got = sector_gauge_violation(cross_model, sec, c)
+        full = gauge_violation(embed_state(sec, c), cross_model)
+        assert abs(got - 2.0) < 1e-12
+        assert abs(got - full) < 1e-12
