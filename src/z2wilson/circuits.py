@@ -162,9 +162,9 @@ def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
             "and no RNG was provided")
     else:
         outcome = int(rng.random() < p1)
-    _qubit_blocks(amps, n, qubit)[:, 1 - outcome] = 0.0
-    norm = np.sqrt(p1 if outcome else 1.0 - p1)
-    amps /= norm
+    blocks = _qubit_blocks(amps, n, qubit)
+    blocks[:, 1 - outcome] = 0.0
+    blocks[:, outcome] /= np.sqrt(p1 if outcome else 1.0 - p1)
     return outcome
 
 

@@ -329,6 +329,7 @@ def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
     amps += (1j * np.sin(theta)) * pa
 
 
+@lru_cache(maxsize=256)
 def _compress_above(p: PauliString, qubit: int) -> PauliString:
     """Re-index a string onto the register with ``qubit`` removed."""
     return PauliString({(q if q < qubit else q - 1): ax for q, ax in p.terms},
