@@ -64,7 +64,8 @@ class ResetAncilla:
 
     def __post_init__(self):
         if self.target_bit not in (0, 1):
-            raise CircuitError(f"reset target must be 0 or 1")
+            raise CircuitError(
+                f"reset target must be 0 or 1, got {self.target_bit!r}")
 
 
 Gate = PauliExp | ControlledPauliExp | Measure | ResetAncilla

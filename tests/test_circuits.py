@@ -14,7 +14,7 @@ from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
                                run_circuit, star_commutation_report)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import staircase_default
-from z2wilson.statevec import (PauliString, StateVector,
+from z2wilson.statevec import (PauliString, StateVector, _scratch,
                                apply_controlled_pauli_exp, apply_pauli_exp,
                                init_basis)
 from z2wilson.wilson import trotterized_program_circuit
@@ -98,6 +98,8 @@ class TestExecutor:
         out, outcomes = run_circuit(c, init_basis(1, "1"))
         assert outcomes[0] == 1
         assert abs(out.amps[0] - 1) < 1e-12   # plain flip, no stray phase
+        with pytest.raises(CircuitError, match="got 2"):
+            ResetAncilla(0, 2)
 
     def test_grouped_controlled_run_equals_single_gates(self):
         rng = np.random.default_rng(1)
@@ -119,12 +121,13 @@ class TestExecutor:
 
     def test_gate_sequence_allocates_less_than_one_state(self):
         # gates update the amplitudes in place: once the kernel caches and
-        # scratch buffers are warm, rotations at low, middle and high
-        # qubits, a "z" and an "x-" controlled group and a reset allocate
-        # less than one state vector in total
+        # scratch buffers are warm, rotations at every kernel layout and on
+        # both sides of each crossover, a "z" and an "x-" controlled group
+        # and a reset allocate less than one state vector in total, and no
+        # scratch buffer is evicted and allocated again
         n = 16
         gates = [PauliExp(PauliString({q: ax}), 0.3)
-                 for q in (0, 8, n - 1) for ax in "XYZ"]
+                 for q in (0, 1, 2, 8, 11, 12, 13, n - 1) for ax in "XYZ"]
         gates += [ControlledPauliExp(12, "z", PauliString({0: "X"}), 0.2),
                   ControlledPauliExp(12, "z", PauliString({13: "Z"}), -0.4),
                   ControlledPauliExp(n - 1, "x-", PauliString({1: "Z"}),
@@ -135,6 +138,7 @@ class TestExecutor:
         amps = random_state(n, np.random.default_rng(2))
         rng = np.random.Generator(np.random.Philox(3))
         apply_gates(amps, gates, n, rng)
+        misses = _scratch.cache_info().misses
         tracemalloc.start()
         try:
             apply_gates(amps, gates, n, rng)
@@ -142,6 +146,7 @@ class TestExecutor:
         finally:
             tracemalloc.stop()
         assert peak < amps.nbytes
+        assert _scratch.cache_info().misses == misses
 
 
 class TestCensusAndExport:

@@ -268,6 +268,10 @@ class TestMeasure:
         assert len(calls) == 1
         # the sampled value of the two-run implementation, bit for bit
         assert "p_plus_sampled 0.46999999999999997\n" in out
+        # the gate route's digits, bit for bit: the kernel layout that runs
+        # a rotation never changes its result
+        assert "p_plus_exact 0.4280896523738571\n" in out
+        assert "re_wilson_loop -0.1438206952522858\n" in out
 
     def test_refuses_the_full_space_above_26_links(self, capsys):
         code, _, err = run_main(capsys, "measure", "--lattice", "rect:9x1",

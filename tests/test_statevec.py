@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_pauli, expm_i_hermitian, random_state
+from z2wilson.circuits import ControlledPauliExp, apply_gates
 from z2wilson.statevec import (PauliString, PauliStringError, StateVector,
                                apply_controlled_pauli_exp, apply_pauli,
                                apply_pauli_exp, expect_pauli, init_basis,
@@ -254,6 +255,79 @@ class TestControlled:
                                    0.9)
         off = np.arange(16) >= 8           # control bit 1 = spin-down
         assert np.array_equal(sv.amps[off], v[off])
+
+
+def half_slice_exp(amps, qubit, axis, theta, n):
+    """Reference single-qubit rotation: the whole-half-slice formula that
+    every kernel layout must reproduce bit for bit."""
+    v = amps.reshape((1 << (n - 1 - qubit), 2, 1 << qubit) + amps.shape[1:])
+    if axis == "Z":
+        v[:, 0] *= np.exp(1j * theta)
+        v[:, 1] *= np.exp(-1j * theta)
+        return
+    c, s = np.cos(theta), np.sin(theta)
+    mix = 1j * s if axis == "X" else s
+    a0, a1 = v[:, 0], v[:, 1]
+    t0, t1 = a1 * mix, a0 * mix
+    a0 *= c
+    a0 += t0
+    a1 *= c
+    if axis == "X":
+        a1 += t1
+    else:
+        a1 -= t1
+
+
+def same_bits(got, want):
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+LAYOUT_THETAS = (0.3, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2)
+
+
+class TestKernelLayouts:
+    # 16 qubits put every qubit position, and so every layout and both
+    # sides of every crossover, under test; stacks take the whole-slice path
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("axis", "XYZ")
+    def test_rotation_bit_identical_to_half_slice_formula(self, axis,
+                                                          stacked):
+        n = 16
+        rng = np.random.default_rng(13)
+        if stacked:
+            v = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
+        else:
+            v = random_state(n, rng)
+        for q in range(n):
+            for th in LAYOUT_THETAS:
+                got, want = v.copy(), v.copy()
+                pauli_exp_inplace(got, PauliString({q: axis}), th, n)
+                half_slice_exp(want, q, axis, th, n)
+                assert same_bits(got, want), (q, th)
+
+    @pytest.mark.parametrize("control, basis", [(12, "z"), (15, "x-")])
+    def test_controlled_group_bit_identical(self, control, basis):
+        # a copied branch ("z", control 12) and a branch viewed in place
+        # (control on the top qubit), each with rotations across layouts
+        n = 16
+        terms = list(zip((0, 1, 5, 11, 13, 14, 3), "XYZXYZY",
+                         LAYOUT_THETAS + (0.7, -1.2)))
+        gates = [ControlledPauliExp(control, basis, PauliString({q: ax}), th)
+                 for q, ax, th in terms]
+        v = random_state(n, np.random.default_rng(14))
+        got = v.copy()
+        apply_gates(got, gates, n)
+        want = v.copy()
+        if basis == "x-":
+            half_slice_exp(want, control, "Y", -np.pi / 4, n)
+        blocks = want.reshape(1 << (n - 1 - control), 2, 1 << control)
+        branch = blocks[:, 0].reshape(-1)
+        for q, ax, th in terms:
+            half_slice_exp(branch, q if q < control else q - 1, ax, th, n - 1)
+        blocks[:, 0] = branch.reshape(blocks[:, 0].shape)
+        if basis == "x-":
+            half_slice_exp(want, control, "Y", np.pi / 4, n)
+        assert same_bits(got, want)
 
 
 class TestInnerExpect:
