@@ -22,10 +22,11 @@ from .statevec import (PauliString, StateVector, apply_controlled_pauli_exp,
                        inner, qubit_purity, reduced_qubit_density)
 from .gauge import (DegenerateGroundStateWarning, PhysicalSector,
                     SectorOperator, Z2Model, build_physical_sector,
-                    exact_evolve_in_sector, gauge_violation, ground_state,
-                    hamiltonian_in_sector, sector_basis_dump,
+                    electric_diag, exact_evolve_in_sector, gauge_violation,
+                    ground_state, hamiltonian_in_sector, sector_basis_dump,
                     sector_gauge_violation, sector_ground_state,
-                    sector_spectrum, spatial_loop_in_sector, star_operator)
+                    sector_spectrum, spatial_loop_in_sector, star_operator,
+                    xor_perm)
 from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                        Temporal, program_from_text, program_to_text,
                        staircase_default, validate_program)
@@ -36,10 +37,9 @@ from .trotter import (FidelityReport, PowerLawFit, TrotterPlan,
 from .circuits import (Circuit, ControlledPauliExp, Measure, PauliExp,
                        ResetAncilla, circuit_stats, circuit_to_text,
                        run_circuit, star_commutation_report)
-from .wilson import (compose_loop, conjugated_temporal_plaquette,
-                     controlled_loop, hadamard_test, link_loop_circuit,
-                     link_loop_closure, link_wilson_line,
-                     plaquette_exp_via_ancilla, rect_loop_link_circuit,
-                     rect_loop_plaquette_circuit, spatial_loop_direct,
-                     spatial_loop_via_ancilla, temporal_plaquette_exact,
-                     trotterized_program_circuit)
+from .wilson import (conjugated_temporal_plaquette, controlled_loop,
+                     hadamard_test, link_loop_circuit, link_loop_closure,
+                     link_wilson_line, plaquette_exp_via_ancilla,
+                     rect_loop_link_circuit, rect_loop_plaquette_circuit,
+                     spatial_loop_direct, spatial_loop_via_ancilla,
+                     temporal_plaquette_exact, trotterized_program_circuit)

@@ -13,10 +13,12 @@ particular solution shifted by the cycle space of the lattice graph.  The
 sector is enumerated from a basis of that cycle space, never by scanning
 all 2**L masks, so its cost follows the sector dimension 2**(L-V+1).
 
-The sector is the primary representation.  Its Hamiltonian is a small
-dense matrix (32 x 32 on the cross): the electric part is diagonal, each
-plaquette is the XOR permutation by its link mask.  The ground state, its
-energy and its Gauss-law check are all computed in sector coordinates
+The sector is the primary representation.  Its masks are sorted, and a
+mask is looked up by ``searchsorted``: every sigma_3 string or plaquette
+is the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
+term is the diagonal :func:`electric_diag`.  The Hamiltonian is a small
+dense matrix (32 x 32 on the cross).  The ground state, its energy and
+its Gauss-law check are all computed in sector coordinates
 (:func:`sector_ground_state`, :func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
@@ -32,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, _odd_links
 from .statevec import PauliString, StateVector, expect_pauli
 
 _MAX_MASK_BITS = 63         # sector masks are uint64
-_MAX_SECTOR_DIM = 1 << 20   # masks plus the index_of dict take about 150 MB
+_MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
 _MAX_EMBED_QUBITS = 26      # one full-space vector of 2**26 amplitudes is 1 GiB
 _MAX_DENSE_DIM = 4096       # a dense complex 4096 x 4096 matrix is 256 MB
 
@@ -70,33 +72,28 @@ def plaquette_string(lattice: Lattice, plaq_index: int) -> PauliString:
 
 
 def _link_mask(links) -> int:
-    m = 0
-    for li in links:
-        m |= 1 << li
-    return m
+    """Bitmask of :func:`_odd_links`: a link listed twice cancels."""
+    return sum(1 << li for li in _odd_links(links))
 
 
 @dataclass(frozen=True)
 class PhysicalSector:
     """Joint star eigenspace in the electric basis.
 
-    ``masks[k]`` is the X-configuration bitmask of sector basis state k;
-    ``index_of`` inverts it.  ``charges[v]`` is the star eigenvalue at
-    vertex v (all +1 for the physical sector); any admissible pattern has
-    dim = 2**(n_links - n_vertices + 1).
+    ``masks[k]`` is the X-configuration bitmask of sector basis state k.
+    The masks are sorted, so the index of a mask is a ``searchsorted``
+    lookup (see :func:`xor_perm`).  ``charges[v]`` is the star eigenvalue
+    at vertex v (all +1 for the physical sector); any admissible pattern
+    has dim = 2**(n_links - n_vertices + 1).
     """
 
     n_links: int
     masks: np.ndarray                    # (dim,) uint64, sorted
-    index_of: dict[int, int]
     charges: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.masks)
-
-    def contains_mask(self, mask: int) -> bool:
-        return int(mask) in self.index_of
 
     def is_physical(self) -> bool:
         return all(q == 1 for q in self.charges)
@@ -139,9 +136,26 @@ def build_physical_sector(model: Z2Model,
     for b in null:
         masks = np.concatenate([masks, masks ^ np.uint64(b)])
     masks.sort()
-    return PhysicalSector(L, masks,
-                          {int(m): k for k, m in enumerate(masks)},
-                          charges)
+    return PhysicalSector(L, masks, charges)
+
+
+def xor_perm(src_masks: np.ndarray, dst_masks: np.ndarray,
+             mask: int) -> np.ndarray:
+    """Index in ``src_masks`` of ``m ^ mask`` for every ``m`` in ``dst_masks``.
+
+    ``src_masks`` must be sorted (as every sector's masks are).  The result
+    is the row permutation taking a matrix over the source basis to the
+    destination basis under the sigma_3 product with this link mask.  A
+    missing target means the link set is not a closed cycle between the
+    two sectors, which raises GaugeError.
+    """
+    targets = dst_masks ^ np.uint64(mask)
+    idx = np.searchsorted(src_masks, targets)
+    idx[idx == len(src_masks)] = 0
+    if not np.array_equal(src_masks[idx], targets):
+        raise GaugeError("link set is not a closed cycle; sigma_3 product "
+                         "leaves the sector")
+    return idx
 
 
 def _gf2_solve(rows: list[int], rhs: list[int], n_bits: int
@@ -275,42 +289,42 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     if dim > _MAX_DENSE_DIM:
         raise GaugeError(f"sector dimension {dim} exceeds the dense-matrix "
                          f"limit {_MAX_DENSE_DIM}")
-    # electric eigenvalue per link: s_i = +1 when bit i is 0
-    masks = sector.masks
-    coeff = np.full(L, -1.0)
-    for li in modified_links:
-        coeff[li] = +1.0
-    diag = np.zeros(dim)
-    for li in range(L):
-        s = 1.0 - 2.0 * ((masks >> np.uint64(li)) & np.uint64(1)).astype(float)
-        diag += coeff[li] * s
-    h = np.diag(diag).astype(np.complex128)
+    h = np.diag(electric_diag(model, sector, modified_links)
+                ).astype(np.complex128)
     for plaq in lat.plaquettes:
-        pmask = np.uint64(_link_mask(plaq))
-        dest = np.array([sector.index_of[int(m ^ pmask)] for m in masks])
-        h[dest, np.arange(dim)] += -model.lam
+        perm = xor_perm(sector.masks, sector.masks, _link_mask(plaq))
+        h[perm, np.arange(dim)] += -model.lam
     return SectorOperator(h)
+
+
+def electric_diag(model: Z2Model, sector: PhysicalSector,
+                  modified_links: frozenset[int] | set[int] = frozenset()
+                  ) -> np.ndarray:
+    """Diagonal of -sum sigma_1 + sum_{m in modified} 2 sigma_1 on the sector.
+
+    The electric labels are exact in the sector basis: link i contributes
+    -s_i, or +s_i when modified, with s_i = +1 when bit i of the mask is 0.
+    """
+    masks = sector.masks
+    diag = np.zeros(sector.dim)
+    for li in range(model.lattice.n_links):
+        s = 1.0 - 2.0 * ((masks >> np.uint64(li)) & np.uint64(1)).astype(float)
+        diag += s if li in modified_links else -s
+    return diag
 
 
 def spatial_loop_in_sector(sector: PhysicalSector, links) -> SectorOperator:
     """Sector matrix of prod sigma_3 over the given links.
 
     sigma_3 flips the electric label of its link with unit coefficient, so
-    this is the XOR permutation by the link mask.  The link set must have
-    even overlap with every star (a closed cycle); otherwise the product
-    leaves the sector, which is reported as an error.
+    this is the XOR permutation by the link mask (a link listed twice
+    cancels).  The link set must have even overlap with every star (a
+    closed cycle); otherwise the product leaves the sector, which is
+    reported as a GaugeError.
     """
-    smask = np.uint64(_link_mask(set(links)))
-    dim = sector.dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for k, m in enumerate(sector.masks):
-        target = int(m ^ smask)
-        if target not in sector.index_of:
-            raise GaugeError(
-                "spatial link set is not a closed cycle; sigma_3 product "
-                "leaves the physical sector"
-            )
-        mat[sector.index_of[target], k] = 1.0
+    perm = xor_perm(sector.masks, sector.masks, _link_mask(links))
+    mat = np.zeros((sector.dim, sector.dim), dtype=np.complex128)
+    mat[perm, np.arange(sector.dim)] = 1.0
     return SectorOperator(mat)
 
 

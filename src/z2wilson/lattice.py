@@ -52,6 +52,18 @@ class Lattice:
         return self.stars[vertex]
 
 
+def _odd_links(links) -> set[int]:
+    """Links listed an odd number of times: a walk's edge set over GF(2).
+
+    sigma_3**2 = I, so this is the support of the sigma_3 product over the
+    links; a link listed twice cancels.
+    """
+    odd: set[int] = set()
+    for li in links:
+        odd ^= {li}
+    return odd
+
+
 def _build_from_cells(cells: list[Cell]) -> Lattice:
     """Assemble a lattice from unit cells at integer coordinates (x, y)."""
     cellset = set(cells)

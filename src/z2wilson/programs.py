@@ -10,17 +10,18 @@ A program is the stroboscopic recipe for one space-time Wilson loop:
 Steps are listed in application order (the first step hits the state
 first).  Gauge invariance of the whole program requires the symmetric
 difference of all Spatial links to be an even-degree subgraph; that is a
-hard validation error.  Temporal steps whose modified set does not match
-the running frontier (symmetric difference of Spatial links seen so far)
-still compose to gauge-invariant operators, so that mismatch is reported
-as a note, not an error.
+hard validation error.  A link listed twice cancels (sigma_3**2 = I),
+within one step as across steps.  Temporal steps whose modified set does
+not match the running frontier (symmetric difference of Spatial links seen
+so far) still compose to gauge-invariant operators, so that mismatch is
+reported as a note, not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice, build_cross
+from .lattice import Lattice, _odd_links, build_cross
 
 
 class ProgramError(ValueError):
@@ -102,8 +103,8 @@ def validate_program(lattice: Lattice, program: LoopProgram) -> list[str]:
             if not _is_contiguous_chain(lattice, step.links):
                 out.append(f"error: step {k}: spatial links are not a "
                            f"contiguous chain")
-            frontier ^= set(step.links)
-            spatial_total ^= set(step.links)
+            frontier ^= _odd_links(step.links)
+            spatial_total ^= _odd_links(step.links)
         elif isinstance(step, Temporal):
             bad = [li for li in step.modified_links
                    if not 0 <= li < lattice.n_links]

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (PhysicalSector, SectorOperator, Z2Model,
-                    build_physical_sector, embed_sector_coords,
-                    exact_evolve_in_sector, plaquette_string,
-                    project_to_sector)
+from .gauge import (PhysicalSector, SectorOperator, Z2Model, _link_mask,
+                    build_physical_sector, electric_diag,
+                    embed_sector_coords, exact_evolve_in_sector,
+                    plaquette_string, project_to_sector, xor_perm)
+from .lattice import _odd_links
 from .programs import (LoopProgram, ProgramError, Spatial, Temporal,
                        program_errors)
 from .statevec import (PauliString, StateVector, pauli_apply_inplace,
@@ -49,10 +50,7 @@ class TrotterPlan:
 
 def _spatial_string(links) -> PauliString:
     """Z product over a chain; links traversed twice cancel (Z**2 = I)."""
-    odd: set[int] = set()
-    for li in links:
-        odd ^= {li}
-    return PauliString({li: "Z" for li in odd})
+    return PauliString({li: "Z" for li in _odd_links(links)})
 
 
 def trotter_strings(model: Z2Model, plan: TrotterPlan,
@@ -127,22 +125,14 @@ class _SectorTracker:
 
     def spatial_perm(self, links) -> np.ndarray:
         """Row permutation realizing prod sigma_3; updates the sector."""
-        odd = _spatial_string(links).support
-        mask = 0
-        deg = [0] * self.model.lattice.n_vertices
-        for li in odd:
-            mask |= 1 << li
-            a, b = self.model.lattice.links[li]
-            deg[a] += 1
-            deg[b] += 1
-        charges = tuple(q * (-1 if d % 2 else 1)
-                        for q, d in zip(self.current.charges, deg))
-        new = self.sector_for(charges)
-        old = self.current
-        perm = np.array([old.index_of[int(m) ^ mask] for m in new.masks],
-                        dtype=np.intp)
-        self.current = new
-        return perm
+        mask = _link_mask(links)
+        charges = list(self.current.charges)
+        for li, (a, b) in enumerate(self.model.lattice.links):
+            if mask >> li & 1:
+                charges[a] *= -1
+                charges[b] *= -1
+        old, self.current = self.current, self.sector_for(tuple(charges))
+        return xor_perm(old.masks, self.current.masks, mask)
 
 
 def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
@@ -163,31 +153,6 @@ def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
     return SectorOperator(w)
 
 
-def _within_sector_perm(sector: PhysicalSector, links) -> np.ndarray:
-    """Row permutation of one sector basis under XOR by a cycle's mask."""
-    mask = 0
-    for li in set(links):
-        mask |= 1 << li
-    try:
-        return np.array([sector.index_of[int(m) ^ mask] for m in sector.masks],
-                        dtype=np.intp)
-    except KeyError:
-        raise ProgramError(
-            "link set is not a closed cycle; it leaves the sector"
-        ) from None
-
-
-def _electric_diag(model: Z2Model, sector: PhysicalSector,
-                   modified_links) -> np.ndarray:
-    """Diagonal of H_el' over the sector basis (electric labels are exact)."""
-    signs = np.empty((model.lattice.n_links, sector.dim))
-    for li in range(model.lattice.n_links):
-        bit = ((sector.masks >> np.uint64(li)) & np.uint64(1)).astype(float)
-        coeff = +1.0 if li in modified_links else -1.0
-        signs[li] = coeff * (1.0 - 2.0 * bit)
-    return signs.sum(axis=0)
-
-
 def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
                               program: LoopProgram, n_T: int
                               ) -> SectorOperator:
@@ -203,21 +168,17 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     _check_program(model, program)
     tracker = _SectorTracker(model, sector)
     w = np.eye(sector.dim, dtype=np.complex128)
-    plaq_perm_cache: dict[tuple[int, ...], list[np.ndarray]] = {}
     for step in program.steps:
         if isinstance(step, Spatial):
             w = w[tracker.spatial_perm(step.links), :]
             continue
         sec = tracker.current
-        if sec.charges not in plaq_perm_cache:
-            plaq_perm_cache[sec.charges] = [
-                _within_sector_perm(sec, plaq)
-                for plaq in model.lattice.plaquettes]
-        perms = plaq_perm_cache[sec.charges]
+        perms = [xor_perm(sec.masks, sec.masks, _link_mask(plaq))
+                 for plaq in model.lattice.plaquettes]
         mods = step.modified_links if isinstance(step, Temporal) else frozenset()
         tau = step.tau
         half = np.exp(-1j * (tau / (2 * n_T)) *
-                      _electric_diag(model, sec, mods))
+                      electric_diag(model, sec, mods))
         theta = model.lam * tau / n_T
         c, s = np.cos(theta), 1j * np.sin(theta)
         full = half * half

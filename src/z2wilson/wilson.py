@@ -3,7 +3,8 @@
 Three routes to the same loops:
 
 * direct operator composition on the statevector / in the physical sector
-  (the oracle), see :func:`spatial_loop_direct` and :func:`compose_loop`;
+  (the oracle), see :func:`spatial_loop_direct` and
+  :func:`z2wilson.trotter.exact_loop_operator`;
 * plaquette-based ancilla circuits built from the two-qubit V gate
   V = I (x) |+><+| + sigma_3 (x) |-><-| realized as a controlled Pauli
   exponential with an exact phase compensation;
@@ -22,13 +23,12 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Measure,
                        PauliExp, ResetAncilla, marginal_bit_probability,
                        run_circuit)
 from .gauge import (PhysicalSector, SectorOperator, Z2Model,
-                    build_physical_sector, exact_evolve_in_sector)
+                    build_physical_sector, exact_evolve_in_sector, xor_perm)
 from .lattice import Lattice
 from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                        Temporal)
 from .statevec import PauliString, StateVector, pauli_apply_inplace
-from .trotter import (TrotterPlan, _spatial_string, exact_loop_operator,
-                      trotter_strings, trotterized_loop_operator)
+from .trotter import TrotterPlan, _spatial_string, trotter_strings
 
 HALF_PI = np.pi / 2
 
@@ -146,25 +146,8 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
     charges[b] *= -1
     charged = build_physical_sector(model, charges)
     u_charged = exact_evolve_in_sector(model, charged, tau).matrix
-    bit = 1 << link
-    perm = np.array([charged.index_of[int(m) ^ bit] for m in sector.masks])
+    perm = xor_perm(charged.masks, sector.masks, 1 << link)
     return SectorOperator(u_charged[np.ix_(perm, perm)])
-
-
-def compose_loop(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
-                 mode: str = "exact", n_T: int | None = None) -> SectorOperator:
-    """Ordered product of the program's steps as a sector operator.
-
-    mode "exact" gives the oracle W; mode "trotter" gives W_{n_T} by running
-    the Trotterized gate sequence through the embedded sector basis.
-    """
-    if mode == "exact":
-        return exact_loop_operator(model, sector, program)
-    if mode == "trotter":
-        if n_T is None:
-            raise ValueError("trotter mode requires n_T")
-        return trotterized_loop_operator(model, sector, program, n_T)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ independent full-space power iteration (2**16 matvecs assembled from raw
 bit operations, never through the sector machinery).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
                             hamiltonian_in_sector, project_to_sector,
                             sector_basis_dump, sector_gauge_violation,
                             sector_ground_state, sector_spectrum,
-                            spatial_loop_in_sector, star_operator)
+                            spatial_loop_in_sector, star_operator, xor_perm)
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.statevec import PauliString, StateVector, expect_pauli
 
@@ -346,6 +348,65 @@ class TestSpatialLoopInSector:
     def test_involutory(self, cross_sector, cross_lattice):
         w = spatial_loop_in_sector(cross_sector, cross_lattice.plaquettes[2])
         assert np.max(np.abs((w @ w).matrix - np.eye(32))) < 1e-15
+
+
+def dict_perm(src_masks, dst_masks, mask):
+    """Reference: a Python dict from mask to index in the source basis."""
+    index_of = {int(m): k for k, m in enumerate(src_masks)}
+    return [index_of[int(m) ^ mask] for m in dst_masks]
+
+
+def charged_at_ends(lattice, link):
+    charges = [1] * lattice.n_vertices
+    a, b = lattice.links[link]
+    charges[a] = charges[b] = -1
+    return charges
+
+
+class TestXorPerm:
+    @pytest.mark.parametrize("charged", [False, True],
+                             ids=["neutral", "charged"])
+    @pytest.mark.parametrize("lattice", ["cross", "rect:2x2"])
+    def test_plaquettes_match_dict_reference(self, lattice, charged):
+        lat = build_cross() if lattice == "cross" else build_rect(2, 2)
+        charges = charged_at_ends(lat, 0) if charged else None
+        sec = build_physical_sector(Z2Model(lat, 1.0), charges)
+        masks = [sum(1 << li for li in p) for p in lat.plaquettes]
+        masks.append(masks[0] ^ masks[-1])      # a two-plaquette cycle
+        for mask in masks:
+            perm = xor_perm(sec.masks, sec.masks, mask)
+            assert perm.tolist() == dict_perm(sec.masks, sec.masks, mask)
+
+    @pytest.mark.parametrize("lattice", ["cross", "rect:2x2"])
+    def test_across_sectors_matches_dict_reference(self, lattice):
+        lat = build_cross() if lattice == "cross" else build_rect(2, 2)
+        model = Z2Model(lat, 1.0)
+        neutral = build_physical_sector(model)
+        for li in range(lat.n_links):
+            charged = build_physical_sector(model, charged_at_ends(lat, li))
+            for src, dst in ((neutral, charged), (charged, neutral)):
+                perm = xor_perm(src.masks, dst.masks, 1 << li)
+                assert perm.tolist() == dict_perm(src.masks, dst.masks,
+                                                  1 << li)
+
+    def test_open_chain_rejected(self, cross_sector, cross_lattice):
+        chain = (1 << cross_lattice.plaquettes[0][0]
+                 | 1 << cross_lattice.plaquettes[0][1])
+        for mask in (1, chain):
+            with pytest.raises(GaugeError):
+                xor_perm(cross_sector.masks, cross_sector.masks, mask)
+
+    def test_sector_build_at_enumeration_limit_is_masks_only(self):
+        model = Z2Model(build_rect(5, 4), 1.0)       # dim 2**20
+        build_physical_sector(model)                 # warm-up
+        tracemalloc.start()
+        try:
+            sec = build_physical_sector(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sec.dim == 1 << 20
+        assert peak < 32 * 2**20
 
 
 class TestGaugeViolation:

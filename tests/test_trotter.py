@@ -12,10 +12,11 @@ import pytest
 from conftest import dense_pauli, expm_i_hermitian
 from z2wilson.gauge import (Z2Model, build_physical_sector,
                             embed_sector_coords, exact_evolve_in_sector,
-                            ground_state, project_to_sector)
+                            ground_state, project_to_sector,
+                            spatial_loop_in_sector)
 from z2wilson.lattice import build_rect
 from z2wilson.programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
-                               Temporal, staircase_default)
+                               Temporal, staircase_default, validate_program)
 from z2wilson.statevec import PauliString, StateVector
 from z2wilson.trotter import (TrotterPlan, exact_loop_operator, fit_power_law,
                               operator_fidelity, report_to_csv,
@@ -171,6 +172,24 @@ class TestLoopOperators:
         assert np.max(np.abs(w.matrix - band.matrix)) < 1e-11
         wt = trotterized_loop_operator(cross_model, cross_sector, prog, 64)
         assert operator_fidelity(w, wt) > 0.999
+
+    def test_link_repeated_within_one_step_cancels(self, cross_model,
+                                                    cross_sector):
+        # the bottom plaquette then the center one as one closed walk; the
+        # shared link 4 is traversed twice and cancels (sigma_3**2 = I)
+        lat = cross_model.lattice
+        bottom, center = lat.plaquettes[0], lat.plaquettes[2]
+        walk = bottom + center
+        assert walk == (0, 2, 4, 1, 4, 8, 11, 7)
+        prog = LoopProgram([Spatial(walk)])
+        assert validate_program(lat, prog) == []
+        two = exact_loop_operator(cross_model, cross_sector,
+                                  LoopProgram([Spatial(bottom),
+                                               Spatial(center)])).matrix
+        one = exact_loop_operator(cross_model, cross_sector, prog).matrix
+        assert np.max(np.abs(one - two)) == 0.0
+        direct = spatial_loop_in_sector(cross_sector, walk).matrix
+        assert np.max(np.abs(direct - two)) == 0.0
 
     def test_invalid_program_rejected(self, cross_model, cross_sector):
         prog = LoopProgram([Spatial([0])])

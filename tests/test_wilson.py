@@ -22,7 +22,7 @@ from z2wilson.statevec import (PauliString, StateVector, apply_pauli_exp,
                                qubit_purity)
 from z2wilson.trotter import (exact_loop_operator, trotter_evolve,
                               trotterized_loop_operator)
-from z2wilson.wilson import (closure_strings, compose_loop,
+from z2wilson.wilson import (closure_strings,
                              conjugated_temporal_plaquette, controlled_loop,
                              hadamard_test, hop_strings, link_loop_circuit,
                              link_wilson_line, plaquette_exp_via_ancilla,
@@ -228,27 +228,13 @@ class TestTemporalPlaquette:
 
 
 class TestComposeLoop:
-    def test_exact_matches_module_oracle(self, cross_model, cross_sector):
-        prog = staircase_default()
-        a = compose_loop(cross_model, cross_sector, prog, "exact")
-        b = exact_loop_operator(cross_model, cross_sector, prog)
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-15
-
-    def test_trotter_mode_needs_nt(self, cross_model, cross_sector):
-        with pytest.raises(ValueError):
-            compose_loop(cross_model, cross_sector, staircase_default(),
-                         "trotter")
-
-    def test_unknown_mode(self, cross_model, cross_sector):
-        with pytest.raises(ValueError):
-            compose_loop(cross_model, cross_sector, staircase_default(),
-                         "magic")
+    """The staircase composed into its exact sector operator."""
 
     def test_staircase_expectation_pinned(self, cross_model, cross_sector,
                                           cross_ground):
         _, gs = cross_ground
         coords = project_to_sector(cross_sector, gs.amps)
-        w = compose_loop(cross_model, cross_sector, staircase_default())
+        w = exact_loop_operator(cross_model, cross_sector, staircase_default())
         val = complex(np.vdot(coords, w.matrix @ coords))
         assert val == pytest.approx(-0.91967360257099173
                                     + 0.29782987864917987j, abs=1e-10)
