@@ -165,7 +165,11 @@ def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
         outcome = int(rng.random() < p1)
     blocks = _qubit_blocks(amps, n, qubit)
     blocks[:, 1 - outcome] = 0.0
-    blocks[:, outcome] /= np.sqrt(p1 if outcome else 1.0 - p1)
+    # numpy divides a complex by a real as (re + im*0) * (1/d), (im - re*0)
+    # * (1/d): scaling both float64 parts by 1/d gives the same values
+    # without the complex division
+    kept = blocks[:, outcome].view(np.float64)
+    kept *= 1.0 / np.sqrt(p1 if outcome else 1.0 - p1)
     return outcome
 
 

@@ -78,11 +78,12 @@ def _build_from_cells(cells: list[Cell]) -> Lattice:
     vlist = sorted(vertices, key=lambda p: (p[1], p[0]))
     vid = {p: i for i, p in enumerate(vlist)}
 
-    # per row: horizontal edges of that row, then vertical edges rising from it
-    max_y = max(y for _, y in vertices)
+    # per row, from the lowest: horizontal edges of that row, then vertical
+    # edges rising from it
+    ys = [y for _, y in vertices]
     link_list: list[tuple[int, int]] = []
     lid: dict[tuple[str, int, int], int] = {}
-    for y in range(max_y + 1):
+    for y in range(min(ys), max(ys) + 1):
         for x in sorted(ex for ex, ey in h_edges if ey == y):
             lid[("h", x, y)] = len(link_list)
             link_list.append((vid[(x, y)], vid[(x + 1, y)]))

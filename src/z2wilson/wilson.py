@@ -349,6 +349,21 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
             raise ProgramError(f"unknown step {step!r}")
 
 
+def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
+                          ) -> tuple[Circuit, int]:
+    """Gate list of the Hadamard test and its control qubit.
+
+    The control is prepared in |+>, controls the Trotterized loop and is
+    rotated back, so that it reads spin-up with probability p_+.
+    """
+    circuit = Circuit(model.lattice.n_links)
+    control = circuit.alloc_ancilla(initial_bit=0, role="hadamard-control")
+    prepare_plus(circuit, control)
+    controlled_loop(circuit, model, program, control, n_T)
+    unprepare_plus(circuit, control)
+    return circuit, control
+
+
 def hadamard_test(psi: StateVector, model: Z2Model, program: LoopProgram,
                   n_T: int, shots: int | None = None,
                   rng: np.random.Generator | None = None) -> float:
@@ -362,11 +377,7 @@ def hadamard_test(psi: StateVector, model: Z2Model, program: LoopProgram,
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
-    circuit = Circuit(model.lattice.n_links)
-    control = circuit.alloc_ancilla(initial_bit=0, role="hadamard-control")
-    prepare_plus(circuit, control)
-    controlled_loop(circuit, model, program, control, n_T)
-    unprepare_plus(circuit, control)
+    circuit, control = hadamard_test_circuit(model, program, n_T)
     final, _ = run_circuit(circuit, psi)
     p_plus = marginal_bit_probability(final, control, 0)
     if shots is None:

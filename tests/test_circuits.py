@@ -7,14 +7,16 @@ import pytest
 
 from conftest import random_state
 from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
-                               Measure, PauliExp, ResetAncilla, apply_gates,
+                               Measure, PauliExp, ResetAncilla, _measure_bit,
+                               apply_gates,
                                circuit_stats, circuit_to_text,
                                extend_with_ancillas,
                                link_register_block, marginal_bit_probability,
                                run_circuit, star_commutation_report)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import staircase_default
-from z2wilson.statevec import (PauliString, StateVector, _scratch,
+from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
+                               _scratch,
                                apply_controlled_pauli_exp, apply_pauli_exp,
                                init_basis)
 from z2wilson.wilson import trotterized_program_circuit
@@ -91,6 +93,28 @@ class TestExecutor:
         out, outcomes = run_circuit(c, plus.copy(), rng)
         assert outcomes[0] in (0, 1)
         assert out.norm_error() < 1e-12
+
+    @pytest.mark.parametrize("qubit", [0, 4, 9])
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_measure_normalisation_is_the_complex_division(self, qubit,
+                                                           outcome):
+        # the kept half is scaled through its float64 view by 1/sqrt(p);
+        # numpy divides a complex by a real with that reciprocal, so the
+        # bits are those of the division
+        class Draw:
+            def random(self):
+                return 0.0 if outcome else 1.0
+
+        n = 10
+        for seed in range(4):
+            v = random_state(n, np.random.default_rng(seed))
+            p1 = _bit_probability(v, n, qubit, 1)
+            got, want = v.copy(), v.copy()
+            assert _measure_bit(got, qubit, n, Draw()) == outcome
+            blocks = want.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
+            blocks[:, 1 - outcome] = 0.0
+            blocks[:, outcome] /= np.sqrt(p1 if outcome else 1.0 - p1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_reset_flips_to_target(self):
         c = Circuit(1)

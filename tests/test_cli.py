@@ -1,14 +1,21 @@
 """CLI commands: configs, outputs, determinism, exit codes."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from z2wilson.circuits import (ControlledPauliExp, marginal_bit_probability,
+                               run_circuit)
 from z2wilson.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, RunConfig,
                           load_config, main, resolve_lattice)
-from z2wilson.lattice import build_rect, lattice_to_text
-from z2wilson.programs import program_to_text, staircase_default
+from z2wilson.gauge import Z2Model, project_to_sector
+from z2wilson.lattice import build_cross, build_rect, lattice_to_text
+from z2wilson.programs import (LoopProgram, Temporal, program_to_text,
+                               staircase_default)
+from z2wilson.trotter import trotterized_loop_operator
+from z2wilson.wilson import hadamard_test_circuit
 
 
 def run_main(capsys, *argv):
@@ -269,9 +276,10 @@ class TestMeasure:
         # the sampled value of the two-run implementation, bit for bit
         assert "p_plus_sampled 0.46999999999999997\n" in out
         # the gate route's digits, bit for bit: the kernel layout that runs
-        # a rotation never changes its result
-        assert "p_plus_exact 0.4280896523738571\n" in out
-        assert "re_wilson_loop -0.1438206952522858\n" in out
+        # a rotation never changes its result, and the box V-chains run as
+        # exact parity swaps (p_plus_exact equals p_plus_oracle here)
+        assert "p_plus_exact 0.42808965237385715\n" in out
+        assert "re_wilson_loop -0.14382069525228569\n" in out
 
     def test_refuses_the_full_space_above_26_links(self, capsys):
         code, _, err = run_main(capsys, "measure", "--lattice", "rect:9x1",
@@ -284,6 +292,95 @@ class TestMeasure:
         vals = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()}
         assert vals["p_plus_exact"] == pytest.approx(vals["p_plus_oracle"],
                                                      abs=1e-10)
+
+
+# Rounding contract of the gate route.  Each gate rounds every amplitude
+# by about one ulp, so p_plus_exact may drift from the sector oracle's
+# p_plus_oracle by a few ulp per gate: two ulp per gate is 5.4e-13 for the
+# 1225 gates of the cross at n_T = 9.  Each mutation below must miss that
+# tolerance by at least 10**3, or the tolerance is too loose.
+ULP_PER_GATE = 2 * np.finfo(float).eps
+MUTATION_MARGIN = 1e3
+
+
+def measured(out):
+    return {l.split()[0]: float(l.split()[1]) for l in out.splitlines()}
+
+
+def circuit_p_plus(circuit, control, psi):
+    final, _ = run_circuit(circuit, psi)
+    return marginal_bit_probability(final, control, 0)
+
+
+def sector_p_plus(model, sector, coords, program, n_T):
+    w = trotterized_loop_operator(model, sector, program, n_T)
+    return (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
+
+
+class TestMeasureRoundingContract:
+    @pytest.mark.parametrize("lam", ["2", "5", "10", "20"])
+    def test_gate_route_within_ulps_per_gate_of_oracle(self, capsys, lam):
+        code, out, _ = run_main(capsys, "measure", "--nt", "9", "--lambda",
+                                lam)
+        assert code == EXIT_OK
+        vals = measured(out)
+        circuit, _ = hadamard_test_circuit(
+            Z2Model(build_cross(), float(lam)), staircase_default(), 9)
+        assert len(circuit.gates) == 1225
+        tol = ULP_PER_GATE * len(circuit.gates)
+        assert abs(vals["p_plus_exact"] - vals["p_plus_oracle"]) <= tol
+        assert vals["re_wilson_loop"] == 2 * vals["p_plus_exact"] - 1
+
+    @pytest.fixture(scope="class")
+    def contract(self, cross_model, cross_sector, cross_ground):
+        """(psi, oracle p_plus, tolerance, gate circuit, control) at n_T=2."""
+        _, gs = cross_ground
+        coords = project_to_sector(cross_sector, gs.amps)
+        circuit, control = hadamard_test_circuit(cross_model,
+                                                 staircase_default(), 2)
+        oracle = sector_p_plus(cross_model, cross_sector, coords,
+                               staircase_default(), 2)
+        tol = ULP_PER_GATE * len(circuit.gates)
+        assert abs(circuit_p_plus(circuit, control, gs) - oracle) <= tol
+        return gs, oracle, tol, circuit, control
+
+    def assert_missed(self, contract, p_plus):
+        _, oracle, tol, _, _ = contract
+        assert abs(p_plus - oracle) >= MUTATION_MARGIN * tol
+
+    def test_mutation_v_gate_sign_flipped(self, contract):
+        psi, _, _, circuit, control = contract
+        gates = list(circuit.gates)
+        i = next(k for k, g in enumerate(gates)
+                 if isinstance(g, ControlledPauliExp) and g.basis == "x-")
+        gates[i] = dataclasses.replace(gates[i], theta=-gates[i].theta)
+        mutant = dataclasses.replace(circuit, gates=gates)
+        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+
+    def test_mutation_box_dropped(self, contract):
+        psi, _, _, circuit, control = contract
+        gates = list(circuit.gates)
+        i = next(k for k, g in enumerate(gates)
+                 if isinstance(g, ControlledPauliExp) and g.basis == "x-")
+        # V-chain, controlled ancilla Z, reversed V-chain
+        box = gates[i: i + 9]
+        assert [g.basis for g in box] == ["x-"] * 4 + ["z"] + ["x-"] * 4
+        mutant = dataclasses.replace(circuit, gates=gates[:i] + gates[i + 9:])
+        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+
+    def test_mutation_wrong_modified_link(self, contract, cross_model):
+        psi, _, _, _, control = contract
+        steps = list(staircase_default().steps)
+        bottom = cross_model.lattice.plaquettes[0]
+        # the band cuts the plaquette's left and top links, not left and right
+        steps[1] = Temporal(steps[1].tau, {bottom[3], bottom[2]})
+        mutant, _ = hadamard_test_circuit(cross_model, LoopProgram(steps), 2)
+        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+
+    def test_mutation_n_T_off_by_one(self, contract, cross_model):
+        psi, _, _, _, control = contract
+        mutant, _ = hadamard_test_circuit(cross_model, staircase_default(), 3)
+        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
 
 
 class TestNumericalFailure:

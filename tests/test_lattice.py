@@ -2,8 +2,9 @@
 
 import pytest
 
-from z2wilson.lattice import (Lattice, build_cross, build_rect,
-                              lattice_from_text, lattice_to_text, validate)
+from z2wilson.lattice import (CROSS_CELLS, Lattice, _build_from_cells,
+                              build_cross, build_rect, lattice_from_text,
+                              lattice_to_text, validate)
 
 
 def plus_pentomino_reference():
@@ -89,6 +90,17 @@ class TestBuildRect:
             for li in plaq:
                 verts.update(lat.links[li])
             assert len(verts) == 4
+
+    def test_cells_below_the_origin(self):
+        # rows are numbered from the lowest cell, so a shifted cell set
+        # gives the same lattice
+        rect = [(x, y) for y in range(2) for x in range(3)]
+        for cells in (CROSS_CELLS, rect):
+            shifted = [(x, y - 3) for x, y in cells]
+            assert (lattice_to_text(_build_from_cells(shifted))
+                    == lattice_to_text(_build_from_cells(list(cells))))
+        lat = _build_from_cells([(0, -1), (0, 0)])
+        assert lattice_to_text(lat) == lattice_to_text(build_rect(1, 2))
 
 
 class TestValidate:

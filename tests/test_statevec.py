@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_pauli, expm_i_hermitian, random_state
+from z2wilson import statevec
 from z2wilson.circuits import ControlledPauliExp, apply_gates
 from z2wilson.statevec import (PauliString, PauliStringError, StateVector,
                                apply_controlled_pauli_exp, apply_pauli,
@@ -327,6 +328,198 @@ class TestKernelLayouts:
         blocks[:, 0] = branch.reshape(blocks[:, 0].shape)
         if basis == "x-":
             half_slice_exp(want, control, "Y", np.pi / 4, n)
+        assert same_bits(got, want)
+
+
+def random_z_chain(n, control, rng):
+    """1-6 Z strings of weight 1-4 off the control, theta +-pi/2, phase +-1."""
+    others = [q for q in range(n) if q != control]
+    terms = []
+    for _ in range(rng.integers(1, 7)):
+        qs = rng.choice(others, size=rng.integers(1, min(4, len(others)) + 1),
+                        replace=False)
+        terms.append((PauliString({int(q): "Z" for q in qs},
+                                  phase=int(rng.choice([1, -1]))),
+                      float(rng.choice([np.pi / 2, -np.pi / 2]))))
+    return terms
+
+
+def chain_phase(terms):
+    """prod of i sign(theta) phase: the scalar in prod_j e^{i theta_j P_j}."""
+    phi = 1
+    for p, th in terms:
+        phi *= 1j * np.sign(th) * p.phase
+    return phi
+
+
+def x_minus_oracle(v, control, terms, n):
+    """Dense P+ (x) I + P- (x) prod_j e^{i theta_j P_j} applied to v."""
+    dim = 1 << n
+    u = np.eye(dim, dtype=complex)
+    for p, th in terms:
+        u = (np.cos(th) * np.eye(dim)
+             + 1j * np.sin(th) * dense_pauli(p, n)) @ u
+    minus = (np.eye(dim) - dense_pauli(PauliString({control: "X"}), n)) / 2
+    return (minus @ u + np.eye(dim) - minus) @ v
+
+
+class TestCliffordGroups:
+    # an "x-" chain of +-pi/2 Z strings with a real product phase is a
+    # parity-controlled NOT and runs as an exact swap of the control's halves
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_matches_dense_oracle(self, stacked, monkeypatch):
+        swaps = []
+        real_swap = statevec._parity_swap
+        monkeypatch.setattr(statevec, "_parity_swap",
+                            lambda *a: swaps.append(1) or real_swap(*a))
+        rng = np.random.default_rng(16)
+        seen = set()
+        for _ in range(80):
+            n = int(rng.integers(3, 8))
+            control = int(rng.integers(n))
+            terms = random_z_chain(n, control, rng)
+            if stacked:
+                v = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
+            else:
+                v = random_state(n, rng)
+            got = v.copy()
+            del swaps[:]
+            statevec._controlled_exps(got, control, "x-", terms, n)
+            real = chain_phase(terms).imag == 0
+            seen.add(real)
+            assert len(swaps) == int(real)
+            err = np.max(np.abs(got - x_minus_oracle(v, control, terms, n)))
+            assert err < (1e-15 if real else 1e-13), (n, control, terms)
+        assert seen == {True, False}
+
+    def test_swap_bits_match_full_parity_reference(self):
+        # 16 qubits: the half-register spans two swap chunks, split along
+        # the rows (low controls) or within a row (controls 14 and 15)
+        rng = np.random.default_rng(17)
+        n = 16
+        index = np.arange(1 << n, dtype=np.uint64)
+        for control in (0, 3, 9, 13, 14, 15):
+            terms = random_z_chain(n, control, rng)
+            phi = chain_phase(terms)
+            if phi.imag:
+                terms.append((PauliString({(control + 1) % n: "Z"}),
+                              np.pi / 2))
+                phi *= 1j
+            # the top bit of the half-register index splits the chunks
+            top = n - 1 if control < n - 1 else n - 2
+            zmask = 0
+            for p, _ in terms:
+                zmask ^= p.masks()[1]
+            if not zmask >> top & 1:
+                low = 0 if control else 1
+                terms += [(PauliString({top: "Z"}), np.pi / 2),
+                          (PauliString({low: "Z"}), -np.pi / 2)]
+                zmask ^= 1 << top | 1 << low
+            v = random_state(n, rng)
+            got = v.copy()
+            statevec._controlled_exps(got, control, "x-", terms, n)
+            # swap the halves where phi (-1)**popcount(k & zmask) is -1
+            want = v.reshape(-1, 2, 1 << control).copy()
+            k = index.reshape(want.shape)[:, 0]
+            swap = (np.bitwise_count(k & np.uint64(zmask)) & 1) ^ (phi == -1)
+            swap = swap.astype(bool)
+            a, b = want[:, 0].copy(), want[:, 1].copy()
+            want[:, 0] = np.where(swap, b, a)
+            want[:, 1] = np.where(swap, a, b)
+            assert 0 < np.count_nonzero(swap) < swap.size
+            assert same_bits(got, want.reshape(-1)), control
+
+    def test_odd_chain_takes_rotation_route(self, monkeypatch):
+        # phi = i: the group is not a permutation, so the basis change runs
+        calls = []
+        real_exp = statevec._single_qubit_exp
+        monkeypatch.setattr(statevec, "_single_qubit_exp",
+                            lambda *a: calls.append(a[2]) or real_exp(*a))
+        n = 5
+        v = random_state(n, np.random.default_rng(18))
+        terms = [(PauliString({q: "Z"}), np.pi / 2) for q in (0, 1, 2)]
+        got = v.copy()
+        statevec._controlled_exps(got, 4, "x-", terms, n)
+        assert calls.count("Y") == 2
+        assert np.max(np.abs(got - x_minus_oracle(v, 4, terms, n))) < 1e-13
+
+    def test_string_outside_register_rejected(self):
+        terms = [(PauliString({5: "Z"}), np.pi / 2),
+                 (PauliString({0: "Z"}), np.pi / 2)]
+        with pytest.raises(PauliStringError):
+            statevec._controlled_exps(
+                random_state(3, np.random.default_rng(0)), 2, "x-", terms, 3)
+
+
+def copied_branch_route(amps, control, terms, n):
+    """The branch route that copied: the control's bit-0 branch is copied
+    out, the terms run on it as the compressed half-register, and it is
+    copied back."""
+    blocks = amps.reshape((1 << (n - 1 - control), 2, 1 << control)
+                          + amps.shape[1:])
+    branch = blocks[:, 0].copy()
+    flat = branch.reshape((-1,) + amps.shape[1:])
+    for p, th in terms:
+        compressed = PauliString(
+            {(q if q < control else q - 1): ax for q, ax in p.terms}, p.phase)
+        pauli_exp_inplace(flat, compressed, th, n - 1)
+    blocks[:, 0] = branch
+
+
+def one_side_terms(n, control, rng):
+    """Strings wholly below or wholly above the control, single Z above
+    included, at layout-probing and random angles."""
+    below, above = list(range(control)), list(range(control + 1, n))
+    terms = []
+    for side in (below, above, below, above):
+        if side:
+            qs = rng.choice(side, size=rng.integers(1, min(3, len(side)) + 1),
+                            replace=False)
+            terms.append((PauliString({int(q): "XYZ"[rng.integers(3)]
+                                       for q in qs}), float(rng.normal())))
+    if above:
+        terms.append((PauliString({above[-1]: "Z"}, phase=-1), np.pi / 4))
+    if below:
+        terms.append((PauliString({below[0]: "X"}), np.pi / 2))
+    return terms
+
+
+class TestBranchInPlace:
+    # a "z" group on a control below the top qubit runs on the strided
+    # branch view, bit-identical to the copied compressed half-register
+    @pytest.mark.parametrize("n, stacked", [(12, False), (8, True),
+                                            (16, False)])
+    def test_bit_identical_to_copied_branch(self, n, stacked, monkeypatch):
+        def no_copy(*args):
+            raise AssertionError("branch copied")
+
+        monkeypatch.setattr(statevec, "_copied_branch_exps", no_copy)
+        rng = np.random.default_rng(19)
+        controls = range(n) if n < 16 else (13, 14)
+        for control in controls:
+            terms = one_side_terms(n, control, rng)
+            if stacked:
+                v = np.stack([random_state(n, rng) for _ in range(2)], axis=1)
+            else:
+                v = random_state(n, rng)
+            got, want = v.copy(), v.copy()
+            statevec._controlled_exps(got, control, "z", terms, n)
+            copied_branch_route(want, control, terms, n)
+            assert same_bits(got, want), control
+
+    def test_straddling_string_copies_the_branch(self, monkeypatch):
+        copies = []
+        real_copy = statevec._copied_branch_exps
+        monkeypatch.setattr(statevec, "_copied_branch_exps",
+                            lambda *a: copies.append(1) or real_copy(*a))
+        n, control = 10, 4
+        terms = [(PauliString({1: "X", 7: "Z"}), 0.4),
+                 (PauliString({2: "Y"}), -0.9)]
+        v = random_state(n, np.random.default_rng(20))
+        got, want = v.copy(), v.copy()
+        statevec._controlled_exps(got, control, "z", terms, n)
+        copied_branch_route(want, control, terms, n)
+        assert copies == [1]
         assert same_bits(got, want)
 
 
