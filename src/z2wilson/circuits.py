@@ -9,6 +9,21 @@ and matter qubits appended above it.  Four gate kinds exist:
     Measure(q)                          projective Z measurement
     ResetAncilla(q, bit)                measure, then flip to the target bit
 
+The executor tracks which qubits hold an exact basis bit, meaning every
+amplitude with the other bit is 0.0.  The ancillas start so, from
+``ancilla_init``; a Measure or ResetAncilla makes its qubit known again;
+an X or Y factor on a qubit, or an "x-" group it controls, makes it
+unknown, while Z factors and "z" controls keep it known.  A qubit made
+unknown gets one exact-zero re-check of its other half before the next
+gate group that leaves it alone, or at its next Measure or ResetAncilla:
+that is what finds a plaquette box's work ancilla spin-down again after
+its V-chain returns.  While the qubits above a gate group are known, the
+group runs on the one block of amplitudes that can be nonzero, with the
+same arithmetic on every amplitude there as on the whole register; a
+Measure or ResetAncilla of a known qubit returns its bit with neither a
+probability pass nor a rescale.  A reset's flip moves the kept half onto
+the target half exactly.
+
 Builders may also record an exact scalar ``global_phase`` (compensations
 that are not worth a gate) and a ``phase_log`` of phases their gate
 sequences imprint on the transported component of the state; the executor
@@ -24,7 +39,8 @@ import numpy as np
 
 from .lattice import Lattice
 from .statevec import (PauliString, StateVector, _bit_probability,
-                       _controlled_exps, _qubit_blocks, pauli_exp_inplace)
+                       _controlled_exps, _qubit_blocks, _scratch,
+                       pauli_exp_inplace)
 
 
 class CircuitError(ValueError):
@@ -173,46 +189,122 @@ def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
     return outcome
 
 
+def _flip_exact(amps: np.ndarray, qubit: int, bit: int, n: int) -> None:
+    """Move the qubit's ``bit`` half onto its other half, which holds only
+    zeros, and zero it: an exact X on a qubit that reads ``bit``.
+
+    The half is staged in the scratch buffer, because interleaved halves
+    overlap in bounds and numpy would otherwise copy it into a new array.
+    """
+    halves = _qubit_blocks(amps, n, qubit)
+    kept = halves[:, bit]
+    staged = _scratch(kept.size).reshape(kept.shape)
+    np.copyto(staged, kept)
+    kept[...] = 0.0
+    np.copyto(halves[:, 1 - bit], staged)
+
+
+def _holds_bit(amps: np.ndarray, n: int, qubit: int, bit: int) -> bool:
+    """True when every amplitude with the qubit's other bit is exactly 0."""
+    other = _qubit_blocks(amps, n, qubit)[:, 1 - bit]
+    return not np.any(other.view(np.float64))
+
+
+def _reach(run: list[Gate]) -> tuple[set[int], set[int]]:
+    """(qubits a gate group touches, qubits whose two values it can mix).
+
+    X and Y factors and an "x-" control mix a qubit; Z factors and a "z"
+    control do not.
+    """
+    touched: set[int] = set()
+    mixed: set[int] = set()
+    for g in run:
+        touched |= g.string.support
+        mixed.update(q for q, ax in g.string.terms if ax != "Z")
+        if isinstance(g, ControlledPauliExp):
+            touched.add(g.control)
+            if g.basis == "x-":
+                mixed.add(g.control)
+    return touched, mixed
+
+
 def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
-                rng: np.random.Generator | None = None) -> dict[int, int]:
+                rng: np.random.Generator | None = None,
+                known: dict[int, int] | None = None) -> dict[int, int]:
     """Run a gate list in place on the n-qubit amplitudes.
 
     Returns the measurement outcomes keyed by gate position.  Consecutive
-    controlled gates sharing a control and basis are applied through one
-    branch extraction: the whole run executes on the compressed
-    half-register, which is gate-for-gate identical to applying each
-    controlled gate alone (the unitary is unchanged).
+    controlled gates sharing a control and basis run as one group in place
+    on the control's branch (``statevec._controlled_exps``), which is
+    gate-for-gate identical to applying each controlled gate alone, except
+    for V-chains, which run as the exact parity swap.
+
+    ``known`` maps qubits that hold an exact basis bit (every amplitude
+    with the other bit is 0.0) to that bit, as :func:`run_circuit` passes
+    the ancillas' initial bits; with None no bit is tracked and every
+    Measure and ResetAncilla runs a probability pass.  While the qubits
+    above a gate group are known, the group runs on their one block of
+    2**k amplitudes that can be nonzero, as a k-qubit state; a Measure or
+    ResetAncilla on a known qubit returns its bit with no probability pass
+    and no rescale.  A qubit is known again after a Measure or
+    ResetAncilla.  A group that can mix a known qubit's two values (see
+    :func:`_reach`) makes it unknown until one exact-zero re-check of its
+    other half, run before the next group that does not touch it or at its
+    next Measure or ResetAncilla.
     """
+    track = known is not None
+    known = dict(known or {})
+    pending: dict[int, int] = {}    # qubit -> bit it held, not re-checked
     outcomes: dict[int, int] = {}
+
+    def recheck(qubit: int) -> None:
+        bit = pending.pop(qubit)
+        if _holds_bit(amps, n, qubit, bit):
+            known[qubit] = bit
+
     gi = 0
     while gi < len(gates):
         gate = gates[gi]
-        if isinstance(gate, PauliExp):
-            pauli_exp_inplace(amps, gate.string, gate.theta, n)
+        if isinstance(gate, (Measure, ResetAncilla)):
+            q = gate.qubit
+            if q in pending:
+                recheck(q)
+            bit = known[q] if q in known else _measure_bit(amps, q, n, rng)
+            outcomes[gi] = bit
+            if isinstance(gate, ResetAncilla) and bit != gate.target_bit:
+                _flip_exact(amps, q, bit, n)
+                bit = gate.target_bit
+            if track:
+                known[q] = bit
             gi += 1
-        elif isinstance(gate, ControlledPauliExp):
-            run = [gate]
+            continue
+        run = [gate]
+        if isinstance(gate, ControlledPauliExp):
             while (gi + len(run) < len(gates)
                    and isinstance(gates[gi + len(run)], ControlledPauliExp)
                    and gates[gi + len(run)].control == gate.control
                    and gates[gi + len(run)].basis == gate.basis):
                 run.append(gates[gi + len(run)])
-            _controlled_exps(amps, gate.control, gate.basis,
-                             [(g.string, g.theta) for g in run], n)
-            gi += len(run)
-        elif isinstance(gate, Measure):
-            outcomes[gi] = _measure_bit(amps, gate.qubit, n, rng)
-            gi += 1
-        elif isinstance(gate, ResetAncilla):
-            bit = _measure_bit(amps, gate.qubit, n, rng)
-            if bit != gate.target_bit:
-                pauli_exp_inplace(amps, PauliString({gate.qubit: "X"}),
-                                  np.pi / 2, n)
-                amps *= -1j   # undo the iX phase: net is a plain flip
-            outcomes[gi] = bit
-            gi += 1
-        else:  # pragma: no cover
+        elif not isinstance(gate, PauliExp):  # pragma: no cover
             raise CircuitError(f"unknown gate {gate!r}")
+        touched, mixed = _reach(run)
+        for q in [q for q in pending if q not in touched]:
+            recheck(q)
+        # the known qubits above the group fix the one block it can change
+        top = max(touched, default=-1)
+        k = n
+        while k - 1 > top and k - 1 in known:
+            k -= 1
+        off = sum(known[q] << q for q in range(k, n))
+        block = amps[off: off + (1 << k)]
+        if isinstance(gate, PauliExp):
+            pauli_exp_inplace(block, gate.string, gate.theta, k)
+        else:
+            _controlled_exps(block, gate.control, gate.basis,
+                             [(g.string, g.theta) for g in run], k)
+        for q in mixed & known.keys():
+            pending[q] = known.pop(q)
+        gi += len(run)
     return outcomes
 
 
@@ -225,7 +317,8 @@ def run_circuit(circuit: Circuit, link_sv: StateVector,
     measurement outcomes keyed by gate position (see :func:`apply_gates`).
     """
     sv = extend_with_ancillas(link_sv, circuit)
-    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng)
+    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng,
+                           circuit.ancilla_init)
     if circuit.global_phase:
         sv.amps *= np.exp(1j * circuit.global_phase)
     return sv, outcomes

@@ -1,5 +1,6 @@
 """Circuit IR: executor semantics, ancilla handling, census, text export."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
 from z2wilson.lattice import build_cross
 from z2wilson.programs import staircase_default
 from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
-                               _scratch,
+                               _controlled_exps, _scratch, pauli_exp_inplace,
                                apply_controlled_pauli_exp, apply_pauli_exp,
                                init_basis)
 from z2wilson.wilson import trotterized_program_circuit
@@ -117,11 +118,29 @@ class TestExecutor:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_reset_flips_to_target(self):
-        c = Circuit(1)
-        c.add(ResetAncilla(0, 0))
-        out, outcomes = run_circuit(c, init_basis(1, "1"))
-        assert outcomes[0] == 1
-        assert abs(out.amps[0] - 1) < 1e-12   # plain flip, no stray phase
+        # the flip moves the kept half bit for bit onto the target half and
+        # leaves exactly 0.0 behind, where an X rotation by pi/2 would
+        # leave cos(pi/2) = 6.1e-17.  Qubit 4 is an ancilla that starts in
+        # bit 1 and is known, so it is not measured; links 0 and 2 read 1
+        # with certainty and are measured
+        for qubit in (0, 2, 4):
+            c = Circuit(4)
+            c.alloc_ancilla(1)
+            c.add(ResetAncilla(qubit, 0))
+            link = random_state(4, np.random.default_rng(qubit))
+            if qubit < 4:
+                link.reshape(-1, 2, 1 << qubit)[:, 0] = 0.0
+                link /= np.linalg.norm(link)
+            kept = extend_with_ancillas(StateVector(4, link), c).amps
+            if qubit < 4:
+                assert _measure_bit(kept, qubit, 5, None) == 1
+            out, outcomes = run_circuit(c, StateVector(4, link))
+            assert outcomes[0] == 1
+            before = kept.reshape(-1, 2, 1 << qubit)
+            after = out.amps.reshape(-1, 2, 1 << qubit)
+            assert not np.any(after[:, 1].view(np.uint64)), qubit
+            assert np.array_equal(after[:, 0].view(np.uint64),
+                                  before[:, 1].view(np.uint64)), qubit
         with pytest.raises(CircuitError, match="got 2"):
             ResetAncilla(0, 2)
 
@@ -171,6 +190,209 @@ class TestExecutor:
             tracemalloc.stop()
         assert peak < amps.nbytes
         assert _scratch.cache_info().misses == misses
+
+
+def reference_apply_gates(amps, gates, n, rng=None):
+    """The executor before known-bit tracking, as the reference: every
+    group on the whole register, every Measure and ResetAncilla through a
+    probability pass, and a reset's flip as X(pi/2) and a -i phase."""
+    outcomes = {}
+    gi = 0
+    while gi < len(gates):
+        gate = gates[gi]
+        if isinstance(gate, PauliExp):
+            pauli_exp_inplace(amps, gate.string, gate.theta, n)
+            gi += 1
+        elif isinstance(gate, ControlledPauliExp):
+            run = [gate]
+            while (gi + len(run) < len(gates)
+                   and isinstance(gates[gi + len(run)], ControlledPauliExp)
+                   and gates[gi + len(run)].control == gate.control
+                   and gates[gi + len(run)].basis == gate.basis):
+                run.append(gates[gi + len(run)])
+            _controlled_exps(amps, gate.control, gate.basis,
+                             [(g.string, g.theta) for g in run], n)
+            gi += len(run)
+        elif isinstance(gate, Measure):
+            outcomes[gi] = _measure_bit(amps, gate.qubit, n, rng)
+            gi += 1
+        else:
+            bit = _measure_bit(amps, gate.qubit, n, rng)
+            if bit != gate.target_bit:
+                pauli_exp_inplace(amps, PauliString({gate.qubit: "X"}),
+                                  np.pi / 2, n)
+                amps *= -1j
+            outcomes[gi] = bit
+            gi += 1
+    return outcomes
+
+
+def random_link_string(rng, n_links, extra=None):
+    k = int(rng.integers(1, 4))
+    qubits = rng.choice(n_links, size=k, replace=False)
+    terms = {int(q): str(rng.choice(["X", "Y", "Z"])) for q in qubits}
+    if extra is not None:
+        terms[extra] = "Z"
+    return PauliString(terms)
+
+
+def v_chain(rng, n_links, ancilla, length):
+    links = rng.choice(n_links, size=length, replace=False)
+    return [ControlledPauliExp(ancilla, "x-", PauliString({int(li): "Z"}),
+                               np.pi / 2) for li in links]
+
+
+def random_circuit(seed):
+    """Links and ancillas under "z" and "x-" groups, plaquette-style boxes
+    (V-chain, controlled Z on the ancilla, V-chain back), Z factors on
+    ancillas and X/Y rotations of ancillas; no Measure or Reset."""
+    rng = np.random.default_rng(seed)
+    n_links = int(rng.integers(4, 11))
+    c = Circuit(n_links)
+    ancillas = [c.alloc_ancilla(int(rng.integers(2)))
+                for _ in range(int(rng.integers(2, 4)))]
+    for _ in range(30):
+        kind = int(rng.integers(6))
+        a, b = (int(q) for q in rng.choice(ancillas, size=2, replace=False))
+        theta = float(rng.uniform(-np.pi, np.pi))
+        if kind == 0:     # a "z" group, some strings with Z on an ancilla
+            for _ in range(int(rng.integers(1, 4))):
+                extra = b if rng.random() < 0.3 else None
+                c.add(ControlledPauliExp(a, "z", random_link_string(
+                    rng, n_links, extra=extra), theta))
+        elif kind == 1:   # a non-Clifford "x-" group
+            c.add(ControlledPauliExp(a, "x-", random_link_string(
+                rng, n_links), theta))
+        elif kind == 2:   # a box: V-chain, controlled Z, V-chain back
+            chain = v_chain(rng, n_links, a, 4)
+            for g in chain:
+                c.add(g)
+            c.add(ControlledPauliExp(b, "z", PauliString({a: "Z"}), theta))
+            for g in reversed(chain):
+                c.add(dataclasses.replace(g, theta=-g.theta))
+        elif kind == 3:   # a lone V-chain, even or odd
+            for g in v_chain(rng, n_links, a, int(rng.integers(1, 5))):
+                c.add(g)
+        elif kind == 4:   # X or Y on an ancilla
+            c.add(PauliExp(PauliString({a: str(rng.choice(["X", "Y"]))}),
+                           theta))
+        else:             # a link string, sometimes with Z on an ancilla
+            extra = a if rng.random() < 0.5 else None
+            c.add(PauliExp(random_link_string(rng, n_links, extra=extra),
+                           theta))
+    return c
+
+
+class TestKnownBits:
+    """Executor runs on the live block while ancillas hold known bits."""
+
+    def test_values_match_the_reference(self, monkeypatch):
+        import z2wilson.circuits as circuits_mod
+
+        sizes = []
+        real = circuits_mod.pauli_exp_inplace
+
+        def recording(amps, p, theta, n):
+            sizes.append(amps.size < 1 << n_total)
+            return real(amps, p, theta, n)
+
+        monkeypatch.setattr(circuits_mod, "pauli_exp_inplace", recording)
+        for seed in range(40):
+            c = random_circuit(seed)
+            n_total = c.n_qubits
+            psi = StateVector(c.n_link_qubits, random_state(
+                c.n_link_qubits, np.random.default_rng(100 + seed)))
+            got, _ = run_circuit(c, psi)
+            want = extend_with_ancillas(psi, c).amps
+            reference_apply_gates(want, c.gates, n_total)
+            assert np.array_equal(got.amps, want), seed
+        assert any(sizes), "no gate ran on a block"
+
+    @pytest.mark.parametrize("mixer", ["v-chain", "odd-chain", "x-", "Y"])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_superposed_ancilla_is_measured_at_its_reset(self, mixer,
+                                                          target):
+        # the ancilla starts known; the mixer leaves it in superposition,
+        # so its re-check must fail and the reset must measure it
+        rng = np.random.default_rng(7)
+        n_links = 6
+        c = Circuit(n_links)
+        a = c.alloc_ancilla(1)
+        h = c.alloc_ancilla(0)
+        c.add(PauliExp(PauliString({h: "Y"}), 0.3))
+        if mixer == "v-chain":
+            mixing = v_chain(rng, n_links, a, 4)
+        elif mixer == "odd-chain":    # product phase i**3 = -i
+            mixing = v_chain(rng, n_links, a, 3)
+        elif mixer == "x-":
+            mixing = [ControlledPauliExp(a, "x-", PauliString({0: "Z"}), 0.4)]
+        else:
+            mixing = [PauliExp(PauliString({a: "Y"}), 0.6)]
+        gates = mixing + [
+            ControlledPauliExp(h, "z", PauliString({1: "X"}), 0.7),
+            ResetAncilla(a, target),
+            ControlledPauliExp(h, "z", PauliString({2: "X"}), -0.5),
+            PauliExp(PauliString({3: "Y", 4: "Z"}), 0.9),
+            Measure(a),
+        ]
+        for g in gates:
+            c.add(g)
+        for seed in range(6):
+            psi = StateVector(n_links, random_state(
+                n_links, np.random.default_rng(seed)))
+            got, got_outcomes = run_circuit(
+                c, psi, np.random.Generator(np.random.Philox(seed)))
+            want = extend_with_ancillas(psi, c).amps
+            want_outcomes = reference_apply_gates(
+                want, c.gates, c.n_qubits,
+                np.random.Generator(np.random.Philox(seed)))
+            assert got_outcomes == want_outcomes
+            assert np.max(np.abs(got.amps - want)) <= 1e-15
+
+    def test_measure_counts(self, capsys, monkeypatch):
+        # measure --nt 9: the box resets find the box ancilla spin-down and
+        # run no probability pass (89 passes before), and the electric "z"
+        # groups on the Hadamard control run on the 2**17 amplitudes of the
+        # box ancilla's spin-down block (2**18 before)
+        import z2wilson.circuits as circuits_mod
+        from z2wilson.cli import main
+        from z2wilson.wilson import hadamard_test_circuit
+
+        passes, groups = [], []
+        real_measure = circuits_mod._measure_bit
+        real_group = circuits_mod._controlled_exps
+
+        def counting_measure(*args):
+            passes.append(1)
+            return real_measure(*args)
+
+        def recording_group(amps, control, basis, terms, n):
+            groups.append((amps.size, control, basis, terms))
+            return real_group(amps, control, basis, terms, n)
+
+        monkeypatch.setattr(circuits_mod, "_measure_bit", counting_measure)
+        monkeypatch.setattr(circuits_mod, "_controlled_exps",
+                            recording_group)
+        assert main(["measure", "--nt", "9"]) == 0
+        capsys.readouterr()
+        circuit, control = hadamard_test_circuit(
+            Z2Model(build_cross(), 10.0), staircase_default(), 9)
+        box = max(circuit.ancilla_init)
+        assert circuit.ancilla_init[box] == 1
+        assert sum(isinstance(g, ResetAncilla) for g in circuit.gates) == 89
+        assert passes == []
+        def electric(strings):
+            return [p for p in strings
+                    if p.weight == 1 and p.terms[0][1] == "X"]
+
+        runs = [(size, electric(p for p, _ in terms))
+                for size, c, basis, terms in groups
+                if c == control and basis == "z"]
+        runs = [(size, xs) for size, xs in runs if xs]
+        n_x = len(electric(g.string for g in circuit.gates
+                           if isinstance(g, ControlledPauliExp)))
+        assert sum(len(xs) for _, xs in runs) == n_x == 320
+        assert {size for size, _ in runs} == {1 << 17}
 
 
 class TestCensusAndExport:
