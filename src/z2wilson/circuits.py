@@ -239,20 +239,18 @@ def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
     gate-for-gate identical to applying each controlled gate alone, except
     for V-chains, which run as the exact parity swap.
 
-    ``known`` maps qubits that hold an exact basis bit (every amplitude
-    with the other bit is 0.0) to that bit, as :func:`run_circuit` passes
-    the ancillas' initial bits; with None no bit is tracked and every
-    Measure and ResetAncilla runs a probability pass.  While the qubits
-    above a gate group are known, the group runs on their one block of
-    2**k amplitudes that can be nonzero, as a k-qubit state; a Measure or
-    ResetAncilla on a known qubit returns its bit with no probability pass
-    and no rescale.  A qubit is known again after a Measure or
-    ResetAncilla.  A group that can mix a known qubit's two values (see
-    :func:`_reach`) makes it unknown until one exact-zero re-check of its
-    other half, run before the next group that does not touch it or at its
-    next Measure or ResetAncilla.
+    ``known`` maps qubits that start in an exact basis bit (every
+    amplitude with the other bit is 0.0) to that bit, as
+    :func:`run_circuit` passes the ancillas' initial bits; with None no
+    qubit starts known.  While the qubits above a gate group are known, the
+    group runs on their one block of 2**k amplitudes that can be nonzero,
+    as a k-qubit state; a Measure or ResetAncilla on a known qubit returns
+    its bit with no probability pass and no rescale.  A qubit is known
+    again after a Measure or ResetAncilla.  A group that can mix a known
+    qubit's two values (see :func:`_reach`) makes it unknown until one
+    exact-zero re-check of its other half, run before the next group that
+    does not touch it or at its next Measure or ResetAncilla.
     """
-    track = known is not None
     known = dict(known or {})
     pending: dict[int, int] = {}    # qubit -> bit it held, not re-checked
     outcomes: dict[int, int] = {}
@@ -274,8 +272,7 @@ def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
             if isinstance(gate, ResetAncilla) and bit != gate.target_bit:
                 _flip_exact(amps, q, bit, n)
                 bit = gate.target_bit
-            if track:
-                known[q] = bit
+            known[q] = bit
             gi += 1
             continue
         run = [gate]

@@ -167,7 +167,10 @@ class TestExecutor:
         # scratch buffers are warm, rotations at every kernel layout and on
         # both sides of each crossover, a "z" and an "x-" controlled group
         # and a reset allocate less than one state vector in total, and no
-        # scratch buffer is evicted and allocated again
+        # scratch buffer is evicted and allocated again.  The sequence runs
+        # on a 16-qubit register, then as circuits run it: on the 16-qubit
+        # live block under a known ancilla, which two resets flip down and
+        # back up; either way it allocates less than one 16-qubit state
         n = 16
         gates = [PauliExp(PauliString({q: ax}), 0.3)
                  for q in (0, 1, 2, 8, 11, 12, 13, n - 1) for ax in "XYZ"]
@@ -178,18 +181,29 @@ class TestExecutor:
                   ControlledPauliExp(n - 1, "x-", PauliString({9: "Y"}),
                                      -np.pi / 2),
                   ResetAncilla(14, 0)]
-        amps = random_state(n, np.random.default_rng(2))
         rng = np.random.Generator(np.random.Philox(3))
-        apply_gates(amps, gates, n, rng)
-        misses = _scratch.cache_info().misses
-        tracemalloc.start()
-        try:
-            apply_gates(amps, gates, n, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < amps.nbytes
-        assert _scratch.cache_info().misses == misses
+
+        def run_twice(amps, gates, n_qubits, known):
+            apply_gates(amps, gates, n_qubits, rng, known)
+            misses = _scratch.cache_info().misses
+            tracemalloc.start()
+            try:
+                outcomes = apply_gates(amps, gates, n_qubits, rng, known)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < (1 << n) * amps.itemsize
+            assert _scratch.cache_info().misses == misses
+            return outcomes
+
+        run_twice(random_state(n, np.random.default_rng(2)), gates, n, None)
+
+        amps = np.zeros(1 << (n + 1), dtype=np.complex128)
+        amps[1 << n:] = random_state(n, np.random.default_rng(2))
+        tracked = gates + [ResetAncilla(n, 0), ResetAncilla(n, 1)]
+        outcomes = run_twice(amps, tracked, n + 1, {n: 1})
+        assert [outcomes[len(gates)], outcomes[len(gates) + 1]] == [1, 0]
+        assert not np.any(amps[: 1 << n])
 
 
 def reference_apply_gates(amps, gates, n, rng=None):
