@@ -100,17 +100,12 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
     ancilla_init: dict[int, int] = field(default_factory=dict)
     ancilla_roles: dict[int, str] = field(default_factory=dict)
-    matter_qubit_map: dict[int, int] = field(default_factory=dict)
     global_phase: float = 0.0
     phase_log: list[tuple[str, complex]] = field(default_factory=list)
 
     @property
     def n_qubits(self) -> int:
         return self.n_link_qubits + len(self.ancilla_init)
-
-    @property
-    def ancilla_count(self) -> int:
-        return len(self.ancilla_init)
 
     def alloc_ancilla(self, initial_bit: int = 0, role: str = "ancilla") -> int:
         q = self.n_qubits

@@ -16,21 +16,22 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from .circuits import circuit_to_text
-from .gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
-                    build_physical_sector, ground_state, project_to_sector,
-                    sector_basis_dump, sector_gauge_violation,
-                    sector_ground_state)
+from .gauge import (DegenerateGroundStateWarning, GaugeError,
+                    PhysicalSector, Z2Model, build_physical_sector,
+                    embed_state, ground_state, sector_basis_dump,
+                    sector_gauge_violation, sector_ground_state)
 from .lattice import (Lattice, build_cross, build_rect, lattice_from_text,
                       validate)
 from .programs import (BUILTIN_PROGRAMS, LoopProgram, ProgramError,
-                       program_from_text, validate_program)
-from .trotter import report_to_csv, sweep, trotterized_loop_operator
+                       program_errors, program_from_text, validate_program)
+from .trotter import (exact_loop_operator, report_to_csv, sweep,
+                      trotterized_loop_operator)
 from .wilson import (hadamard_test, rect_loop_link_circuit,
                      rect_loop_plaquette_circuit, sample_p_plus,
                      trotterized_program_circuit)
@@ -58,8 +59,6 @@ class RunConfig:
     program: str = "staircase-default"
     nt: tuple[int, ...] = (8, 16, 32, 64, 128)
     shots: int = 0               # 0 = exact only
-    exact_oracle: bool = True
-    trotter: bool = True
     seed: int = 20210803
     threshold: float = 0.95
     out: str = ""
@@ -131,8 +130,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 setattr(cfg, key, int(value))
             except ValueError as exc:
                 raise ConfigError(f"bad integer for {key}: {value!r}") from exc
-        elif key in ("exact_oracle", "trotter"):
-            setattr(cfg, key, str(value).lower() in ("1", "true", "yes"))
         else:
             setattr(cfg, key, str(value))
     return cfg
@@ -199,6 +196,22 @@ def _emit(path: str, text: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def _setup(cfg: RunConfig, with_program: bool = True
+           ) -> tuple[Z2Model, LoopProgram | None, PhysicalSector]:
+    """Model, program and physical sector of a run.
+
+    A program with validation errors is refused here, before any output.
+    """
+    model = Z2Model(resolve_lattice(cfg), cfg.lam)
+    program = None
+    if with_program:
+        program = resolve_program(cfg)
+        errs = program_errors(model.lattice, program)
+        if errs:
+            raise ConfigError(errs[0])
+    return model, program, build_physical_sector(model)
+
+
 def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
     """Run a ground-state solver; also report whether it warned that the
     ground state is degenerate.  Other warnings pass through."""
@@ -220,9 +233,7 @@ def _report_degenerate() -> int:
 
 
 def cmd_ground_state(cfg: RunConfig) -> int:
-    lat = resolve_lattice(cfg)
-    model = Z2Model(lat, cfg.lam)
-    sector = build_physical_sector(model)
+    model, _, sector = _setup(cfg, with_program=False)
     (energy, coords), degenerate = _solve(sector_ground_state, model, sector)
     violation = sector_gauge_violation(model, sector, coords)
     print(f"sector_dim {sector.dim}")
@@ -241,13 +252,8 @@ def cmd_ground_state(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    lat = resolve_lattice(cfg)
-    model = Z2Model(lat, cfg.lam)
-    program = resolve_program(cfg)
-    errs = [d for d in validate_program(lat, program) if d.startswith("error:")]
-    if errs:
-        raise ConfigError(errs[0])
-    sector = build_physical_sector(model)
+    model, program, sector = _setup(cfg)
+    # the full-space state: recorded sweep references pin it (ROADMAP item 2)
     (_, gs), degenerate = _solve(ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
@@ -266,36 +272,32 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_measure(cfg: RunConfig) -> int:
-    lat = resolve_lattice(cfg)
-    model = Z2Model(lat, cfg.lam)
-    program = resolve_program(cfg)
-    sector = build_physical_sector(model)
-    (_, gs), degenerate = _solve(ground_state, model, sector)
+    model, program, sector = _setup(cfg)
+    (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
+    # the gate circuit is the one route that needs the full space; the
+    # embedding refuses more than 26 links before anything is printed
+    gs = embed_state(sector, coords)
     n_T = cfg.nt[0]
     print(f"n_T {n_T}")
-    coords = project_to_sector(sector, gs.amps)
-    if cfg.trotter:
-        p_exact = hadamard_test(gs, model, program, n_T)
-        print(f"p_plus_exact {p_exact:.17g}")
-        print(f"re_wilson_loop {2 * p_exact - 1:.17g}")
-        if cfg.shots:
-            rng = np.random.Generator(np.random.Philox(cfg.seed))
-            p_sampled = sample_p_plus(p_exact, cfg.shots, rng)
-            stderr = float(np.sqrt(max(p_exact * (1 - p_exact), 0.0)
-                                   / cfg.shots))
-            print(f"p_plus_sampled {p_sampled:.17g}")
-            print(f"binomial_std_error {stderr:.17g}")
-    if cfg.exact_oracle:
-        # sector-oracle cross-checks of the same quantities
-        w_nt = trotterized_loop_operator(model, sector, program, n_T)
-        p_oracle = (2 + 2 * np.real(np.vdot(coords, w_nt.matrix @ coords))) / 4
-        print(f"p_plus_oracle {p_oracle:.17g}")
-        from .trotter import exact_loop_operator
-        w = exact_loop_operator(model, sector, program)
-        wl = complex(np.vdot(coords, w.matrix @ coords))
-        print(f"re_wilson_loop_exact {wl.real:.17g}")
+    p_exact = hadamard_test(gs, model, program, n_T)
+    print(f"p_plus_exact {p_exact:.17g}")
+    print(f"re_wilson_loop {2 * p_exact - 1:.17g}")
+    if cfg.shots:
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        p_sampled = sample_p_plus(p_exact, cfg.shots, rng)
+        stderr = float(np.sqrt(max(p_exact * (1 - p_exact), 0.0)
+                               / cfg.shots))
+        print(f"p_plus_sampled {p_sampled:.17g}")
+        print(f"binomial_std_error {stderr:.17g}")
+    # sector-oracle cross-checks of the same quantities
+    w_nt = trotterized_loop_operator(model, sector, program, n_T)
+    p_oracle = (2 + 2 * np.real(np.vdot(coords, w_nt.matrix @ coords))) / 4
+    print(f"p_plus_oracle {p_oracle:.17g}")
+    w = exact_loop_operator(model, sector, program)
+    wl = complex(np.vdot(coords, w.matrix @ coords))
+    print(f"re_wilson_loop_exact {wl.real:.17g}")
     return EXIT_OK
 
 
@@ -356,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--lattice", help="cross | rect:WxH | lattice file")
-    parser.add_argument("--lattice-file", dest="lattice_file",
-                        help="lattice description file (same as --lattice PATH)")
     parser.add_argument("--lambda", dest="lam", help="coupling constant")
     parser.add_argument("--program",
                         help="loop-program file or builtin name")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
-        "lattice": args.lattice if args.lattice else args.lattice_file,
+        "lattice": args.lattice,
         "lam": args.lam,
         "program": args.program,
         "nt": args.nt,

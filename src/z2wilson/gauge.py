@@ -255,9 +255,6 @@ class SectorOperator:
     def __matmul__(self, other: "SectorOperator") -> "SectorOperator":
         return SectorOperator(self.matrix @ other.matrix)
 
-    def dagger(self) -> "SectorOperator":
-        return SectorOperator(self.matrix.conj().T)
-
     def unitarity_error(self) -> float:
         d = self.dim
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix

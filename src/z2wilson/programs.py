@@ -50,6 +50,11 @@ class Temporal:
 class FreeEvolve:
     tau: float
 
+    @property
+    def modified_links(self) -> frozenset[int]:
+        """An evolution that cuts no links."""
+        return frozenset()
+
 
 Step = Spatial | Temporal | FreeEvolve
 
@@ -133,7 +138,9 @@ def validate_program(lattice: Lattice, program: LoopProgram) -> list[str]:
 
 
 def program_errors(lattice: Lattice, program: LoopProgram) -> list[str]:
-    return [d for d in validate_program(lattice, program)
+    """The "error:" diagnostics of :func:`validate_program`, unprefixed."""
+    return [d.removeprefix("error: ")
+            for d in validate_program(lattice, program)
             if d.startswith("error:")]
 
 

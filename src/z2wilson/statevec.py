@@ -110,12 +110,6 @@ class PauliString:
     def weight(self) -> int:
         return len(self.terms)
 
-    def axis_on(self, qubit: int) -> str | None:
-        for q, ax in self.terms:
-            if q == qubit:
-                return ax
-        return None
-
     def is_hermitian(self) -> bool:
         return self.phase in (1, -1)
 

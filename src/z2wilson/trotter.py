@@ -28,8 +28,7 @@ from .gauge import (PhysicalSector, SectorOperator, Z2Model, _link_mask,
                     embed_sector_coords, exact_evolve_in_sector,
                     plaquette_string, project_to_sector, xor_perm)
 from .lattice import _odd_links
-from .programs import (LoopProgram, ProgramError, Spatial, Temporal,
-                       program_errors)
+from .programs import LoopProgram, ProgramError, Spatial, program_errors
 from .statevec import (PauliString, StateVector, pauli_apply_inplace,
                        pauli_exp_inplace)
 
@@ -144,12 +143,9 @@ def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
     for step in program.steps:
         if isinstance(step, Spatial):
             w = w[tracker.spatial_perm(step.links), :]
-        elif isinstance(step, Temporal):
+        else:
             w = exact_evolve_in_sector(model, tracker.current, step.tau,
                                        step.modified_links).matrix @ w
-        else:
-            w = exact_evolve_in_sector(model, tracker.current,
-                                       step.tau).matrix @ w
     return SectorOperator(w)
 
 
@@ -175,10 +171,9 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
         sec = tracker.current
         perms = [xor_perm(sec.masks, sec.masks, _link_mask(plaq))
                  for plaq in model.lattice.plaquettes]
-        mods = step.modified_links if isinstance(step, Temporal) else frozenset()
         tau = step.tau
         half = np.exp(-1j * (tau / (2 * n_T)) *
-                      electric_diag(model, sec, mods))
+                      electric_diag(model, sec, step.modified_links))
         theta = model.lam * tau / n_T
         c, s = np.cos(theta), 1j * np.sin(theta)
         full = half * half
@@ -202,12 +197,9 @@ def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
     for step in program.steps:
         if isinstance(step, Spatial):
             pauli_apply_inplace(cols, _spatial_string(step.links), L)
-        elif isinstance(step, Temporal):
+        else:
             for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau),
                                                  step.modified_links):
-                pauli_exp_inplace(cols, string, theta, L)
-        else:
-            for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau)):
                 pauli_exp_inplace(cols, string, theta, L)
     return SectorOperator(project_to_sector(sector, cols))
 

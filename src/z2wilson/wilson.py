@@ -216,8 +216,6 @@ def link_wilson_line(circuit: Circuit, lattice: Lattice, path,
         pos_map = dict(matter_map)
         if any(p not in pos_map for p in range(len(verts))):
             raise ProgramError("matter_map must cover every path position")
-    for p, v in enumerate(verts):
-        circuit.matter_qubit_map.setdefault(v, pos_map[p])
     for k, link in enumerate(path):
         src, dest = pos_map[k], pos_map[k + 1]
         for string, theta in hop_strings(src, link, dest):
@@ -341,9 +339,8 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
                                  -np.pi / 4))
             circuit.add_phase(-np.pi / 4)
         elif isinstance(step, (Temporal, FreeEvolve)):
-            mods = step.modified_links if isinstance(step, Temporal) else frozenset()
             for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau),
-                                                 mods):
+                                                 step.modified_links):
                 emit_controlled_string(string, theta)
         else:  # pragma: no cover
             raise ProgramError(f"unknown step {step!r}")
@@ -413,9 +410,8 @@ def trotterized_program_circuit(model: Z2Model, program: LoopProgram,
             circuit.add(PauliExp(s, HALF_PI))
             circuit.add_phase(-HALF_PI)
         else:
-            mods = step.modified_links if isinstance(step, Temporal) else frozenset()
             for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau),
-                                                 mods):
+                                                 step.modified_links):
                 circuit.add(PauliExp(string, theta))
     return circuit
 

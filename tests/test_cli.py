@@ -41,9 +41,10 @@ class TestConfig:
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("wibble=1\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path), {})
+        for line in ("wibble=1", "exact_oracle=1", "trotter=0"):
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                load_config(str(path), {})
 
     def test_bad_nt(self):
         with pytest.raises(ConfigError):
@@ -110,9 +111,8 @@ class TestGroundState:
         import z2wilson.cli as cli_mod
         from z2wilson.gauge import DegenerateGroundStateWarning
 
-        # ground-state solves in sector coordinates, the others embed
-        solver = ("sector_ground_state" if command == "ground-state"
-                  else "ground_state")
+        # sweep solves in the full space, the others in sector coordinates
+        solver = "ground_state" if command == "sweep" else "sector_ground_state"
         real = getattr(cli_mod, solver)
 
         def warn_and_solve(model, sector, gap_tolerance=1e-10):
@@ -283,11 +283,27 @@ class TestMeasure:
         assert "p_plus_exact 0.42808965237385666\n" in out
         assert "re_wilson_loop -0.14382069525228669\n" in out
 
-    def test_refuses_the_full_space_above_26_links(self, capsys):
-        code, _, err = run_main(capsys, "measure", "--lattice", "rect:9x1",
-                                "--nt", "1")
+    def test_refuses_the_full_space_above_26_links(self, capsys, tmp_path):
+        # the default program lives on the cross and would be refused first
+        prog = tmp_path / "id.prog"
+        prog.write_text("# empty program\n")
+        code, out, err = run_main(capsys, "measure", "--lattice", "rect:9x1",
+                                  "--program", str(prog), "--nt", "1")
         assert code == EXIT_CONFIG
         assert "full-space routes are limited to 26 links" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "measure"])
+    def test_refuses_an_invalid_program_before_output(self, capsys, tmp_path,
+                                                      command):
+        prog = tmp_path / "open.prog"
+        prog.write_text("SPATIAL 0\nTEMPORAL 1.0 0\n")
+        code, out, err = run_main(capsys, command, "--program", str(prog),
+                                  "--nt", "1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: spatial traversals do not close")
+        assert err.count("error: ") == 1
 
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
