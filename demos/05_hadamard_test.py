@@ -3,6 +3,7 @@
 An ancilla prepared in |+> controls every gate of the Trotterized loop;
 measuring it back in the X basis gives p_+ = <(2 + W + W^dag)/4>, so the
 real part of the loop expectation is read off without destroying the
+state.  The circuit runs on the Gauss-law blocks of the sector ground
 state.  Exact probabilities are cross-checked against the sector oracle,
 then shot noise is simulated with a counter-based generator.
 """
@@ -10,19 +11,17 @@ then shot noise is simulated with a counter-based generator.
 import numpy as np
 
 from z2wilson import (Z2Model, build_cross, build_physical_sector,
-                      ground_state, hadamard_test, staircase_default,
+                      hadamard_test, sector_ground_state, staircase_default,
                       trotterized_loop_operator)
-from z2wilson.gauge import project_to_sector
 
 lat = build_cross()
 model = Z2Model(lat, lam=10.0)
 sector = build_physical_sector(model)
-_, gs = ground_state(model, sector)
-coords = project_to_sector(sector, gs.amps)
+_, coords = sector_ground_state(model, sector)
 program = staircase_default()
 
 n_T = 4
-p_exact = hadamard_test(gs, model, program, n_T)
+p_exact = hadamard_test(model, sector, coords, program, n_T)
 w = trotterized_loop_operator(model, sector, program, n_T)
 oracle = (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
 
@@ -34,6 +33,7 @@ print(f"Re<gs|W_nT|gs>                  : {2*p_exact - 1:.15f}")
 print("\nsampled estimates (philox, seed 7):")
 rng = np.random.Generator(np.random.Philox(7))
 for shots in (100, 1000, 10000):
-    p_hat = hadamard_test(gs, model, program, n_T, shots=shots, rng=rng)
+    p_hat = hadamard_test(model, sector, coords, program, n_T, shots=shots,
+                          rng=rng)
     err = np.sqrt(p_exact * (1 - p_exact) / shots)
     print(f"  {shots:>6} shots: {p_hat:.5f}  (binomial sigma {err:.5f})")

@@ -36,7 +36,7 @@ from .trotter import (FidelityReport, PowerLawFit, TrotterPlan,
                       trotter_strings, trotterized_loop_operator)
 from .circuits import (Circuit, ControlledPauliExp, Measure, PauliExp,
                        ResetAncilla, circuit_stats, circuit_to_text,
-                       run_circuit, star_commutation_report)
+                       run_blocks, run_circuit, star_commutation_report)
 from .wilson import (conjugated_temporal_plaquette, controlled_loop,
                      hadamard_test, link_loop_circuit, link_loop_closure,
                      link_wilson_line, plaquette_exp_via_ancilla,

@@ -24,6 +24,10 @@ Measure or ResetAncilla of a known qubit returns its bit with neither a
 probability pass nor a rescale.  A reset's flip moves the kept half onto
 the target half exactly.
 
+:func:`run_blocks` is the second executor: the same gate list on a
+sector state, held as Gauss-law blocks in the electric basis, so its cost
+follows the sector dimension instead of 2**n_links.
+
 Builders may also record an exact scalar ``global_phase`` (compensations
 that are not worth a gate) and a ``phase_log`` of phases their gate
 sequences imprint on the transported component of the state; the executor
@@ -34,13 +38,15 @@ construction is exact, not just up-to-phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .gauge import PhysicalSector, Z2Model, build_physical_sector, xor_perm
 from .lattice import Lattice
 from .statevec import (PauliString, StateVector, _bit_probability,
-                       _controlled_exps, _qubit_blocks, _scratch,
-                       pauli_exp_inplace)
+                       _controlled_exps, _parity_flip, _qubit_blocks,
+                       _scratch, pauli_exp_inplace)
 
 
 class CircuitError(ValueError):
@@ -162,18 +168,23 @@ def extend_with_ancillas(link_sv: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(n_total, amps)
 
 
-def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
-    p1 = _bit_probability(amps, n, qubit, 1)
+def _outcome(p1: float, qubit: int, rng) -> int:
+    """Bit a Z measurement reads when it reads 1 with probability p1: fixed
+    within 1e-12 of 0 or 1, otherwise drawn from the RNG."""
     if p1 < 1e-12:
-        outcome = 0
-    elif p1 > 1 - 1e-12:
-        outcome = 1
-    elif rng is None:
+        return 0
+    if p1 > 1 - 1e-12:
+        return 1
+    if rng is None:
         raise CircuitError(
             f"measurement of qubit {qubit} is probabilistic (p1={p1:.3g}) "
             "and no RNG was provided")
-    else:
-        outcome = int(rng.random() < p1)
+    return int(rng.random() < p1)
+
+
+def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
+    p1 = _bit_probability(amps, n, qubit, 1)
+    outcome = _outcome(p1, qubit, rng)
     blocks = _qubit_blocks(amps, n, qubit)
     blocks[:, 1 - outcome] = 0.0
     # numpy divides a complex by a real as (re + im*0) * (1/d), (im - re*0)
@@ -329,6 +340,237 @@ def link_register_block(sv: StateVector, circuit: Circuit,
 
 def marginal_bit_probability(sv: StateVector, qubit: int, bit: int) -> float:
     return _bit_probability(sv.amps, sv.n_qubits, qubit, bit)
+
+
+# ---------------------------------------------------------------------------
+# execution on Gauss-law blocks
+# ---------------------------------------------------------------------------
+
+Blocks = dict[tuple[int, ...], np.ndarray]
+
+
+def _mix(x: Blocks, y: Blocks, cx, cy) -> Blocks:
+    """x * cx + y * cy block by block; a block missing on one side is 0."""
+    out = {key: a * cx if key not in y else a * cx + y[key] * cy
+           for key, a in x.items()}
+    out.update((key, b * cy) for key, b in y.items() if key not in x)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _z_string(zmask: int, flip: int) -> PauliString:
+    """(-1)**flip Z(zmask)."""
+    return PauliString({q: "Z" for q in range(zmask.bit_length())
+                        if zmask >> q & 1}, -1 if flip else 1)
+
+
+def _sq_norm(a: np.ndarray) -> float:
+    return float(np.square(np.abs(a)).sum())
+
+
+class _BlockRun:
+    """One circuit on one model's charge sectors, in the electric basis.
+
+    A state is {charge pattern: (sector dim, 2**n_ancilla) amplitudes}:
+    rows are the sector's link masks, columns the ancilla bits (column bit
+    j is qubit n_link_qubits + j, in the computational basis).  Each
+    string is translated once: a link sigma_3 factor flips its mask bit,
+    moving the row to the sector whose charges differ at the link's
+    endpoints; a link sigma_1 factor is the sign (-1)**bit of the new mask;
+    ancilla factors gather and sign columns.
+    """
+
+    def __init__(self, circuit: Circuit, model: Z2Model,
+                 sector: PhysicalSector):
+        self.n = circuit.n_link_qubits
+        if model.lattice.n_links != self.n or sector.n_links != self.n:
+            raise CircuitError(
+                f"circuit has {self.n} link qubits, lattice "
+                f"{model.lattice.n_links} links, sector {sector.n_links}")
+        self.model = model
+        self.cols = np.arange(1 << (circuit.n_qubits - self.n))
+        self.sectors = {sector.charges: sector}
+        self.strings: dict = {}
+        self.moves: dict = {}
+
+    def sector(self, charges: tuple[int, ...]) -> PhysicalSector:
+        if charges not in self.sectors:
+            self.sectors[charges] = build_physical_sector(self.model, charges)
+        return self.sectors[charges]
+
+    def ancilla_bit(self, qubit: int) -> int:
+        if qubit < self.n:
+            raise CircuitError(f"qubit {qubit} is a link; the block route "
+                               "controls and measures ancillas only")
+        return 1 << (qubit - self.n)
+
+    def string(self, p: PauliString):
+        if p not in self.strings:
+            if not p.is_hermitian():
+                raise CircuitError(f"exponent of non-Hermitian string {p}")
+            xm, zm, ny = p.masks()
+            links = (1 << self.n) - 1
+            odd = 0             # vertices whose charge the flip toggles
+            for li in range(self.n):
+                if zm >> li & 1:
+                    a, b = self.model.lattice.links[li]
+                    odd ^= (1 << a) ^ (1 << b)
+            src = self.cols ^ (xm >> self.n)
+            fac = p.phase * 1j ** ny * (
+                1.0 - 2.0 * (np.bitwise_count(src & (zm >> self.n)) & 1))
+            self.strings[p] = (zm & links, xm & links, odd,
+                               src if xm >> self.n else None, fac)
+        return self.strings[p]
+
+    def act(self, state: Blocks, p: PauliString) -> Blocks:
+        """P applied to every block (exact: a gather and unit factors)."""
+        flip, sign, odd, src, fac = self.string(p)
+        out = {}
+        for key, blk in state.items():
+            if (key, p) not in self.moves:
+                dst = tuple(-q if odd >> v & 1 else q
+                            for v, q in enumerate(key))
+                masks = self.sector(dst).masks
+                perm = (xor_perm(self.sector(key).masks, masks, flip)
+                        if flip else None)
+                rows = (1.0 - 2.0 * (np.bitwise_count(masks & np.uint64(sign))
+                                     & 1) if sign else None)
+                self.moves[key, p] = dst, perm, rows
+            dst, perm, rows = self.moves[key, p]
+            v = blk if perm is None else blk[perm]
+            if src is not None:
+                v = v[:, src]
+            if rows is not None:
+                v = v * rows[:, None]
+            out[dst] = v * fac
+        return out
+
+    def exp(self, state: Blocks, p: PauliString, theta: float,
+            control: int | None = None) -> Blocks:
+        """e^{i theta P} = cos + i sin P, on the control's spin-up columns
+        when a control is given."""
+        c, s = np.cos(theta), 1j * np.sin(theta)
+        if control is not None:
+            up = (self.cols & self.ancilla_bit(control)) == 0
+            c, s = np.where(up, c, 1.0), np.where(up, s, 0.0)
+        return _mix(state, self.act(state, p), c, s)
+
+    def parity_swap(self, state: Blocks, control: int, zmask: int,
+                    flip: int) -> Blocks:
+        """P+ (x) I + P- (x) S with S = (-1)**flip Z(zmask), the exact
+        operator of a V-chain (``statevec._parity_flip``).
+
+        With p = a0 + a1 and q = S(a0 - a1) over the control's column
+        pairs, the new halves are (p + q) / 2 and (p - q) / 2.  S moves and
+        signs amplitudes exactly, so a box's V-chain leaves its two halves
+        in the exact -1 and +1 eigenspaces of S, and the reversed chain
+        returns the ancilla with an exactly zero other half.
+        """
+        bit = self.ancilla_bit(control)
+        lo = self.cols[(self.cols & bit) == 0]
+        hi = lo | bit
+        s = _z_string(zmask, flip)
+        p = {key: b[:, lo] + b[:, hi] for key, b in state.items()}
+        q = {key: b[:, lo] - b[:, hi] for key, b in self.act(state, s).items()}
+        out = {}
+        for (key, h0), h1 in zip(_mix(p, q, 0.5, 0.5).items(),
+                                 _mix(p, q, 0.5, -0.5).values()):
+            out[key] = np.empty((len(h0), len(self.cols)), dtype=complex)
+            out[key][:, lo], out[key][:, hi] = h0, h1
+        return out
+
+    def measure(self, state: Blocks, gate: Measure | ResetAncilla,
+                rng) -> int:
+        """``_measure_bit`` over all blocks; a half that is already exactly
+        zero is neither cleared nor rescaled.  A reset then moves the kept
+        columns onto the target bit."""
+        bit = self.ancilla_bit(gate.qubit)
+        one = (self.cols & bit) != 0
+        p1 = sum(_sq_norm(b[:, one]) for b in state.values())
+        outcome = _outcome(p1, gate.qubit, rng)
+        keep = one if outcome else ~one
+        if any(np.any(b[:, ~keep]) for b in state.values()):
+            scale = 1.0 / np.sqrt(p1 if outcome else 1.0 - p1)
+            for b in state.values():
+                b[:, ~keep] = 0.0
+                b[:, keep] *= scale
+        if isinstance(gate, ResetAncilla) and outcome != gate.target_bit:
+            src = self.cols[keep]
+            for b in state.values():
+                b[:, src ^ bit] = b[:, src]
+                b[:, src] = 0.0
+        return outcome
+
+
+def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
+               coords: np.ndarray, rng: np.random.Generator | None = None
+               ) -> tuple[Blocks, dict[int, int]]:
+    """Run the gate list on the sector state ``coords``, in sector blocks.
+
+    The literal gates run on {charge pattern: amplitudes over sector
+    masks x ancilla bits} (see :class:`_BlockRun`), so the cost follows
+    the sector dimension, not 2**n_links: only the blocks a gate reaches
+    are built.  Controls and measured qubits must be ancillas.  An "x-"
+    group that ``statevec._parity_flip`` recognises runs as its exact
+    operator (:meth:`_BlockRun.parity_swap`); any other "x-" group is
+    rotated onto spin-up like ``statevec._controlled_exps``.  Measure and
+    ResetAncilla keep the thresholds and RNG rule of the full-space
+    route.  Returns the final blocks (global phase applied) and the
+    measurement outcomes keyed by gate position, as :func:`run_circuit`.
+    """
+    if coords.shape != (sector.dim,):
+        raise CircuitError(f"{coords.shape} coordinates for a sector of "
+                           f"dimension {sector.dim}")
+    run = _BlockRun(circuit, model, sector)
+    state = {sector.charges: np.zeros((sector.dim, len(run.cols)),
+                                      dtype=complex)}
+    state[sector.charges][:, sum(bit << (q - run.n) for q, bit
+                                 in circuit.ancilla_init.items())] = coords
+    outcomes: dict[int, int] = {}
+    gates = circuit.gates
+    gi = 0
+    while gi < len(gates):
+        gate = gates[gi]
+        gi += 1
+        if isinstance(gate, (Measure, ResetAncilla)):
+            outcomes[gi - 1] = run.measure(state, gate, rng)
+        elif isinstance(gate, PauliExp):
+            state = run.exp(state, gate.string, gate.theta)
+        elif not isinstance(gate, ControlledPauliExp):  # pragma: no cover
+            raise CircuitError(f"unknown gate {gate!r}")
+        elif gate.basis == "z":
+            state = run.exp(state, gate.string, gate.theta, gate.control)
+        else:
+            group = [gate]
+            while (gi < len(gates)
+                   and isinstance(gates[gi], ControlledPauliExp)
+                   and (gates[gi].control, gates[gi].basis)
+                   == (gate.control, "x-")):
+                group.append(gates[gi])
+                gi += 1
+            swap = _parity_flip([(g.string, g.theta) for g in group])
+            if swap is not None:
+                state = run.parity_swap(state, gate.control, *swap)
+                continue
+            y = PauliString({gate.control: "Y"})
+            state = run.exp(state, y, -np.pi / 4)
+            for g in group:
+                state = run.exp(state, g.string, g.theta, gate.control)
+            state = run.exp(state, y, np.pi / 4)
+    if circuit.global_phase:
+        state = {key: b * np.exp(1j * circuit.global_phase)
+                 for key, b in state.items()}
+    return state, outcomes
+
+
+def block_bit_probability(state: Blocks, circuit: Circuit, qubit: int,
+                          bit: int) -> float:
+    """Probability that an ancilla reads ``bit`` in a :func:`run_blocks`
+    state."""
+    n_ancilla = circuit.n_qubits - circuit.n_link_qubits
+    col = 1 << (qubit - circuit.n_link_qubits)
+    on = ((np.arange(1 << n_ancilla) & col) != 0) == bit
+    return sum(_sq_norm(b[:, on]) for b in state.values())
 
 
 # ---------------------------------------------------------------------------

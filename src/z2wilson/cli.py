@@ -24,7 +24,7 @@ from . import __version__
 from .circuits import circuit_to_text
 from .gauge import (DegenerateGroundStateWarning, GaugeError,
                     PhysicalSector, Z2Model, build_physical_sector,
-                    embed_state, ground_state, sector_basis_dump,
+                    ground_state, sector_basis_dump,
                     sector_gauge_violation, sector_ground_state)
 from .lattice import (Lattice, build_cross, build_rect, lattice_from_text,
                       validate)
@@ -203,13 +203,17 @@ def _setup(cfg: RunConfig, with_program: bool = True
     A program with validation errors is refused here, before any output.
     """
     model = Z2Model(resolve_lattice(cfg), cfg.lam)
-    program = None
-    if with_program:
-        program = resolve_program(cfg)
-        errs = program_errors(model.lattice, program)
-        if errs:
-            raise ConfigError(errs[0])
+    program = _checked_program(cfg, model.lattice) if with_program else None
     return model, program, build_physical_sector(model)
+
+
+def _checked_program(cfg: RunConfig, lattice: Lattice) -> LoopProgram:
+    """The run's program; one with validation errors is refused here."""
+    program = resolve_program(cfg)
+    errs = program_errors(lattice, program)
+    if errs:
+        raise ConfigError(errs[0])
+    return program
 
 
 def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
@@ -276,12 +280,9 @@ def cmd_measure(cfg: RunConfig) -> int:
     (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
-    # the gate circuit is the one route that needs the full space; the
-    # embedding refuses more than 26 links before anything is printed
-    gs = embed_state(sector, coords)
     n_T = cfg.nt[0]
     print(f"n_T {n_T}")
-    p_exact = hadamard_test(gs, model, program, n_T)
+    p_exact = hadamard_test(model, sector, coords, program, n_T)
     print(f"p_plus_exact {p_exact:.17g}")
     print(f"re_wilson_loop {2 * p_exact - 1:.17g}")
     if cfg.shots:
@@ -305,7 +306,7 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
     lat = resolve_lattice(cfg)
     model = Z2Model(lat, cfg.lam)
     if cfg.kind == "program":
-        program = resolve_program(cfg)
+        program = _checked_program(cfg, lat)
         circuit = trotterized_program_circuit(model, program, cfg.nt[0])
     elif cfg.kind == "plaquette-loop":
         if not cfg.lattice.startswith("rect:"):
@@ -325,19 +326,13 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    lat = resolve_lattice(cfg)
-    problems = validate(lat)
-    for p in problems:
-        print(f"lattice: {p}")
-    program_errs: list[str] = []
+    lat = resolve_lattice(cfg)      # refuses an invalid lattice file
     if "program" in getattr(cfg, "_explicit", set()):
-        program = resolve_program(cfg)
-        diags = validate_program(lat, program)
+        diags = validate_program(lat, resolve_program(cfg))
         for d in diags:
             print(f"program: {d}")
-        program_errs = [d for d in diags if d.startswith("error:")]
-    if problems or program_errs:
-        return EXIT_CONFIG
+        if any(d.startswith("error:") for d in diags):
+            return EXIT_CONFIG
     print("ok")
     return EXIT_OK
 

@@ -22,8 +22,9 @@ its Gauss-law check are all computed in sector coordinates
 (:func:`sector_ground_state`, :func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
-explicit step, needed only by the literal gate circuits, and is refused
-above 26 links.  It is a fast Walsh-Hadamard transform:
+explicit step, needed only by the full-space routes (``sweep``'s state and
+the full-space gate executor), and is refused above 26 links.  It is a
+fast Walsh-Hadamard transform:
 |m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
 """
 

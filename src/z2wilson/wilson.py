@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import (Circuit, CircuitError, ControlledPauliExp, Measure,
-                       PauliExp, ResetAncilla, marginal_bit_probability,
-                       run_circuit)
+                       PauliExp, ResetAncilla, block_bit_probability,
+                       run_blocks)
 from .gauge import (PhysicalSector, SectorOperator, Z2Model,
                     build_physical_sector, exact_evolve_in_sector, xor_perm)
 from .lattice import Lattice
@@ -361,22 +361,23 @@ def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
     return circuit, control
 
 
-def hadamard_test(psi: StateVector, model: Z2Model, program: LoopProgram,
-                  n_T: int, shots: int | None = None,
+def hadamard_test(model: Z2Model, sector: PhysicalSector, coords: np.ndarray,
+                  program: LoopProgram, n_T: int, shots: int | None = None,
                   rng: np.random.Generator | None = None) -> float:
-    """p_+ of the ancilla-controlled Trotterized loop on |psi>.
+    """p_+ of the ancilla-controlled Trotterized loop on a sector state.
 
-    The circuit runs once, and p_+ = <psi|(2 + W + W^dag)/4|psi> is read
-    from the final amplitudes.  Exact mode (shots None) returns it;
-    sampling mode returns the observed frequency of the |+> outcome over
-    the requested number of shots, drawn from that same p_+ by
-    :func:`sample_p_plus`.
+    The circuit runs once, on the Gauss-law blocks of the sector
+    coordinates ``coords`` (:func:`z2wilson.circuits.run_blocks`), and
+    p_+ = <psi|(2 + W + W^dag)/4|psi> is read from the final amplitudes.
+    Exact mode (shots None) returns it; sampling mode returns the
+    observed frequency of the |+> outcome over the requested number of
+    shots, drawn from that same p_+ by :func:`sample_p_plus`.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1 (or None for exact mode)")
     circuit, control = hadamard_test_circuit(model, program, n_T)
-    final, _ = run_circuit(circuit, psi)
-    p_plus = marginal_bit_probability(final, control, 0)
+    final, _ = run_blocks(circuit, model, sector, coords)
+    p_plus = block_bit_probability(final, circuit, control, 0)
     if shots is None:
         return p_plus
     if rng is None:

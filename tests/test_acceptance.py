@@ -262,7 +262,7 @@ def test_criterion_7_hadamard_and_closure(cross_model, cross_sector,
     coords = project_to_sector(cross_sector, gs.amps)
     prog = staircase_default()
     n_T = 4
-    p = hadamard_test(gs, cross_model, prog, n_T)
+    p = hadamard_test(cross_model, cross_sector, coords, prog, n_T)
     w = trotterized_loop_operator(cross_model, cross_sector, prog, n_T)
     expected = (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
     assert abs(p - expected) <= 1e-10

@@ -13,15 +13,18 @@ from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
                                circuit_stats, circuit_to_text,
                                extend_with_ancillas,
                                link_register_block, marginal_bit_probability,
-                               run_circuit, star_commutation_report)
-from z2wilson.lattice import build_cross
+                               run_blocks, run_circuit,
+                               star_commutation_report)
+from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import staircase_default
 from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
                                _controlled_exps, _scratch, pauli_exp_inplace,
                                apply_controlled_pauli_exp, apply_pauli_exp,
                                init_basis)
-from z2wilson.wilson import trotterized_program_circuit
-from z2wilson.gauge import Z2Model
+from z2wilson.wilson import hadamard_test_circuit, trotterized_program_circuit
+from z2wilson.gauge import (Z2Model, build_physical_sector,
+                            embed_sector_coords, embed_state,
+                            sector_ground_state)
 
 
 class TestCircuitStructure:
@@ -363,14 +366,13 @@ class TestKnownBits:
             assert got_outcomes == want_outcomes
             assert np.max(np.abs(got.amps - want)) <= 1e-15
 
-    def test_measure_counts(self, capsys, monkeypatch):
-        # measure --nt 9: the box resets find the box ancilla spin-down and
-        # run no probability pass (89 passes before), and the electric "z"
-        # groups on the Hadamard control run on the 2**17 amplitudes of the
-        # box ancilla's spin-down block (2**18 before)
+    def test_measure_counts(self, monkeypatch):
+        # the Hadamard test of measure --nt 9 in the full space: the box
+        # resets find the box ancilla spin-down and run no probability pass
+        # (89 passes before), and the electric "z" groups on the Hadamard
+        # control run on the 2**17 amplitudes of the box ancilla's
+        # spin-down block (2**18 before)
         import z2wilson.circuits as circuits_mod
-        from z2wilson.cli import main
-        from z2wilson.wilson import hadamard_test_circuit
 
         passes, groups = [], []
         real_measure = circuits_mod._measure_bit
@@ -387,10 +389,11 @@ class TestKnownBits:
         monkeypatch.setattr(circuits_mod, "_measure_bit", counting_measure)
         monkeypatch.setattr(circuits_mod, "_controlled_exps",
                             recording_group)
-        assert main(["measure", "--nt", "9"]) == 0
-        capsys.readouterr()
-        circuit, control = hadamard_test_circuit(
-            Z2Model(build_cross(), 10.0), staircase_default(), 9)
+        model = Z2Model(build_cross(), 10.0)
+        sector = build_physical_sector(model)
+        circuit, control = hadamard_test_circuit(model, staircase_default(), 9)
+        run_circuit(circuit, embed_state(
+            sector, sector_ground_state(model, sector)[1]))
         box = max(circuit.ancilla_init)
         assert circuit.ancilla_init[box] == 1
         assert sum(isinstance(g, ResetAncilla) for g in circuit.gates) == 89
@@ -407,6 +410,75 @@ class TestKnownBits:
                            if isinstance(g, ControlledPauliExp)))
         assert sum(len(xs) for _, xs in runs) == n_x == 320
         assert {size for size, _ in runs} == {1 << 17}
+
+
+def blocks_to_full_space(blocks, model, circuit):
+    """Full-register amplitudes of a run_blocks state."""
+    amps = np.zeros(1 << circuit.n_qubits, dtype=complex)
+    for charges, block in blocks.items():
+        sector = build_physical_sector(model, charges)
+        amps += embed_sector_coords(sector, block).T.reshape(-1)
+    return amps
+
+
+class TestBlockExecutor:
+    """run_blocks against run_circuit on the same gate lists."""
+
+    def test_matches_the_full_space_on_random_circuits(self):
+        # random_circuit's link strings carry X, Y and Z factors on any
+        # links, so its gates reach many charge patterns; a reset in the
+        # middle and a measurement at the end draw from the RNG
+        checked = 0
+        for seed in range(24):
+            c = random_circuit(seed)
+            if c.n_link_qubits not in (4, 7, 10):
+                continue
+            model = Z2Model(build_rect((c.n_link_qubits - 1) // 3, 1), 1.0)
+            sector = build_physical_sector(model)
+            rng = np.random.default_rng(200 + seed)
+            coords = rng.normal(size=sector.dim) + 1j * rng.normal(
+                size=sector.dim)
+            coords /= np.linalg.norm(coords)
+            ancillas = sorted(c.ancilla_init)
+            c.gates.insert(len(c.gates) // 2, ResetAncilla(ancillas[0], 1))
+            c.gates.append(Measure(ancillas[-1]))
+            blocks, got_outcomes = run_blocks(
+                c, model, sector, coords,
+                np.random.Generator(np.random.Philox(seed)))
+            want, want_outcomes = run_circuit(
+                c, embed_state(sector, coords),
+                np.random.Generator(np.random.Philox(seed)))
+            assert got_outcomes == want_outcomes, seed
+            assert np.max(np.abs(blocks_to_full_space(blocks, model, c)
+                                 - want.amps)) <= 1e-13, seed
+            checked += len(blocks) > 1
+        assert checked >= 5
+
+    def test_box_resets_find_the_box_ancilla_exactly(self, monkeypatch):
+        # measure --nt 9 on the cross: every box V-chain runs as its exact
+        # operator, so each reset finds the other half of the box ancilla
+        # exactly zero, and the state never leaves the neutral block
+        import z2wilson.circuits as circuits_mod
+
+        model = Z2Model(build_cross(), 10.0)
+        sector = build_physical_sector(model)
+        circuit, _ = hadamard_test_circuit(model, staircase_default(), 9)
+        box = max(circuit.ancilla_init)
+        resets = []
+        real = circuits_mod._BlockRun.measure
+
+        def checking(self, state, gate, rng):
+            (block,) = state.values()
+            resets.append(not np.any(block[:, 0:2]))
+            return real(self, state, gate, rng)
+
+        monkeypatch.setattr(circuits_mod._BlockRun, "measure", checking)
+        blocks, outcomes = run_blocks(
+            circuit, model, sector, sector_ground_state(model, sector)[1])
+        assert list(blocks) == [sector.charges]
+        assert resets == [True] * 89
+        assert set(outcomes.values()) == {1}
+        assert all(circuit.gates[gi].qubit == box for gi in outcomes)
 
 
 class TestCensusAndExport:

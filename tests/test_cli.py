@@ -6,13 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from z2wilson.circuits import (ControlledPauliExp, marginal_bit_probability,
+from z2wilson.circuits import (ControlledPauliExp, block_bit_probability,
+                               marginal_bit_probability, run_blocks,
                                run_circuit)
 from z2wilson.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, RunConfig,
                           load_config, main, resolve_lattice)
 from z2wilson.gauge import Z2Model, project_to_sector
 from z2wilson.lattice import build_cross, build_rect, lattice_to_text
-from z2wilson.programs import (LoopProgram, Temporal, program_to_text,
+from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
+                               program_to_text,
                                staircase_default)
 from z2wilson.trotter import trotterized_loop_operator
 from z2wilson.wilson import hadamard_test_circuit
@@ -261,49 +263,69 @@ class TestMeasure:
                                                       monkeypatch):
         import z2wilson.wilson as wilson_mod
 
-        real = wilson_mod.run_circuit
+        real = wilson_mod.run_blocks
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(wilson_mod, "run_circuit", counting)
+        monkeypatch.setattr(wilson_mod, "run_blocks", counting)
         code, out, _ = run_main(capsys, "measure", "--nt", "2", "--shots",
                                 "200", "--seed", "5")
         assert code == EXIT_OK
         assert len(calls) == 1
         # the sampled value of the two-run implementation, bit for bit
         assert "p_plus_sampled 0.46999999999999997\n" in out
-        # the gate route's digits, bit for bit: the kernel layout that runs
-        # a rotation never changes its result, the box V-chains run as
-        # exact parity swaps, and the box resets, which find the ancilla
-        # exactly spin-down, no longer rescale the state, so p_plus_exact
-        # sits 4.9e-16 from p_plus_oracle 0.42808965237385715
-        assert "p_plus_exact 0.42808965237385666\n" in out
-        assert "re_wilson_loop -0.14382069525228669\n" in out
+        # the block route's digits, bit for bit: the box V-chains run as
+        # their exact operator and return the box ancilla with an exactly
+        # zero other half, so its resets neither clear nor rescale, and
+        # p_plus_exact sits 4.4e-16 from p_plus_oracle 0.42808965237385715
+        assert "p_plus_exact 0.42808965237385671\n" in out
+        assert "re_wilson_loop -0.14382069525228658\n" in out
 
-    def test_refuses_the_full_space_above_26_links(self, capsys, tmp_path):
-        # the default program lives on the cross and would be refused first
+    def test_above_26_links_within_ulps_per_gate_of_oracle(self, capsys,
+                                                           tmp_path):
+        # rect:9x1 has 28 links: no full-space state, only sector blocks
+        prog = tmp_path / "r91.prog"
+        prog.write_text("SPATIAL 3 13 22 12\nTEMPORAL 0.5 12 13\n")
+        code, out, _ = run_main(capsys, "measure", "--lattice", "rect:9x1",
+                                "--program", str(prog), "--nt", "2")
+        assert code == EXIT_OK
+        vals = measured(out)
+        model = Z2Model(build_rect(9, 1), 10.0)
+        circuit, _ = hadamard_test_circuit(
+            model, program_from_text(prog.read_text()), 2)
+        tol = ULP_PER_GATE * len(circuit.gates)
+        assert abs(vals["p_plus_exact"] - vals["p_plus_oracle"]) <= tol
+
+    def test_refuses_a_sector_above_the_dense_limit(self, capsys, tmp_path):
+        # rect:5x3: sector dimension 2**15, above the 4096 dense limit
         prog = tmp_path / "id.prog"
         prog.write_text("# empty program\n")
-        code, out, err = run_main(capsys, "measure", "--lattice", "rect:9x1",
+        code, out, err = run_main(capsys, "measure", "--lattice", "rect:5x3",
                                   "--program", str(prog), "--nt", "1")
         assert code == EXIT_CONFIG
-        assert "full-space routes are limited to 26 links" in err
         assert out == ""
+        assert "dense-matrix limit 4096" in err
 
-    @pytest.mark.parametrize("command", ["sweep", "measure"])
+    @pytest.mark.parametrize("command", ["sweep", "measure", "export-circuit"])
     def test_refuses_an_invalid_program_before_output(self, capsys, tmp_path,
                                                       command):
-        prog = tmp_path / "open.prog"
-        prog.write_text("SPATIAL 0\nTEMPORAL 1.0 0\n")
-        code, out, err = run_main(capsys, command, "--program", str(prog),
-                                  "--nt", "1")
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert err.startswith("error: spatial traversals do not close")
-        assert err.count("error: ") == 1
+        prog = tmp_path / "bad.prog"
+        out_path = tmp_path / "out"
+        for text, message in [
+                ("SPATIAL 0\nTEMPORAL 1.0 0\n",
+                 "spatial traversals do not close"),
+                ("SPATIAL 40 41\n", "step 0: links [40, 41] not on lattice")]:
+            prog.write_text(text)
+            code, out, err = run_main(capsys, command, "--program", str(prog),
+                                      "--nt", "1", "--out", str(out_path))
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert not out_path.exists()
+            assert err.startswith(f"error: {message}")
+            assert err.count("error: ") == 1
 
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
@@ -330,6 +352,11 @@ def circuit_p_plus(circuit, control, psi):
     return marginal_bit_probability(final, control, 0)
 
 
+def block_p_plus(circuit, control, model, sector, coords):
+    final, _ = run_blocks(circuit, model, sector, coords)
+    return block_bit_probability(final, circuit, control, 0)
+
+
 def sector_p_plus(model, sector, coords, program, n_T):
     w = trotterized_loop_operator(model, sector, program, n_T)
     return (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
@@ -351,54 +378,61 @@ class TestMeasureRoundingContract:
 
     @pytest.fixture(scope="class")
     def contract(self, cross_model, cross_sector, cross_ground):
-        """(psi, oracle p_plus, tolerance, gate circuit, control) at n_T=2."""
+        """(oracle p_plus, tolerance, gate circuit, control, executors) at
+        n_T=2; ``executors`` maps each executor to p_plus(circuit, control)
+        on the ground state."""
         _, gs = cross_ground
         coords = project_to_sector(cross_sector, gs.amps)
+        executors = {
+            "full-space": lambda c, q: circuit_p_plus(c, q, gs),
+            "blocks": lambda c, q: block_p_plus(c, q, cross_model,
+                                                cross_sector, coords),
+        }
         circuit, control = hadamard_test_circuit(cross_model,
                                                  staircase_default(), 2)
         oracle = sector_p_plus(cross_model, cross_sector, coords,
                                staircase_default(), 2)
         tol = ULP_PER_GATE * len(circuit.gates)
-        assert abs(circuit_p_plus(circuit, control, gs) - oracle) <= tol
-        return gs, oracle, tol, circuit, control
+        for p_plus in executors.values():
+            assert abs(p_plus(circuit, control) - oracle) <= tol
+        return oracle, tol, circuit, control, executors
 
-    def assert_missed(self, contract, p_plus):
-        _, oracle, tol, _, _ = contract
-        assert abs(p_plus - oracle) >= MUTATION_MARGIN * tol
+    def assert_missed(self, contract, mutant):
+        oracle, tol, _, control, executors = contract
+        for p_plus in executors.values():
+            assert abs(p_plus(mutant, control) - oracle) >= (
+                MUTATION_MARGIN * tol)
 
     def test_mutation_v_gate_sign_flipped(self, contract):
-        psi, _, _, circuit, control = contract
+        circuit = contract[2]
         gates = list(circuit.gates)
         i = next(k for k, g in enumerate(gates)
                  if isinstance(g, ControlledPauliExp) and g.basis == "x-")
         gates[i] = dataclasses.replace(gates[i], theta=-gates[i].theta)
-        mutant = dataclasses.replace(circuit, gates=gates)
-        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+        self.assert_missed(contract, dataclasses.replace(circuit, gates=gates))
 
     def test_mutation_box_dropped(self, contract):
-        psi, _, _, circuit, control = contract
+        circuit = contract[2]
         gates = list(circuit.gates)
         i = next(k for k, g in enumerate(gates)
                  if isinstance(g, ControlledPauliExp) and g.basis == "x-")
         # V-chain, controlled ancilla Z, reversed V-chain
         box = gates[i: i + 9]
         assert [g.basis for g in box] == ["x-"] * 4 + ["z"] + ["x-"] * 4
-        mutant = dataclasses.replace(circuit, gates=gates[:i] + gates[i + 9:])
-        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+        self.assert_missed(contract, dataclasses.replace(
+            circuit, gates=gates[:i] + gates[i + 9:]))
 
     def test_mutation_wrong_modified_link(self, contract, cross_model):
-        psi, _, _, _, control = contract
         steps = list(staircase_default().steps)
         bottom = cross_model.lattice.plaquettes[0]
         # the band cuts the plaquette's left and top links, not left and right
         steps[1] = Temporal(steps[1].tau, {bottom[3], bottom[2]})
         mutant, _ = hadamard_test_circuit(cross_model, LoopProgram(steps), 2)
-        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+        self.assert_missed(contract, mutant)
 
     def test_mutation_n_T_off_by_one(self, contract, cross_model):
-        psi, _, _, _, control = contract
         mutant, _ = hadamard_test_circuit(cross_model, staircase_default(), 3)
-        self.assert_missed(contract, circuit_p_plus(mutant, control, psi))
+        self.assert_missed(contract, mutant)
 
 
 class TestNumericalFailure:
@@ -472,8 +506,11 @@ class TestValidateCommand:
     def test_bad_lattice_file(self, capsys, tmp_path):
         path = tmp_path / "bad.lat"
         path.write_text("LATTICE v=2 e=1 p=0\nLINK 0 0 0\n")
-        code, _, err = run_main(capsys, "validate", "--lattice", str(path))
+        code, out, err = run_main(capsys, "validate", "--lattice", str(path))
         assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: lattice file")
+        assert err.count("\n") == 1 and err.count("error:") == 1
 
     def test_program_checked_when_given(self, capsys, tmp_path):
         prog = tmp_path / "bad.prog"

@@ -14,13 +14,22 @@ routes compared are
 * the sector route (:func:`exact_loop_operator`,
   :func:`trotterized_loop_operator` and the sector operators of
   ``gauge`` and ``wilson``).
+
+The Hadamard-test circuit of each program also runs on both executors,
+the full-space :func:`run_circuit` and the sector-block
+:func:`run_blocks`, whose p_+ must match the sector route's to two ulp per
+gate.  An open chain moves the controlled branch into a charged block, so
+those programs exercise the blocks of other charge patterns.
 """
 
 import numpy as np
 import pytest
 
 from conftest import dense_pauli
-from z2wilson.gauge import (Z2Model, build_physical_sector,
+from z2wilson.circuits import (block_bit_probability,
+                               marginal_bit_probability, run_blocks,
+                               run_circuit)
+from z2wilson.gauge import (Z2Model, build_physical_sector, embed_state,
                             hamiltonian_in_sector, spatial_loop_in_sector)
 from z2wilson.lattice import _build_from_cells
 from z2wilson.programs import (FreeEvolve, LoopProgram, Spatial, Temporal,
@@ -30,10 +39,11 @@ from z2wilson.trotter import (exact_loop_operator,
                               trotterized_loop_operator,
                               trotterized_loop_operator_fullspace)
 from z2wilson.wilson import (conjugated_temporal_plaquette,
-                             temporal_plaquette_exact)
+                             hadamard_test_circuit, temporal_plaquette_exact)
 
 TROTTER_TOL = 1e-12
 EXACT_TOL = 1e-11
+ULP_PER_GATE = 2 * np.finfo(float).eps
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
 
@@ -158,6 +168,23 @@ def max_diff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def assert_hadamard_executors_agree(model, sector, program, n_T, w_nt, rng):
+    """p_+ of the gate circuit on both executors vs the sector route."""
+    coords = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+    coords /= np.linalg.norm(coords)
+    circuit, control = hadamard_test_circuit(model, program, n_T)
+    blocks, _ = run_blocks(circuit, model, sector, coords)
+    full, _ = run_circuit(circuit, embed_state(sector, coords))
+    oracle = (2 + 2 * np.real(np.vdot(coords, w_nt @ coords))) / 4
+    tol = ULP_PER_GATE * len(circuit.gates)
+    assert abs(block_bit_probability(blocks, circuit, control, 0)
+               - oracle) <= tol
+    assert abs(marginal_bit_probability(full, control, 0) - oracle) <= tol
+    opens = any(len(s.links) == 2 for s in program.steps
+                if isinstance(s, Spatial))
+    assert (len(blocks) > 1) == opens
+
+
 @pytest.mark.parametrize("seed, n_cells", [(11, 1), (12, 2), (13, 3)])
 def test_sector_fullspace_and_dense_oracle_agree(seed, n_cells):
     rng = np.random.default_rng(seed)
@@ -194,6 +221,7 @@ def test_sector_fullspace_and_dense_oracle_agree(seed, n_cells):
                                                  n_T).matrix
     assert max_diff(w_nt, w_full) < TROTTER_TOL
     assert max_diff(w_nt, dense.trotter(program, n_T)) < TROTTER_TOL
+    assert_hadamard_executors_agree(model, sector, program, n_T, w_nt, rng)
 
 
 @pytest.mark.parametrize("seed, n_cells", [(21, 2), (22, 3), (23, 4), (24, 4)])
@@ -210,3 +238,5 @@ def test_sector_and_fullspace_gate_routes_agree(seed, n_cells):
     assert max_diff(w_nt.matrix, w_full.matrix) < TROTTER_TOL
     w = exact_loop_operator(model, sector, program)
     assert w.unitarity_error() < EXACT_TOL
+    assert_hadamard_executors_agree(model, sector, program, n_T, w_nt.matrix,
+                                    rng)

@@ -36,10 +36,13 @@ from z2wilson.wilson import (closure_strings,
                              trotterized_program_circuit)
 
 
-def random_physical_state(sector, rng):
+def random_coords(sector, rng):
     c = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
-    c /= np.linalg.norm(c)
-    return embed_state(sector, c)
+    return c / np.linalg.norm(c)
+
+
+def random_physical_state(sector, rng):
+    return embed_state(sector, random_coords(sector, rng))
 
 
 @pytest.fixture(scope="module")
@@ -458,10 +461,10 @@ class TestHadamardTest:
     def test_identity_program_gives_one(self, rect21):
         lat, model, sector = rect21
         rng = np.random.default_rng(14)
-        psi = random_physical_state(sector, rng)
+        coords = random_coords(sector, rng)
         prog = LoopProgram([])
-        assert hadamard_test(psi, model, prog, 1) == pytest.approx(1.0,
-                                                                   abs=1e-12)
+        assert hadamard_test(model, sector, coords, prog, 1) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_minus_one_eigenstate_gives_zero(self):
         # plaquette loop on an X-basis sector state with eigenvalue -1
@@ -471,43 +474,42 @@ class TestHadamardTest:
         # sector basis: {empty, full}: the plaquette swaps them, so the odd
         # combination (|0> - |1111...>)/sqrt2 has eigenvalue -1
         coords = np.array([1, -1], dtype=complex) / np.sqrt(2)
-        psi = embed_state(sector, coords)
         prog = LoopProgram([Spatial(lat.plaquettes[0])])
-        assert hadamard_test(psi, model, prog, 1) == pytest.approx(0.0,
-                                                                   abs=1e-12)
+        assert hadamard_test(model, sector, coords, prog, 1) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_matches_sector_oracle(self, rect21):
         lat, model, sector = rect21
         rng = np.random.default_rng(15)
-        psi = random_physical_state(sector, rng)
+        coords = random_coords(sector, rng)
         prog = LoopProgram([Spatial(lat.plaquettes[0]),
                             Temporal(1.0, {lat.plaquettes[0][1],
                                            lat.plaquettes[0][3]})])
         n_T = 3
-        p = hadamard_test(psi, model, prog, n_T)
+        p = hadamard_test(model, sector, coords, prog, n_T)
         w = trotterized_loop_operator(model, sector, prog, n_T)
-        coords = project_to_sector(sector, psi.amps)
         want = (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
         assert p == pytest.approx(want, abs=1e-10)
 
     def test_sampled_mode_seeded(self, rect21):
         lat, model, sector = rect21
         rng = np.random.default_rng(16)
-        psi = random_physical_state(sector, rng)
+        coords = random_coords(sector, rng)
         prog = LoopProgram([Spatial(lat.plaquettes[0])])
         g1 = np.random.Generator(np.random.Philox(11))
         g2 = np.random.Generator(np.random.Philox(11))
-        s1 = hadamard_test(psi, model, prog, 1, shots=500, rng=g1)
-        s2 = hadamard_test(psi, model, prog, 1, shots=500, rng=g2)
+        s1 = hadamard_test(model, sector, coords, prog, 1, shots=500, rng=g1)
+        s2 = hadamard_test(model, sector, coords, prog, 1, shots=500, rng=g2)
         assert s1 == s2
-        p = hadamard_test(psi, model, prog, 1)
+        p = hadamard_test(model, sector, coords, prog, 1)
         assert abs(s1 - p) <= 5 * np.sqrt(p * (1 - p) / 500) + 1e-9
 
     def test_box_chains_run_as_swaps_without_branch_copies(
             self, cross_model, cross_ground, monkeypatch):
-        # every box V-chain is a parity swap: the Hadamard control's prepare
-        # and unprepare are the only Y rotations over the whole register,
-        # and no controlled branch is copied
+        # in the full-space executor every box V-chain is a parity swap:
+        # the Hadamard control's prepare and unprepare are the only Y
+        # rotations over the whole register, and no controlled branch is
+        # copied
         calls = {"Y": 0, "swap": 0, "copy": 0}
         real_exp = statevec._single_qubit_exp
         real_swap = statevec._parity_swap
@@ -529,18 +531,17 @@ class TestHadamardTest:
         monkeypatch.setattr(statevec, "_parity_swap", swap)
         monkeypatch.setattr(statevec, "_copied_branch_exps", copy)
         _, gs = cross_ground
-        prog = staircase_default()
-        hadamard_test(gs, cross_model, prog, 2)
-        circuit, _ = hadamard_test_circuit(cross_model, prog, 2)
+        circuit, _ = hadamard_test_circuit(cross_model, staircase_default(), 2)
+        run_circuit(circuit, gs)
         v_gates = sum(1 for g in circuit.gates
                       if getattr(g, "basis", None) == "x-")
         assert v_gates > 0
         assert calls == {"Y": 2, "swap": v_gates // 4, "copy": 0}
 
     def test_zero_shots_rejected(self, rect21):
-        lat, model, _ = rect21
+        lat, model, sector = rect21
         with pytest.raises(ValueError):
-            hadamard_test(StateVector.zeros(lat.n_links), model,
+            hadamard_test(model, sector, np.zeros(sector.dim, dtype=complex),
                           LoopProgram([]), 1, shots=0)
 
 
