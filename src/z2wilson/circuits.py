@@ -9,24 +9,13 @@ and matter qubits appended above it.  Four gate kinds exist:
     Measure(q)                          projective Z measurement
     ResetAncilla(q, bit)                measure, then flip to the target bit
 
-The executor tracks which qubits hold an exact basis bit, meaning every
-amplitude with the other bit is 0.0.  The ancillas start so, from
-``ancilla_init``; a Measure or ResetAncilla makes its qubit known again;
-an X or Y factor on a qubit, or an "x-" group it controls, makes it
-unknown, while Z factors and "z" controls keep it known.  A qubit made
-unknown gets one exact-zero re-check of its other half before the next
-gate group that leaves it alone, or at its next Measure or ResetAncilla:
-that is what finds a plaquette box's work ancilla spin-down again after
-its V-chain returns.  While the qubits above a gate group are known, the
-group runs on the one block of amplitudes that can be nonzero, with the
-same arithmetic on every amplitude there as on the whole register; a
-Measure or ResetAncilla of a known qubit returns its bit with neither a
-probability pass nor a rescale.  A reset's flip moves the kept half onto
-the target half exactly.
-
-:func:`run_blocks` is the second executor: the same gate list on a
-sector state, held as Gauss-law blocks in the electric basis, so its cost
-follows the sector dimension instead of 2**n_links.
+Two executors run the same gate list.  :func:`run_circuit` is the
+literal reference: every gate runs on the whole 2**n register, every
+Measure and ResetAncilla through a probability pass, and a V-gate chain
+rotates and rounds like any other "x-" group.  :func:`run_blocks` runs
+it on a sector state, held as Gauss-law blocks in the electric basis,
+so its cost follows the sector dimension instead of 2**n_links; it runs
+V-chains as their exact operator.
 
 Builders may also record an exact scalar ``global_phase`` (compensations
 that are not worth a gate) and a ``phase_log`` of phases their gate
@@ -45,8 +34,7 @@ import numpy as np
 from .gauge import PhysicalSector, Z2Model, build_physical_sector, xor_perm
 from .lattice import Lattice
 from .statevec import (PauliString, StateVector, _bit_probability,
-                       _controlled_exps, _parity_flip, _qubit_blocks,
-                       _scratch, pauli_exp_inplace)
+                       _controlled_exps, _qubit_blocks, pauli_exp_inplace)
 
 
 class CircuitError(ValueError):
@@ -195,119 +183,46 @@ def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
     return outcome
 
 
-def _flip_exact(amps: np.ndarray, qubit: int, bit: int, n: int) -> None:
-    """Move the qubit's ``bit`` half onto its other half, which holds only
-    zeros, and zero it: an exact X on a qubit that reads ``bit``.
-
-    The half is staged in the scratch buffer, because interleaved halves
-    overlap in bounds and numpy would otherwise copy it into a new array.
-    """
-    halves = _qubit_blocks(amps, n, qubit)
-    kept = halves[:, bit]
-    staged = _scratch(kept.size).reshape(kept.shape)
-    np.copyto(staged, kept)
-    kept[...] = 0.0
-    np.copyto(halves[:, 1 - bit], staged)
-
-
-def _holds_bit(amps: np.ndarray, n: int, qubit: int, bit: int) -> bool:
-    """True when every amplitude with the qubit's other bit is exactly 0."""
-    other = _qubit_blocks(amps, n, qubit)[:, 1 - bit]
-    return not np.any(other.view(np.float64))
-
-
-def _reach(run: list[Gate]) -> tuple[set[int], set[int]]:
-    """(qubits a gate group touches, qubits whose two values it can mix).
-
-    X and Y factors and an "x-" control mix a qubit; Z factors and a "z"
-    control do not.
-    """
-    touched: set[int] = set()
-    mixed: set[int] = set()
-    for g in run:
-        touched |= g.string.support
-        mixed.update(q for q, ax in g.string.terms if ax != "Z")
-        if isinstance(g, ControlledPauliExp):
-            touched.add(g.control)
-            if g.basis == "x-":
-                mixed.add(g.control)
-    return touched, mixed
-
-
 def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
-                rng: np.random.Generator | None = None,
-                known: dict[int, int] | None = None) -> dict[int, int]:
-    """Run a gate list in place on the n-qubit amplitudes.
+                rng: np.random.Generator | None = None) -> dict[int, int]:
+    """Run a gate list in place on the n-qubit amplitudes, gate by gate.
 
-    Returns the measurement outcomes keyed by gate position.  Consecutive
-    controlled gates sharing a control and basis run as one group in place
-    on the control's branch (``statevec._controlled_exps``), which is
-    gate-for-gate identical to applying each controlled gate alone, except
-    for V-chains, which run as the exact parity swap.
-
-    ``known`` maps qubits that start in an exact basis bit (every
-    amplitude with the other bit is 0.0) to that bit, as
-    :func:`run_circuit` passes the ancillas' initial bits; with None no
-    qubit starts known.  While the qubits above a gate group are known, the
-    group runs on their one block of 2**k amplitudes that can be nonzero,
-    as a k-qubit state; a Measure or ResetAncilla on a known qubit returns
-    its bit with no probability pass and no rescale.  A qubit is known
-    again after a Measure or ResetAncilla.  A group that can mix a known
-    qubit's two values (see :func:`_reach`) makes it unknown until one
-    exact-zero re-check of its other half, run before the next group that
-    does not touch it or at its next Measure or ResetAncilla.
+    Returns the measurement outcomes keyed by gate position.  Every gate
+    acts on the whole register.  Consecutive controlled gates sharing a
+    control and basis run as one group on the control's branch
+    (``statevec._controlled_exps``): gate for gate as each controlled gate
+    alone, with one basis-rotation pair for a whole "x-" group.  Every
+    Measure and ResetAncilla runs
+    :func:`_measure_bit`; a reset that reads the other bit then moves the
+    kept half onto the target half and zeroes the kept one.
     """
-    known = dict(known or {})
-    pending: dict[int, int] = {}    # qubit -> bit it held, not re-checked
     outcomes: dict[int, int] = {}
-
-    def recheck(qubit: int) -> None:
-        bit = pending.pop(qubit)
-        if _holds_bit(amps, n, qubit, bit):
-            known[qubit] = bit
-
     gi = 0
     while gi < len(gates):
         gate = gates[gi]
         if isinstance(gate, (Measure, ResetAncilla)):
-            q = gate.qubit
-            if q in pending:
-                recheck(q)
-            bit = known[q] if q in known else _measure_bit(amps, q, n, rng)
+            bit = _measure_bit(amps, gate.qubit, n, rng)
             outcomes[gi] = bit
             if isinstance(gate, ResetAncilla) and bit != gate.target_bit:
-                _flip_exact(amps, q, bit, n)
-                bit = gate.target_bit
-            known[q] = bit
+                halves = _qubit_blocks(amps, n, gate.qubit)
+                halves[:, 1 - bit] = halves[:, bit]
+                halves[:, bit] = 0.0
             gi += 1
-            continue
-        run = [gate]
-        if isinstance(gate, ControlledPauliExp):
+        elif isinstance(gate, PauliExp):
+            pauli_exp_inplace(amps, gate.string, gate.theta, n)
+            gi += 1
+        elif isinstance(gate, ControlledPauliExp):
+            run = [gate]
             while (gi + len(run) < len(gates)
                    and isinstance(gates[gi + len(run)], ControlledPauliExp)
                    and gates[gi + len(run)].control == gate.control
                    and gates[gi + len(run)].basis == gate.basis):
                 run.append(gates[gi + len(run)])
-        elif not isinstance(gate, PauliExp):  # pragma: no cover
+            _controlled_exps(amps, gate.control, gate.basis,
+                             [(g.string, g.theta) for g in run], n)
+            gi += len(run)
+        else:  # pragma: no cover
             raise CircuitError(f"unknown gate {gate!r}")
-        touched, mixed = _reach(run)
-        for q in [q for q in pending if q not in touched]:
-            recheck(q)
-        # the known qubits above the group fix the one block it can change
-        top = max(touched, default=-1)
-        k = n
-        while k - 1 > top and k - 1 in known:
-            k -= 1
-        off = sum(known[q] << q for q in range(k, n))
-        block = amps[off: off + (1 << k)]
-        if isinstance(gate, PauliExp):
-            pauli_exp_inplace(block, gate.string, gate.theta, k)
-        else:
-            _controlled_exps(block, gate.control, gate.basis,
-                             [(g.string, g.theta) for g in run], k)
-        for q in mixed & known.keys():
-            pending[q] = known.pop(q)
-        gi += len(run)
     return outcomes
 
 
@@ -320,8 +235,7 @@ def run_circuit(circuit: Circuit, link_sv: StateVector,
     measurement outcomes keyed by gate position (see :func:`apply_gates`).
     """
     sv = extend_with_ancillas(link_sv, circuit)
-    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng,
-                           circuit.ancilla_init)
+    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng)
     if circuit.global_phase:
         sv.amps *= np.exp(1j * circuit.global_phase)
     return sv, outcomes
@@ -362,6 +276,29 @@ def _z_string(zmask: int, flip: int) -> PauliString:
     """(-1)**flip Z(zmask)."""
     return PauliString({q: "Z" for q in range(zmask.bit_length())
                         if zmask >> q & 1}, -1 if flip else 1)
+
+
+def _parity_flip(terms) -> tuple[int, int] | None:
+    """(zmask, flip) when an "x-" group is an exact parity-controlled NOT.
+
+    Every term must be a Z-only string with theta = +-pi/2 exactly, so
+    that e^{i theta P} = i sign(theta) P.  The product of the terms is then
+    phi Z(zmask), with phi the product of the factors i sign(theta) phase
+    and zmask the XOR of the strings' masks; with phi = +-1 (flip = 1 for
+    -1) the group is P+ (x) I + P- (x) phi Z(zmask).  None otherwise:
+    such groups take the rotation route.
+    """
+    phi = 1
+    zmask = 0
+    for p, theta in terms:
+        xm, zm, _ = p.masks()
+        if xm or abs(theta) != np.pi / 2:
+            return None
+        phi *= (1j if theta > 0 else -1j) * p.phase
+        zmask ^= zm
+    if phi not in (1, -1):
+        return None
+    return zmask, int(phi == -1)
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -458,7 +395,7 @@ class _BlockRun:
     def parity_swap(self, state: Blocks, control: int, zmask: int,
                     flip: int) -> Blocks:
         """P+ (x) I + P- (x) S with S = (-1)**flip Z(zmask), the exact
-        operator of a V-chain (``statevec._parity_flip``).
+        operator of a V-chain (:func:`_parity_flip`).
 
         With p = a0 + a1 and q = S(a0 - a1) over the control's column
         pairs, the new halves are (p + q) / 2 and (p - q) / 2.  S moves and
@@ -511,9 +448,9 @@ def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
     masks x ancilla bits} (see :class:`_BlockRun`), so the cost follows
     the sector dimension, not 2**n_links: only the blocks a gate reaches
     are built.  Controls and measured qubits must be ancillas.  An "x-"
-    group that ``statevec._parity_flip`` recognises runs as its exact
-    operator (:meth:`_BlockRun.parity_swap`); any other "x-" group is
-    rotated onto spin-up like ``statevec._controlled_exps``.  Measure and
+    group that :func:`_parity_flip` recognises runs as its exact operator
+    (:meth:`_BlockRun.parity_swap`); any other "x-" group is rotated onto
+    spin-up like ``statevec._controlled_exps``.  Measure and
     ResetAncilla keep the thresholds and RNG rule of the full-space
     route.  Returns the final blocks (global phase applied) and the
     measurement outcomes keyed by gate position, as :func:`run_circuit`.

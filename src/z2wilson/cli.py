@@ -207,12 +207,26 @@ def _setup(cfg: RunConfig, with_program: bool = True
     return model, program, build_physical_sector(model)
 
 
+def _program_refusal(cfg: RunConfig, error: str) -> ConfigError:
+    """The refusal of a program whose first validation error is ``error``.
+
+    Builtins are written in the cross's link numbers, so on another
+    lattice the refusal says so and asks for a program file.
+    """
+    if cfg.program not in BUILTIN_PROGRAMS:
+        return ConfigError(error)
+    return ConfigError(
+        f"builtin program {cfg.program!r} holds the cross's link numbers "
+        f"and does not fit lattice {cfg.lattice!r} ({error}); give a "
+        "loop program for this lattice with --program FILE")
+
+
 def _checked_program(cfg: RunConfig, lattice: Lattice) -> LoopProgram:
     """The run's program; one with validation errors is refused here."""
     program = resolve_program(cfg)
     errs = program_errors(lattice, program)
     if errs:
-        raise ConfigError(errs[0])
+        raise _program_refusal(cfg, errs[0])
     return program
 
 
@@ -329,9 +343,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     lat = resolve_lattice(cfg)      # refuses an invalid lattice file
     if "program" in getattr(cfg, "_explicit", set()):
         diags = validate_program(lat, resolve_program(cfg))
+        errs = [d for d in diags if d.startswith("error:")]
+        if errs and cfg.program in BUILTIN_PROGRAMS:
+            raise _program_refusal(cfg, errs[0].removeprefix("error: "))
         for d in diags:
             print(f"program: {d}")
-        if any(d.startswith("error:") for d in diags):
+        if errs:
             return EXIT_CONFIG
     print("ok")
     return EXIT_OK

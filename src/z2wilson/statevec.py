@@ -34,13 +34,11 @@ keyed by element count, so applying a gate allocates nothing of state
 size.  Only strings with X or Y factors on more than one qubit still build
 their action out of place.
 
-A controlled group runs on the strided view of its branch, without
-copying it out.  One kind of group is not run gate by gate: an "x-" chain
-of Z strings at theta = +-pi/2 whose product phase is real (the V-gate
-chains of the plaquette and loop builders) is a parity-controlled NOT,
-and it runs as an exact swap of the control's two halves.  That is the
-one place where the bit-identity rule above does not hold: the swap is
-the exact operator, where the rotations it replaces round.
+A controlled group runs on a copy of its control's branch, taken as the
+compressed half-register, so it goes through the same kernels and the
+same bit-identity rule.  No group is special-cased: a V-gate chain of
+the plaquette and loop builders rotates and rounds like any other "x-"
+group.
 """
 
 from __future__ import annotations
@@ -416,91 +414,21 @@ def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
 
 
 @lru_cache(maxsize=256)
-def _shift_down(p: PauliString, offset: int) -> PauliString:
-    """Re-index a string whose qubits all lie at or above ``offset``."""
-    return PauliString({q - offset: ax for q, ax in p.terms}, p.phase)
-
-
-@lru_cache(maxsize=256)
 def _compress_above(p: PauliString, qubit: int) -> PauliString:
     """Re-index a string onto the register with ``qubit`` removed."""
     return PauliString({(q if q < qubit else q - 1): ax for q, ax in p.terms},
                        p.phase)
 
 
-def _parity_flip(terms) -> tuple[int, int] | None:
-    """(zmask, flip) when an "x-" group is an exact parity-controlled NOT.
-
-    Every term must be a Z-only string with theta = +-pi/2 exactly, so
-    that e^{i theta P} = i sign(theta) P.  The product of the terms is then
-    phi Z(zmask), with phi the product of the factors i sign(theta) phase
-    and zmask the XOR of the strings' masks; with phi = +-1 (flip = 1 for
-    -1) the group is P+ (x) I + P- (x) phi Z(zmask).  None otherwise:
-    such groups take the rotation route.
-    """
-    phi = 1
-    zmask = 0
-    for p, theta in terms:
-        xm, zm, _ = p.masks()
-        if xm or abs(theta) != np.pi / 2:
-            return None
-        phi *= (1j if theta > 0 else -1j) * p.phase
-        zmask ^= zm
-    if phi not in (1, -1):
-        return None
-    return zmask, int(phi == -1)
-
-
-@lru_cache(maxsize=8)
-def _swap_masks(zmask: int, size: int, words: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """All-ones words where popcount(j & zmask) is even, and where it is
-    odd, for j < size, repeated over the ``words`` uint64 words of each
-    amplitude (or stacked row of amplitudes)."""
-    odd = _bit_parity(np.arange(size, dtype=np.uint64) & np.uint64(zmask))
-    ones = np.uint64(np.iinfo(np.uint64).max)
-    odd = np.repeat(odd.astype(bool), words)
-    return (_readonly(np.where(odd, np.uint64(0), ones)),
-            _readonly(np.where(odd, ones, np.uint64(0))))
-
-
-def _parity_swap(amps: np.ndarray, control: int, zmask: int, flip: int,
+def _branch_exps(amps: np.ndarray, control: int, terms,
                  n_qubits: int) -> None:
-    """Swap the control's two halves wherever popcount(k & zmask) + flip
-    is odd: the exact action of P+ (x) I + P- (x) (-1)**flip Z(zmask).
+    """Run (P, theta) exponentials on the control's bit-0 branch.
 
-    The amplitudes are moved as uint64 words with an XOR swap, so no bit
-    changes.  The half-register index j = (high bits, low bits) is walked
-    in chunks of at most _BLOCK amplitudes aligned on multiples of
-    the chunk size, whose parity is one cached table over the chunk's
-    offsets, complemented by the parity of the chunk's base index.
+    The branch is copied into the "branch" scratch buffer, the terms run
+    on it as the compressed half-register (the control's qubit removed),
+    and it is copied back.
     """
-    words = amps.view(np.uint64).reshape(amps.shape[0], -1)
-    w = words.shape[1]
-    v = _qubit_blocks(words, n_qubits, control)
-    hi, lo = v.shape[0], v.shape[2]
-    size = min(_BLOCK, hi * lo)
-    rows, cols = max(1, size // lo), min(lo, size)
-    zc = (zmask & (lo - 1)) | (zmask >> (control + 1) << control)
-    masks = [m.reshape(rows, cols * w)
-             for m in _swap_masks(zc & (size - 1), size, w)]
-    halves = v.reshape(hi // rows, rows, 2, lo // cols, cols * w)
-    t = _scratch(size * w, "kernel", np.uint64).reshape(rows, cols * w)
-    for i in range(hi // rows):
-        for j in range(lo // cols):
-            base = i * rows * lo + j * cols
-            m = masks[1 ^ flip ^ ((base & zc).bit_count() & 1)]
-            a, b = halves[i, :, 0, j], halves[i, :, 1, j]
-            np.bitwise_xor(a, b, out=t)
-            np.bitwise_and(t, m, out=t)
-            a ^= t
-            b ^= t
-
-
-def _copied_branch_exps(branch: np.ndarray, control: int, terms,
-                        n_qubits: int) -> None:
-    """Run the terms on a copy of the branch in the "branch" scratch
-    buffer, as the compressed half-register, and copy it back."""
+    branch = _qubit_blocks(amps, n_qubits, control)[:, 0]
     work = _scratch(branch.size, "branch").reshape(branch.shape)
     np.copyto(work, branch)
     flat = work.reshape((-1,) + branch.shape[2:])
@@ -510,73 +438,26 @@ def _copied_branch_exps(branch: np.ndarray, control: int, terms,
     np.copyto(branch, work)
 
 
-def _branch_exps(amps: np.ndarray, control: int, terms,
-                 n_qubits: int) -> None:
-    """Run (P, theta) exponentials on the control's bit-0 branch in place.
-
-    The branch is the view (hi, lo[, k]) of the amplitudes whose control
-    bit is 0, a string below the control acts within each row of lo
-    amplitudes and a string above it across the rows.  So a term below
-    runs per contiguous row, or, on a 1-D state with several rows shorter
-    than _BLOCK, on the transposed branch as one (lo, hi) stack; a term above
-    runs on the branch as an (hi, lo*k) stack, a single Z there being a
-    scalar phase per row.  Each term sees the same amplitudes and does the
-    same floating-point operations on each as on the compressed
-    half-register, so the result is bit-identical to running the terms
-    there.  Only a string on both sides of the control (no builder emits
-    one) needs that register: the branch is then copied into a scratch
-    buffer and back.
-    """
-    branch = _qubit_blocks(amps, n_qubits, control)[:, 0]
-    hi, lo = branch.shape[:2]
-    if any(p.max_qubit() > control and min(p.support) < control
-           for p, _ in terms):
-        _copied_branch_exps(branch, control, terms, n_qubits)
-        return
-    if amps.ndim == 2 or hi == 1 or lo >= _BLOCK:
-        rows = list(branch)
-    else:
-        rows = [branch.T]
-    across = branch.reshape(hi, -1)
-    for p, theta in terms:
-        if p.max_qubit() < control:
-            for row in rows:
-                pauli_exp_inplace(row, p, theta, control)
-        else:
-            pauli_exp_inplace(across, _shift_down(p, control + 1), theta,
-                              n_qubits - 1 - control)
-
-
 def _controlled_exps(amps: np.ndarray, control: int, basis: str, terms,
                      n_qubits: int) -> None:
     """Apply a sequence of (P, theta) exponentials on one controlled branch.
 
-    An "x-" group whose terms are Z-only strings at theta = +-pi/2 with a
-    real product phase is a parity-controlled NOT, a Clifford permutation
-    (:func:`_parity_flip`): it runs as an exact swap of the control's two
-    halves (:func:`_parity_swap`), without the basis change or any
-    rotation arithmetic.  This is the one place where the result is not
-    bit-identical to applying each controlled exponential alone: it is the
-    exact operator, where the rotations round (cos(pi/2) is not 0 in
-    floating point).  Every other group is gate-for-gate identical to
-    applying each controlled exponential alone, with one basis rotation
-    pair for "x-" for the whole sequence, and runs in place on the branch
-    (:func:`_branch_exps`).  Arguments are as validated by
+    A "z" group runs on the control's spin-up branch (:func:`_branch_exps`);
+    an "x-" group rotates |-> onto spin-up with one Y rotation pair for the
+    whole sequence and runs there.  Within the branch each exponential
+    runs as it would alone, V-chains included: a chain of Z strings at
+    theta = +-pi/2 rounds like any other group, since cos(pi/2) is not 0
+    in floating point.  Arguments are as validated by
     :func:`controlled_pauli_exp_inplace`.
     """
     if basis not in ("z", "x-"):
         raise PauliStringError(f"unknown control basis {basis!r}")
+    if any(p.max_qubit() >= n_qubits for p, _ in terms):
+        raise PauliStringError(
+            f"string touches a qubit outside register of {n_qubits}")
     if basis == "z":
         _branch_exps(amps, control, terms, n_qubits)
         return
-    swap = _parity_flip(terms)
-    if swap is not None:
-        if swap[0] >> n_qubits:
-            raise PauliStringError(
-                f"string touches a qubit outside register of {n_qubits}")
-        _parity_swap(amps, control, *swap, n_qubits)
-        return
-    # rotate |-> onto spin-up, fire there, rotate back
     _single_qubit_exp(amps, control, "Y", -np.pi / 4, n_qubits)
     _branch_exps(amps, control, terms, n_qubits)
     _single_qubit_exp(amps, control, "Y", +np.pi / 4, n_qubits)

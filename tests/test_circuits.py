@@ -9,7 +9,7 @@ import pytest
 from conftest import random_state
 from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
                                Measure, PauliExp, ResetAncilla, _measure_bit,
-                               apply_gates,
+                               _parity_flip, apply_gates,
                                circuit_stats, circuit_to_text,
                                extend_with_ancillas,
                                link_register_block, marginal_bit_probability,
@@ -18,9 +18,8 @@ from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import staircase_default
 from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
-                               _controlled_exps, _scratch, pauli_exp_inplace,
-                               apply_controlled_pauli_exp, apply_pauli_exp,
-                               init_basis)
+                               _scratch, apply_controlled_pauli_exp,
+                               apply_pauli_exp, init_basis)
 from z2wilson.wilson import hadamard_test_circuit, trotterized_program_circuit
 from z2wilson.gauge import (Z2Model, build_physical_sector,
                             embed_sector_coords, embed_state,
@@ -121,11 +120,10 @@ class TestExecutor:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_reset_flips_to_target(self):
-        # the flip moves the kept half bit for bit onto the target half and
-        # leaves exactly 0.0 behind, where an X rotation by pi/2 would
+        # the flip moves the measured half bit for bit onto the target half
+        # and leaves exactly 0.0 behind, where an X rotation by pi/2 would
         # leave cos(pi/2) = 6.1e-17.  Qubit 4 is an ancilla that starts in
-        # bit 1 and is known, so it is not measured; links 0 and 2 read 1
-        # with certainty and are measured
+        # bit 1; links 0 and 2 read 1 with certainty.  Every reset measures
         for qubit in (0, 2, 4):
             c = Circuit(4)
             c.alloc_ancilla(1)
@@ -135,8 +133,7 @@ class TestExecutor:
                 link.reshape(-1, 2, 1 << qubit)[:, 0] = 0.0
                 link /= np.linalg.norm(link)
             kept = extend_with_ancillas(StateVector(4, link), c).amps
-            if qubit < 4:
-                assert _measure_bit(kept, qubit, 5, None) == 1
+            assert _measure_bit(kept, qubit, 5, None) == 1
             out, outcomes = run_circuit(c, StateVector(4, link))
             assert outcomes[0] == 1
             before = kept.reshape(-1, 2, 1 << qubit)
@@ -170,10 +167,7 @@ class TestExecutor:
         # scratch buffers are warm, rotations at every kernel layout and on
         # both sides of each crossover, a "z" and an "x-" controlled group
         # and a reset allocate less than one state vector in total, and no
-        # scratch buffer is evicted and allocated again.  The sequence runs
-        # on a 16-qubit register, then as circuits run it: on the 16-qubit
-        # live block under a known ancilla, which two resets flip down and
-        # back up; either way it allocates less than one 16-qubit state
+        # scratch buffer is evicted and allocated again
         n = 16
         gates = [PauliExp(PauliString({q: ax}), 0.3)
                  for q in (0, 1, 2, 8, 11, 12, 13, n - 1) for ax in "XYZ"]
@@ -185,63 +179,17 @@ class TestExecutor:
                                      -np.pi / 2),
                   ResetAncilla(14, 0)]
         rng = np.random.Generator(np.random.Philox(3))
-
-        def run_twice(amps, gates, n_qubits, known):
-            apply_gates(amps, gates, n_qubits, rng, known)
-            misses = _scratch.cache_info().misses
-            tracemalloc.start()
-            try:
-                outcomes = apply_gates(amps, gates, n_qubits, rng, known)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < (1 << n) * amps.itemsize
-            assert _scratch.cache_info().misses == misses
-            return outcomes
-
-        run_twice(random_state(n, np.random.default_rng(2)), gates, n, None)
-
-        amps = np.zeros(1 << (n + 1), dtype=np.complex128)
-        amps[1 << n:] = random_state(n, np.random.default_rng(2))
-        tracked = gates + [ResetAncilla(n, 0), ResetAncilla(n, 1)]
-        outcomes = run_twice(amps, tracked, n + 1, {n: 1})
-        assert [outcomes[len(gates)], outcomes[len(gates) + 1]] == [1, 0]
-        assert not np.any(amps[: 1 << n])
-
-
-def reference_apply_gates(amps, gates, n, rng=None):
-    """The executor before known-bit tracking, as the reference: every
-    group on the whole register, every Measure and ResetAncilla through a
-    probability pass, and a reset's flip as X(pi/2) and a -i phase."""
-    outcomes = {}
-    gi = 0
-    while gi < len(gates):
-        gate = gates[gi]
-        if isinstance(gate, PauliExp):
-            pauli_exp_inplace(amps, gate.string, gate.theta, n)
-            gi += 1
-        elif isinstance(gate, ControlledPauliExp):
-            run = [gate]
-            while (gi + len(run) < len(gates)
-                   and isinstance(gates[gi + len(run)], ControlledPauliExp)
-                   and gates[gi + len(run)].control == gate.control
-                   and gates[gi + len(run)].basis == gate.basis):
-                run.append(gates[gi + len(run)])
-            _controlled_exps(amps, gate.control, gate.basis,
-                             [(g.string, g.theta) for g in run], n)
-            gi += len(run)
-        elif isinstance(gate, Measure):
-            outcomes[gi] = _measure_bit(amps, gate.qubit, n, rng)
-            gi += 1
-        else:
-            bit = _measure_bit(amps, gate.qubit, n, rng)
-            if bit != gate.target_bit:
-                pauli_exp_inplace(amps, PauliString({gate.qubit: "X"}),
-                                  np.pi / 2, n)
-                amps *= -1j
-            outcomes[gi] = bit
-            gi += 1
-    return outcomes
+        amps = random_state(n, np.random.default_rng(2))
+        apply_gates(amps, gates, n, rng)
+        misses = _scratch.cache_info().misses
+        tracemalloc.start()
+        try:
+            apply_gates(amps, gates, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << n) * amps.itemsize
+        assert _scratch.cache_info().misses == misses
 
 
 def random_link_string(rng, n_links, extra=None):
@@ -298,118 +246,6 @@ def random_circuit(seed):
             c.add(PauliExp(random_link_string(rng, n_links, extra=extra),
                            theta))
     return c
-
-
-class TestKnownBits:
-    """Executor runs on the live block while ancillas hold known bits."""
-
-    def test_values_match_the_reference(self, monkeypatch):
-        import z2wilson.circuits as circuits_mod
-
-        sizes = []
-        real = circuits_mod.pauli_exp_inplace
-
-        def recording(amps, p, theta, n):
-            sizes.append(amps.size < 1 << n_total)
-            return real(amps, p, theta, n)
-
-        monkeypatch.setattr(circuits_mod, "pauli_exp_inplace", recording)
-        for seed in range(40):
-            c = random_circuit(seed)
-            n_total = c.n_qubits
-            psi = StateVector(c.n_link_qubits, random_state(
-                c.n_link_qubits, np.random.default_rng(100 + seed)))
-            got, _ = run_circuit(c, psi)
-            want = extend_with_ancillas(psi, c).amps
-            reference_apply_gates(want, c.gates, n_total)
-            assert np.array_equal(got.amps, want), seed
-        assert any(sizes), "no gate ran on a block"
-
-    @pytest.mark.parametrize("mixer", ["v-chain", "odd-chain", "x-", "Y"])
-    @pytest.mark.parametrize("target", [0, 1])
-    def test_superposed_ancilla_is_measured_at_its_reset(self, mixer,
-                                                          target):
-        # the ancilla starts known; the mixer leaves it in superposition,
-        # so its re-check must fail and the reset must measure it
-        rng = np.random.default_rng(7)
-        n_links = 6
-        c = Circuit(n_links)
-        a = c.alloc_ancilla(1)
-        h = c.alloc_ancilla(0)
-        c.add(PauliExp(PauliString({h: "Y"}), 0.3))
-        if mixer == "v-chain":
-            mixing = v_chain(rng, n_links, a, 4)
-        elif mixer == "odd-chain":    # product phase i**3 = -i
-            mixing = v_chain(rng, n_links, a, 3)
-        elif mixer == "x-":
-            mixing = [ControlledPauliExp(a, "x-", PauliString({0: "Z"}), 0.4)]
-        else:
-            mixing = [PauliExp(PauliString({a: "Y"}), 0.6)]
-        gates = mixing + [
-            ControlledPauliExp(h, "z", PauliString({1: "X"}), 0.7),
-            ResetAncilla(a, target),
-            ControlledPauliExp(h, "z", PauliString({2: "X"}), -0.5),
-            PauliExp(PauliString({3: "Y", 4: "Z"}), 0.9),
-            Measure(a),
-        ]
-        for g in gates:
-            c.add(g)
-        for seed in range(6):
-            psi = StateVector(n_links, random_state(
-                n_links, np.random.default_rng(seed)))
-            got, got_outcomes = run_circuit(
-                c, psi, np.random.Generator(np.random.Philox(seed)))
-            want = extend_with_ancillas(psi, c).amps
-            want_outcomes = reference_apply_gates(
-                want, c.gates, c.n_qubits,
-                np.random.Generator(np.random.Philox(seed)))
-            assert got_outcomes == want_outcomes
-            assert np.max(np.abs(got.amps - want)) <= 1e-15
-
-    def test_measure_counts(self, monkeypatch):
-        # the Hadamard test of measure --nt 9 in the full space: the box
-        # resets find the box ancilla spin-down and run no probability pass
-        # (89 passes before), and the electric "z" groups on the Hadamard
-        # control run on the 2**17 amplitudes of the box ancilla's
-        # spin-down block (2**18 before)
-        import z2wilson.circuits as circuits_mod
-
-        passes, groups = [], []
-        real_measure = circuits_mod._measure_bit
-        real_group = circuits_mod._controlled_exps
-
-        def counting_measure(*args):
-            passes.append(1)
-            return real_measure(*args)
-
-        def recording_group(amps, control, basis, terms, n):
-            groups.append((amps.size, control, basis, terms))
-            return real_group(amps, control, basis, terms, n)
-
-        monkeypatch.setattr(circuits_mod, "_measure_bit", counting_measure)
-        monkeypatch.setattr(circuits_mod, "_controlled_exps",
-                            recording_group)
-        model = Z2Model(build_cross(), 10.0)
-        sector = build_physical_sector(model)
-        circuit, control = hadamard_test_circuit(model, staircase_default(), 9)
-        run_circuit(circuit, embed_state(
-            sector, sector_ground_state(model, sector)[1]))
-        box = max(circuit.ancilla_init)
-        assert circuit.ancilla_init[box] == 1
-        assert sum(isinstance(g, ResetAncilla) for g in circuit.gates) == 89
-        assert passes == []
-        def electric(strings):
-            return [p for p in strings
-                    if p.weight == 1 and p.terms[0][1] == "X"]
-
-        runs = [(size, electric(p for p, _ in terms))
-                for size, c, basis, terms in groups
-                if c == control and basis == "z"]
-        runs = [(size, xs) for size, xs in runs if xs]
-        n_x = len(electric(g.string for g in circuit.gates
-                           if isinstance(g, ControlledPauliExp)))
-        assert sum(len(xs) for _, xs in runs) == n_x == 320
-        assert {size for size, _ in runs} == {1 << 17}
 
 
 def blocks_to_full_space(blocks, model, circuit):
@@ -479,6 +315,32 @@ class TestBlockExecutor:
         assert resets == [True] * 89
         assert set(outcomes.values()) == {1}
         assert all(circuit.gates[gi].qubit == box for gi in outcomes)
+
+
+class TestParityFlip:
+    """Recognition of the V-chains that run_blocks runs as exact operators."""
+
+    def test_real_chain_gives_mask_and_flip(self):
+        # (i Z0)(i Z1 Z2) = -Z0 Z1 Z2; a -pi/2 or a -1 phase flips the sign
+        chain = [(PauliString({0: "Z"}), np.pi / 2),
+                 (PauliString({1: "Z", 2: "Z"}), np.pi / 2)]
+        assert _parity_flip(chain) == (0b111, 1)
+        chain[1] = (PauliString({1: "Z", 2: "Z"}, -1), np.pi / 2)
+        assert _parity_flip(chain) == (0b111, 0)
+        chain += [(PauliString({0: "Z", 3: "Z"}), np.pi / 2),
+                  (PauliString({3: "Z"}), -np.pi / 2)]
+        assert _parity_flip(chain) == (0b110, 0)
+
+    def test_other_groups_give_none(self):
+        z = [PauliString({q: "Z"}) for q in range(3)]
+        # odd chain: the product phase is i**3 = -i
+        assert _parity_flip([(p, np.pi / 2) for p in z]) is None
+        # an angle other than +-pi/2, or a string with an X factor
+        assert _parity_flip([(z[0], np.pi / 2),
+                             (z[1], np.pi / 2 + 1e-15)]) is None
+        assert _parity_flip([(z[0], np.pi / 2), (z[1], 0.3)]) is None
+        assert _parity_flip([(PauliString({0: "X"}), np.pi / 2),
+                             (z[1], np.pi / 2)]) is None
 
 
 class TestCensusAndExport:

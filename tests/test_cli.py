@@ -326,6 +326,18 @@ class TestMeasure:
             assert not out_path.exists()
             assert err.startswith(f"error: {message}")
             assert err.count("error: ") == 1
+        # the builtin holds the cross's link numbers: off the cross the
+        # refusal says so and asks for a program file
+        for lattice in ("rect:2x2", "rect:3x3"):
+            code, out, err = run_main(capsys, command, "--lattice", lattice,
+                                      "--nt", "1", "--out", str(out_path))
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert not out_path.exists()
+            assert err.startswith("error: builtin program 'staircase-default'"
+                                  " holds the cross's link numbers")
+            assert "--program FILE" in err
+            assert err.count("error: ") == 1
 
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
@@ -511,6 +523,23 @@ class TestValidateCommand:
         assert out == ""
         assert err.startswith("error: lattice file")
         assert err.count("\n") == 1 and err.count("error:") == 1
+
+    @pytest.mark.parametrize("lattice", ["rect:2x2", "rect:3x3"])
+    def test_builtin_program_off_the_cross(self, capsys, lattice):
+        code, out, err = run_main(capsys, "validate", "--lattice", lattice,
+                                  "--program", "staircase-default")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "holds the cross's link numbers" in err
+        assert "--program FILE" in err
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
+    def test_builtin_program_on_the_cross(self, capsys):
+        code, out, err = run_main(capsys, "validate", "--program",
+                                  "staircase-default")
+        assert code == EXIT_OK
+        assert out.endswith("ok\n") and "error" not in out
+        assert err == ""
 
     def test_program_checked_when_given(self, capsys, tmp_path):
         prog = tmp_path / "bad.prog"

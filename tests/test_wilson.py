@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conftest import dense_pauli, expm_i_hermitian, random_state
-from z2wilson import statevec
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
                                circuit_stats, link_register_block,
                                run_circuit, star_commutation_report)
@@ -25,7 +24,7 @@ from z2wilson.trotter import (exact_loop_operator, trotter_evolve,
                               trotterized_loop_operator)
 from z2wilson.wilson import (closure_strings,
                              conjugated_temporal_plaquette, controlled_loop,
-                             hadamard_test, hadamard_test_circuit,
+                             hadamard_test,
                              hop_strings, link_loop_circuit,
                              link_wilson_line, plaquette_exp_via_ancilla,
                              prepare_minus, prepare_plus,
@@ -503,40 +502,6 @@ class TestHadamardTest:
         assert s1 == s2
         p = hadamard_test(model, sector, coords, prog, 1)
         assert abs(s1 - p) <= 5 * np.sqrt(p * (1 - p) / 500) + 1e-9
-
-    def test_box_chains_run_as_swaps_without_branch_copies(
-            self, cross_model, cross_ground, monkeypatch):
-        # in the full-space executor every box V-chain is a parity swap:
-        # the Hadamard control's prepare and unprepare are the only Y
-        # rotations over the whole register, and no controlled branch is
-        # copied
-        calls = {"Y": 0, "swap": 0, "copy": 0}
-        real_exp = statevec._single_qubit_exp
-        real_swap = statevec._parity_swap
-        real_copy = statevec._copied_branch_exps
-
-        def exp(amps, qubit, axis, theta, n):
-            calls["Y"] += axis == "Y" and amps.size == 1 << n
-            real_exp(amps, qubit, axis, theta, n)
-
-        def swap(*args):
-            calls["swap"] += 1
-            real_swap(*args)
-
-        def copy(*args):
-            calls["copy"] += 1
-            real_copy(*args)
-
-        monkeypatch.setattr(statevec, "_single_qubit_exp", exp)
-        monkeypatch.setattr(statevec, "_parity_swap", swap)
-        monkeypatch.setattr(statevec, "_copied_branch_exps", copy)
-        _, gs = cross_ground
-        circuit, _ = hadamard_test_circuit(cross_model, staircase_default(), 2)
-        run_circuit(circuit, gs)
-        v_gates = sum(1 for g in circuit.gates
-                      if getattr(g, "basis", None) == "x-")
-        assert v_gates > 0
-        assert calls == {"Y": 2, "swap": v_gates // 4, "copy": 0}
 
     def test_zero_shots_rejected(self, rect21):
         lat, model, sector = rect21
