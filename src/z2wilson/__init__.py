@@ -41,5 +41,6 @@ from .wilson import (conjugated_temporal_plaquette, controlled_loop,
                      hadamard_test, link_loop_circuit, link_loop_closure,
                      link_wilson_line, plaquette_exp_via_ancilla,
                      rect_loop_link_circuit, rect_loop_plaquette_circuit,
-                     spatial_loop_direct, spatial_loop_via_ancilla,
+                     sample_p_plus, spatial_loop_direct,
+                     spatial_loop_via_ancilla,
                      temporal_plaquette_exact, trotterized_program_circuit)

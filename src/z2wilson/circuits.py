@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gauge import PhysicalSector, Z2Model, build_physical_sector, xor_perm
+from .gauge import (PhysicalSector, Z2Model, build_physical_sector,
+                    moved_charges, xor_perm)
 from .lattice import Lattice
 from .statevec import (PauliString, StateVector, _bit_probability,
                        _controlled_exps, _qubit_blocks, pauli_exp_inplace)
@@ -347,26 +348,20 @@ class _BlockRun:
                 raise CircuitError(f"exponent of non-Hermitian string {p}")
             xm, zm, ny = p.masks()
             links = (1 << self.n) - 1
-            odd = 0             # vertices whose charge the flip toggles
-            for li in range(self.n):
-                if zm >> li & 1:
-                    a, b = self.model.lattice.links[li]
-                    odd ^= (1 << a) ^ (1 << b)
             src = self.cols ^ (xm >> self.n)
             fac = p.phase * 1j ** ny * (
                 1.0 - 2.0 * (np.bitwise_count(src & (zm >> self.n)) & 1))
-            self.strings[p] = (zm & links, xm & links, odd,
+            self.strings[p] = (zm & links, xm & links,
                                src if xm >> self.n else None, fac)
         return self.strings[p]
 
     def act(self, state: Blocks, p: PauliString) -> Blocks:
         """P applied to every block (exact: a gather and unit factors)."""
-        flip, sign, odd, src, fac = self.string(p)
+        flip, sign, src, fac = self.string(p)
         out = {}
         for key, blk in state.items():
             if (key, p) not in self.moves:
-                dst = tuple(-q if odd >> v & 1 else q
-                            for v, q in enumerate(key))
+                dst = moved_charges(self.model.lattice, key, flip)
                 masks = self.sector(dst).masks
                 perm = (xor_perm(self.sector(key).masks, masks, flip)
                         if flip else None)

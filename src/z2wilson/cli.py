@@ -130,6 +130,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 setattr(cfg, key, int(value))
             except ValueError as exc:
                 raise ConfigError(f"bad integer for {key}: {value!r}") from exc
+            if cfg.shots < 0:
+                raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
         else:
             setattr(cfg, key, str(value))
     return cfg
@@ -341,7 +343,8 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     lat = resolve_lattice(cfg)      # refuses an invalid lattice file
-    if "program" in getattr(cfg, "_explicit", set()):
+    # --tau is a parameter of the builtin programs, so it is checked too
+    if {"program", "tau"} & getattr(cfg, "_explicit", set()):
         diags = validate_program(lat, resolve_program(cfg))
         errs = [d for d in diags if d.startswith("error:")]
         if errs and cfg.program in BUILTIN_PROGRAMS:

@@ -77,6 +77,17 @@ def _link_mask(links) -> int:
     return sum(1 << li for li in _odd_links(links))
 
 
+def moved_charges(lattice: Lattice, charges, mask: int) -> tuple[int, ...]:
+    """Star charges reached from ``charges`` by sigma_3 on the links in
+    ``mask``: each link flips the charges of its two endpoints."""
+    out = list(charges)
+    for li, (a, b) in enumerate(lattice.links):
+        if mask >> li & 1:
+            out[a] = -out[a]
+            out[b] = -out[b]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PhysicalSector:
     """Joint star eigenspace in the electric basis.

@@ -19,6 +19,7 @@ reported as a note, not an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lattice import Lattice, _odd_links, build_cross
@@ -26,6 +27,13 @@ from .lattice import Lattice, _odd_links, build_cross
 
 class ProgramError(ValueError):
     pass
+
+
+def _finite_tau(tau, step: str) -> float:
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ProgramError(f"{step} tau must be finite, got {tau}")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -42,13 +50,16 @@ class Temporal:
     modified_links: frozenset[int]
 
     def __init__(self, tau, modified_links):
-        object.__setattr__(self, "tau", float(tau))
+        object.__setattr__(self, "tau", _finite_tau(tau, "temporal step"))
         object.__setattr__(self, "modified_links", frozenset(modified_links))
 
 
 @dataclass(frozen=True)
 class FreeEvolve:
     tau: float
+
+    def __post_init__(self):
+        _finite_tau(self.tau, "free evolution")
 
     @property
     def modified_links(self) -> frozenset[int]:

@@ -17,22 +17,14 @@ The kernels accept either a single vector (2**n,) or a stack of column
 vectors (2**n, k); the second form is used to push whole operator bases
 through a gate sequence in one pass.
 
-Gate kernels update the amplitudes in place.  A single-qubit rotation on
-a 1-D state of at least 2**14 amplitudes picks a cache-sized layout from
-the qubit's run length 2**qubit.  Runs shorter than 2**12 are too short
-for numpy's inner loops, so the state is walked in contiguous blocks and
-each amplitude's partner is gathered with ``np.take(..., mode="clip")``
-(the default "raise" mode copies its whole output).  Longer runs mix the
-two half-slices in pieces of at most 2**13 elements, so that the pieces
-and their products stay in cache.  Smaller states, stacks and Z rotations
-at long runs work on the whole half-slices.  Every layout performs the
-same floating-point operations on every amplitude, so the result is
-bit-identical whichever layout runs: no layout uses a BLAS product, fuses
-phases or reorders a sum.  The products the kernels need and the
-sign-flipped copy for a diagonal string go into reusable scratch buffers
-keyed by element count, so applying a gate allocates nothing of state
-size.  Only strings with X or Y factors on more than one qubit still build
-their action out of place.
+Gate kernels update the amplitudes in place.  A single-qubit rotation
+works on the qubit's two whole half-slices, viewed as (hi, 2, lo[, k]).
+No kernel uses a BLAS product, fuses phases or reorders a sum, so each
+is bit-identical to its plain formula.  The products the kernels need
+and the sign-flipped copy for a diagonal string go into reusable scratch
+buffers keyed by element count, so applying a gate allocates nothing of
+state size.  Only strings with X or Y factors on more than one qubit
+still build their action out of place.
 
 A controlled group runs on a copy of its control's branch, taken as the
 compressed half-register, so it goes through the same kernels and the
@@ -201,7 +193,7 @@ def _scratch(size: int, slot: str = "kernel", dtype=np.complex128
              ) -> np.ndarray:
     """Reusable flat work buffer of ``size`` elements.
 
-    Keyed by element count, not shape, so every layout of the same size
+    Keyed by element count, not shape, so every shape of the same size
     (a vector, a stack of columns, the two halves of a larger register)
     shares one buffer.  ``slot`` separates buffers that are live at the
     same time: a controlled branch copied into the "branch" buffer is
@@ -265,25 +257,25 @@ def _bit_probability(amps: np.ndarray, n_qubits: int, qubit: int,
     return float(sq.sum())
 
 
-# Layouts of _single_qubit_exp.  A block and its products stay in L2
-# cache; the crossover between gathered rows and half-slice pieces comes
-# from per-qubit timings on 2**17 and 2**18 amplitudes.
-_BLOCK = 1 << 14        # 256 KiB of complex128
-_LONG_RUN = 1 << 12     # shortest run mixed as half-slice pieces
-_MIN_ROW = 1 << 10      # shortest row a per-row scale pattern is tiled over
+def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
+                      n_qubits: int) -> None:
+    """e^{i theta sigma_axis(qubit)} in place, on the qubit's two half-slices.
 
-
-@lru_cache(maxsize=16)
-def _partner_table(lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Over one block: each index's partner (index ^ lo), and whether the
-    index has bit lo set."""
-    idx = np.arange(_BLOCK, dtype=np.intp)
-    return _readonly(idx ^ lo), _readonly((idx & lo) != 0)
-
-
-def _mix_halves(a0: np.ndarray, a1: np.ndarray, axis: str, c: float, mix,
-                t0: np.ndarray, t1: np.ndarray) -> None:
-    """X or Y mix of two matching half-slices, with products in t0, t1."""
+    Z scales the halves by e^{+-i theta}; X and Y set a0 <- c a0 + m a1 and
+    a1 <- c a1 +- m a0 (m = i sin theta for X, sin theta for Y), with the
+    two products in a scratch buffer, so nothing of state size is
+    allocated per call.  No BLAS product, fused phase or reordered sum:
+    the result is bit-identical to the plain formula.
+    """
+    v = _qubit_blocks(amps, n_qubits, qubit)
+    if axis == "Z":
+        v[:, 0] *= np.exp(1j * theta)
+        v[:, 1] *= np.exp(-1j * theta)
+        return
+    c, s = np.cos(theta), np.sin(theta)
+    mix = 1j * s if axis == "X" else s
+    a0, a1 = v[:, 0], v[:, 1]
+    t0, t1 = _scratch(2 * a0.size).reshape((2,) + a0.shape)
     np.multiply(a1, mix, out=t0)
     np.multiply(a0, mix, out=t1)
     a0 *= c
@@ -293,88 +285,6 @@ def _mix_halves(a0: np.ndarray, a1: np.ndarray, axis: str, c: float, mix,
         a1 += t1
     else:
         a1 -= t1
-
-
-def _row_exp(amps: np.ndarray, lo: int, axis: str, theta: float) -> None:
-    """Short-run layout of :func:`_single_qubit_exp` for a 1-D state.
-
-    The amplitudes are taken as rows of ``row`` elements, over which the
-    qubit's bit pattern repeats.  Z multiplies every row by a phase row.
-    X and Y gather each block's partner amplitudes into a scratch block,
-    scale them row by row, and accumulate them into the block.
-    """
-    partner, upper = _partner_table(lo)
-    row = max(_MIN_ROW, 2 * lo)
-    if axis == "Z":
-        rows = amps.reshape(-1, row)
-        rows *= np.where(upper[:row], np.exp(-1j * theta), np.exp(1j * theta))
-        return
-    c, s = np.cos(theta), np.sin(theta)
-    if axis == "X":
-        mix = 1j * s
-    else:  # the upper half subtracts a0 * s; a0 * (-s) is -(a0 * s) exactly
-        mix = np.where(upper[:row], complex(-s), complex(s))
-    g = _scratch(_BLOCK)
-    g_rows = g.reshape(-1, row)
-    for blk in amps.reshape(-1, _BLOCK):
-        np.take(blk, partner, out=g, mode="clip")
-        g_rows *= mix
-        blk *= c
-        blk += g
-
-
-def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
-                      n_qubits: int) -> None:
-    """e^{i theta sigma_axis(qubit)} in place.
-
-    Z scales the qubit's two halves by e^{+-i theta}; X and Y set
-    a0 <- c a0 + m a1 and a1 <- c a1 +- m a0 (m = i sin theta for X,
-    sin theta for Y).  Three layouts run these operations, chosen by the
-    run length lo = 2**qubit:
-
-    * short runs (1-D state of at least _BLOCK amplitudes, lo < _LONG_RUN;
-      for Z, 2 <= lo): half-slices this short starve numpy's inner
-      loops, so the state is walked in contiguous rows and blocks and each
-      amplitude's partner is gathered with ``np.take(..., mode="clip")``
-      (:func:`_row_exp`); the default "raise" mode would copy its whole
-      output on every call;
-    * long runs (same states, lo >= _LONG_RUN, X or Y): the half-slices
-      piece by piece, at most _BLOCK // 2 elements each, so that the six
-      passes of the mix run in cache;
-    * otherwise (Z at qubit 0 and at long runs, stacked (2**n, k) inputs,
-      and states below one block, which fit in cache whole): whole
-      half-slices.
-
-    Every layout performs the same floating-point operations on every
-    amplitude, so the output is bit-identical whichever layout runs; none
-    may use a BLAS product, fuse phases or reorder a sum.  The products go
-    into a scratch buffer, so nothing of state size is allocated per call.
-    """
-    lo = 1 << qubit
-    blocked = amps.ndim == 1 and amps.size >= _BLOCK
-    # Z at qubit 0 is one long strided pass per half, no slower than rows
-    if blocked and lo < _LONG_RUN and (axis != "Z" or lo > 1):
-        _row_exp(amps, lo, axis, theta)
-        return
-    v = _qubit_blocks(amps, n_qubits, qubit)
-    if axis == "Z":
-        v[:, 0] *= np.exp(1j * theta)
-        v[:, 1] *= np.exp(-1j * theta)
-        return
-    c, s = np.cos(theta), np.sin(theta)
-    mix = 1j * s if axis == "X" else s
-    if blocked:
-        piece = min(lo, _BLOCK // 2)
-        buf = _scratch(_BLOCK)
-        t0, t1 = buf[:piece], buf[piece: 2 * piece]
-        for h in amps.reshape(-1, 2, lo // piece, piece):
-            for a0, a1 in zip(h[0], h[1]):
-                _mix_halves(a0, a1, axis, c, mix, t0, t1)
-        return
-    a0, a1 = v[:, 0], v[:, 1]
-    buf = _scratch(2 * a0.size)
-    _mix_halves(a0, a1, axis, c, mix, buf[: a0.size].reshape(a0.shape),
-                buf[a0.size:].reshape(a0.shape))
 
 
 def _diagonal_exp(amps: np.ndarray, zmask: int, theta: float,

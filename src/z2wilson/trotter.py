@@ -26,7 +26,8 @@ import numpy as np
 from .gauge import (PhysicalSector, SectorOperator, Z2Model, _link_mask,
                     build_physical_sector, electric_diag,
                     embed_sector_coords, exact_evolve_in_sector,
-                    plaquette_string, project_to_sector, xor_perm)
+                    moved_charges, plaquette_string, project_to_sector,
+                    xor_perm)
 from .lattice import _odd_links
 from .programs import LoopProgram, ProgramError, Spatial, program_errors
 from .statevec import (PauliString, StateVector, pauli_apply_inplace,
@@ -125,12 +126,8 @@ class _SectorTracker:
     def spatial_perm(self, links) -> np.ndarray:
         """Row permutation realizing prod sigma_3; updates the sector."""
         mask = _link_mask(links)
-        charges = list(self.current.charges)
-        for li, (a, b) in enumerate(self.model.lattice.links):
-            if mask >> li & 1:
-                charges[a] *= -1
-                charges[b] *= -1
-        old, self.current = self.current, self.sector_for(tuple(charges))
+        old, self.current = self.current, self.sector_for(
+            moved_charges(self.model.lattice, self.current.charges, mask))
         return xor_perm(old.masks, self.current.masks, mask)
 
 
@@ -288,15 +285,13 @@ def fit_power_law(rows) -> PowerLawFit:
 
 
 def sweep(model: Z2Model, program: LoopProgram, psi: StateVector, n_T_list,
-          sector: PhysicalSector | None = None) -> FidelityReport:
+          sector: PhysicalSector) -> FidelityReport:
     """Both fidelities per n_T against one exact oracle W.
 
-    ``psi`` is a normalized full-space state inside the physical sector
-    (typically the ground state).  Entries are independent; the report is
-    ordered by n_T.  The sector is enumerated on demand when not supplied.
+    ``psi`` is a normalized full-space state inside the physical
+    ``sector`` (typically the ground state).  Entries are independent; the
+    report is ordered by n_T.
     """
-    if sector is None:
-        sector = build_physical_sector(model)
     n_T_list = list(n_T_list)
     if not n_T_list:
         raise ValueError("n_T list is empty")

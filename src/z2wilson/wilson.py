@@ -23,7 +23,8 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Measure,
                        PauliExp, ResetAncilla, block_bit_probability,
                        run_blocks)
 from .gauge import (PhysicalSector, SectorOperator, Z2Model,
-                    build_physical_sector, exact_evolve_in_sector, xor_perm)
+                    build_physical_sector, exact_evolve_in_sector,
+                    moved_charges, xor_perm)
 from .lattice import Lattice
 from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                        Temporal)
@@ -140,11 +141,8 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
     lat = model.lattice
     if not 0 <= link < lat.n_links:
         raise ValueError(f"link {link} out of range")
-    a, b = lat.links[link]
-    charges = list(sector.charges)
-    charges[a] *= -1
-    charges[b] *= -1
-    charged = build_physical_sector(model, charges)
+    charged = build_physical_sector(
+        model, moved_charges(lat, sector.charges, 1 << link))
     u_charged = exact_evolve_in_sector(model, charged, tau).matrix
     perm = xor_perm(charged.masks, sector.masks, 1 << link)
     return SectorOperator(u_charged[np.ix_(perm, perm)])
@@ -362,27 +360,17 @@ def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
 
 
 def hadamard_test(model: Z2Model, sector: PhysicalSector, coords: np.ndarray,
-                  program: LoopProgram, n_T: int, shots: int | None = None,
-                  rng: np.random.Generator | None = None) -> float:
+                  program: LoopProgram, n_T: int) -> float:
     """p_+ of the ancilla-controlled Trotterized loop on a sector state.
 
     The circuit runs once, on the Gauss-law blocks of the sector
     coordinates ``coords`` (:func:`z2wilson.circuits.run_blocks`), and
     p_+ = <psi|(2 + W + W^dag)/4|psi> is read from the final amplitudes.
-    Exact mode (shots None) returns it; sampling mode returns the
-    observed frequency of the |+> outcome over the requested number of
-    shots, drawn from that same p_+ by :func:`sample_p_plus`.
+    Shots are drawn from it by :func:`sample_p_plus`.
     """
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1 (or None for exact mode)")
     circuit, control = hadamard_test_circuit(model, program, n_T)
     final, _ = run_blocks(circuit, model, sector, coords)
-    p_plus = block_bit_probability(final, circuit, control, 0)
-    if shots is None:
-        return p_plus
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
-    return sample_p_plus(p_plus, shots, rng)
+    return block_bit_probability(final, circuit, control, 0)
 
 
 def sample_p_plus(p_plus: float, shots: int, rng: np.random.Generator
@@ -391,6 +379,8 @@ def sample_p_plus(p_plus: float, shots: int, rng: np.random.Generator
 
     One binomial draw at p_plus, clamped to [0, 1] against rounding.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     return float(rng.binomial(shots, min(max(p_plus, 0.0), 1.0)) / shots)
 
 

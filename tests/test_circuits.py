@@ -164,10 +164,10 @@ class TestExecutor:
 
     def test_gate_sequence_allocates_less_than_one_state(self):
         # gates update the amplitudes in place: once the kernel caches and
-        # scratch buffers are warm, rotations at every kernel layout and on
-        # both sides of each crossover, a "z" and an "x-" controlled group
-        # and a reset allocate less than one state vector in total, and no
-        # scratch buffer is evicted and allocated again
+        # scratch buffers are warm, rotations at short and long runs, a "z"
+        # and an "x-" controlled group and a reset allocate less than one
+        # state vector in total, and no scratch buffer is evicted and
+        # allocated again
         n = 16
         gates = [PauliExp(PauliString({q: ax}), 0.3)
                  for q in (0, 1, 2, 8, 11, 12, 13, n - 1) for ax in "XYZ"]

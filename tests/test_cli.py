@@ -339,6 +339,31 @@ class TestMeasure:
             assert "--program FILE" in err
             assert err.count("error: ") == 1
 
+    def test_negative_shots_refused_before_output(self, capsys):
+        code, out, err = run_main(capsys, "measure", "--nt", "2", "--shots",
+                                  "-5")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: shots must be >= 0, got -5\n"
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "sweep", "measure", "export-circuit"])
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_non_finite_tau_refused_before_output(self, capsys, tmp_path,
+                                                  command, tau):
+        # from --tau through the builtin and from a program file alike
+        prog = tmp_path / "tau.prog"
+        prog.write_text(f"TEMPORAL {tau} 1 2\n")
+        out_path = tmp_path / "out"
+        for args in (["--tau", tau], ["--program", str(prog)]):
+            code, out, err = run_main(capsys, command, "--nt", "2",
+                                      "--out", str(out_path), *args)
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert not out_path.exists()
+            assert err == ("error: temporal step tau must be finite, "
+                           f"got {tau}\n")
+
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
         vals = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()}

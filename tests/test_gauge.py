@@ -12,10 +12,11 @@ import pytest
 
 from conftest import dense_pauli, expm_i_hermitian
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
-                            build_physical_sector, embed_sector_coords,
-                            embed_state, exact_evolve_in_sector,
-                            gauge_violation, ground_state,
-                            hamiltonian_in_sector, project_to_sector,
+                            _link_mask, build_physical_sector,
+                            embed_sector_coords, embed_state,
+                            exact_evolve_in_sector, gauge_violation,
+                            ground_state, hamiltonian_in_sector,
+                            moved_charges, project_to_sector,
                             sector_basis_dump, sector_gauge_violation,
                             sector_ground_state, sector_spectrum,
                             spatial_loop_in_sector, star_operator, xor_perm)
@@ -120,6 +121,23 @@ class TestPhysicalSector:
         sec = build_physical_sector(cross_model, charges)
         assert sec.dim == 32
         assert not sec.is_physical()
+
+    def test_moved_charges_hold_the_flipped_masks(self, cross_model,
+                                                   cross_sector):
+        # sigma_3 on a link mask moves every sector mask m to m ^ mask; the
+        # moved charge pattern's sector holds exactly those masks
+        lat = cross_model.lattice
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            mask = int(rng.integers(1, 1 << lat.n_links))
+            charges = moved_charges(lat, cross_sector.charges, mask)
+            moved = build_physical_sector(cross_model, charges)
+            want = np.sort(cross_sector.masks ^ np.uint64(mask))
+            assert np.array_equal(moved.masks, want)
+            assert moved_charges(lat, charges, mask) == cross_sector.charges
+        assert moved_charges(lat, cross_sector.charges,
+                             _link_mask(lat.plaquettes[0])) == \
+            cross_sector.charges
 
     def test_odd_charge_pattern_rejected(self, cross_model):
         charges = [1] * cross_model.lattice.n_vertices

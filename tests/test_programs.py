@@ -14,6 +14,20 @@ class TestSteps:
         assert t.modified_links == frozenset({1, 3})
         assert t.tau == 1.5
 
+    @pytest.mark.parametrize("tau", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_non_finite_tau_refused(self, tau):
+        with pytest.raises(ProgramError, match="tau must be finite"):
+            Temporal(tau, {0})
+        with pytest.raises(ProgramError, match="tau must be finite"):
+            FreeEvolve(tau)
+        with pytest.raises(ProgramError, match="tau must be finite"):
+            staircase_default(tau)
+        with pytest.raises(ProgramError, match="tau must be finite"):
+            program_from_text(f"TEMPORAL {tau} 1 2\n")
+        with pytest.raises(ProgramError, match="tau must be finite"):
+            program_from_text(f"EVOLVE {tau}\n")
+
     def test_program_total_time(self):
         prog = LoopProgram([Spatial([0]), Temporal(1.0, {0}),
                             FreeEvolve(0.5)])

@@ -260,7 +260,7 @@ class TestControlled:
 
 def half_slice_exp(amps, qubit, axis, theta, n):
     """Reference single-qubit rotation: the whole-half-slice formula that
-    every kernel layout must reproduce bit for bit."""
+    the kernel must reproduce bit for bit."""
     v = amps.reshape((1 << (n - 1 - qubit), 2, 1 << qubit) + amps.shape[1:])
     if axis == "Z":
         v[:, 0] *= np.exp(1j * theta)
@@ -287,8 +287,8 @@ LAYOUT_THETAS = (0.3, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2)
 
 
 class TestKernelLayouts:
-    # 16 qubits put every qubit position, and so every layout and both
-    # sides of every crossover, under test; stacks take the whole-slice path
+    # every qubit position of 16, from runs of one amplitude to one
+    # half-register, on a 1-D state and on a stack of columns
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("axis", "XYZ")
     def test_rotation_bit_identical_to_half_slice_formula(self, axis,
@@ -309,7 +309,7 @@ class TestKernelLayouts:
     @pytest.mark.parametrize("control, basis", [(12, "z"), (15, "x-")])
     def test_controlled_group_bit_identical(self, control, basis):
         # the copied branch of a middle ("z", control 12) and of the top
-        # control, each with rotations across layouts
+        # control, each with rotations at short and long runs
         n = 16
         terms = list(zip((0, 1, 5, 11, 13, 14, 3), "XYZXYZY",
                          LAYOUT_THETAS + (0.7, -1.2)))

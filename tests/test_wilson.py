@@ -30,7 +30,8 @@ from z2wilson.wilson import (closure_strings,
                              prepare_minus, prepare_plus,
                              rect_loop_link_circuit,
                              rect_loop_plaquette_circuit, rect_perimeter_links,
-                             spatial_loop_direct, spatial_loop_via_ancilla,
+                             sample_p_plus, spatial_loop_direct,
+                             spatial_loop_via_ancilla,
                              temporal_plaquette_exact,
                              trotterized_program_circuit)
 
@@ -495,19 +496,19 @@ class TestHadamardTest:
         rng = np.random.default_rng(16)
         coords = random_coords(sector, rng)
         prog = LoopProgram([Spatial(lat.plaquettes[0])])
+        p = hadamard_test(model, sector, coords, prog, 1)
         g1 = np.random.Generator(np.random.Philox(11))
         g2 = np.random.Generator(np.random.Philox(11))
-        s1 = hadamard_test(model, sector, coords, prog, 1, shots=500, rng=g1)
-        s2 = hadamard_test(model, sector, coords, prog, 1, shots=500, rng=g2)
+        s1 = sample_p_plus(p, 500, g1)
+        s2 = sample_p_plus(p, 500, g2)
         assert s1 == s2
-        p = hadamard_test(model, sector, coords, prog, 1)
         assert abs(s1 - p) <= 5 * np.sqrt(p * (1 - p) / 500) + 1e-9
 
-    def test_zero_shots_rejected(self, rect21):
-        lat, model, sector = rect21
-        with pytest.raises(ValueError):
-            hadamard_test(model, sector, np.zeros(sector.dim, dtype=complex),
-                          LoopProgram([]), 1, shots=0)
+    def test_zero_shots_rejected(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        for shots in (0, -5):
+            with pytest.raises(ValueError, match="shots"):
+                sample_p_plus(0.5, shots, rng)
 
 
 class TestGaugeInvariance:
