@@ -22,11 +22,12 @@ from .statevec import (PauliString, StateVector, apply_controlled_pauli_exp,
                        inner, qubit_purity, reduced_qubit_density)
 from .gauge import (DegenerateGroundStateWarning, PhysicalSector,
                     SectorOperator, Z2Model, build_physical_sector,
-                    electric_diag, exact_evolve_in_sector, gauge_violation,
-                    ground_state, hamiltonian_in_sector, sector_basis_dump,
+                    cycle_order, electric_diag, exact_evolve_in_sector,
+                    gauge_violation, ground_state, hamiltonian_in_sector,
+                    sector_basis_dump,
                     sector_gauge_violation, sector_ground_state,
-                    sector_spectrum, spatial_loop_in_sector, star_operator,
-                    xor_perm)
+                    sector_spectrum, spatial_loop_in_sector, spectral_bound,
+                    star_operator, xor_perm)
 from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                        Temporal, program_from_text, program_to_text,
                        staircase_default, validate_program)

@@ -25,11 +25,13 @@ from .circuits import circuit_to_text
 from .gauge import (DegenerateGroundStateWarning, GaugeError,
                     PhysicalSector, Z2Model, build_physical_sector,
                     ground_state, sector_basis_dump,
-                    sector_gauge_violation, sector_ground_state)
+                    sector_gauge_violation, sector_ground_state,
+                    spectral_bound)
 from .lattice import (Lattice, build_cross, build_rect, lattice_from_text,
                       validate)
-from .programs import (BUILTIN_PROGRAMS, LoopProgram, ProgramError,
-                       program_errors, program_from_text, validate_program)
+from .programs import (BUILTIN_PROGRAMS, LoopProgram, ProgramError, Spatial,
+                       Temporal, program_errors, program_from_text,
+                       validate_program)
 from .trotter import (exact_loop_operator, report_to_csv, sweep,
                       trotterized_loop_operator)
 from .wilson import (hadamard_test, rect_loop_link_circuit,
@@ -125,13 +127,17 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 setattr(cfg, key, float(value))
             except ValueError as exc:
                 raise ConfigError(f"bad float for {key}: {value!r}") from exc
+            if key == "threshold" and not np.isfinite(cfg.threshold):
+                raise ConfigError(f"threshold must be finite, "
+                                  f"got {cfg.threshold}")
         elif key in ("shots", "seed"):
             try:
                 setattr(cfg, key, int(value))
             except ValueError as exc:
                 raise ConfigError(f"bad integer for {key}: {value!r}") from exc
-            if cfg.shots < 0:
-                raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
+            if getattr(cfg, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, "
+                                  f"got {getattr(cfg, key)}")
         else:
             setattr(cfg, key, str(value))
     return cfg
@@ -206,6 +212,7 @@ def _setup(cfg: RunConfig, with_program: bool = True
     """
     model = Z2Model(resolve_lattice(cfg), cfg.lam)
     program = _checked_program(cfg, model.lattice) if with_program else None
+    _check_overflow(model, program)
     return model, program, build_physical_sector(model)
 
 
@@ -230,6 +237,33 @@ def _checked_program(cfg: RunConfig, lattice: Lattice) -> LoopProgram:
     if errs:
         raise _program_refusal(cfg, errs[0])
     return program
+
+
+def _check_overflow(model: Z2Model, program: LoopProgram | None) -> None:
+    """Refuse a coupling whose energies, or a step whose phases, overflow.
+
+    Every energy is at most the Gershgorin bound of
+    :func:`spectral_bound`, and every phase of an evolution step, exact or
+    Trotterized, at most |tau| times it.  A finite tau and lambda can
+    still make either inf, and the run would then print inf or nan, or
+    fail part-way through its output.
+    """
+    bound = spectral_bound(model)
+    if not np.isfinite(bound):
+        raise ConfigError(
+            f"energies must be finite, got n_links + |lambda| * n_plaq = "
+            f"{bound} at lambda={model.lam}")
+    for step in program.steps if program else ():
+        if isinstance(step, Spatial):
+            continue
+        kind = ("temporal step" if isinstance(step, Temporal)
+                else "free evolution")
+        phase = abs(step.tau) * bound
+        if not np.isfinite(phase):
+            raise ConfigError(
+                f"{kind} phases must be finite, got |tau| * (n_links + "
+                f"|lambda| * n_plaq) = {phase} at tau={step.tau}, "
+                f"lambda={model.lam}")
 
 
 def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
@@ -323,6 +357,7 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
     model = Z2Model(lat, cfg.lam)
     if cfg.kind == "program":
         program = _checked_program(cfg, lat)
+        _check_overflow(model, program)
         circuit = trotterized_program_circuit(model, program, cfg.nt[0])
     elif cfg.kind == "plaquette-loop":
         if not cfg.lattice.startswith("rect:"):
@@ -343,8 +378,12 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     lat = resolve_lattice(cfg)      # refuses an invalid lattice file
+    explicit = getattr(cfg, "_explicit", set())
+    # energies and phases overflow through lambda and the program's taus
+    if {"program", "tau", "lam"} & explicit:
+        _check_overflow(Z2Model(lat, cfg.lam), resolve_program(cfg))
     # --tau is a parameter of the builtin programs, so it is checked too
-    if {"program", "tau"} & getattr(cfg, "_explicit", set()):
+    if {"program", "tau"} & explicit:
         diags = validate_program(lat, resolve_program(cfg))
         errs = [d for d in diags if d.startswith("error:")]
         if errs and cfg.program in BUILTIN_PROGRAMS:

@@ -14,11 +14,14 @@ sector is enumerated from a basis of that cycle space, never by scanning
 all 2**L masks, so its cost follows the sector dimension 2**(L-V+1).
 
 The sector is the primary representation.  Its masks are sorted, and a
-mask is looked up by ``searchsorted``: every sigma_3 string or plaquette
-is the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
-term is the diagonal :func:`electric_diag`.  The Hamiltonian is a small
-dense matrix (32 x 32 on the cross).  The ground state, its energy and
-its Gauss-law check are all computed in sector coordinates
+mask is looked up by ``searchsorted``: a sigma_3 string or plaquette is
+the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
+term is the diagonal :func:`electric_diag`.  The one exception is the
+Trotter loop, which lists the sector in cycle coordinates
+(:func:`cycle_order`): there every closed string is the index flip
+``i ^ k``, a reversed view rather than a permutation.  The Hamiltonian
+is a small dense matrix (32 x 32 on the cross).  The ground state, its
+energy and its Gauss-law check are all computed in sector coordinates
 (:func:`sector_ground_state`, :func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
@@ -60,6 +63,14 @@ class Z2Model:
     def __post_init__(self):
         if not np.isfinite(self.lam):
             raise GaugeError(f"coupling must be finite, got {self.lam}")
+
+
+def spectral_bound(model: Z2Model) -> float:
+    """Gershgorin bound n_links + |lam| n_plaq on |E| of H and of every
+    H + sum 2 sigma_1 with modified links: each link term has norm 1,
+    each plaquette term norm |lam|."""
+    lat = model.lattice
+    return lat.n_links + abs(model.lam) * lat.n_plaquettes
 
 
 def star_operator(model: Z2Model, vertex: int) -> PauliString:
@@ -144,11 +155,34 @@ def build_physical_sector(model: Z2Model,
     if 1 << expected > _MAX_SECTOR_DIM:
         raise GaugeError(f"sector dimension 2**{expected} exceeds the "
                          f"enumeration limit {_MAX_SECTOR_DIM}")
-    masks = np.array([particular], dtype=np.uint64)
-    for b in null:
-        masks = np.concatenate([masks, masks ^ np.uint64(b)])
+    masks = _span(particular, null)
     masks.sort()
     return PhysicalSector(L, masks, charges)
+
+
+def _span(base: int, basis: list[int]) -> np.ndarray:
+    """``base ^ XOR_j (bit j of i) basis[j]`` at position i, by doubling."""
+    masks = np.array([base], dtype=np.uint64)
+    for b in basis:
+        masks = np.concatenate([masks, masks ^ np.uint64(b)])
+    return masks
+
+
+def cycle_order(model: Z2Model, sector: PhysicalSector) -> np.ndarray:
+    """Sorted index of every sector state, listed in cycle coordinates.
+
+    Entry i is the index of ``masks[0] ^ XOR_j (bit j of i) b_j``, where
+    the b_j are a GF(2) basis of the cycle space (the null space of the
+    star parities).  Every closed sigma_3 string with link mask m is then
+    the index flip ``i ^ k``, with k the cycle coordinate of
+    ``masks[0] ^ m``: reordering the rows of a sector matrix by this
+    array turns each such permutation into reversed axes of its
+    ``(2,) * log2(dim)`` reshape.
+    """
+    lat = model.lattice
+    stars = [_link_mask(lat.star(v)) for v in range(lat.n_vertices)]
+    _, null = _gf2_solve(stars, [0] * lat.n_vertices, lat.n_links)
+    return np.searchsorted(sector.masks, _span(int(sector.masks[0]), null))
 
 
 def xor_perm(src_masks: np.ndarray, dst_masks: np.ndarray,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import (PhysicalSector, SectorOperator, Z2Model, _link_mask,
-                    build_physical_sector, electric_diag,
+                    build_physical_sector, cycle_order, electric_diag,
                     embed_sector_coords, exact_evolve_in_sector,
                     moved_charges, plaquette_string, project_to_sector,
                     xor_perm)
@@ -155,7 +155,13 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     commutes with the product: the operator is assembled directly in
     sector coordinates, where the electric factor is diagonal and each
     plaquette exponential is cos(theta) I + i sin(theta) (XOR permutation).
-    This reproduces the full-space gate circuit matrix (see
+    Each temporal step runs with the rows in cycle coordinates
+    (:func:`cycle_order`), where every plaquette permutation is a view of
+    the matrix with some axes reversed, not a gather (see
+    :func:`_trotter_band`); the rows go back to sorted order after the
+    step.  The result is bit-identical to the gather
+    ``w = c * w + s * w[perm, :]`` on sorted rows.  This reproduces the
+    full-space gate circuit matrix (see
     :func:`trotterized_loop_operator_fullspace`) at dim x dim cost.
     """
     _check_program(model, program)
@@ -165,21 +171,57 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
         if isinstance(step, Spatial):
             w = w[tracker.spatial_perm(step.links), :]
             continue
-        sec = tracker.current
-        perms = [xor_perm(sec.masks, sec.masks, _link_mask(plaq))
-                 for plaq in model.lattice.plaquettes]
-        tau = step.tau
-        half = np.exp(-1j * (tau / (2 * n_T)) *
-                      electric_diag(model, sec, step.modified_links))
-        theta = model.lam * tau / n_T
-        c, s = np.cos(theta), 1j * np.sin(theta)
-        full = half * half
-        w = half[:, None] * w
-        for k in range(n_T):
-            for perm in perms:
-                w = c * w + s * w[perm, :]
-            w = (half if k == n_T - 1 else full)[:, None] * w
+        order = cycle_order(model, tracker.current)
+        coord = np.argsort(order)
+        w = w[order, :]
+        _trotter_band(model, tracker.current, step, n_T, order, coord, w)
+        w = w[coord, :]
     return SectorOperator(w)
+
+
+def _trotter_band(model: Z2Model, sec: PhysicalSector, step, n_T: int,
+                  order: np.ndarray, coord: np.ndarray, w: np.ndarray
+                  ) -> None:
+    """Apply one temporal step's Trotter product to ``w`` in place.
+
+    The rows of ``w`` are in cycle coordinates: row i is sector state
+    ``order[i]``, and ``coord`` is the inverse of ``order``.  Plaquette
+    p maps row i to row ``i ^ k_p``, with k_p the cycle coordinate of
+    ``masks[0] ^ mask_p``; on ``w`` reshaped to a (2,)*n_bits cube that
+    is a view with the axes of k_p's set bits reversed, for any lattice.
+    Each factor copies its view into one scratch matrix (a copy through
+    negative strides is cheaper than arithmetic through them), then runs
+    three in-place ufunc calls on contiguous matrices; nothing inside the
+    loop allocates.  Row permutations are exact, c = (cos, 0) and
+    s = (0, sin) give one nonzero product per component, and the sum
+    keeps its order, so every entry is bit-identical to the gather
+    ``c * w + s * w[perm, :]``.
+    """
+    n_bits = sec.dim.bit_length() - 1
+    cube = w.reshape((2,) * n_bits + (sec.dim,))
+    views = []
+    for plaq in model.lattice.plaquettes:
+        flip = int(coord[xor_perm(sec.masks, sec.masks[:1],
+                                  _link_mask(plaq))[0]])
+        views.append(cube[tuple(slice(None, None, -1)
+                                if flip >> (n_bits - 1 - a) & 1
+                                else slice(None) for a in range(n_bits))])
+    g = np.empty_like(w)
+    g_cube = g.reshape(cube.shape)
+    half = np.exp(-1j * (step.tau / (2 * n_T)) *
+                  electric_diag(model, sec, step.modified_links))[order, None]
+    full = half * half
+    theta = model.lam * step.tau / n_T
+    # the gather's scalars, as Python complex: no cast in each call
+    c, s = complex(np.cos(theta)), complex(1j * np.sin(theta))
+    np.multiply(half, w, w)
+    for k in range(n_T):
+        for view in views:
+            g_cube[...] = view
+            np.multiply(g, s, g)
+            np.multiply(w, c, w)
+            np.add(w, g, w)
+        np.multiply(half if k == n_T - 1 else full, w, w)
 
 
 def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,

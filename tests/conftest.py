@@ -1,16 +1,21 @@
-"""Shared fixtures and independent dense oracles.
+"""Shared fixtures, independent dense oracles and one rounding reference.
 
 The oracle helpers here deliberately avoid the package's kernels: Pauli
 strings become explicit Kronecker products and exponentials go through a
 Hermitian eigendecomposition, so every comparison against them is a real
-cross-check, not a tautology.
+cross-check, not a tautology.  :func:`gather_loop_operator` is different:
+it is the plain gather form of the sector Trotter loop, kept so that the
+tests can hold the package's loop to the same bits, not just to rounding.
 """
 
 import numpy as np
 import pytest
 
-from z2wilson.gauge import Z2Model, build_physical_sector, ground_state
+from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
+                            electric_diag, ground_state, xor_perm)
 from z2wilson.lattice import build_cross
+from z2wilson.programs import Spatial
+from z2wilson.trotter import _SectorTracker
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,6 +37,37 @@ def expm_i_hermitian(h):
     """e^{i h} for Hermitian h via eigendecomposition."""
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(1j * evals)) @ evecs.conj().T
+
+
+def gather_loop_operator(model, sector, program, n_T):
+    """W_{n_T} in sorted sector rows, one fancy-index gather per factor:
+    w = c * w + s * w[perm, :] for every plaquette of every Trotter step."""
+    tracker = _SectorTracker(model, sector)
+    w = np.eye(sector.dim, dtype=np.complex128)
+    for step in program.steps:
+        if isinstance(step, Spatial):
+            w = w[tracker.spatial_perm(step.links), :]
+            continue
+        sec = tracker.current
+        perms = [xor_perm(sec.masks, sec.masks, _link_mask(plaq))
+                 for plaq in model.lattice.plaquettes]
+        half = np.exp(-1j * (step.tau / (2 * n_T)) *
+                      electric_diag(model, sec, step.modified_links))
+        full = half * half
+        theta = model.lam * step.tau / n_T
+        c, s = np.cos(theta), 1j * np.sin(theta)
+        w = half[:, None] * w
+        for k in range(n_T):
+            for perm in perms:
+                w = c * w + s * w[perm, :]
+            w = (half if k == n_T - 1 else full)[:, None] * w
+    return w
+
+
+def bit_identical(a, b):
+    """Same shape and the same bytes: equal values and signs of zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_state(n_qubits, rng):

@@ -346,6 +346,70 @@ class TestMeasure:
         assert out == ""
         assert err == "error: shots must be >= 0, got -5\n"
 
+    def test_negative_seed_refused_before_output(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        for args in (["--seed", "-1"], ["--config", str(cfg)]):
+            code, out, err = run_main(capsys, "measure", "--nt", "2",
+                                      "--shots", "5", *args)
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_refused_before_output(self, capsys,
+                                                        tmp_path, threshold):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"threshold={threshold}\n")
+        out_path = tmp_path / "out.csv"
+        for args in ([f"--threshold={threshold}"], ["--config", str(cfg)]):
+            code, out, err = run_main(capsys, "sweep", "--nt", "2,4,8",
+                                      "--out", str(out_path), *args)
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert not out_path.exists()
+            assert err == ("error: threshold must be finite, "
+                           f"got {float(threshold)}\n")
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "sweep", "measure", "export-circuit"])
+    def test_overflowing_phases_refused_before_output(self, capsys, tmp_path,
+                                                      command):
+        # finite inputs whose |tau| * (n_links + |lambda| * n_plaq) is inf
+        prog = tmp_path / "tau.prog"
+        out_path = tmp_path / "out"
+        phases = "phases must be finite, got |tau| * (n_links + |lambda| * "
+        cases = [
+            (["--tau", "1e308"],
+             "temporal step " + phases + "n_plaq) = inf at tau=1e+308, "
+             "lambda=10.0"),
+            (["--program", str(prog)],
+             "free evolution " + phases + "n_plaq) = inf at tau=-1e+307, "
+             "lambda=10.0"),
+            (["--lambda", "1e308"],
+             "energies must be finite, got n_links + |lambda| * n_plaq = inf "
+             "at lambda=1e+308"),
+        ]
+        prog.write_text("EVOLVE -1e307\n")
+        for args, message in cases:
+            code, out, err = run_main(capsys, command, "--nt", "1",
+                                      "--out", str(out_path), *args)
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert not out_path.exists()
+            assert err == f"error: {message}\n"
+        # the largest finite phases still run
+        code, out, _ = run_main(capsys, command, "--nt", "1", "--tau",
+                                "1e306")
+        assert code == EXIT_OK and "nan" not in out
+
+    def test_overflowing_energies_refused_by_ground_state(self, capsys):
+        code, out, err = run_main(capsys, "ground-state", "--lambda=-1e308")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("error: energies must be finite, got n_links + "
+                       "|lambda| * n_plaq = inf at lambda=-1e+308\n")
+
     @pytest.mark.parametrize(
         "command", ["validate", "sweep", "measure", "export-circuit"])
     @pytest.mark.parametrize("tau", ["inf", "nan"])

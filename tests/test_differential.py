@@ -15,6 +15,9 @@ routes compared are
   :func:`trotterized_loop_operator` and the sector operators of
   ``gauge`` and ``wilson``).
 
+The sector route's Trotter loop, which runs in cycle coordinates, must
+also give the same bits as the plain gather loop of ``conftest``.
+
 The Hadamard-test circuit of each program also runs on both executors,
 the full-space :func:`run_circuit` and the sector-block
 :func:`run_blocks`, whose p_+ must match the sector route's to two ulp per
@@ -25,7 +28,7 @@ those programs exercise the blocks of other charge patterns.
 import numpy as np
 import pytest
 
-from conftest import dense_pauli
+from conftest import bit_identical, dense_pauli, gather_loop_operator
 from z2wilson.circuits import (block_bit_probability,
                                marginal_bit_probability, run_blocks,
                                run_circuit)
@@ -217,6 +220,8 @@ def test_sector_fullspace_and_dense_oracle_agree(seed, n_cells):
     assert max_diff(w, dense.exact(program)) < EXACT_TOL
 
     w_nt = trotterized_loop_operator(model, sector, program, n_T).matrix
+    assert bit_identical(w_nt, gather_loop_operator(model, sector, program,
+                                                    n_T))
     w_full = trotterized_loop_operator_fullspace(model, sector, program,
                                                  n_T).matrix
     assert max_diff(w_nt, w_full) < TROTTER_TOL
@@ -234,9 +239,26 @@ def test_sector_and_fullspace_gate_routes_agree(seed, n_cells):
     program = random_program(lat, rng, int(rng.integers(1, 4)))
     n_T = int(rng.integers(1, 4))
     w_nt = trotterized_loop_operator(model, sector, program, n_T)
+    assert bit_identical(w_nt.matrix, gather_loop_operator(model, sector,
+                                                           program, n_T))
     w_full = trotterized_loop_operator_fullspace(model, sector, program, n_T)
     assert max_diff(w_nt.matrix, w_full.matrix) < TROTTER_TOL
     w = exact_loop_operator(model, sector, program)
     assert w.unitarity_error() < EXACT_TOL
     assert_hadamard_executors_agree(model, sector, program, n_T, w_nt.matrix,
                                     rng)
+
+
+def test_cycle_loop_bit_identical_to_gather():
+    # many more random programs than the routes above can afford: no dense
+    # oracle, only the sector loop against its gather form
+    for seed in range(120):
+        rng = np.random.default_rng(1000 + seed)
+        lat = _build_from_cells(random_cells(rng, int(rng.integers(1, 6))))
+        model = Z2Model(lat, rng.uniform(0.5, 20.0))
+        sector = build_physical_sector(model)
+        program = random_program(lat, rng, int(rng.integers(1, 4)))
+        n_T = int(rng.integers(1, 6))
+        w_nt = trotterized_loop_operator(model, sector, program, n_T).matrix
+        assert bit_identical(w_nt, gather_loop_operator(
+            model, sector, program, n_T)), seed

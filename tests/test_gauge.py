@@ -19,7 +19,8 @@ from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
                             moved_charges, project_to_sector,
                             sector_basis_dump, sector_gauge_violation,
                             sector_ground_state, sector_spectrum,
-                            spatial_loop_in_sector, star_operator, xor_perm)
+                            spatial_loop_in_sector, spectral_bound,
+                            star_operator, xor_perm)
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.statevec import PauliString, StateVector, expect_pauli
 
@@ -172,6 +173,19 @@ class TestEmbedding:
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("lam", [-3.0, 0.5, 10.0])
+    def test_spectral_bound_holds(self, lam):
+        # Gershgorin: every energy of H, with or without modified links
+        for lat in (build_cross(), build_rect(2, 2)):
+            m = Z2Model(lat, lam)
+            sec = build_physical_sector(m)
+            bound = spectral_bound(m)
+            assert bound == lat.n_links + abs(lam) * lat.n_plaquettes
+            for mods in (frozenset(), frozenset(lat.plaquettes[0][:2])):
+                evals = np.linalg.eigvalsh(
+                    hamiltonian_in_sector(m, sec, mods).matrix)
+                assert np.max(np.abs(evals)) <= bound
+
     def test_lam0_diagonal_ground(self, cross_lattice):
         m = Z2Model(cross_lattice, 0.0)
         sec = build_physical_sector(m)

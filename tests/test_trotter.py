@@ -6,15 +6,20 @@ Trotter factor product are all assembled from Kronecker products here and
 compared against the package's sector machinery.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import dense_pauli, expm_i_hermitian
-from z2wilson.gauge import (Z2Model, build_physical_sector,
-                            embed_sector_coords, exact_evolve_in_sector,
-                            ground_state, project_to_sector,
+from conftest import (bit_identical, dense_pauli, expm_i_hermitian,
+                      gather_loop_operator)
+from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
+                            cycle_order, embed_sector_coords,
+                            exact_evolve_in_sector, ground_state,
+                            moved_charges, project_to_sector,
                             spatial_loop_in_sector)
-from z2wilson.lattice import build_rect
+from z2wilson.lattice import (build_cross, build_rect, lattice_from_text,
+                              lattice_to_text, validate)
 from z2wilson.programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                                Temporal, staircase_default, validate_program)
 from z2wilson.statevec import PauliString, StateVector
@@ -204,6 +209,101 @@ class TestLoopOperators:
             w = trotterized_loop_operator(cross_model, cross_sector, prog,
                                           n_T)
             assert operator_fidelity(w_ex, w) == pytest.approx(1.0, abs=1e-12)
+
+
+def cross_with_repeated_plaquette():
+    """The cross read from a lattice file that lists its center plaquette
+    twice, the second time from another corner: six plaquettes, of which
+    two are the same term."""
+    lat = build_cross()
+    text = lattice_to_text(lat).replace("p=5", "p=6")
+    center = lat.plaquettes[2]
+    text += "PLAQ 5 " + " ".join(str(li) for li in center[2:] + center[:2])
+    out = lattice_from_text(text + "\n")
+    assert validate(out) == [] and out.n_plaquettes == 6
+    return out
+
+
+class TestCycleCoordinates:
+    """The sector Trotter loop runs in cycle coordinates, where each
+    plaquette is a reversed view; it must give the gather's bits."""
+
+    @pytest.mark.parametrize("charged", [False, True])
+    def test_plaquettes_are_index_flips(self, cross_model, charged):
+        lat = cross_model.lattice
+        charges = None
+        if charged:
+            charges = moved_charges(lat, (1,) * lat.n_vertices,
+                                    _link_mask(lat.plaquettes[2][:2]))
+        sec = build_physical_sector(cross_model, charges)
+        order = cycle_order(cross_model, sec)
+        assert sorted(order) == list(range(sec.dim))
+        lin = sec.masks[order]
+        idx = np.arange(sec.dim)
+        for plaq in lat.plaquettes:
+            m = np.uint64(_link_mask(plaq))
+            flip = int(np.flatnonzero(lin == lin[0] ^ m)[0])
+            assert np.array_equal(lin[idx ^ flip], lin ^ m)
+
+    @pytest.mark.parametrize("lam", [2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("tau", [0.5, 1.0])
+    def test_sweep_inputs_bit_identical_to_gather(self, cross_lattice, lam,
+                                                  tau):
+        model = Z2Model(cross_lattice, lam)
+        sector = build_physical_sector(model)
+        prog = staircase_default(tau)
+        for n_T in (8, 1024):
+            w = trotterized_loop_operator(model, sector, prog, n_T).matrix
+            assert bit_identical(
+                w, gather_loop_operator(model, sector, prog, n_T))
+
+    def test_rect11_bit_identical_to_gather(self):
+        # one plaquette, a two-state sector: the cube has a single axis
+        lat = build_rect(1, 1)
+        model = Z2Model(lat, 1.3)
+        sector = build_physical_sector(model)
+        plaq = lat.plaquettes[0]
+        prog = LoopProgram([Spatial(plaq[:2]), Temporal(0.7, plaq[:2]),
+                            Spatial(plaq[2:]), FreeEvolve(0.4)])
+        for n_T in (1, 3):
+            w = trotterized_loop_operator(model, sector, prog, n_T).matrix
+            assert bit_identical(
+                w, gather_loop_operator(model, sector, prog, n_T))
+
+    def test_repeated_plaquette_bit_identical_to_gather(self):
+        lat = cross_with_repeated_plaquette()
+        model = Z2Model(lat, 4.0)
+        sector = build_physical_sector(model)
+        order = cycle_order(model, sector)
+        lin = sector.masks[order]
+        flips = [int(np.flatnonzero(lin == lin[0] ^ np.uint64(
+                 _link_mask(p)))[0]) for p in lat.plaquettes]
+        assert flips[5] == flips[2]
+        assert max(f.bit_count() for f in flips) > 1   # multi-axis views
+        prog = staircase_default(0.8)
+        for n_T in (1, 5):
+            w = trotterized_loop_operator(model, sector, prog, n_T).matrix
+            assert bit_identical(
+                w, gather_loop_operator(model, sector, prog, n_T))
+
+    def test_peak_memory_independent_of_n_t(self):
+        # rect:3x3: dim 512, a 4 MB matrix.  The loop holds the matrix and
+        # one scratch copy (2.04 matrices); the gather form peaked at 3.01
+        lat = build_rect(3, 3)
+        model = Z2Model(lat, 2.0)
+        sector = build_physical_sector(model)
+        plaq = lat.plaquettes[4]
+        prog = LoopProgram([Spatial(plaq), Temporal(0.5, plaq),
+                            Spatial(plaq), FreeEvolve(0.3)])
+        matrix_bytes = sector.dim ** 2 * 16
+        for n_T in (1, 6):
+            tracemalloc.start()
+            try:
+                trotterized_loop_operator(model, sector, prog, n_T)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * matrix_bytes, (n_T, peak / matrix_bytes)
 
 
 class TestFidelities:
