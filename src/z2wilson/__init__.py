@@ -21,10 +21,10 @@ from .statevec import (PauliString, StateVector, apply_controlled_pauli_exp,
                        apply_pauli, apply_pauli_exp, expect_pauli, init_basis,
                        inner, qubit_purity, reduced_qubit_density)
 from .gauge import (DegenerateGroundStateWarning, PhysicalSector,
-                    SectorOperator, Z2Model, build_physical_sector,
-                    cycle_order, electric_diag, exact_evolve_in_sector,
-                    gauge_violation, ground_state, hamiltonian_in_sector,
-                    sector_basis_dump,
+                    SectorMoves, SectorOperator, Z2Model,
+                    build_physical_sector, electric_diag,
+                    exact_evolve_in_sector, gauge_violation, ground_state,
+                    hamiltonian_in_sector, sector_basis_dump,
                     sector_gauge_violation, sector_ground_state,
                     sector_spectrum, spatial_loop_in_sector, spectral_bound,
                     star_operator, xor_perm)

@@ -31,8 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gauge import (PhysicalSector, Z2Model, build_physical_sector,
-                    moved_charges, xor_perm)
+from .gauge import PhysicalSector, SectorMoves, Z2Model
 from .lattice import Lattice
 from .statevec import (PauliString, StateVector, _bit_probability,
                        _controlled_exps, _qubit_blocks, pauli_exp_inplace)
@@ -314,8 +313,8 @@ class _BlockRun:
     j is qubit n_link_qubits + j, in the computational basis).  Each
     string is translated once: a link sigma_3 factor flips its mask bit,
     moving the row to the sector whose charges differ at the link's
-    endpoints; a link sigma_1 factor is the sign (-1)**bit of the new mask;
-    ancilla factors gather and sign columns.
+    endpoints (:class:`SectorMoves`); a link sigma_1 factor is the sign
+    (-1)**bit of the new mask; ancilla factors gather and sign columns.
     """
 
     def __init__(self, circuit: Circuit, model: Z2Model,
@@ -325,16 +324,10 @@ class _BlockRun:
             raise CircuitError(
                 f"circuit has {self.n} link qubits, lattice "
                 f"{model.lattice.n_links} links, sector {sector.n_links}")
-        self.model = model
         self.cols = np.arange(1 << (circuit.n_qubits - self.n))
-        self.sectors = {sector.charges: sector}
+        self.sector_moves = SectorMoves(model, sector)
         self.strings: dict = {}
         self.moves: dict = {}
-
-    def sector(self, charges: tuple[int, ...]) -> PhysicalSector:
-        if charges not in self.sectors:
-            self.sectors[charges] = build_physical_sector(self.model, charges)
-        return self.sectors[charges]
 
     def ancilla_bit(self, qubit: int) -> int:
         if qubit < self.n:
@@ -361,13 +354,12 @@ class _BlockRun:
         out = {}
         for key, blk in state.items():
             if (key, p) not in self.moves:
-                dst = moved_charges(self.model.lattice, key, flip)
-                masks = self.sector(dst).masks
-                perm = (xor_perm(self.sector(key).masks, masks, flip)
-                        if flip else None)
-                rows = (1.0 - 2.0 * (np.bitwise_count(masks & np.uint64(sign))
-                                     & 1) if sign else None)
-                self.moves[key, p] = dst, perm, rows
+                sec = self.sector_moves.sector(key)
+                dst, perm = (self.sector_moves.move(sec, flip) if flip
+                             else (sec, None))
+                rows = (1.0 - 2.0 * (np.bitwise_count(
+                    dst.masks & np.uint64(sign)) & 1) if sign else None)
+                self.moves[key, p] = dst.charges, perm, rows
             dst, perm, rows = self.moves[key, p]
             v = blk if perm is None else blk[perm]
             if src is not None:

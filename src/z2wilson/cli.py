@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -39,6 +40,7 @@ from .wilson import (hadamard_test, rect_loop_link_circuit,
                      trotterized_program_circuit)
 
 UNITARITY_TOLERANCE = 1e-8
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,16 +145,23 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
+def _rect_size(spec: str) -> tuple[int, int] | None:
+    """(W, H) of a ``rect:WxH`` lattice spec; None for any other spec."""
+    if not spec.startswith("rect:"):
+        return None
+    try:
+        w, h = (int(p) for p in spec[5:].lower().split("x"))
+    except ValueError as exc:
+        raise ConfigError(f"bad rect spec {spec!r}; use rect:WxH") from exc
+    return w, h
+
+
 def resolve_lattice(cfg: RunConfig) -> Lattice:
     spec = cfg.lattice
     if spec == "cross":
         return build_cross()
-    if spec.startswith("rect:"):
-        try:
-            w, h = spec[5:].lower().split("x")
-            return build_rect(int(w), int(h))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad rect spec {spec!r}; use rect:WxH") from exc
+    if size := _rect_size(spec):
+        return build_rect(*size)
     if os.path.exists(spec):
         with open(spec) as fh:
             lat = lattice_from_text(fh.read())
@@ -359,16 +368,12 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
         program = _checked_program(cfg, lat)
         _check_overflow(model, program)
         circuit = trotterized_program_circuit(model, program, cfg.nt[0])
-    elif cfg.kind == "plaquette-loop":
-        if not cfg.lattice.startswith("rect:"):
-            raise ConfigError("plaquette-loop export needs a rect:WxH lattice")
-        w, h = (int(p) for p in cfg.lattice[5:].lower().split("x"))
-        circuit = rect_loop_plaquette_circuit(lat, w, h)
-    elif cfg.kind == "link-loop":
-        if not cfg.lattice.startswith("rect:"):
-            raise ConfigError("link-loop export needs a rect:WxH lattice")
-        w, h = (int(p) for p in cfg.lattice[5:].lower().split("x"))
-        circuit = rect_loop_link_circuit(lat, w, h)
+    elif cfg.kind in ("plaquette-loop", "link-loop"):
+        if (size := _rect_size(cfg.lattice)) is None:
+            raise ConfigError(f"{cfg.kind} export needs a rect:WxH lattice")
+        build = (rect_loop_plaquette_circuit if cfg.kind == "plaquette-loop"
+                 else rect_loop_link_circuit)
+        circuit = build(lat, *size)
     else:
         raise ConfigError(f"unknown circuit kind {cfg.kind!r}")
     text = provenance_header(cfg) + circuit_to_text(circuit)
@@ -428,20 +433,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--opt -1e-3`` as ``--opt=-1e-3``: argparse takes a token that
+    starts with '-' for an option unless it is a plain negative number like
+    -1 or -0.5, so -1e-3, -1e308 or -inf would leave --opt without a value."""
+    out: list[str] = []
+    for tok in argv:
+        if (_NEGATIVE_NUMBER.match(tok) and out and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "lattice": args.lattice,
-        "lam": args.lam,
-        "program": args.program,
-        "nt": args.nt,
-        "tau": args.tau,
-        "shots": args.shots,
-        "seed": args.seed,
-        "threshold": args.threshold,
-        "out": args.out,
-        "kind": args.kind,
-    }
+    args = build_parser().parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg)

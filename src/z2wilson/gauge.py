@@ -16,10 +16,10 @@ all 2**L masks, so its cost follows the sector dimension 2**(L-V+1).
 The sector is the primary representation.  Its masks are sorted, and a
 mask is looked up by ``searchsorted``: a sigma_3 string or plaquette is
 the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
-term is the diagonal :func:`electric_diag`.  The one exception is the
-Trotter loop, which lists the sector in cycle coordinates
-(:func:`cycle_order`): there every closed string is the index flip
-``i ^ k``, a reversed view rather than a permutation.  The Hamiltonian
+term is the diagonal :func:`electric_diag`.  :class:`SectorMoves` alone
+knows which charge sector a string lands in; in its cycle coordinates
+(used by the Trotter loop) every string is the index flip ``i ^ k``, a
+reversed view rather than a permutation.  The Hamiltonian
 is a small dense matrix (32 x 32 on the cross).  The ground state, its
 energy and its Gauss-law check are all computed in sector coordinates
 (:func:`sector_ground_state`, :func:`sector_gauge_violation`).
@@ -168,21 +168,53 @@ def _span(base: int, basis: list[int]) -> np.ndarray:
     return masks
 
 
-def cycle_order(model: Z2Model, sector: PhysicalSector) -> np.ndarray:
-    """Sorted index of every sector state, listed in cycle coordinates.
+class SectorMoves:
+    """Which sector a sigma_3 link mask takes a sector to, and how rows map.
 
-    Entry i is the index of ``masks[0] ^ XOR_j (bit j of i) b_j``, where
-    the b_j are a GF(2) basis of the cycle space (the null space of the
-    star parities).  Every closed sigma_3 string with link mask m is then
-    the index flip ``i ^ k``, with k the cycle coordinate of
-    ``masks[0] ^ m``: reordering the rows of a sector matrix by this
-    array turns each such permutation into reversed axes of its
-    ``(2,) * log2(dim)`` reshape.
+    Rows are sorted (:meth:`move`) or in cycle coordinates (:meth:`cycle`,
+    :meth:`flip`): row i of a sector is ``masks[0] ^ XOR_j (bit j of i)
+    b_j``, with one GF(2) cycle basis b_j, solved once, for every sector.
+    Each sector and cycle order is built once, when first asked for.
     """
-    lat = model.lattice
-    stars = [_link_mask(lat.star(v)) for v in range(lat.n_vertices)]
-    _, null = _gf2_solve(stars, [0] * lat.n_vertices, lat.n_links)
-    return np.searchsorted(sector.masks, _span(int(sector.masks[0]), null))
+
+    def __init__(self, model: Z2Model, sector: PhysicalSector):
+        lat = self.lattice = model.lattice
+        self.model = model
+        self._sectors = {sector.charges: sector}
+        self._cycles: dict[tuple[int, ...], np.ndarray] = {}
+        stars = [_link_mask(lat.star(v)) for v in range(lat.n_vertices)]
+        self._null = _gf2_solve(stars, [0] * lat.n_vertices, lat.n_links)[1]
+
+    def sector(self, charges: tuple[int, ...]) -> PhysicalSector:
+        if charges not in self._sectors:
+            self._sectors[charges] = build_physical_sector(self.model, charges)
+        return self._sectors[charges]
+
+    def move(self, src: PhysicalSector, mask: int
+             ) -> tuple[PhysicalSector, np.ndarray]:
+        """Target sector of sigma_3 on ``mask``, and the sorted-row
+        permutation: row j there is row ``perm[j]`` of ``src``."""
+        dst = self.sector(moved_charges(self.lattice, src.charges, mask))
+        return dst, xor_perm(src.masks, dst.masks, mask)
+
+    def cycle(self, sector: PhysicalSector) -> np.ndarray:
+        """Sorted index of every state of ``sector``, in cycle coordinates."""
+        if sector.charges not in self._cycles:
+            self._cycles[sector.charges] = np.searchsorted(
+                sector.masks, _span(int(sector.masks[0]), self._null))
+        return self._cycles[sector.charges]
+
+    def flip(self, src: PhysicalSector, mask: int
+             ) -> tuple[PhysicalSector, int]:
+        """Target sector of sigma_3 on ``mask``, and k: row i in ``src``'s
+        cycle coordinates goes to row ``i ^ k`` in the target's.  k is the
+        coordinate of the cycle ``src.masks[0] ^ mask ^ dst.masks[0]``:
+        basis vector j alone holds its lowest set bit (its free variable in
+        :func:`_gf2_solve`), so that bit of the cycle is bit j of k."""
+        dst = self.sector(moved_charges(self.lattice, src.charges, mask))
+        c = int(src.masks[0]) ^ mask ^ int(dst.masks[0])
+        return dst, sum((c >> ((b & -b).bit_length() - 1) & 1) << j
+                        for j, b in enumerate(self._null))
 
 
 def xor_perm(src_masks: np.ndarray, dst_masks: np.ndarray,

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (PhysicalSector, SectorOperator, Z2Model, _link_mask,
-                    build_physical_sector, cycle_order, electric_diag,
-                    embed_sector_coords, exact_evolve_in_sector,
-                    moved_charges, plaquette_string, project_to_sector,
-                    xor_perm)
+from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
+                    _link_mask, electric_diag, embed_sector_coords,
+                    exact_evolve_in_sector, plaquette_string,
+                    project_to_sector)
 from .lattice import _odd_links
 from .programs import LoopProgram, ProgramError, Spatial, program_errors
 from .statevec import (PauliString, StateVector, pauli_apply_inplace,
@@ -104,44 +103,19 @@ def _check_program(model: Z2Model, program: LoopProgram) -> None:
         raise ProgramError("; ".join(errs))
 
 
-class _SectorTracker:
-    """Runs a program's steps while following the current star-charge sector.
-
-    A spatial chain with open ends moves the state into the sector charged
-    -1 at its endpoints; evolutions stay inside whatever sector is current.
-    Programs that pass validation always return to the physical sector.
-    """
-
-    def __init__(self, model: Z2Model, sector: PhysicalSector):
-        self.model = model
-        self.cache: dict[tuple[int, ...], PhysicalSector] = {
-            sector.charges: sector}
-        self.current = sector
-
-    def sector_for(self, charges: tuple[int, ...]) -> PhysicalSector:
-        if charges not in self.cache:
-            self.cache[charges] = build_physical_sector(self.model, charges)
-        return self.cache[charges]
-
-    def spatial_perm(self, links) -> np.ndarray:
-        """Row permutation realizing prod sigma_3; updates the sector."""
-        mask = _link_mask(links)
-        old, self.current = self.current, self.sector_for(
-            moved_charges(self.model.lattice, self.current.charges, mask))
-        return xor_perm(old.masks, self.current.masks, mask)
-
-
 def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
                         program: LoopProgram) -> SectorOperator:
-    """Oracle W: exact sector product of the program's steps."""
+    """Oracle W: exact sector product of the program's steps, in sorted
+    rows, so that its products and ``eigh`` calls keep their rounding."""
     _check_program(model, program)
-    tracker = _SectorTracker(model, sector)
+    moves = SectorMoves(model, sector)
     w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:
         if isinstance(step, Spatial):
-            w = w[tracker.spatial_perm(step.links), :]
+            sector, perm = moves.move(sector, _link_mask(step.links))
+            w = w[perm, :]
         else:
-            w = exact_evolve_in_sector(model, tracker.current, step.tau,
+            w = exact_evolve_in_sector(model, sector, step.tau,
                                        step.modified_links).matrix @ w
     return SectorOperator(w)
 
@@ -155,40 +129,40 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     commutes with the product: the operator is assembled directly in
     sector coordinates, where the electric factor is diagonal and each
     plaquette exponential is cos(theta) I + i sin(theta) (XOR permutation).
-    Each temporal step runs with the rows in cycle coordinates
-    (:func:`cycle_order`), where every plaquette permutation is a view of
-    the matrix with some axes reversed, not a gather (see
-    :func:`_trotter_band`); the rows go back to sorted order after the
-    step.  The result is bit-identical to the gather
-    ``w = c * w + s * w[perm, :]`` on sorted rows.  This reproduces the
-    full-space gate circuit matrix (see
-    :func:`trotterized_loop_operator_fullspace`) at dim x dim cost.
+    The rows stay in cycle coordinates for the whole program, one gather
+    in and one out; every spatial step and plaquette is an index flip
+    (:meth:`SectorMoves.flip`, :func:`_flipped`), not a gather.  The
+    result is bit-identical to the gather ``w = c * w + s * w[perm, :]``
+    on sorted rows.  This reproduces the full-space gate circuit matrix
+    (see :func:`trotterized_loop_operator_fullspace`) at dim x dim cost.
     """
     _check_program(model, program)
-    tracker = _SectorTracker(model, sector)
-    w = np.eye(sector.dim, dtype=np.complex128)
+    moves = SectorMoves(model, sector)
+    w = np.eye(sector.dim, dtype=np.complex128)[moves.cycle(sector), :]
     for step in program.steps:
         if isinstance(step, Spatial):
-            w = w[tracker.spatial_perm(step.links), :]
-            continue
-        order = cycle_order(model, tracker.current)
-        coord = np.argsort(order)
-        w = w[order, :]
-        _trotter_band(model, tracker.current, step, n_T, order, coord, w)
-        w = w[coord, :]
-    return SectorOperator(w)
+            sector, k = moves.flip(sector, _link_mask(step.links))
+            w = _flipped(w, k).copy().reshape(w.shape)
+        else:
+            _trotter_band(model, moves, sector, step, n_T, w)
+    return SectorOperator(w[np.argsort(moves.cycle(sector)), :])
 
 
-def _trotter_band(model: Z2Model, sec: PhysicalSector, step, n_T: int,
-                  order: np.ndarray, coord: np.ndarray, w: np.ndarray
-                  ) -> None:
+def _flipped(w: np.ndarray, k: int) -> np.ndarray:
+    """View of ``w`` whose row i is row ``i ^ k``: on ``w`` reshaped to a
+    (2,)*n_bits cube, with the axes of k's set bits reversed."""
+    n_bits = w.shape[0].bit_length() - 1
+    cube = w.reshape((2,) * n_bits + w.shape[1:])
+    return cube[tuple(slice(None, None, -1) if k >> (n_bits - 1 - a) & 1
+                      else slice(None) for a in range(n_bits))]
+
+
+def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
+                  step, n_T: int, w: np.ndarray) -> None:
     """Apply one temporal step's Trotter product to ``w`` in place.
 
-    The rows of ``w`` are in cycle coordinates: row i is sector state
-    ``order[i]``, and ``coord`` is the inverse of ``order``.  Plaquette
-    p maps row i to row ``i ^ k_p``, with k_p the cycle coordinate of
-    ``masks[0] ^ mask_p``; on ``w`` reshaped to a (2,)*n_bits cube that
-    is a view with the axes of k_p's set bits reversed, for any lattice.
+    The rows of ``w`` are in ``sec``'s cycle coordinates, where plaquette
+    p maps row i to row ``i ^ k_p`` (:func:`_flipped`), for any lattice.
     Each factor copies its view into one scratch matrix (a copy through
     negative strides is cheaper than arithmetic through them), then runs
     three in-place ufunc calls on contiguous matrices; nothing inside the
@@ -197,19 +171,12 @@ def _trotter_band(model: Z2Model, sec: PhysicalSector, step, n_T: int,
     keeps its order, so every entry is bit-identical to the gather
     ``c * w + s * w[perm, :]``.
     """
-    n_bits = sec.dim.bit_length() - 1
-    cube = w.reshape((2,) * n_bits + (sec.dim,))
-    views = []
-    for plaq in model.lattice.plaquettes:
-        flip = int(coord[xor_perm(sec.masks, sec.masks[:1],
-                                  _link_mask(plaq))[0]])
-        views.append(cube[tuple(slice(None, None, -1)
-                                if flip >> (n_bits - 1 - a) & 1
-                                else slice(None) for a in range(n_bits))])
+    views = [_flipped(w, moves.flip(sec, _link_mask(plaq))[1])
+             for plaq in model.lattice.plaquettes]
     g = np.empty_like(w)
-    g_cube = g.reshape(cube.shape)
-    half = np.exp(-1j * (step.tau / (2 * n_T)) *
-                  electric_diag(model, sec, step.modified_links))[order, None]
+    g_cube = _flipped(g, 0)                     # g's cube, as a view
+    half = np.exp(-1j * (step.tau / (2 * n_T)) * electric_diag(
+        model, sec, step.modified_links))[moves.cycle(sec), None]
     full = half * half
     theta = model.lam * step.tau / n_T
     # the gather's scalars, as Python complex: no cast in each call

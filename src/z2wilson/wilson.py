@@ -22,9 +22,8 @@ import numpy as np
 from .circuits import (Circuit, CircuitError, ControlledPauliExp, Measure,
                        PauliExp, ResetAncilla, block_bit_probability,
                        run_blocks)
-from .gauge import (PhysicalSector, SectorOperator, Z2Model,
-                    build_physical_sector, exact_evolve_in_sector,
-                    moved_charges, xor_perm)
+from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
+                    exact_evolve_in_sector)
 from .lattice import Lattice
 from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                        Temporal)
@@ -138,13 +137,12 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
     as :func:`temporal_plaquette_exact` (whose exponent is the modified
     Hamiltonian in the physical sector).
     """
-    lat = model.lattice
-    if not 0 <= link < lat.n_links:
+    if not 0 <= link < model.lattice.n_links:
         raise ValueError(f"link {link} out of range")
-    charged = build_physical_sector(
-        model, moved_charges(lat, sector.charges, 1 << link))
+    moves = SectorMoves(model, sector)
+    charged, _ = moves.move(sector, 1 << link)
     u_charged = exact_evolve_in_sector(model, charged, tau).matrix
-    perm = xor_perm(charged.masks, sector.masks, 1 << link)
+    _, perm = moves.move(charged, 1 << link)
     return SectorOperator(u_charged[np.ix_(perm, perm)])
 
 

@@ -11,11 +11,11 @@ tests can hold the package's loop to the same bits, not just to rounding.
 import numpy as np
 import pytest
 
-from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
-                            electric_diag, ground_state, xor_perm)
+from z2wilson.gauge import (SectorMoves, Z2Model, _link_mask,
+                            build_physical_sector, electric_diag,
+                            ground_state, xor_perm)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import Spatial
-from z2wilson.trotter import _SectorTracker
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,13 +42,14 @@ def expm_i_hermitian(h):
 def gather_loop_operator(model, sector, program, n_T):
     """W_{n_T} in sorted sector rows, one fancy-index gather per factor:
     w = c * w + s * w[perm, :] for every plaquette of every Trotter step."""
-    tracker = _SectorTracker(model, sector)
+    moves = SectorMoves(model, sector)
+    sec = sector
     w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:
         if isinstance(step, Spatial):
-            w = w[tracker.spatial_perm(step.links), :]
+            sec, perm = moves.move(sec, _link_mask(step.links))
+            w = w[perm, :]
             continue
-        sec = tracker.current
         perms = [xor_perm(sec.masks, sec.masks, _link_mask(plaq))
                  for plaq in model.lattice.plaquettes]
         half = np.exp(-1j * (step.tau / (2 * n_T)) *

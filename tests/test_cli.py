@@ -593,12 +593,33 @@ class TestExportCircuit:
         assert plaq_ratio > 3.0
         assert link_ratio < 2.2
 
+    @pytest.mark.parametrize("kind", ["plaquette-loop", "link-loop"])
+    def test_loop_kinds_need_a_rect(self, capsys, kind):
+        for lattice, message in (
+                ("cross", f"{kind} export needs a rect:WxH lattice"),
+                ("rect:2y2", "bad rect spec 'rect:2y2'; use rect:WxH"),
+                ("rect:0x2", "width and height must be >= 1, got 0x2")):
+            code, out, err = run_main(capsys, "export-circuit", "--kind",
+                                      kind, "--lattice", lattice)
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err == f"error: {message}\n"
+
     def test_bad_kind(self, capsys):
         code, _, err = run_main(capsys, "export-circuit", "--kind", "magic")
         assert code == EXIT_CONFIG
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("option, value", [
+        ("--tau", "-1e-3"), ("--lambda", "-1e308"), ("--threshold", "-inf")])
+    def test_negative_value_in_either_form(self, capsys, option, value):
+        # argparse alone takes "-1e-3" for an option, not for a value
+        spaced = run_main(capsys, "validate", option, value)
+        joined = run_main(capsys, "validate", f"{option}={value}")
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
     def test_ok(self, capsys):
         code, out, _ = run_main(capsys, "validate", "--lattice", "rect:2x2")
         assert code == EXIT_OK

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_pauli, expm_i_hermitian
-from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError, Z2Model,
-                            _link_mask, build_physical_sector,
+from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
+                            SectorMoves, Z2Model, _link_mask,
+                            build_physical_sector,
                             embed_sector_coords, embed_state,
                             exact_evolve_in_sector, gauge_violation,
                             ground_state, hamiltonian_in_sector,
@@ -439,6 +440,42 @@ class TestXorPerm:
             tracemalloc.stop()
         assert sec.dim == 1 << 20
         assert peak < 32 * 2**20
+
+
+class TestSectorMoves:
+    @pytest.mark.parametrize("lattice", ["cross", "rect:3x2"])
+    def test_flip_and_move_agree_across_sectors(self, lattice):
+        # any link mask: closed strings stay, open ones change the sector
+        lat = build_cross() if lattice == "cross" else build_rect(3, 2)
+        model = Z2Model(lat, 1.0)
+        moves = SectorMoves(model, build_physical_sector(model))
+        src = moves.sector((1,) * lat.n_vertices)
+        rng = np.random.default_rng(5)
+        masks = [int(rng.integers(1, 1 << lat.n_links)) for _ in range(12)]
+        masks += [_link_mask(lat.plaquettes[0]), 1 << (lat.n_links - 1)]
+        for mask in masks:
+            dst, perm = moves.move(src, mask)
+            assert dst.charges == moved_charges(lat, src.charges, mask)
+            assert np.array_equal(src.masks[perm], dst.masks ^ np.uint64(mask))
+            flipped, k = moves.flip(src, mask)
+            assert flipped is dst and 0 <= k < src.dim
+            lin_src = src.masks[moves.cycle(src)]
+            lin_dst = dst.masks[moves.cycle(dst)]
+            idx = np.arange(src.dim)
+            assert np.array_equal(lin_dst[idx ^ k], lin_src ^ np.uint64(mask))
+            assert np.array_equal(perm[moves.cycle(dst)[idx ^ k]],
+                                  moves.cycle(src))
+            src = dst
+
+    def test_each_sector_and_cycle_built_once(self, cross_model,
+                                              cross_sector):
+        moves = SectorMoves(cross_model, cross_sector)
+        assert moves.sector(cross_sector.charges) is cross_sector
+        dst, _ = moves.move(cross_sector, 1 << 4)
+        assert moves.flip(cross_sector, 1 << 4)[0] is dst
+        assert moves.sector(dst.charges) is dst
+        assert moves.cycle(dst) is moves.cycle(dst)
+        assert sorted(moves.cycle(dst)) == list(range(dst.dim))
 
 
 class TestGaugeViolation:

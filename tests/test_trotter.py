@@ -13,8 +13,8 @@ import pytest
 
 from conftest import (bit_identical, dense_pauli, expm_i_hermitian,
                       gather_loop_operator)
-from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
-                            cycle_order, embed_sector_coords,
+from z2wilson.gauge import (SectorMoves, Z2Model, _link_mask,
+                            build_physical_sector, embed_sector_coords,
                             exact_evolve_in_sector, ground_state,
                             moved_charges, project_to_sector,
                             spatial_loop_in_sector)
@@ -236,7 +236,7 @@ class TestCycleCoordinates:
             charges = moved_charges(lat, (1,) * lat.n_vertices,
                                     _link_mask(lat.plaquettes[2][:2]))
         sec = build_physical_sector(cross_model, charges)
-        order = cycle_order(cross_model, sec)
+        order = SectorMoves(cross_model, sec).cycle(sec)
         assert sorted(order) == list(range(sec.dim))
         lin = sec.masks[order]
         idx = np.arange(sec.dim)
@@ -274,7 +274,7 @@ class TestCycleCoordinates:
         lat = cross_with_repeated_plaquette()
         model = Z2Model(lat, 4.0)
         sector = build_physical_sector(model)
-        order = cycle_order(model, sector)
+        order = SectorMoves(model, sector).cycle(sector)
         lin = sector.masks[order]
         flips = [int(np.flatnonzero(lin == lin[0] ^ np.uint64(
                  _link_mask(p)))[0]) for p in lat.plaquettes]
