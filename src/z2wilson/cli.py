@@ -164,7 +164,10 @@ def resolve_lattice(cfg: RunConfig) -> Lattice:
         return build_rect(*size)
     if os.path.exists(spec):
         with open(spec) as fh:
-            lat = lattice_from_text(fh.read())
+            try:
+                lat = lattice_from_text(fh.read())
+            except ValueError as exc:
+                raise ConfigError(f"lattice file {spec!r}: {exc}") from None
         problems = validate(lat)
         if problems:
             raise ConfigError(f"lattice file {spec!r} invalid: {problems[0]}")

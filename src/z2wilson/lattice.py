@@ -187,13 +187,23 @@ def lattice_from_text(text: str) -> Lattice:
         parts = line.split()
         kind = parts[0].upper()
         if kind == "LATTICE":
-            fields = dict(p.split("=", 1) for p in parts[1:])
+            fields = dict(p.partition("=")[::2] for p in parts[1:])
+            missing = [k for k in "vep" if k not in fields]
+            if missing:
+                raise ValueError(f"LATTICE header {line!r} lacks "
+                                 f"{', '.join(k + '=' for k in missing)}")
             n_vertices = int(fields["v"])
             n_links = int(fields["e"])
             n_plaqs = int(fields["p"])
         elif kind == "LINK":
+            if len(parts) != 4:
+                raise ValueError(f"LINK record {line!r} needs an id and "
+                                 "two vertices")
             links[int(parts[1])] = (int(parts[2]), int(parts[3]))
         elif kind == "PLAQ":
+            if len(parts) != 6:
+                raise ValueError(f"PLAQ record {line!r} needs an id and "
+                                 "four links")
             plaqs[int(parts[1])] = tuple(int(p) for p in parts[2:6])
         else:
             raise ValueError(f"unknown lattice record {kind!r}")

@@ -17,26 +17,20 @@ The kernels accept either a single vector (2**n,) or a stack of column
 vectors (2**n, k); the second form is used to push whole operator bases
 through a gate sequence in one pass.
 
-Gate kernels update the amplitudes in place.  A single-qubit rotation
-works on the qubit's two whole half-slices, viewed as (hi, 2, lo[, k]).
-No kernel uses a BLAS product, fuses phases or reorders a sum, so each
-is bit-identical to its plain formula.  The products the kernels need
-and the sign-flipped copy for a diagonal string go into reusable scratch
-buffers keyed by element count, so applying a gate allocates nothing of
-state size.  Only strings with X or Y factors on more than one qubit
-still build their action out of place.
-
-A controlled group runs on a copy of its control's branch, taken as the
-compressed half-register, so it goes through the same kernels and the
-same bit-identity rule.  No group is special-cased: a V-gate chain of
-the plaquette and loop builders rotates and rounds like any other "x-"
-group.
+This is the full-space reference that ``circuits.run_circuit`` and the
+tests run, with one formula per job.  A string of weight >= 2 is
+cos(theta) a + i sin(theta) (P a), where P a is the phase/sign factor
+times the index-flip view :func:`flipped`, the helper the sector Trotter
+loop uses too.  A single-qubit rotation updates the qubit's two
+half-slices in place.  A controlled group runs on a copy of its
+control's branch, with no special case for V-gate chains.  No kernel
+uses a BLAS product, fuses phases or reorders a sum, so each is
+bit-identical to its plain formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,77 +151,36 @@ class PauliString:
 # raw array kernels
 # ---------------------------------------------------------------------------
 
-def _bit_parity(v: np.ndarray) -> np.ndarray:
-    return (np.bitwise_count(v) & 1).astype(np.int8)
-
-
-# per-register-size index arrays and per-mask sign/flip arrays; the working
-# set is a handful of masks per run.  Entries are read-only, so no caller
-# can corrupt a cached array.
-_CACHE_SIZE = 96
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@lru_cache(maxsize=8)
-def _indices(n_qubits: int) -> np.ndarray:
-    return _readonly(np.arange(1 << n_qubits, dtype=np.uint64))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _signs(n_qubits: int, zmask: int) -> np.ndarray:
-    par = _bit_parity(_indices(n_qubits) & np.uint64(zmask))
-    return _readonly((1.0 - 2.0 * par).astype(np.float64))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _perm(n_qubits: int, xmask: int) -> np.ndarray:
-    return _readonly((_indices(n_qubits) ^ np.uint64(xmask)).astype(np.intp))
-
-
-@lru_cache(maxsize=8)
-def _scratch(size: int, slot: str = "kernel", dtype=np.complex128
-             ) -> np.ndarray:
-    """Reusable flat work buffer of ``size`` elements.
-
-    Keyed by element count, not shape, so every shape of the same size
-    (a vector, a stack of columns, the two halves of a larger register)
-    shares one buffer.  ``slot`` separates buffers that are live at the
-    same time: a controlled branch copied into the "branch" buffer is
-    then updated by kernels that use the "kernel" buffer of that size.
-    """
-    return np.empty(size, dtype=dtype)
-
-
-def _expand(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Broadcast a (2**n,) coefficient vector against (2**n,) or (2**n, k)."""
-    if vec.ndim == 1:
-        return arr
-    return arr[:, None]
-
-
-def pauli_action(amps: np.ndarray, p: PauliString, n_qubits: int) -> np.ndarray:
-    """Return P @ amps without modifying amps (axis 0 is the Hilbert index)."""
-    xm, zm, ny = p.masks()
+def _check_register(p: PauliString, n_qubits: int) -> None:
     if p.max_qubit() >= n_qubits:
         raise PauliStringError(
             f"string touches qubit {p.max_qubit()} outside register of {n_qubits}"
         )
-    scalar = p.phase * (1j) ** ny
-    # (P a)[j] = c(j^x) a[j^x]: scale at the source, then gather
-    if zm == 0:
-        tmp = amps if scalar == 1 else scalar * amps
-    else:
-        tmp = _expand(_signs(n_qubits, zm), amps) * amps
-        if scalar != 1:
-            tmp *= scalar
-    if xm == 0:
-        return tmp.copy() if tmp is amps else tmp
-    perm = _perm(n_qubits, xm)
-    return tmp[perm] if amps.ndim == 1 else tmp[perm, :]
+
+
+def flipped(a: np.ndarray, k: int) -> np.ndarray:
+    """View of ``a`` whose row i is row ``i ^ k``: on ``a`` reshaped to a
+    (2,)*n_bits cube, with the axes of k's set bits reversed."""
+    n_bits = a.shape[0].bit_length() - 1
+    cube = a.reshape((2,) * n_bits + a.shape[1:])
+    return cube[tuple(slice(None, None, -1) if k >> (n_bits - 1 - ax) & 1
+                      else slice(None) for ax in range(n_bits))]
+
+
+def pauli_action(amps: np.ndarray, p: PauliString, n_qubits: int) -> np.ndarray:
+    """Return P @ amps without modifying amps (axis 0 is the Hilbert index).
+
+    (P a)[j] = c(j ^ x) a[j ^ x]: the phase/sign factor c scales the
+    amplitudes at their source, then the index-flip view moves them.
+    """
+    xm, zm, ny = p.masks()
+    _check_register(p, n_qubits)
+    index = np.arange(1 << n_qubits, dtype=np.uint64)
+    parity = np.bitwise_count(index & np.uint64(zm)) & 1
+    factor = (p.phase * (1j) ** ny) * (1.0 - 2.0 * parity)
+    if amps.ndim > 1:
+        factor = factor[:, None]
+    return flipped(factor * amps, xm).reshape(amps.shape)
 
 
 def pauli_apply_inplace(amps: np.ndarray, p: PauliString, n_qubits: int) -> None:
@@ -237,22 +190,14 @@ def pauli_apply_inplace(amps: np.ndarray, p: PauliString, n_qubits: int) -> None
 def _qubit_blocks(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
     """View (hi, 2, lo[, k]): axis 1 indexes the qubit's bit."""
     hi = 1 << (n_qubits - 1 - qubit)
-    lo = 1 << qubit
-    if amps.ndim == 1:
-        return amps.reshape(hi, 2, lo)
-    return amps.reshape(hi, 2, lo, amps.shape[1])
+    return amps.reshape((hi, 2, 1 << qubit) + amps.shape[1:])
 
 
 def _bit_probability(amps: np.ndarray, n_qubits: int, qubit: int,
                      bit: int) -> float:
-    """Probability that ``qubit`` reads ``bit`` in the 1-D state ``amps``.
-
-    |a|**2 of the qubit's half-view goes into a flat scratch buffer in
-    index order and is summed there, without a boolean-mask gather.
-    """
-    half = _qubit_blocks(amps, n_qubits, qubit)[:, bit]
-    sq = _scratch(half.size, "real", np.float64)
-    np.abs(half, out=sq.reshape(half.shape))
+    """Probability that ``qubit`` reads ``bit`` in the 1-D state ``amps``:
+    |a|**2 of the qubit's half-view, summed in index order."""
+    sq = np.abs(_qubit_blocks(amps, n_qubits, qubit)[:, bit]).ravel()
     np.square(sq, out=sq)
     return float(sq.sum())
 
@@ -262,10 +207,7 @@ def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
     """e^{i theta sigma_axis(qubit)} in place, on the qubit's two half-slices.
 
     Z scales the halves by e^{+-i theta}; X and Y set a0 <- c a0 + m a1 and
-    a1 <- c a1 +- m a0 (m = i sin theta for X, sin theta for Y), with the
-    two products in a scratch buffer, so nothing of state size is
-    allocated per call.  No BLAS product, fused phase or reordered sum:
-    the result is bit-identical to the plain formula.
+    a1 <- c a1 +- m a0 (m = i sin theta for X, sin theta for Y).
     """
     v = _qubit_blocks(amps, n_qubits, qubit)
     if axis == "Z":
@@ -275,9 +217,7 @@ def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
     c, s = np.cos(theta), np.sin(theta)
     mix = 1j * s if axis == "X" else s
     a0, a1 = v[:, 0], v[:, 1]
-    t0, t1 = _scratch(2 * a0.size).reshape((2,) + a0.shape)
-    np.multiply(a1, mix, out=t0)
-    np.multiply(a0, mix, out=t1)
+    t0, t1 = a1 * mix, a0 * mix
     a0 *= c
     a0 += t0
     a1 *= c
@@ -287,90 +227,54 @@ def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
         a1 -= t1
 
 
-def _diagonal_exp(amps: np.ndarray, zmask: int, theta: float,
-                  n_qubits: int) -> None:
-    """e^{i theta Z..Z} in place: cos * a + i sin * (signs * a), with the
-    sign-flipped copy in a scratch buffer."""
-    flipped = _scratch(amps.size).reshape(amps.shape)
-    np.multiply(_expand(_signs(n_qubits, zmask), amps), amps, out=flipped)
-    flipped *= 1j * np.sin(theta)
-    amps *= np.cos(theta)
-    amps += flipped
-
-
 def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
                       n_qubits: int) -> None:
-    """amps <- e^{i theta P} amps, exact closed form (requires Hermitian P)."""
+    """amps <- e^{i theta P} amps, exact closed form (requires Hermitian P):
+    a half-slice rotation for weight 1, cos(theta) a + i sin(theta) (P a)
+    for every longer string."""
     if not p.is_hermitian():
         raise PauliStringError("exponent requires a Hermitian string (phase +-1)")
     if p.is_identity():
         amps *= np.exp(1j * theta)
         return
-    if p.max_qubit() >= n_qubits:
-        raise PauliStringError(
-            f"string touches qubit {p.max_qubit()} outside register of {n_qubits}"
-        )
+    _check_register(p, n_qubits)
     if p.weight == 1:
         (qubit, axis), = p.terms
         _single_qubit_exp(amps, qubit, axis, theta * p.phase.real, n_qubits)
-        return
-    xm, zm, _ = p.masks()
-    if xm == 0:
-        _diagonal_exp(amps, zm, theta * p.phase.real, n_qubits)
         return
     pa = pauli_action(amps, p, n_qubits)
     amps *= np.cos(theta)
     amps += (1j * np.sin(theta)) * pa
 
 
-@lru_cache(maxsize=256)
-def _compress_above(p: PauliString, qubit: int) -> PauliString:
-    """Re-index a string onto the register with ``qubit`` removed."""
-    return PauliString({(q if q < qubit else q - 1): ax for q, ax in p.terms},
-                       p.phase)
-
-
-def _branch_exps(amps: np.ndarray, control: int, terms,
-                 n_qubits: int) -> None:
-    """Run (P, theta) exponentials on the control's bit-0 branch.
-
-    The branch is copied into the "branch" scratch buffer, the terms run
-    on it as the compressed half-register (the control's qubit removed),
-    and it is copied back.
-    """
-    branch = _qubit_blocks(amps, n_qubits, control)[:, 0]
-    work = _scratch(branch.size, "branch").reshape(branch.shape)
-    np.copyto(work, branch)
-    flat = work.reshape((-1,) + branch.shape[2:])
-    for p, theta in terms:
-        pauli_exp_inplace(flat, _compress_above(p, control), theta,
-                          n_qubits - 1)
-    np.copyto(branch, work)
-
-
 def _controlled_exps(amps: np.ndarray, control: int, basis: str, terms,
                      n_qubits: int) -> None:
     """Apply a sequence of (P, theta) exponentials on one controlled branch.
 
-    A "z" group runs on the control's spin-up branch (:func:`_branch_exps`);
-    an "x-" group rotates |-> onto spin-up with one Y rotation pair for the
-    whole sequence and runs there.  Within the branch each exponential
-    runs as it would alone, V-chains included: a chain of Z strings at
-    theta = +-pi/2 rounds like any other group, since cos(pi/2) is not 0
-    in floating point.  Arguments are as validated by
-    :func:`controlled_pauli_exp_inplace`.
+    A "z" group runs on the control's spin-up branch; an "x-" group
+    rotates |-> onto spin-up with one Y rotation pair for the whole
+    sequence and runs there.  The branch is copied out, the terms run on
+    the copy as the register with the control removed, and it is copied
+    back.  Within the branch each exponential runs as it would alone,
+    V-chains included: a chain of Z strings at theta = +-pi/2 rounds like
+    any other group, since cos(pi/2) is not 0 in floating point.
+    Arguments are as validated by :func:`controlled_pauli_exp_inplace`.
     """
     if basis not in ("z", "x-"):
         raise PauliStringError(f"unknown control basis {basis!r}")
-    if any(p.max_qubit() >= n_qubits for p, _ in terms):
-        raise PauliStringError(
-            f"string touches a qubit outside register of {n_qubits}")
-    if basis == "z":
-        _branch_exps(amps, control, terms, n_qubits)
-        return
-    _single_qubit_exp(amps, control, "Y", -np.pi / 4, n_qubits)
-    _branch_exps(amps, control, terms, n_qubits)
-    _single_qubit_exp(amps, control, "Y", +np.pi / 4, n_qubits)
+    for p, _ in terms:
+        _check_register(p, n_qubits)
+    if basis == "x-":
+        _single_qubit_exp(amps, control, "Y", -np.pi / 4, n_qubits)
+    branch = _qubit_blocks(amps, n_qubits, control)[:, 0]
+    work = branch.copy().reshape((-1,) + amps.shape[1:])
+    for p, theta in terms:
+        below = {(q if q < control else q - 1): ax for q, ax in p.terms}
+        pauli_exp_inplace(work, PauliString(below, p.phase), theta,
+                          n_qubits - 1)
+    branch[...] = work.reshape(branch.shape)
+    if basis == "x-":
+        _single_qubit_exp(amps, control, "Y", +np.pi / 4, n_qubits)
 
 
 def controlled_pauli_exp_inplace(amps: np.ndarray, control: int, basis: str,
@@ -405,7 +309,6 @@ class StateVector:
 
     n_qubits: int
     amps: np.ndarray
-    norm_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.amps.shape != (1 << self.n_qubits,):
@@ -422,7 +325,7 @@ class StateVector:
         return cls(n_qubits, amps)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy(), self.norm_tolerance)
+        return StateVector(self.n_qubits, self.amps.copy())
 
     def norm_error(self) -> float:
         return abs(1.0 - float(np.sum(np.abs(self.amps) ** 2)))
@@ -473,11 +376,9 @@ def expect_pauli(sv: StateVector, p: PauliString) -> float:
 
 def reduced_qubit_density(sv: StateVector, qubit: int) -> np.ndarray:
     """2x2 reduced density matrix of one qubit (computational basis)."""
-    n = sv.n_qubits
-    if not 0 <= qubit < n:
+    if not 0 <= qubit < sv.n_qubits:
         raise ValueError(f"qubit {qubit} outside register")
-    lo, hi = qubit, n - qubit - 1
-    a = sv.amps.reshape(1 << hi, 2, 1 << lo)
+    a = _qubit_blocks(sv.amps, sv.n_qubits, qubit)
     return np.einsum("iaj,ibj->ab", a, a.conj())
 
 

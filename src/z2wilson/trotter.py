@@ -9,6 +9,9 @@ with the electric factor an exact product of single-link X rotations
 factor an exact product of four-link ZZZZ exponentials; all terms inside a
 factor commute, so the only approximation is the electric/magnetic split.
 Consecutive electric half-factors inside one evolution are merged.
+The sector loop operator runs the same product in cycle coordinates,
+where every plaquette and spatial step is an index flip through
+``statevec.flipped``, the view the full-space Pauli action uses too.
 
 Fidelities follow the two figures of merit reported for the sweeps:
 operator fidelity |tr(W^dag W')| with normalized trace, and state fidelity
@@ -29,8 +32,8 @@ from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
                     project_to_sector)
 from .lattice import _odd_links
 from .programs import LoopProgram, ProgramError, Spatial, program_errors
-from .statevec import (PauliString, StateVector, pauli_apply_inplace,
-                       pauli_exp_inplace)
+from .statevec import (PauliString, StateVector, flipped,
+                       pauli_apply_inplace, pauli_exp_inplace)
 
 INFIDELITY_FLOOR = 1e-13
 
@@ -131,8 +134,8 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     plaquette exponential is cos(theta) I + i sin(theta) (XOR permutation).
     The rows stay in cycle coordinates for the whole program, one gather
     in and one out; every spatial step and plaquette is an index flip
-    (:meth:`SectorMoves.flip`, :func:`_flipped`), not a gather.  The
-    result is bit-identical to the gather ``w = c * w + s * w[perm, :]``
+    (:meth:`SectorMoves.flip`, :func:`.statevec.flipped`), not a gather.
+    The result is bit-identical to the gather ``w = c * w + s * w[perm, :]``
     on sorted rows.  This reproduces the full-space gate circuit matrix
     (see :func:`trotterized_loop_operator_fullspace`) at dim x dim cost.
     """
@@ -142,19 +145,10 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     for step in program.steps:
         if isinstance(step, Spatial):
             sector, k = moves.flip(sector, _link_mask(step.links))
-            w = _flipped(w, k).copy().reshape(w.shape)
+            w = flipped(w, k).copy().reshape(w.shape)
         else:
             _trotter_band(model, moves, sector, step, n_T, w)
     return SectorOperator(w[np.argsort(moves.cycle(sector)), :])
-
-
-def _flipped(w: np.ndarray, k: int) -> np.ndarray:
-    """View of ``w`` whose row i is row ``i ^ k``: on ``w`` reshaped to a
-    (2,)*n_bits cube, with the axes of k's set bits reversed."""
-    n_bits = w.shape[0].bit_length() - 1
-    cube = w.reshape((2,) * n_bits + w.shape[1:])
-    return cube[tuple(slice(None, None, -1) if k >> (n_bits - 1 - a) & 1
-                      else slice(None) for a in range(n_bits))]
 
 
 def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
@@ -162,19 +156,19 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
     """Apply one temporal step's Trotter product to ``w`` in place.
 
     The rows of ``w`` are in ``sec``'s cycle coordinates, where plaquette
-    p maps row i to row ``i ^ k_p`` (:func:`_flipped`), for any lattice.
-    Each factor copies its view into one scratch matrix (a copy through
-    negative strides is cheaper than arithmetic through them), then runs
-    three in-place ufunc calls on contiguous matrices; nothing inside the
-    loop allocates.  Row permutations are exact, c = (cos, 0) and
+    p maps row i to row ``i ^ k_p`` (:func:`.statevec.flipped`), for any
+    lattice.  Each factor copies its view into one scratch matrix (a copy
+    through negative strides is cheaper than arithmetic through them),
+    then runs three in-place ufunc calls on contiguous matrices; nothing
+    inside the loop allocates.  Row permutations are exact, c = (cos, 0) and
     s = (0, sin) give one nonzero product per component, and the sum
     keeps its order, so every entry is bit-identical to the gather
     ``c * w + s * w[perm, :]``.
     """
-    views = [_flipped(w, moves.flip(sec, _link_mask(plaq))[1])
+    views = [flipped(w, moves.flip(sec, _link_mask(plaq))[1])
              for plaq in model.lattice.plaquettes]
     g = np.empty_like(w)
-    g_cube = _flipped(g, 0)                     # g's cube, as a view
+    g_cube = flipped(g, 0)                      # g's cube, as a view
     half = np.exp(-1j * (step.tau / (2 * n_T)) * electric_diag(
         model, sec, step.modified_links))[moves.cycle(sec), None]
     full = half * half
@@ -243,23 +237,37 @@ class FidelityReport:
     """Rows (n_T, operator fidelity, state fidelity) plus log-log fits.
 
     ``unitarity_errors[i]`` is the unitarity error of the Trotterized
-    operator behind ``rows[i]``.
+    operator behind ``rows[i]`` and ``exact_unitarity_error`` that of the
+    exact W, both max-entry norms of W^dag W - I on a ``dim``-dimensional
+    sector.  Such an error eps bounds the operator's spectral norm by
+    sqrt(1 + dim * eps), so no fidelity of a row can exceed the product
+    of the two norm bounds (:meth:`fidelity_bound`); a row above it is
+    refused.
     """
 
     rows: tuple[tuple[int, float, float], ...]
     fit_op: PowerLawFit | None
     fit_gs: PowerLawFit | None
-    unitarity_errors: tuple[float, ...] = ()
+    unitarity_errors: tuple[float, ...]
+    exact_unitarity_error: float
+    dim: int
 
     def __post_init__(self):
         ns = [n for n, _, _ in self.rows]
         if ns != sorted(ns):
             raise ValueError("report rows must be sorted by n_T")
-        for n, fop, fgs in self.rows:
-            if not (-1e-12 <= fop <= 1 + 1e-12
-                    and -1e-12 <= fgs <= 1 + 1e-12):
-                raise ValueError(f"fidelity outside [0,1] at n_T={n}: "
-                                 f"{fop}, {fgs}")
+        if len(self.unitarity_errors) != len(self.rows):
+            raise ValueError("need one unitarity error per report row")
+        for i, (n, fop, fgs) in enumerate(self.rows):
+            bound = self.fidelity_bound(i)
+            if not (0 <= fop <= bound and 0 <= fgs <= bound):
+                raise ValueError(f"fidelity outside [0, {bound:.17g}] at "
+                                 f"n_T={n}: {fop}, {fgs}")
+
+    def fidelity_bound(self, i: int) -> float:
+        """Largest fidelity row ``i`` can reach given both unitarity errors."""
+        return float(np.sqrt(1 + self.dim * self.exact_unitarity_error)
+                     * np.sqrt(1 + self.dim * self.unitarity_errors[i]))
 
 
 def fit_power_law(rows) -> PowerLawFit:
@@ -331,7 +339,8 @@ def sweep(model: Z2Model, program: LoopProgram, psi: StateVector, n_T_list,
             fit_gs = fit_power_law(gs_rows)
         except ValueError:
             pass
-    return FidelityReport(tuple(rows), fit_op, fit_gs, tuple(unitarity_errors))
+    return FidelityReport(tuple(rows), fit_op, fit_gs, tuple(unitarity_errors),
+                          w_exact.unitarity_error(), sector.dim)
 
 
 def report_to_csv(report: FidelityReport) -> str:

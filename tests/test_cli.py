@@ -221,6 +221,17 @@ class TestSweep:
                               "--nt", "4,8,16", "--out", str(out_path))
         assert code == EXIT_OK
 
+    def test_rows_past_one_within_their_bound(self, capsys, tmp_path):
+        # at n_T=12000 both fidelities round to just above 1, well inside
+        # the bound the rows' own unitarity errors give
+        out_path = tmp_path / "r.csv"
+        code, _, err = run_main(capsys, "sweep", "--nt", "8,16,12000",
+                                "--out", str(out_path))
+        assert code == EXIT_OK, err
+        row = next(l for l in out_path.read_text().splitlines()
+                   if l.startswith("12000,"))
+        assert all(1 < float(f) < 1 + 1e-10 for f in row.split(",")[1:])
+
     def test_single_nt_9(self, capsys, tmp_path):
         out_path = tmp_path / "r.csv"
         code, _, _ = run_main(capsys, "sweep", "--nt", "9",
@@ -633,6 +644,25 @@ class TestValidateCommand:
         assert out == ""
         assert err.startswith("error: lattice file")
         assert err.count("\n") == 1 and err.count("error:") == 1
+
+    @pytest.mark.parametrize("text, record", [
+        ("LATTICE v=2 e=1 p=0\nLINK 0 1\n", "LINK record 'LINK 0 1'"),
+        ("LATTICE v=4 e=4 p=1\nLINK 0 0 1\nLINK 1 1 2\nLINK 2 2 3\n"
+         "LINK 3 3 0\nPLAQ 0 0 1 2\n", "PLAQ record 'PLAQ 0 0 1 2'"),
+        ("LATTICE e=1 p=0\nLINK 0 0 1\n", "lacks v="),
+        ("LATTICE v2 e=1 p=0\nLINK 0 0 1\n", "lacks v="),
+        ("LATTICE v=2 p=0\nLINK 0 0 1\n", "lacks e="),
+        ("LATTICE v=2 e=1\nLINK 0 0 1\n", "lacks p=")])
+    def test_malformed_lattice_file(self, capsys, tmp_path, text, record):
+        # refused with the record named, not a traceback
+        path = tmp_path / "bad.lat"
+        path.write_text(text)
+        for command in ("validate", "sweep"):
+            code, out, err = run_main(capsys, command, "--lattice", str(path))
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err.startswith("error: lattice file") and record in err
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("lattice", ["rect:2x2", "rect:3x3"])
     def test_builtin_program_off_the_cross(self, capsys, lattice):

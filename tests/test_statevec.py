@@ -331,6 +331,44 @@ class TestKernelLayouts:
         assert same_bits(got, want)
 
 
+def gather_action(v, p, n):
+    """P v by an explicit index gather: (P v)[j] = c(j ^ x) v[j ^ x]."""
+    xm, zm, ny = p.masks()
+    src = np.arange(1 << n) ^ xm
+    odd = np.array([bin(int(s) & zm).count("1") % 2 for s in src])
+    c = p.phase * 1j ** ny * np.where(odd == 1, -1.0, 1.0)
+    return (c if v.ndim == 1 else c[:, None]) * v[src]
+
+
+class TestMultiQubitFormula:
+    # every string of weight 2-4, diagonal or not, is cos(theta) a +
+    # i sin(theta) (P a) bit for bit, on a 1-D state and a stack of columns
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bit_identical_to_gather_formula(self, stacked):
+        n = 7
+        rng = np.random.default_rng(21)
+        if stacked:
+            v = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
+        else:
+            v = random_state(n, rng)
+        strings = [PauliString({0: "Z", 6: "Z"}),
+                   PauliString({1: "X", 2: "X", 5: "X"}, phase=-1),
+                   PauliString({0: "Y", 3: "Y", 4: "Y", 6: "Y"}),
+                   PauliString({2: "Z", 3: "X", 4: "Y"}, phase=-1)]
+        for _ in range(40):
+            qs = rng.choice(n, size=int(rng.integers(2, 5)), replace=False)
+            strings.append(PauliString(
+                {int(q): "XYZ"[rng.integers(3)] for q in qs},
+                phase=int(rng.choice([1, -1]))))
+        for p in strings:
+            for th in LAYOUT_THETAS:
+                got = v.copy()
+                pauli_exp_inplace(got, p, th, n)
+                want = np.cos(th) * v + (1j * np.sin(th)) * gather_action(
+                    v, p, n)
+                assert same_bits(got, want), (str(p), th)
+
+
 def random_z_chain(n, control, rng):
     """1-6 Z strings of weight 1-4 off the control, theta +-pi/2, phase +-1."""
     others = [q for q in range(n) if q != control]

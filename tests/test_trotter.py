@@ -6,6 +6,7 @@ Trotter factor product are all assembled from Kronecker products here and
 compared against the package's sector machinery.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -432,6 +433,28 @@ class TestSweep:
             sweep(cross_model, staircase_default(), gs, [8, 8], cross_sector)
         with pytest.raises(ValueError):
             sweep(cross_model, staircase_default(), gs, [], cross_sector)
+
+    def test_rows_above_their_bound_refused(self, cross_model, cross_sector,
+                                            cross_ground):
+        # the bound is sqrt(1 + d eps_W) sqrt(1 + d eps_nT) per row
+        _, gs = cross_ground
+        rep = sweep(cross_model, staircase_default(), gs, [8, 16],
+                    cross_sector)
+        bound = rep.fidelity_bound(1)
+        assert bound == np.sqrt(1 + 32 * rep.exact_unitarity_error) * np.sqrt(
+            1 + 32 * rep.unitarity_errors[1])
+        assert 1 < bound < 1 + 1e-12
+        for excess in (bound + 1e-13, 1.5, float("nan")):
+            for row in ((16, excess, 1.0), (16, 1.0, excess)):
+                with pytest.raises(ValueError, match="fidelity outside"):
+                    dataclasses.replace(rep, rows=(rep.rows[0], row))
+        # a larger measured error admits the same row
+        loose = dataclasses.replace(
+            rep, rows=(rep.rows[0], (16, 1 + 1e-9, 1.0)),
+            unitarity_errors=(0.0, 1e-10))
+        assert loose.fidelity_bound(1) > 1 + 1e-9
+        with pytest.raises(ValueError, match="one unitarity error per"):
+            dataclasses.replace(rep, unitarity_errors=())
 
     def test_csv_format(self, cross_model, cross_sector, cross_ground):
         _, gs = cross_ground
