@@ -4,44 +4,70 @@ A dense statevector simulator for constructing, Trotterizing, and
 measuring gauge-invariant space-time Wilson loops: plaquette-based ancilla
 circuits, link-based matter-hopping circuits, exact sector oracles, and
 the Trotter fidelity-scaling experiment on the 16-link cross lattice.
+
+The namespace is lazy: ``z2wilson.X`` and ``from z2wilson import X`` load
+the submodule that defines ``X`` on first use, so importing the package
+loads no submodule and no numpy.
 """
 
+import importlib
 import os
 import sys
 
 __version__ = "0.1.0"
 
 # Idle OpenBLAS helper threads otherwise spin ~0.1 s of CPU after every call.
+# Set here, so it is in place before any submodule loads numpy.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
 
-from .lattice import (Lattice, build_cross, build_rect, lattice_from_text,
-                      lattice_to_text, validate)
-from .statevec import (PauliString, StateVector, apply_controlled_pauli_exp,
-                       apply_pauli, apply_pauli_exp, expect_pauli, init_basis,
-                       inner, qubit_purity, reduced_qubit_density)
-from .gauge import (DegenerateGroundStateWarning, PhysicalSector,
-                    SectorMoves, SectorOperator, Z2Model,
-                    build_physical_sector, electric_diag,
-                    exact_evolve_in_sector, gauge_violation, ground_state,
-                    hamiltonian_in_sector, sector_basis_dump,
-                    sector_gauge_violation, sector_ground_state,
-                    sector_spectrum, spatial_loop_in_sector, spectral_bound,
-                    star_operator, xor_perm)
-from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
-                       Temporal, program_from_text, program_to_text,
-                       staircase_default, validate_program)
-from .trotter import (FidelityReport, PowerLawFit, TrotterPlan,
-                      exact_loop_operator, fit_power_law, operator_fidelity,
-                      report_to_csv, state_fidelity, sweep, trotter_evolve,
-                      trotter_strings, trotterized_loop_operator)
-from .circuits import (Circuit, ControlledPauliExp, Measure, PauliExp,
-                       ResetAncilla, circuit_stats, circuit_to_text,
-                       run_blocks, run_circuit, star_commutation_report)
-from .wilson import (conjugated_temporal_plaquette, controlled_loop,
-                     hadamard_test, link_loop_circuit, link_loop_closure,
-                     link_wilson_line, plaquette_exp_via_ancilla,
-                     rect_loop_link_circuit, rect_loop_plaquette_circuit,
-                     sample_p_plus, spatial_loop_direct,
-                     spatial_loop_via_ancilla,
-                     temporal_plaquette_exact, trotterized_program_circuit)
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "lattice": ("Lattice", "build_cross", "build_rect", "lattice_from_text",
+                "lattice_to_text", "validate"),
+    "statevec": ("PauliString", "StateVector", "apply_controlled_pauli_exp",
+                 "apply_pauli", "apply_pauli_exp", "expect_pauli",
+                 "init_basis", "inner", "qubit_purity",
+                 "reduced_qubit_density"),
+    "gauge": ("DegenerateGroundStateWarning", "PhysicalSector", "SectorMoves",
+              "SectorOperator", "Z2Model", "build_physical_sector",
+              "electric_diag", "exact_evolve_in_sector", "gauge_violation",
+              "ground_state", "hamiltonian_in_sector", "sector_basis_dump",
+              "sector_gauge_violation", "sector_ground_state",
+              "sector_spectrum", "spatial_loop_in_sector", "spectral_bound",
+              "star_operator", "xor_perm"),
+    "programs": ("FreeEvolve", "LoopProgram", "ProgramError", "Spatial",
+                 "Temporal", "program_from_text", "program_to_text",
+                 "staircase_default", "validate_program"),
+    "trotter": ("FidelityReport", "PowerLawFit", "TrotterPlan",
+                "exact_loop_operator", "fit_power_law", "operator_fidelity",
+                "report_to_csv", "state_fidelity", "sweep", "trotter_evolve",
+                "trotter_strings", "trotterized_loop_operator"),
+    "circuits": ("Circuit", "ControlledPauliExp", "Measure", "PauliExp",
+                 "ResetAncilla", "circuit_stats", "circuit_to_text",
+                 "run_blocks", "run_circuit", "star_commutation_report"),
+    "wilson": ("conjugated_temporal_plaquette", "controlled_loop",
+               "hadamard_test", "link_loop_circuit", "link_loop_closure",
+               "link_wilson_line", "plaquette_exp_via_ancilla",
+               "rect_loop_link_circuit", "rect_loop_plaquette_circuit",
+               "sample_p_plus", "spatial_loop_direct",
+               "spatial_loop_via_ancilla", "temporal_plaquette_exact",
+               "trotterized_program_circuit"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SOURCE:
+        module = importlib.import_module(f"{__name__}.{_SOURCE[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | _SOURCE.keys())

@@ -6,38 +6,32 @@ command-line overrides; every output file starts with a provenance header
 (artifact version, config hash, seed) and is written atomically.  Exit
 codes: 0 success, 2 configuration error, 3 degenerate ground state,
 4 numerical failure.
+
+Each command imports the layers it runs when it runs, so a request
+loads only those: ``validate`` needs no numpy, ``ground-state`` only
+the sector layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import re
 import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .circuits import circuit_to_text
-from .gauge import (DegenerateGroundStateWarning, GaugeError,
-                    PhysicalSector, Z2Model, build_physical_sector,
-                    ground_state, sector_basis_dump,
-                    sector_gauge_violation, sector_ground_state,
-                    spectral_bound)
 from .lattice import (Lattice, build_cross, build_rect, lattice_from_text,
                       validate)
-from .programs import (BUILTIN_PROGRAMS, LoopProgram, ProgramError, Spatial,
-                       Temporal, program_errors, program_from_text,
-                       validate_program)
-from .trotter import (exact_loop_operator, report_to_csv, sweep,
-                      trotterized_loop_operator)
-from .wilson import (hadamard_test, rect_loop_link_circuit,
-                     rect_loop_plaquette_circuit, sample_p_plus,
-                     trotterized_program_circuit)
+
+if TYPE_CHECKING:
+    from .gauge import PhysicalSector, Z2Model
+    from .programs import LoopProgram
 
 UNITARITY_TOLERANCE = 1e-8
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -129,7 +123,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 setattr(cfg, key, float(value))
             except ValueError as exc:
                 raise ConfigError(f"bad float for {key}: {value!r}") from exc
-            if key == "threshold" and not np.isfinite(cfg.threshold):
+            if key == "threshold" and not math.isfinite(cfg.threshold):
                 raise ConfigError(f"threshold must be finite, "
                                   f"got {cfg.threshold}")
         elif key in ("shots", "seed"):
@@ -176,6 +170,7 @@ def resolve_lattice(cfg: RunConfig) -> Lattice:
 
 
 def resolve_program(cfg: RunConfig) -> LoopProgram:
+    from .programs import BUILTIN_PROGRAMS, program_from_text
     spec = cfg.program
     if spec in BUILTIN_PROGRAMS:
         return BUILTIN_PROGRAMS[spec](cfg.tau)
@@ -222,6 +217,7 @@ def _setup(cfg: RunConfig, with_program: bool = True
 
     A program with validation errors is refused here, before any output.
     """
+    from .gauge import Z2Model, build_physical_sector
     model = Z2Model(resolve_lattice(cfg), cfg.lam)
     program = _checked_program(cfg, model.lattice) if with_program else None
     _check_overflow(model, program)
@@ -234,6 +230,7 @@ def _program_refusal(cfg: RunConfig, error: str) -> ConfigError:
     Builtins are written in the cross's link numbers, so on another
     lattice the refusal says so and asks for a program file.
     """
+    from .programs import BUILTIN_PROGRAMS
     if cfg.program not in BUILTIN_PROGRAMS:
         return ConfigError(error)
     return ConfigError(
@@ -244,6 +241,7 @@ def _program_refusal(cfg: RunConfig, error: str) -> ConfigError:
 
 def _checked_program(cfg: RunConfig, lattice: Lattice) -> LoopProgram:
     """The run's program; one with validation errors is refused here."""
+    from .programs import program_errors
     program = resolve_program(cfg)
     errs = program_errors(lattice, program)
     if errs:
@@ -260,18 +258,22 @@ def _check_overflow(model: Z2Model, program: LoopProgram | None) -> None:
     still make either inf, and the run would then print inf or nan, or
     fail part-way through its output.
     """
+    from .gauge import spectral_bound
     bound = spectral_bound(model)
-    if not np.isfinite(bound):
+    if not math.isfinite(bound):
         raise ConfigError(
             f"energies must be finite, got n_links + |lambda| * n_plaq = "
             f"{bound} at lambda={model.lam}")
-    for step in program.steps if program else ():
+    if program is None:
+        return
+    from .programs import Spatial, Temporal
+    for step in program.steps:
         if isinstance(step, Spatial):
             continue
         kind = ("temporal step" if isinstance(step, Temporal)
                 else "free evolution")
         phase = abs(step.tau) * bound
-        if not np.isfinite(phase):
+        if not math.isfinite(phase):
             raise ConfigError(
                 f"{kind} phases must be finite, got |tau| * (n_links + "
                 f"|lambda| * n_plaq) = {phase} at tau={step.tau}, "
@@ -281,6 +283,7 @@ def _check_overflow(model: Z2Model, program: LoopProgram | None) -> None:
 def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
     """Run a ground-state solver; also report whether it warned that the
     ground state is degenerate.  Other warnings pass through."""
+    from .gauge import DegenerateGroundStateWarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateGroundStateWarning)
         result = solver(model, sector)
@@ -299,6 +302,8 @@ def _report_degenerate() -> int:
 
 
 def cmd_ground_state(cfg: RunConfig) -> int:
+    from .gauge import (sector_basis_dump, sector_gauge_violation,
+                        sector_ground_state)
     model, _, sector = _setup(cfg, with_program=False)
     (energy, coords), degenerate = _solve(sector_ground_state, model, sector)
     violation = sector_gauge_violation(model, sector, coords)
@@ -318,8 +323,10 @@ def cmd_ground_state(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    from .gauge import ground_state
+    from .trotter import report_to_csv, sweep
     model, program, sector = _setup(cfg)
-    # the full-space state: recorded sweep references pin it (ROADMAP item 2)
+    # the full-space state: recorded sweep references pin it (ROADMAP item 1)
     (_, gs), degenerate = _solve(ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
@@ -338,6 +345,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_measure(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .gauge import sector_ground_state
+    from .trotter import exact_loop_operator, trotterized_loop_operator
+    from .wilson import hadamard_test, sample_p_plus
     model, program, sector = _setup(cfg)
     (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
@@ -365,6 +377,10 @@ def cmd_measure(cfg: RunConfig) -> int:
 
 
 def cmd_export_circuit(cfg: RunConfig) -> int:
+    from .circuits import circuit_to_text
+    from .gauge import Z2Model
+    from .wilson import (rect_loop_link_circuit, rect_loop_plaquette_circuit,
+                         trotterized_program_circuit)
     lat = resolve_lattice(cfg)
     model = Z2Model(lat, cfg.lam)
     if cfg.kind == "program":
@@ -389,9 +405,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     explicit = getattr(cfg, "_explicit", set())
     # energies and phases overflow through lambda and the program's taus
     if {"program", "tau", "lam"} & explicit:
+        from .gauge import Z2Model
         _check_overflow(Z2Model(lat, cfg.lam), resolve_program(cfg))
     # --tau is a parameter of the builtin programs, so it is checked too
     if {"program", "tau"} & explicit:
+        from .programs import BUILTIN_PROGRAMS, validate_program
         diags = validate_program(lat, resolve_program(cfg))
         errs = [d for d in diags if d.startswith("error:")]
         if errs and cfg.program in BUILTIN_PROGRAMS:
@@ -457,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ProgramError, GaugeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:

@@ -29,17 +29,22 @@ explicit step, needed only by the full-space routes (``sweep``'s state and
 the full-space gate executor), and is refused above 26 links.  It is a
 fast Walsh-Hadamard transform:
 |m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
+The helpers that return full-space objects (Pauli strings, statevectors)
+import :mod:`statevec` when called, so the sector layer loads without it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .lattice import Lattice, _odd_links
-from .statevec import PauliString, StateVector, expect_pauli
+
+if TYPE_CHECKING:
+    from .statevec import PauliString, StateVector
 
 _MAX_MASK_BITS = 63         # sector masks are uint64
 _MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
@@ -75,11 +80,13 @@ def spectral_bound(model: Z2Model) -> float:
 
 def star_operator(model: Z2Model, vertex: int) -> PauliString:
     """X on every link incident to the vertex, phase +1."""
+    from .statevec import PauliString
     return PauliString({li: "X" for li in model.lattice.star(vertex)})
 
 
 def plaquette_string(lattice: Lattice, plaq_index: int) -> PauliString:
     """Z Z Z Z on the four links of a plaquette."""
+    from .statevec import PauliString
     return PauliString({li: "Z" for li in lattice.plaquettes[plaq_index]})
 
 
@@ -313,6 +320,7 @@ def project_to_sector(sector: PhysicalSector, amps: np.ndarray) -> np.ndarray:
 
 
 def embed_state(sector: PhysicalSector, coords: np.ndarray) -> StateVector:
+    from .statevec import StateVector
     return StateVector(sector.n_links, embed_sector_coords(sector, coords))
 
 
@@ -467,6 +475,7 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
     real positive (lowest index wins ties).  A spectral gap below
     ``gap_tolerance`` raises a DegenerateGroundStateWarning.
     """
+    from .statevec import StateVector
     energy, coords = _sector_eigh(model, sector, gap_tolerance)
     amps = embed_sector_coords(sector, coords)
     k = int(np.argmax(np.abs(amps)))
@@ -481,6 +490,7 @@ def gauge_violation(sv: StateVector, model: Z2Model) -> float:
     Ancilla or matter qubits above the link register must be disentangled
     (caller's responsibility); stars act on link qubits only.
     """
+    from .statevec import expect_pauli
     worst = 0.0
     for v in range(model.lattice.n_vertices):
         val = expect_pauli(sv, star_operator(model, v))

@@ -124,6 +124,8 @@ def validate(lattice: Lattice) -> list[str]:
     """Diagnostics for every violated structural invariant (empty if none)."""
     out: list[str] = []
     nv, nl = lattice.n_vertices, lattice.n_links
+    if nv < 1:
+        out.append(f"{nv} vertices: a lattice needs at least one")
 
     for li, (a, b) in enumerate(lattice.links):
         if not (0 <= a < nv and 0 <= b < nv):

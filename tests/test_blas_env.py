@@ -1,7 +1,8 @@
 """Import-time BLAS idle timeout: set before numpy loads, never overridden.
 
 Each case runs a fresh interpreter, because OpenBLAS reads its environment
-only once, when numpy first loads it.
+only once, when numpy first loads it.  ``import z2wilson`` sets the
+variable but loads no numpy; the first numerical submodule loads it.
 """
 
 import os
@@ -57,16 +58,19 @@ def test_numpy_loaded_first_is_left_alone():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count threads")
 def test_thread_count_unchanged():
-    with_package = run_child("import z2wilson; " + THREADS)
+    with_package = run_child("import z2wilson.gauge; " + THREADS)
     numpy_alone = run_child("import numpy; " + THREADS)
     assert with_package == numpy_alone
 
 
 @pytest.mark.skipif(not _uses_openblas(), reason="numpy is not on OpenBLAS")
 def test_cli_process_does_not_spin_blas_threads():
-    """Child CPU time may not exceed its wall time: no helper thread spins."""
-    cmd = [sys.executable, "-m", "z2wilson.cli", "validate", "--lattice",
-           "cross"]
+    """Child CPU time may not exceed its wall time: no helper thread spins.
+
+    The command must wake the BLAS threads: ``validate`` loads no numpy,
+    and a 16 x 16 eigensolve (rect:2x2) runs on one thread.  ``sweep``'s
+    products do; at a timeout of 28 they spin about 0.1 s past wall time."""
+    cmd = [sys.executable, "-m", "z2wilson.cli", "sweep", "--nt", "2"]
     t0 = time.perf_counter()
     proc = subprocess.Popen(cmd, env=child_env(), stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)

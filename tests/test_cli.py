@@ -110,18 +110,19 @@ class TestGroundState:
     @pytest.mark.parametrize("command", ["ground-state", "sweep", "measure"])
     def test_degenerate_exit_3(self, capsys, monkeypatch, tmp_path, command):
         import warnings as _w
-        import z2wilson.cli as cli_mod
+        import z2wilson.gauge as gauge_mod
         from z2wilson.gauge import DegenerateGroundStateWarning
 
-        # sweep solves in the full space, the others in sector coordinates
+        # sweep solves in the full space, the others in sector coordinates;
+        # each command looks its solver up in z2wilson.gauge when it runs
         solver = "ground_state" if command == "sweep" else "sector_ground_state"
-        real = getattr(cli_mod, solver)
+        real = getattr(gauge_mod, solver)
 
         def warn_and_solve(model, sector, gap_tolerance=1e-10):
             _w.warn("forced", DegenerateGroundStateWarning)
             return real(model, sector)
 
-        monkeypatch.setattr(cli_mod, solver, warn_and_solve)
+        monkeypatch.setattr(gauge_mod, solver, warn_and_solve)
         out_path = tmp_path / "out.txt"
         code, out, _ = run_main(capsys, command, "--nt", "2",
                                 "--out", str(out_path))
@@ -663,6 +664,21 @@ class TestValidateCommand:
             assert out == ""
             assert err.startswith("error: lattice file") and record in err
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_vertices", [0, -3])
+    def test_lattice_file_without_vertices(self, capsys, tmp_path,
+                                           n_vertices):
+        # both commands refuse it with the lattice diagnostic, not a
+        # sector error further in
+        path = tmp_path / "empty.lat"
+        path.write_text(f"LATTICE v={n_vertices} e=0 p=0\n")
+        for command in ("validate", "ground-state"):
+            code, out, err = run_main(capsys, command, "--lattice", str(path))
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err == (f"error: lattice file {str(path)!r} invalid: "
+                           f"{n_vertices} vertices: a lattice needs at "
+                           "least one\n")
 
     @pytest.mark.parametrize("lattice", ["rect:2x2", "rect:3x3"])
     def test_builtin_program_off_the_cross(self, capsys, lattice):

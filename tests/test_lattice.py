@@ -128,6 +128,12 @@ class TestValidate:
         bad = Lattice(2, ((0, 5), (0, 1)), ())
         assert any("out of range" in d for d in validate(bad))
 
+    @pytest.mark.parametrize("n_vertices", [0, -3])
+    def test_no_vertices(self, n_vertices):
+        diags = validate(Lattice(n_vertices, (), ()))
+        assert diags == [f"{n_vertices} vertices: a lattice needs at "
+                         "least one"]
+
 
 class TestTextFormat:
     def test_round_trip(self):
