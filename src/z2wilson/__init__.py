@@ -16,10 +16,13 @@ import sys
 
 __version__ = "0.1.0"
 
-# Idle OpenBLAS helper threads otherwise spin ~0.1 s of CPU after every call.
-# Set here, so it is in place before any submodule loads numpy.
+# One BLAS thread unless the caller says otherwise: a second thread has to
+# be woken for each of the many small BLAS calls inside LAPACK's eigensolver,
+# which about doubles the CPU of the 256 x 256 rect:4x2 eigh, and on one
+# thread results do not depend on the host's core count.  Set here, so it
+# is in place before any submodule loads numpy.
 if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # submodule -> the names the package exports from it
 _EXPORTS = {

@@ -5,7 +5,8 @@ Commands: ``ground-state``, ``sweep``, ``measure``, ``export-circuit``,
 command-line overrides; every output file starts with a provenance header
 (artifact version, config hash, seed) and is written atomically.  Exit
 codes: 0 success, 2 configuration error, 3 degenerate ground state,
-4 numerical failure.
+4 numerical failure, 141 stdout closed early (128 + SIGPIPE, as a shell
+reports a process that a closed pipe ended; nothing is printed).
 
 Each command imports the layers it runs when it runs, so a request
 loads only those: ``validate`` needs no numpy, ``ground-state`` only
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class ConfigError(ValueError):
@@ -296,6 +298,16 @@ def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
     return result, degenerate
 
 
+def _single_nt(cfg: RunConfig, command: str) -> int:
+    """The one n_T a command runs; a list of several given by ``--nt`` or
+    the config file is refused, not cut to its first value."""
+    if "nt" in getattr(cfg, "_explicit", set()) and len(cfg.nt) > 1:
+        raise ConfigError(
+            f"{command} runs one n_T, got nt={','.join(map(str, cfg.nt))}; "
+            "give a single value")
+    return cfg.nt[0]
+
+
 def _report_degenerate() -> int:
     print("degenerate_ground_state true")
     return EXIT_DEGENERATE
@@ -350,11 +362,11 @@ def cmd_measure(cfg: RunConfig) -> int:
     from .gauge import sector_ground_state
     from .trotter import exact_loop_operator, trotterized_loop_operator
     from .wilson import hadamard_test, sample_p_plus
+    n_T = _single_nt(cfg, "measure")
     model, program, sector = _setup(cfg)
     (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
-    n_T = cfg.nt[0]
     print(f"n_T {n_T}")
     p_exact = hadamard_test(model, sector, coords, program, n_T)
     print(f"p_plus_exact {p_exact:.17g}")
@@ -384,9 +396,10 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
     lat = resolve_lattice(cfg)
     model = Z2Model(lat, cfg.lam)
     if cfg.kind == "program":
+        n_T = _single_nt(cfg, "export-circuit")
         program = _checked_program(cfg, lat)
         _check_overflow(model, program)
-        circuit = trotterized_program_circuit(model, program, cfg.nt[0])
+        circuit = trotterized_program_circuit(model, program, n_T)
     elif cfg.kind in ("plaquette-loop", "link-loop"):
         if (size := _rect_size(cfg.lattice)) is None:
             raise ConfigError(f"{cfg.kind} export needs a rect:WxH lattice")
@@ -474,13 +487,22 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
+        code = COMMANDS[args.command](cfg)
+        sys.stdout.flush()
+        return code
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader left: what is still buffered has nowhere to go, and the
+        # interpreter's own flush at exit would raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

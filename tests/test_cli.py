@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import pytest
 from z2wilson.circuits import (ControlledPauliExp, block_bit_probability,
                                marginal_bit_probability, run_blocks,
                                run_circuit)
-from z2wilson.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, RunConfig,
-                          load_config, main, resolve_lattice)
+from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
+                          ConfigError, RunConfig, load_config, main,
+                          resolve_lattice)
 from z2wilson.gauge import Z2Model, project_to_sector
 from z2wilson.lattice import build_cross, build_rect, lattice_to_text
 from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
@@ -440,6 +443,23 @@ class TestMeasure:
             assert err == ("error: temporal step tau must be finite, "
                            f"got {tau}\n")
 
+    def test_nt_list_refused_before_output(self, capsys, tmp_path):
+        # measure runs one n_T: a list is refused, not cut to its first value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nt=2,4\n")
+        for args in (["--nt", "2,4"], ["--config", str(cfg)]):
+            code, out, err = run_main(capsys, "measure", *args)
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert err == ("error: measure runs one n_T, got nt=2,4; "
+                           "give a single value\n")
+
+    def test_no_nt_runs_the_first_default(self, capsys):
+        code, default, _ = run_main(capsys, "measure")
+        assert code == EXIT_OK
+        assert default.startswith("n_T 8\n")
+        assert run_main(capsys, "measure", "--nt", "8")[1] == default
+
     def test_circuit_matches_oracle_line(self, capsys):
         _, out, _ = run_main(capsys, "measure", "--nt", "2")
         vals = {l.split()[0]: float(l.split()[1]) for l in out.splitlines()}
@@ -620,6 +640,53 @@ class TestExportCircuit:
     def test_bad_kind(self, capsys):
         code, _, err = run_main(capsys, "export-circuit", "--kind", "magic")
         assert code == EXIT_CONFIG
+
+    def test_nt_list_refused_before_output(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nt=2,4\n")
+        out_path = tmp_path / "c.qc"
+        for args in (["--nt", "2,4"], ["--config", str(cfg)]):
+            code, out, err = run_main(capsys, "export-circuit", *args,
+                                      "--out", str(out_path))
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert not out_path.exists()
+            assert err == ("error: export-circuit runs one n_T, got nt=2,4; "
+                           "give a single value\n")
+
+    def test_no_nt_exports_the_first_default(self, capsys):
+        # the same circuit; only the config hash in the header differs
+        def body(out):
+            return [l for l in out.splitlines()
+                    if not l.startswith("# config_hash")]
+        code, default, _ = run_main(capsys, "export-circuit")
+        assert code == EXIT_OK
+        assert body(run_main(capsys, "export-circuit", "--nt", "8")[1]) \
+            == body(default)
+
+
+class TestClosedPipe:
+    SRC = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["measure", "--nt", "2"], "1"),   # a print inside the command
+        (["validate"], ""),                # the flush at the end
+    ])
+    def test_exits_quietly(self, argv, unbuffered):
+        # the reader is gone before the first byte is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=self.SRC,
+                   PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "z2wilson.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == EXIT_BROKEN_PIPE
 
 
 class TestValidateCommand:
