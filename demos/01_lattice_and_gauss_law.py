@@ -33,7 +33,7 @@ print("\n".join(sector_basis_dump(sector).splitlines()[:6]))
 # stars are +1 on every sector state; the ground state lives here
 energy, gs = ground_state(model, sector)
 print("\nlambda=10 ground energy:", energy)
-checks = [abs(1 - np.vdot(gs.amps, gs.amps).real)]
+checks = [abs(1 - np.vdot(gs, gs).real)]
 print("norm error:", checks[0])
 
 # the same machinery on a rectangle

@@ -10,18 +10,20 @@ import numpy as np
 
 from z2wilson import (Z2Model, build_cross, build_physical_sector,
                       ground_state, report_to_csv, staircase_default, sweep)
+from z2wilson.gauge import project_to_sector
 
 lat = build_cross()
 model = Z2Model(lat, lam=10.0)
 sector = build_physical_sector(model)
 energy, gs = ground_state(model, sector)
+coords = project_to_sector(sector, gs)
 program = staircase_default(tau=1.0)
 
 print("ground energy:", energy)
 print("program steps:", [type(s).__name__ for s in program.steps])
 print()
 
-report = sweep(model, program, gs, [8, 16, 32, 64, 128], sector)
+report = sweep(model, program, coords, [8, 16, 32, 64, 128], sector)
 
 print(f"{'n_T':>5} {'op fidelity':>20} {'gs fidelity':>20}"
       f" {'op infid * n^4':>16}")
@@ -41,9 +43,7 @@ print("\nwrote trotter_scaling.csv")
 # the n_T ~ 9 working point: total fidelity of the highly nonlocal loop
 from z2wilson import (exact_loop_operator, state_fidelity,
                       trotterized_loop_operator)
-from z2wilson.gauge import project_to_sector
 
-coords = project_to_sector(sector, gs.amps)
 w = exact_loop_operator(model, sector, program)
 w9 = trotterized_loop_operator(model, sector, program, 9)
 print("\nground-state fidelity at n_T = 9:",

@@ -8,13 +8,13 @@ linear count of matter transport.
 
 import numpy as np
 
-from z2wilson import (Circuit, Z2Model, build_physical_sector, build_rect,
-                      circuit_stats, link_loop_circuit,
+from z2wilson import (Circuit, StateVector, Z2Model, build_physical_sector,
+                      build_rect, circuit_stats, link_loop_circuit,
                       plaquette_exp_via_ancilla, rect_loop_link_circuit,
                       rect_loop_plaquette_circuit, run_circuit,
                       spatial_loop_direct)
-from z2wilson.circuits import link_register_block
-from z2wilson.gauge import embed_state
+from z2wilson.gauge import embed_sector_coords
+from z2wilson.statevec import link_register_block
 from z2wilson.wilson import prepare_minus, spatial_loop_via_ancilla
 
 rng = np.random.default_rng(1)
@@ -24,7 +24,7 @@ sector = build_physical_sector(model)
 
 c = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
 c /= np.linalg.norm(c)
-psi = embed_state(sector, c)
+psi = StateVector(sector.n_links, embed_sector_coords(sector, c))
 
 # --- spatial loop through a shared ancilla in |->
 loop = lat.plaquettes[0]

@@ -5,6 +5,14 @@ measuring gauge-invariant space-time Wilson loops: plaquette-based ancilla
 circuits, link-based matter-hopping circuits, exact sector oracles, and
 the Trotter fidelity-scaling experiment on the 16-link cross lattice.
 
+Layers, each importing only those before it: ``lattice`` (geometry),
+``gauge`` (the Gauss-law sector basis), ``programs`` (loop programs),
+``trotter`` (sector loop operators and fidelities), ``circuits`` (Pauli
+strings, circuits and their sector-block executor), ``wilson`` (every gate
+list) and ``statevec``, the one module that knows the full 2**L register
+and the full-space reference routes.  ``cli`` runs every command in
+sector coordinates and never loads ``statevec``.
+
 The namespace is lazy: ``z2wilson.X`` and ``from z2wilson import X`` load
 the submodule that defines ``X`` on first use, so importing the package
 loads no submodule and no numpy.
@@ -28,33 +36,34 @@ if "numpy" not in sys.modules:
 _EXPORTS = {
     "lattice": ("Lattice", "build_cross", "build_rect", "lattice_from_text",
                 "lattice_to_text", "validate"),
-    "statevec": ("PauliString", "StateVector", "apply_controlled_pauli_exp",
-                 "apply_pauli", "apply_pauli_exp", "expect_pauli",
+    "statevec": ("StateVector", "apply_controlled_pauli_exp", "apply_pauli",
+                 "apply_pauli_exp", "expect_pauli", "gauge_violation",
                  "init_basis", "inner", "qubit_purity",
-                 "reduced_qubit_density"),
+                 "reduced_qubit_density", "run_circuit",
+                 "spatial_loop_direct", "trotter_evolve"),
     "gauge": ("DegenerateGroundStateWarning", "PhysicalSector", "SectorMoves",
               "SectorOperator", "Z2Model", "build_physical_sector",
-              "electric_diag", "exact_evolve_in_sector", "gauge_violation",
-              "ground_state", "hamiltonian_in_sector", "sector_basis_dump",
+              "electric_diag", "exact_evolve_in_sector", "ground_state",
+              "hamiltonian_in_sector", "sector_basis_dump",
               "sector_gauge_violation", "sector_ground_state",
               "sector_spectrum", "spatial_loop_in_sector", "spectral_bound",
-              "star_operator", "xor_perm"),
+              "xor_perm"),
     "programs": ("FreeEvolve", "LoopProgram", "ProgramError", "Spatial",
                  "Temporal", "program_from_text", "program_to_text",
                  "staircase_default", "validate_program"),
-    "trotter": ("FidelityReport", "PowerLawFit", "TrotterPlan",
-                "exact_loop_operator", "fit_power_law", "operator_fidelity",
-                "report_to_csv", "state_fidelity", "sweep", "trotter_evolve",
-                "trotter_strings", "trotterized_loop_operator"),
+    "trotter": ("FidelityReport", "PowerLawFit", "exact_loop_operator",
+                "fit_power_law", "operator_fidelity", "report_to_csv",
+                "state_fidelity", "sweep", "trotterized_loop_operator"),
     "circuits": ("Circuit", "ControlledPauliExp", "Measure", "PauliExp",
-                 "ResetAncilla", "circuit_stats", "circuit_to_text",
-                 "run_blocks", "run_circuit", "star_commutation_report"),
+                 "PauliString", "ResetAncilla", "circuit_stats",
+                 "circuit_to_text", "run_blocks", "star_commutation_report",
+                 "star_operator"),
     "wilson": ("conjugated_temporal_plaquette", "controlled_loop",
                "hadamard_test", "link_loop_circuit", "link_loop_closure",
                "link_wilson_line", "plaquette_exp_via_ancilla",
                "rect_loop_link_circuit", "rect_loop_plaquette_circuit",
-               "sample_p_plus", "spatial_loop_direct",
-               "spatial_loop_via_ancilla", "temporal_plaquette_exact",
+               "sample_p_plus", "spatial_loop_via_ancilla",
+               "temporal_plaquette_exact", "trotter_strings",
                "trotterized_program_circuit"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

@@ -1,7 +1,9 @@
-"""Gate-level circuit representation, executor, census, and text export.
+"""Gate vocabulary, circuits, the sector-block executor, census and export.
 
-A circuit acts on the link register (qubits 0 .. n_links-1) plus ancilla
-and matter qubits appended above it.  Four gate kinds exist:
+:class:`PauliString` is the gate vocabulary: a signed tensor product of
+single-qubit Paulis, with its algebra and bit masks.  A circuit acts on
+the link register (qubits 0 .. n_links-1) plus ancilla and matter qubits
+appended above it.  Four gate kinds exist:
 
     PauliExp(P, theta)                  e^{i theta P}
     ControlledPauliExp(c, basis, P, t)  e^{i t P} on the designated control
@@ -9,18 +11,17 @@ and matter qubits appended above it.  Four gate kinds exist:
     Measure(q)                          projective Z measurement
     ResetAncilla(q, bit)                measure, then flip to the target bit
 
-Two executors run the same gate list.  :func:`run_circuit` is the
-literal reference: every gate runs on the whole 2**n register, every
-Measure and ResetAncilla through a probability pass, and a V-gate chain
-rotates and rounds like any other "x-" group.  :func:`run_blocks` runs
-it on a sector state, held as Gauss-law blocks in the electric basis,
-so its cost follows the sector dimension instead of 2**n_links; it runs
-V-chains as their exact operator.
+:func:`run_blocks` runs a gate list on a sector state, held as Gauss-law
+blocks in the electric basis, so its cost follows the sector dimension
+instead of 2**n_links; it runs V-chains as their exact operator.  The
+literal reference on the whole 2**n register, which runs every gate of
+the same list, is ``statevec.run_circuit``; this module knows nothing of
+that register.
 
 Builders may also record an exact scalar ``global_phase`` (compensations
 that are not worth a gate) and a ``phase_log`` of phases their gate
-sequences imprint on the transported component of the state; the executor
-applies the global phase, so circuit equality against direct operator
+sequences imprint on the transported component of the state; the executors
+apply the global phase, so circuit equality against direct operator
 construction is exact, not just up-to-phase.
 """
 
@@ -33,8 +34,123 @@ import numpy as np
 
 from .gauge import PhysicalSector, SectorMoves, Z2Model
 from .lattice import Lattice
-from .statevec import (PauliString, StateVector, _bit_probability,
-                       _controlled_exps, _qubit_blocks, pauli_exp_inplace)
+
+AXES = ("X", "Y", "Z")
+
+# single-qubit products a*b -> (axis or None, phase)
+_PAULI_MUL = {
+    ("X", "X"): (None, 1), ("Y", "Y"): (None, 1), ("Z", "Z"): (None, 1),
+    ("X", "Y"): ("Z", 1j), ("Y", "X"): ("Z", -1j),
+    ("Y", "Z"): ("X", 1j), ("Z", "Y"): ("X", -1j),
+    ("Z", "X"): ("Y", 1j), ("X", "Z"): ("Y", -1j),
+}
+
+_VALID_PHASES = (1, -1, 1j, -1j)
+
+
+class PauliStringError(ValueError):
+    """Malformed Pauli string or use outside its register."""
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """Signed tensor product of single-qubit Pauli operators.
+
+    ``terms`` maps qubit index -> axis in {X, Y, Z}; ``phase`` is one of
+    {+1, -1, +i, -i}.  The empty string with phase +1 is the identity.
+    Instances are immutable and hashable.
+    """
+
+    terms: tuple[tuple[int, str], ...]
+    phase: complex = 1
+
+    def __init__(self, terms, phase=1):
+        if isinstance(terms, dict):
+            items = sorted(terms.items())
+        else:
+            items = sorted(terms)
+        qubits = [q for q, _ in items]
+        if len(set(qubits)) != len(qubits):
+            raise PauliStringError(f"duplicate qubit entries in {items}")
+        for q, ax in items:
+            if q < 0:
+                raise PauliStringError(f"negative qubit index {q}")
+            if ax not in AXES:
+                raise PauliStringError(f"unknown Pauli axis {ax!r}")
+        phase = complex(phase)
+        if not any(abs(phase - p) < 1e-14 for p in _VALID_PHASES):
+            raise PauliStringError(f"phase must be one of +1,-1,+i,-i, got {phase}")
+        # snap to the exact unit
+        phase = min(_VALID_PHASES, key=lambda p: abs(phase - p))
+        object.__setattr__(self, "terms", tuple(items))
+        object.__setattr__(self, "phase", phase)
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(q for q, _ in self.terms)
+
+    @property
+    def weight(self) -> int:
+        return len(self.terms)
+
+    def is_hermitian(self) -> bool:
+        return self.phase in (1, -1)
+
+    def is_identity(self) -> bool:
+        return not self.terms and self.phase == 1
+
+    def max_qubit(self) -> int:
+        return max((q for q, _ in self.terms), default=-1)
+
+    # -- algebra -----------------------------------------------------------
+
+    def __mul__(self, other: "PauliString") -> "PauliString":
+        """Operator product self * other with exact phase bookkeeping."""
+        a = dict(self.terms)
+        b = dict(other.terms)
+        phase = self.phase * other.phase
+        out = {}
+        for q in sorted(set(a) | set(b)):
+            if q in a and q in b:
+                ax, ph = _PAULI_MUL[(a[q], b[q])]
+                phase *= ph
+                if ax is not None:
+                    out[q] = ax
+            else:
+                out[q] = a.get(q, b.get(q))
+        return PauliString(out, phase)
+
+    def commutes_with(self, other: "PauliString") -> bool:
+        """True iff the strings commute (even number of clashing qubits)."""
+        a = dict(self.terms)
+        clashes = sum(
+            1 for q, ax in other.terms if q in a and a[q] != ax
+        )
+        return clashes % 2 == 0
+
+    def masks(self) -> tuple[int, int, int]:
+        """(xmask, zmask, nY) for the kernel action; xmask covers X|Y, zmask Z|Y."""
+        xm = zm = ny = 0
+        for q, ax in self.terms:
+            if ax in ("X", "Y"):
+                xm |= 1 << q
+            if ax in ("Z", "Y"):
+                zm |= 1 << q
+            if ax == "Y":
+                ny += 1
+        return xm, zm, ny
+
+    def __str__(self) -> str:
+        body = " ".join(f"{q}:{ax}" for q, ax in self.terms) or "I"
+        pre = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
+        return f"{pre}[{body}]"
+
+
+def star_operator(lattice: Lattice, vertex: int) -> PauliString:
+    """Gauss-law star: X on every link incident to the vertex, phase +1."""
+    return PauliString({li: "X" for li in lattice.star(vertex)})
 
 
 class CircuitError(ValueError):
@@ -86,8 +202,8 @@ class Circuit:
     """Gate list over links plus allocated work qubits.
 
     ``ancilla_init[q]`` is the computational bit each work qubit starts in
-    (0 = spin-up).  Builders emit gates; execution happens in
-    :func:`run_circuit`.
+    (0 = spin-up).  Builders emit gates; :func:`run_blocks` and
+    ``statevec.run_circuit`` execute them.
     """
 
     n_link_qubits: int
@@ -135,27 +251,6 @@ class Circuit:
         return out
 
 
-# ---------------------------------------------------------------------------
-# execution
-# ---------------------------------------------------------------------------
-
-def extend_with_ancillas(link_sv: StateVector, circuit: Circuit) -> StateVector:
-    """Tensor the declared ancilla basis states above the link register."""
-    if link_sv.n_qubits != circuit.n_link_qubits:
-        raise CircuitError(
-            f"link register mismatch: state has {link_sv.n_qubits}, circuit "
-            f"expects {circuit.n_link_qubits}")
-    n_total = circuit.n_qubits
-    offset = 0
-    for q, bit in circuit.ancilla_init.items():
-        if bit:
-            offset |= 1 << q
-    amps = np.zeros(1 << n_total, dtype=np.complex128)
-    base = 1 << link_sv.n_qubits
-    amps[offset: offset + base] = link_sv.amps
-    return StateVector(n_total, amps)
-
-
 def _outcome(p1: float, qubit: int, rng) -> int:
     """Bit a Z measurement reads when it reads 1 with probability p1: fixed
     within 1e-12 of 0 or 1, otherwise drawn from the RNG."""
@@ -168,92 +263,6 @@ def _outcome(p1: float, qubit: int, rng) -> int:
             f"measurement of qubit {qubit} is probabilistic (p1={p1:.3g}) "
             "and no RNG was provided")
     return int(rng.random() < p1)
-
-
-def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
-    p1 = _bit_probability(amps, n, qubit, 1)
-    outcome = _outcome(p1, qubit, rng)
-    blocks = _qubit_blocks(amps, n, qubit)
-    blocks[:, 1 - outcome] = 0.0
-    # numpy divides a complex by a real as (re + im*0) * (1/d), (im - re*0)
-    # * (1/d): scaling both float64 parts by 1/d gives the same values
-    # without the complex division
-    kept = blocks[:, outcome].view(np.float64)
-    kept *= 1.0 / np.sqrt(p1 if outcome else 1.0 - p1)
-    return outcome
-
-
-def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
-                rng: np.random.Generator | None = None) -> dict[int, int]:
-    """Run a gate list in place on the n-qubit amplitudes, gate by gate.
-
-    Returns the measurement outcomes keyed by gate position.  Every gate
-    acts on the whole register.  Consecutive controlled gates sharing a
-    control and basis run as one group on the control's branch
-    (``statevec._controlled_exps``): gate for gate as each controlled gate
-    alone, with one basis-rotation pair for a whole "x-" group.  Every
-    Measure and ResetAncilla runs
-    :func:`_measure_bit`; a reset that reads the other bit then moves the
-    kept half onto the target half and zeroes the kept one.
-    """
-    outcomes: dict[int, int] = {}
-    gi = 0
-    while gi < len(gates):
-        gate = gates[gi]
-        if isinstance(gate, (Measure, ResetAncilla)):
-            bit = _measure_bit(amps, gate.qubit, n, rng)
-            outcomes[gi] = bit
-            if isinstance(gate, ResetAncilla) and bit != gate.target_bit:
-                halves = _qubit_blocks(amps, n, gate.qubit)
-                halves[:, 1 - bit] = halves[:, bit]
-                halves[:, bit] = 0.0
-            gi += 1
-        elif isinstance(gate, PauliExp):
-            pauli_exp_inplace(amps, gate.string, gate.theta, n)
-            gi += 1
-        elif isinstance(gate, ControlledPauliExp):
-            run = [gate]
-            while (gi + len(run) < len(gates)
-                   and isinstance(gates[gi + len(run)], ControlledPauliExp)
-                   and gates[gi + len(run)].control == gate.control
-                   and gates[gi + len(run)].basis == gate.basis):
-                run.append(gates[gi + len(run)])
-            _controlled_exps(amps, gate.control, gate.basis,
-                             [(g.string, g.theta) for g in run], n)
-            gi += len(run)
-        else:  # pragma: no cover
-            raise CircuitError(f"unknown gate {gate!r}")
-    return outcomes
-
-
-def run_circuit(circuit: Circuit, link_sv: StateVector,
-                rng: np.random.Generator | None = None
-                ) -> tuple[StateVector, dict[int, int]]:
-    """Run the gate list on link_sv extended with the declared ancillas.
-
-    Returns the final full-register state (global phase applied) and the
-    measurement outcomes keyed by gate position (see :func:`apply_gates`).
-    """
-    sv = extend_with_ancillas(link_sv, circuit)
-    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng)
-    if circuit.global_phase:
-        sv.amps *= np.exp(1j * circuit.global_phase)
-    return sv, outcomes
-
-
-def link_register_block(sv: StateVector, circuit: Circuit,
-                        ancilla_bits: dict[int, int]) -> np.ndarray:
-    """Amplitude block of the link register at fixed ancilla bits."""
-    offset = 0
-    for q, bit in ancilla_bits.items():
-        if bit:
-            offset |= 1 << q
-    base = 1 << circuit.n_link_qubits
-    return sv.amps[offset: offset + base].copy()
-
-
-def marginal_bit_probability(sv: StateVector, qubit: int, bit: int) -> float:
-    return _bit_probability(sv.amps, sv.n_qubits, qubit, bit)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +414,9 @@ class _BlockRun:
 
     def measure(self, state: Blocks, gate: Measure | ResetAncilla,
                 rng) -> int:
-        """``_measure_bit`` over all blocks; a half that is already exactly
-        zero is neither cleared nor rescaled.  A reset then moves the kept
-        columns onto the target bit."""
+        """``statevec._measure_bit`` over all blocks; a half that is
+        already exactly zero is neither cleared nor rescaled.  A reset then
+        moves the kept columns onto the target bit."""
         bit = self.ancilla_bit(gate.qubit)
         one = (self.cols & bit) != 0
         p1 = sum(_sq_norm(b[:, one]) for b in state.values())
@@ -437,10 +446,11 @@ def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
     are built.  Controls and measured qubits must be ancillas.  An "x-"
     group that :func:`_parity_flip` recognises runs as its exact operator
     (:meth:`_BlockRun.parity_swap`); any other "x-" group is rotated onto
-    spin-up like ``statevec._controlled_exps``.  Measure and
+    spin-up like ``statevec.apply_gates`` does.  Measure and
     ResetAncilla keep the thresholds and RNG rule of the full-space
     route.  Returns the final blocks (global phase applied) and the
-    measurement outcomes keyed by gate position, as :func:`run_circuit`.
+    measurement outcomes keyed by gate position, as
+    ``statevec.run_circuit``.
     """
     if coords.shape != (sector.dim,):
         raise CircuitError(f"{coords.shape} coordinates for a sector of "
@@ -527,8 +537,7 @@ def star_commutation_report(circuit: Circuit, lattice: Lattice
     realize gauge-invariant blocks only in composition and are skipped
     here.  Returns (number of gates checked, failure descriptions).
     """
-    stars = [PauliString({li: "X" for li in lattice.star(v)})
-             for v in range(lattice.n_vertices)]
+    stars = [star_operator(lattice, v) for v in range(lattice.n_vertices)]
     checked = 0
     failures: list[str] = []
     link_set = set(range(lattice.n_links))

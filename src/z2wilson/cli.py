@@ -3,14 +3,16 @@
 Commands: ``ground-state``, ``sweep``, ``measure``, ``export-circuit``,
 ``validate``.  Configuration comes from a flat ``key=value`` file plus
 command-line overrides; every output file starts with a provenance header
-(artifact version, config hash, seed) and is written atomically.  Exit
+(artifact version, config hash, seed) and is written atomically.  A
+command-line flag that the command does not read (:data:`READS`) is
+refused before any output.  Exit
 codes: 0 success, 2 configuration error, 3 degenerate ground state,
 4 numerical failure, 141 stdout closed early (128 + SIGPIPE, as a shell
 reports a process that a closed pipe ended; nothing is printed).
 
 Each command imports the layers it runs when it runs, so a request
 loads only those: ``validate`` needs no numpy, ``ground-state`` only
-the sector layer.
+the sector layer, and no command loads the full-space ``statevec``.
 """
 
 from __future__ import annotations
@@ -335,14 +337,16 @@ def cmd_ground_state(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    from .gauge import ground_state
+    from .gauge import ground_state, project_to_sector
     from .trotter import report_to_csv, sweep
     model, program, sector = _setup(cfg)
-    # the full-space state: recorded sweep references pin it (ROADMAP item 1)
-    (_, gs), degenerate = _solve(ground_state, model, sector)
+    # the full-space state, projected back: recorded sweep references pin
+    # its rounding (ROADMAP item 1)
+    (_, amps), degenerate = _solve(ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
-    report = sweep(model, program, gs, list(cfg.nt), sector)
+    coords = project_to_sector(sector, amps)
+    report = sweep(model, program, coords, list(cfg.nt), sector)
     for (n_T, _, _), err in zip(report.rows, report.unitarity_errors):
         if err > UNITARITY_TOLERANCE:
             raise NumericalFailure(
@@ -444,6 +448,36 @@ COMMANDS = {
 }
 
 
+# The RunConfig fields each command reads; export-circuit's depend on its
+# kind.  A command-line flag outside its entry is refused.  --seed and
+# --out are accepted everywhere, and a config file may hold any key: one
+# file may serve several commands.
+READS = {
+    "validate": {"lattice", "lam", "program", "tau"},
+    "ground-state": {"lattice", "lam"},
+    "sweep": {"lattice", "lam", "program", "tau", "nt", "threshold"},
+    "measure": {"lattice", "lam", "program", "tau", "nt", "shots"},
+    "export-circuit --kind program": {"kind", "lattice", "lam", "program",
+                                      "tau", "nt"},
+    "export-circuit --kind plaquette-loop": {"kind", "lattice"},
+    "export-circuit --kind link-loop": {"kind", "lattice"},
+}
+
+
+def _check_flags(command: str, cfg: RunConfig, flags) -> None:
+    """Refuse command-line ``flags`` (RunConfig field names) that the
+    command, or the export kind, does not read."""
+    if command == "export-circuit":
+        command += f" --kind {cfg.kind}"
+    if command not in READS:        # an unknown kind: the command refuses it
+        return
+    unread = sorted(set(flags) - READS[command] - {"seed", "out"})
+    if unread:
+        names = ", ".join("--lambda" if f == "lam" else f"--{f}"
+                          for f in unread)
+        raise ConfigError(f"{command} does not read {names}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2wilson",
@@ -487,6 +521,8 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = load_config(args.config, overrides)
+        _check_flags(args.command, cfg,
+                     [k for k, v in overrides.items() if v is not None])
         code = COMMANDS[args.command](cfg)
         sys.stdout.flush()
         return code

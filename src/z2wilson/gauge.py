@@ -18,33 +18,30 @@ mask is looked up by ``searchsorted``: a sigma_3 string or plaquette is
 the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
 term is the diagonal :func:`electric_diag`.  :class:`SectorMoves` alone
 knows which charge sector a string lands in; in its cycle coordinates
-(used by the Trotter loop) every string is the index flip ``i ^ k``, a
-reversed view rather than a permutation.  The Hamiltonian
+(used by the Trotter loop) every string is the index flip ``i ^ k``, the
+reversed view :func:`flipped` rather than a permutation.  The Hamiltonian
 is a small dense matrix (32 x 32 on the cross).  The ground state, its
 energy and its Gauss-law check are all computed in sector coordinates
 (:func:`sector_ground_state`, :func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
-explicit step, needed only by the full-space routes (``sweep``'s state and
-the full-space gate executor), and is refused above 26 links.  It is a
-fast Walsh-Hadamard transform:
+explicit step, needed only by ``sweep``'s pinned state (:func:`ground_state`)
+and the full-space reference routes, and is refused above 26 links.  It is
+a fast Walsh-Hadamard transform:
 |m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
-The helpers that return full-space objects (Pauli strings, statevectors)
-import :mod:`statevec` when called, so the sector layer loads without it.
+Only plain amplitude arrays cross that boundary here; the register as a
+gate target (Pauli kernels, statevectors, the full-space executor) is
+:mod:`statevec`'s alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .lattice import Lattice, _odd_links
-
-if TYPE_CHECKING:
-    from .statevec import PauliString, StateVector
 
 _MAX_MASK_BITS = 63         # sector masks are uint64
 _MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
@@ -76,18 +73,6 @@ def spectral_bound(model: Z2Model) -> float:
     each plaquette term norm |lam|."""
     lat = model.lattice
     return lat.n_links + abs(model.lam) * lat.n_plaquettes
-
-
-def star_operator(model: Z2Model, vertex: int) -> PauliString:
-    """X on every link incident to the vertex, phase +1."""
-    from .statevec import PauliString
-    return PauliString({li: "X" for li in model.lattice.star(vertex)})
-
-
-def plaquette_string(lattice: Lattice, plaq_index: int) -> PauliString:
-    """Z Z Z Z on the four links of a plaquette."""
-    from .statevec import PauliString
-    return PauliString({li: "Z" for li in lattice.plaquettes[plaq_index]})
 
 
 def _link_mask(links) -> int:
@@ -224,6 +209,15 @@ class SectorMoves:
                         for j, b in enumerate(self._null))
 
 
+def flipped(a: np.ndarray, k: int) -> np.ndarray:
+    """View of ``a`` whose row i is row ``i ^ k``: on ``a`` reshaped to a
+    (2,)*n_bits cube, with the axes of k's set bits reversed."""
+    n_bits = a.shape[0].bit_length() - 1
+    cube = a.reshape((2,) * n_bits + a.shape[1:])
+    return cube[tuple(slice(None, None, -1) if k >> (n_bits - 1 - ax) & 1
+                      else slice(None) for ax in range(n_bits))]
+
+
 def xor_perm(src_masks: np.ndarray, dst_masks: np.ndarray,
              mask: int) -> np.ndarray:
     """Index in ``src_masks`` of ``m ^ mask`` for every ``m`` in ``dst_masks``.
@@ -317,11 +311,6 @@ def project_to_sector(sector: PhysicalSector, amps: np.ndarray) -> np.ndarray:
     """Full-space amplitudes -> sector coefficients (adjoint of embed)."""
     w = fwht(amps) / np.sqrt(1 << sector.n_links)
     return w[sector.masks.astype(np.intp)]
-
-
-def embed_state(sector: PhysicalSector, coords: np.ndarray) -> StateVector:
-    from .statevec import StateVector
-    return StateVector(sector.n_links, embed_sector_coords(sector, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -468,34 +457,19 @@ def sector_ground_state(model: Z2Model, sector: PhysicalSector,
 
 
 def ground_state(model: Z2Model, sector: PhysicalSector,
-                 gap_tolerance: float = 1e-10) -> tuple[float, StateVector]:
+                 gap_tolerance: float = 1e-10) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, embedded in the full space.
 
-    Phase convention: the largest-magnitude full-space amplitude is made
-    real positive (lowest index wins ties).  A spectral gap below
+    Returns the energy and the 2**L computational-basis amplitudes.  Phase
+    convention: the largest-magnitude full-space amplitude is made real
+    positive (lowest index wins ties).  A spectral gap below
     ``gap_tolerance`` raises a DegenerateGroundStateWarning.
     """
-    from .statevec import StateVector
     energy, coords = _sector_eigh(model, sector, gap_tolerance)
     amps = embed_sector_coords(sector, coords)
     k = int(np.argmax(np.abs(amps)))
     ph = amps[k] / abs(amps[k])
-    amps = amps / ph
-    return energy, StateVector(sector.n_links, amps)
-
-
-def gauge_violation(sv: StateVector, model: Z2Model) -> float:
-    """max over vertices of |1 - <sv| star_v |sv>|.
-
-    Ancilla or matter qubits above the link register must be disentangled
-    (caller's responsibility); stars act on link qubits only.
-    """
-    from .statevec import expect_pauli
-    worst = 0.0
-    for v in range(model.lattice.n_vertices):
-        val = expect_pauli(sv, star_operator(model, v))
-        worst = max(worst, abs(1.0 - val))
-    return worst
+    return energy, amps / ph
 
 
 def sector_gauge_violation(model: Z2Model, sector: PhysicalSector,
@@ -504,9 +478,9 @@ def sector_gauge_violation(model: Z2Model, sector: PhysicalSector,
 
     Stars are diagonal in the electric basis, so the expectation is
     sum_k |c_k|^2 (-1)^popcount(m_k & star_v), evaluated without leaving
-    the sector.  Same quantity as :func:`gauge_violation` of the embedded
-    state: about 0 in the physical sector, 2 in any sector whose charge
-    at some vertex is -1.
+    the sector.  Same quantity as ``statevec.gauge_violation`` of the
+    embedded state: about 0 in the physical sector, 2 in any sector whose
+    charge at some vertex is -1.
     """
     probs = np.abs(np.asarray(coords)) ** 2
     worst = 0.0

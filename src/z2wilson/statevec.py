@@ -1,31 +1,30 @@
-"""Dense statevector engine: Pauli strings, their exponentials, and controlled gates.
+"""The full 2**L register: kernels, states and the full-space references.
 
-Amplitudes are stored as a flat complex array of length 2**n_qubits with
-qubit 0 as the least significant bit of the index.  Spin convention:
-bit 0 is spin-up (sigma_3 eigenvalue +1), bit 1 is spin-down.
+The one module that knows the register layout: qubit i is link i (ancilla
+and matter qubits above), in the computational (Z) basis, as a flat
+complex array of length 2**n_qubits with qubit 0 the least significant
+bit of the index; bit 0 is spin-up (sigma_3 = +1).  No CLI command loads
+it: commands compute in sector coordinates, and the routes here are the
+literal references the tests hold them to -- the Pauli kernels and
+:class:`StateVector`, the gate-list executor :func:`run_circuit`, the
+gate-by-gate Trotter evolution (:func:`trotter_evolve`,
+:func:`trotterized_loop_operator_fullspace`), :func:`spatial_loop_direct`
+and :func:`gauge_violation`.  It builds on ``circuits.PauliString``, the
+gate lists of ``wilson`` and the embedding ``gauge.embed_sector_coords``;
+nothing imports it.
 
-All gates are applied through closed-form mask kernels: a Pauli string P
-acts on a basis index k as
+A Pauli string P acts on a basis index k as
 
     P|k> = phase * i**nY * (-1)**popcount(k & zmask) |k ^ xmask>
 
-where xmask collects X/Y qubits and zmask collects Z/Y qubits, and an
-exponential e^{i theta P} is cos(theta)*I + i*sin(theta)*P exactly (P**2 = I
-whenever the phase is +-1).  No matrix exponentiation, no series truncation.
-
-The kernels accept either a single vector (2**n,) or a stack of column
-vectors (2**n, k); the second form is used to push whole operator bases
-through a gate sequence in one pass.
-
-This is the full-space reference that ``circuits.run_circuit`` and the
-tests run, with one formula per job.  A string of weight >= 2 is
-cos(theta) a + i sin(theta) (P a), where P a is the phase/sign factor
-times the index-flip view :func:`flipped`, the helper the sector Trotter
-loop uses too.  A single-qubit rotation updates the qubit's two
-half-slices in place.  A controlled group runs on a copy of its
-control's branch, with no special case for V-gate chains.  No kernel
-uses a BLAS product, fuses phases or reorders a sum, so each is
-bit-identical to its plain formula.
+(xmask: X/Y qubits, zmask: Z/Y qubits), and e^{i theta P} is
+cos(theta) I + i sin(theta) P exactly for a Hermitian P.  Kernels take a
+vector (2**n,) or a stack of columns (2**n, k), one formula per job: a
+weight-1 rotation updates the qubit's two half-slices in place, a longer
+string is cos(theta) a + i sin(theta) (P a) with P a the sign factor
+times the index-flip view ``gauge.flipped``, and a controlled group runs
+on a copy of its control's branch.  No kernel uses a BLAS product, fuses
+phases or reorders a sum, so each is bit-identical to its plain formula.
 """
 
 from __future__ import annotations
@@ -34,117 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AXES = ("X", "Y", "Z")
-
-# single-qubit products a*b -> (axis or None, phase)
-_PAULI_MUL = {
-    ("X", "X"): (None, 1), ("Y", "Y"): (None, 1), ("Z", "Z"): (None, 1),
-    ("X", "Y"): ("Z", 1j), ("Y", "X"): ("Z", -1j),
-    ("Y", "Z"): ("X", 1j), ("Z", "Y"): ("X", -1j),
-    ("Z", "X"): ("Y", 1j), ("X", "Z"): ("Y", -1j),
-}
-
-_VALID_PHASES = (1, -1, 1j, -1j)
-
-
-class PauliStringError(ValueError):
-    """Malformed Pauli string or use outside its register."""
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Signed tensor product of single-qubit Pauli operators.
-
-    ``terms`` maps qubit index -> axis in {X, Y, Z}; ``phase`` is one of
-    {+1, -1, +i, -i}.  The empty string with phase +1 is the identity.
-    Instances are immutable and hashable.
-    """
-
-    terms: tuple[tuple[int, str], ...]
-    phase: complex = 1
-
-    def __init__(self, terms, phase=1):
-        if isinstance(terms, dict):
-            items = sorted(terms.items())
-        else:
-            items = sorted(terms)
-        qubits = [q for q, _ in items]
-        if len(set(qubits)) != len(qubits):
-            raise PauliStringError(f"duplicate qubit entries in {items}")
-        for q, ax in items:
-            if q < 0:
-                raise PauliStringError(f"negative qubit index {q}")
-            if ax not in AXES:
-                raise PauliStringError(f"unknown Pauli axis {ax!r}")
-        phase = complex(phase)
-        if not any(abs(phase - p) < 1e-14 for p in _VALID_PHASES):
-            raise PauliStringError(f"phase must be one of +1,-1,+i,-i, got {phase}")
-        # snap to the exact unit
-        phase = min(_VALID_PHASES, key=lambda p: abs(phase - p))
-        object.__setattr__(self, "terms", tuple(items))
-        object.__setattr__(self, "phase", phase)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(q for q, _ in self.terms)
-
-    @property
-    def weight(self) -> int:
-        return len(self.terms)
-
-    def is_hermitian(self) -> bool:
-        return self.phase in (1, -1)
-
-    def is_identity(self) -> bool:
-        return not self.terms and self.phase == 1
-
-    def max_qubit(self) -> int:
-        return max((q for q, _ in self.terms), default=-1)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        """Operator product self * other with exact phase bookkeeping."""
-        a = dict(self.terms)
-        b = dict(other.terms)
-        phase = self.phase * other.phase
-        out = {}
-        for q in sorted(set(a) | set(b)):
-            if q in a and q in b:
-                ax, ph = _PAULI_MUL[(a[q], b[q])]
-                phase *= ph
-                if ax is not None:
-                    out[q] = ax
-            else:
-                out[q] = a.get(q, b.get(q))
-        return PauliString(out, phase)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        """True iff the strings commute (even number of clashing qubits)."""
-        a = dict(self.terms)
-        clashes = sum(
-            1 for q, ax in other.terms if q in a and a[q] != ax
-        )
-        return clashes % 2 == 0
-
-    def masks(self) -> tuple[int, int, int]:
-        """(xmask, zmask, nY) for the kernel action; xmask covers X|Y, zmask Z|Y."""
-        xm = zm = ny = 0
-        for q, ax in self.terms:
-            if ax in ("X", "Y"):
-                xm |= 1 << q
-            if ax in ("Z", "Y"):
-                zm |= 1 << q
-            if ax == "Y":
-                ny += 1
-        return xm, zm, ny
-
-    def __str__(self) -> str:
-        body = " ".join(f"{q}:{ax}" for q, ax in self.terms) or "I"
-        pre = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        return f"{pre}[{body}]"
+from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
+                       Measure, PauliExp, PauliString, PauliStringError,
+                       ResetAncilla, _outcome, star_operator)
+from .gauge import (PhysicalSector, SectorOperator, Z2Model,
+                    embed_sector_coords, flipped, project_to_sector)
+from .programs import LoopProgram, Spatial
+from .trotter import _check_program
+from .wilson import _spatial_string, trotter_strings
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +52,6 @@ def _check_register(p: PauliString, n_qubits: int) -> None:
         raise PauliStringError(
             f"string touches qubit {p.max_qubit()} outside register of {n_qubits}"
         )
-
-
-def flipped(a: np.ndarray, k: int) -> np.ndarray:
-    """View of ``a`` whose row i is row ``i ^ k``: on ``a`` reshaped to a
-    (2,)*n_bits cube, with the axes of k's set bits reversed."""
-    n_bits = a.shape[0].bit_length() - 1
-    cube = a.reshape((2,) * n_bits + a.shape[1:])
-    return cube[tuple(slice(None, None, -1) if k >> (n_bits - 1 - ax) & 1
-                      else slice(None) for ax in range(n_bits))]
 
 
 def pauli_action(amps: np.ndarray, p: PauliString, n_qubits: int) -> np.ndarray:
@@ -181,10 +68,6 @@ def pauli_action(amps: np.ndarray, p: PauliString, n_qubits: int) -> np.ndarray:
     if amps.ndim > 1:
         factor = factor[:, None]
     return flipped(factor * amps, xm).reshape(amps.shape)
-
-
-def pauli_apply_inplace(amps: np.ndarray, p: PauliString, n_qubits: int) -> None:
-    amps[:] = pauli_action(amps, p, n_qubits)
 
 
 def _qubit_blocks(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -258,7 +141,7 @@ def _controlled_exps(amps: np.ndarray, control: int, basis: str, terms,
     back.  Within the branch each exponential runs as it would alone,
     V-chains included: a chain of Z strings at theta = +-pi/2 rounds like
     any other group, since cos(pi/2) is not 0 in floating point.
-    Arguments are as validated by :func:`controlled_pauli_exp_inplace`.
+    Arguments are as validated by :func:`apply_controlled_pauli_exp`.
     """
     if basis not in ("z", "x-"):
         raise PauliStringError(f"unknown control basis {basis!r}")
@@ -275,24 +158,6 @@ def _controlled_exps(amps: np.ndarray, control: int, basis: str, terms,
     branch[...] = work.reshape(branch.shape)
     if basis == "x-":
         _single_qubit_exp(amps, control, "Y", +np.pi / 4, n_qubits)
-
-
-def controlled_pauli_exp_inplace(amps: np.ndarray, control: int, basis: str,
-                                 p: PauliString, theta: float,
-                                 n_qubits: int) -> None:
-    """Apply e^{i theta P} on the controlled branch, identity elsewhere.
-
-    basis "z": fires when the control qubit is spin-up (bit 0).
-    basis "x-": fires when the control qubit is in |->.
-    The control must lie outside the support of P.
-    """
-    if control in p.support:
-        raise PauliStringError(f"control {control} overlaps string support")
-    if not 0 <= control < n_qubits:
-        raise PauliStringError(f"control {control} outside register")
-    if not p.is_hermitian():
-        raise PauliStringError("exponent requires a Hermitian string (phase +-1)")
-    _controlled_exps(amps, control, basis, [(p, theta)], n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +210,7 @@ def init_basis(n_qubits: int, bitstring: str) -> StateVector:
 
 
 def apply_pauli(sv: StateVector, p: PauliString) -> None:
-    pauli_apply_inplace(sv.amps, p, sv.n_qubits)
+    sv.amps[:] = pauli_action(sv.amps, p, sv.n_qubits)
 
 
 def apply_pauli_exp(sv: StateVector, p: PauliString, theta: float) -> None:
@@ -354,7 +219,19 @@ def apply_pauli_exp(sv: StateVector, p: PauliString, theta: float) -> None:
 
 def apply_controlled_pauli_exp(sv: StateVector, control: int, basis: str,
                                p: PauliString, theta: float) -> None:
-    controlled_pauli_exp_inplace(sv.amps, control, basis, p, theta, sv.n_qubits)
+    """Apply e^{i theta P} on the controlled branch, identity elsewhere.
+
+    basis "z": fires when the control qubit is spin-up (bit 0).
+    basis "x-": fires when the control qubit is in |->.
+    The control must lie outside the support of P.
+    """
+    if control in p.support:
+        raise PauliStringError(f"control {control} overlaps string support")
+    if not 0 <= control < sv.n_qubits:
+        raise PauliStringError(f"control {control} outside register")
+    if not p.is_hermitian():
+        raise PauliStringError("exponent requires a Hermitian string (phase +-1)")
+    _controlled_exps(sv.amps, control, basis, [(p, theta)], sv.n_qubits)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -385,3 +262,159 @@ def reduced_qubit_density(sv: StateVector, qubit: int) -> np.ndarray:
 def qubit_purity(sv: StateVector, qubit: int) -> float:
     rho = reduced_qubit_density(sv, qubit)
     return float(np.real(np.trace(rho @ rho)))
+
+
+def gauge_violation(sv: StateVector, model: Z2Model) -> float:
+    """max over vertices of |1 - <sv| star_v |sv>|.
+
+    Ancilla or matter qubits above the link register must be disentangled
+    (caller's responsibility); stars act on link qubits only.
+    """
+    worst = 0.0
+    for v in range(model.lattice.n_vertices):
+        val = expect_pauli(sv, star_operator(model.lattice, v))
+        worst = max(worst, abs(1.0 - val))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# gate lists on the whole register
+# ---------------------------------------------------------------------------
+
+def extend_with_ancillas(link_sv: StateVector, circuit: Circuit) -> StateVector:
+    """Tensor the declared ancilla basis states above the link register."""
+    if link_sv.n_qubits != circuit.n_link_qubits:
+        raise CircuitError(
+            f"link register mismatch: state has {link_sv.n_qubits}, circuit "
+            f"expects {circuit.n_link_qubits}")
+    n_total = circuit.n_qubits
+    offset = 0
+    for q, bit in circuit.ancilla_init.items():
+        if bit:
+            offset |= 1 << q
+    amps = np.zeros(1 << n_total, dtype=np.complex128)
+    base = 1 << link_sv.n_qubits
+    amps[offset: offset + base] = link_sv.amps
+    return StateVector(n_total, amps)
+
+
+def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
+    p1 = _bit_probability(amps, n, qubit, 1)
+    outcome = _outcome(p1, qubit, rng)
+    blocks = _qubit_blocks(amps, n, qubit)
+    blocks[:, 1 - outcome] = 0.0
+    # numpy divides a complex by a real as (re + im*0) * (1/d), (im - re*0)
+    # * (1/d): scaling both float64 parts by 1/d gives the same values
+    # without the complex division
+    kept = blocks[:, outcome].view(np.float64)
+    kept *= 1.0 / np.sqrt(p1 if outcome else 1.0 - p1)
+    return outcome
+
+
+def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
+                rng: np.random.Generator | None = None) -> dict[int, int]:
+    """Run a gate list in place on the n-qubit amplitudes, gate by gate.
+
+    Returns the measurement outcomes keyed by gate position.  Every gate
+    acts on the whole register.  Consecutive controlled gates sharing a
+    control and basis run as one group on the control's branch
+    (:func:`_controlled_exps`): gate for gate as each controlled gate
+    alone, with one basis-rotation pair for a whole "x-" group.  Every
+    Measure and ResetAncilla runs
+    :func:`_measure_bit`; a reset that reads the other bit then moves the
+    kept half onto the target half and zeroes the kept one.
+    """
+    outcomes: dict[int, int] = {}
+    gi = 0
+    while gi < len(gates):
+        gate = gates[gi]
+        if isinstance(gate, (Measure, ResetAncilla)):
+            bit = _measure_bit(amps, gate.qubit, n, rng)
+            outcomes[gi] = bit
+            if isinstance(gate, ResetAncilla) and bit != gate.target_bit:
+                halves = _qubit_blocks(amps, n, gate.qubit)
+                halves[:, 1 - bit] = halves[:, bit]
+                halves[:, bit] = 0.0
+            gi += 1
+        elif isinstance(gate, PauliExp):
+            pauli_exp_inplace(amps, gate.string, gate.theta, n)
+            gi += 1
+        elif isinstance(gate, ControlledPauliExp):
+            run = [gate]
+            while (gi + len(run) < len(gates)
+                   and isinstance(gates[gi + len(run)], ControlledPauliExp)
+                   and gates[gi + len(run)].control == gate.control
+                   and gates[gi + len(run)].basis == gate.basis):
+                run.append(gates[gi + len(run)])
+            _controlled_exps(amps, gate.control, gate.basis,
+                             [(g.string, g.theta) for g in run], n)
+            gi += len(run)
+        else:  # pragma: no cover
+            raise CircuitError(f"unknown gate {gate!r}")
+    return outcomes
+
+
+def run_circuit(circuit: Circuit, link_sv: StateVector,
+                rng: np.random.Generator | None = None
+                ) -> tuple[StateVector, dict[int, int]]:
+    """Run the gate list on link_sv extended with the declared ancillas.
+
+    Returns the final full-register state (global phase applied) and the
+    measurement outcomes keyed by gate position (see :func:`apply_gates`).
+    """
+    sv = extend_with_ancillas(link_sv, circuit)
+    outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng)
+    if circuit.global_phase:
+        sv.amps *= np.exp(1j * circuit.global_phase)
+    return sv, outcomes
+
+
+def link_register_block(sv: StateVector, circuit: Circuit,
+                        ancilla_bits: dict[int, int]) -> np.ndarray:
+    """Amplitude block of the link register at fixed ancilla bits."""
+    offset = 0
+    for q, bit in ancilla_bits.items():
+        if bit:
+            offset |= 1 << q
+    base = 1 << circuit.n_link_qubits
+    return sv.amps[offset: offset + base].copy()
+
+
+# ---------------------------------------------------------------------------
+# Trotterized evolution and loops on the whole register
+# ---------------------------------------------------------------------------
+
+def trotter_evolve(sv: StateVector, model: Z2Model, tau: float, n_T: int,
+                   modified_links: frozenset[int] | set[int] = frozenset()
+                   ) -> None:
+    """Apply the Trotterized evolution to the state in place."""
+    for string, theta in trotter_strings(model, n_T, tau, modified_links):
+        pauli_exp_inplace(sv.amps, string, theta, sv.n_qubits)
+
+
+def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
+                                        program: LoopProgram, n_T: int
+                                        ) -> SectorOperator:
+    """Reference route: embed the sector basis, run the literal gate list
+    in the full 2**L space, project back.  Same matrix as
+    ``trotter.trotterized_loop_operator``; kept as a cross-check oracle."""
+    _check_program(model, program)
+    cols = embed_sector_coords(sector, np.eye(sector.dim, dtype=np.complex128))
+    L = sector.n_links
+    for step in program.steps:
+        if isinstance(step, Spatial):
+            cols[:] = pauli_action(cols, _spatial_string(step.links), L)
+        else:
+            for string, theta in trotter_strings(model, n_T, step.tau,
+                                                 step.modified_links):
+                pauli_exp_inplace(cols, string, theta, L)
+    return SectorOperator(project_to_sector(sector, cols))
+
+
+def spatial_loop_direct(sv: StateVector, links) -> None:
+    """Apply prod sigma_3(e) over the links to the state in place."""
+    links = list(links)
+    for li in links:
+        if li >= sv.n_qubits or li < 0:
+            raise ValueError(f"link {li} outside register")
+    apply_pauli(sv, _spatial_string(links))

@@ -9,9 +9,12 @@ with the electric factor an exact product of single-link X rotations
 factor an exact product of four-link ZZZZ exponentials; all terms inside a
 factor commute, so the only approximation is the electric/magnetic split.
 Consecutive electric half-factors inside one evolution are merged.
-The sector loop operator runs the same product in cycle coordinates,
+This module runs that product as a sector operator, in cycle coordinates,
 where every plaquette and spatial step is an index flip through
-``statevec.flipped``, the view the full-space Pauli action uses too.
+``gauge.flipped``.  The literal gate list (``wilson.trotter_strings``) and
+its full-space run (``statevec.trotter_evolve``,
+``statevec.trotterized_loop_operator_fullspace``) live elsewhere: this
+module builds no Pauli string and no 2**L register.
 
 Fidelities follow the two figures of merit reported for the sweeps:
 operator fidelity |tr(W^dag W')| with normalized trace, and state fidelity
@@ -27,73 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
-                    _link_mask, electric_diag, embed_sector_coords,
-                    exact_evolve_in_sector, plaquette_string,
-                    project_to_sector)
-from .lattice import _odd_links
+                    _link_mask, electric_diag, exact_evolve_in_sector, flipped)
 from .programs import LoopProgram, ProgramError, Spatial, program_errors
-from .statevec import (PauliString, StateVector, flipped,
-                       pauli_apply_inplace, pauli_exp_inplace)
 
 INFIDELITY_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Homogeneous plan: same n_T for every elementary evolution."""
-
-    n_T: int
-    tau: float
-
-    def __post_init__(self):
-        if self.n_T < 1:
-            raise ValueError(f"n_T must be >= 1, got {self.n_T}")
-
-
-def _spatial_string(links) -> PauliString:
-    """Z product over a chain; links traversed twice cancel (Z**2 = I)."""
-    return PauliString({li: "Z" for li in _odd_links(links)})
-
-
-def trotter_strings(model: Z2Model, plan: TrotterPlan,
-                    modified_links: frozenset[int] | set[int] = frozenset()
-                    ) -> list[tuple[PauliString, float]]:
-    """Gate list (string, theta) realizing one Trotterized evolution.
-
-    Convention: each entry applies e^{i theta P}.  Electric rotations are
-    ordered by link id, plaquette exponentials by plaquette id.
-    """
-    lat = model.lattice
-    n, tau = plan.n_T, plan.tau
-    half = tau / (2 * n)
-    mag = model.lam * tau / n
-
-    def electric(scale: float) -> list[tuple[PauliString, float]]:
-        out = []
-        for li in range(lat.n_links):
-            sign = -1.0 if li in modified_links else +1.0
-            out.append((PauliString({li: "X"}), sign * scale))
-        return out
-
-    def magnetic() -> list[tuple[PauliString, float]]:
-        return [(plaquette_string(lat, pi), mag)
-                for pi in range(lat.n_plaquettes)]
-
-    gates: list[tuple[PauliString, float]] = []
-    gates += electric(half)
-    for step in range(n):
-        gates += magnetic()
-        gates += electric(half if step == n - 1 else 2 * half)
-    return gates
-
-
-def trotter_evolve(sv: StateVector, model: Z2Model, tau: float, n_T: int,
-                   modified_links: frozenset[int] | set[int] = frozenset()
-                   ) -> None:
-    """Apply the Trotterized evolution to the state in place."""
-    for string, theta in trotter_strings(model, TrotterPlan(n_T, tau),
-                                         modified_links):
-        pauli_exp_inplace(sv.amps, string, theta, sv.n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +74,10 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     plaquette exponential is cos(theta) I + i sin(theta) (XOR permutation).
     The rows stay in cycle coordinates for the whole program, one gather
     in and one out; every spatial step and plaquette is an index flip
-    (:meth:`SectorMoves.flip`, :func:`.statevec.flipped`), not a gather.
+    (:meth:`SectorMoves.flip`, :func:`.gauge.flipped`), not a gather.
     The result is bit-identical to the gather ``w = c * w + s * w[perm, :]``
     on sorted rows.  This reproduces the full-space gate circuit matrix
-    (see :func:`trotterized_loop_operator_fullspace`) at dim x dim cost.
+    (``statevec.trotterized_loop_operator_fullspace``) at dim x dim cost.
     """
     _check_program(model, program)
     moves = SectorMoves(model, sector)
@@ -156,7 +96,7 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
     """Apply one temporal step's Trotter product to ``w`` in place.
 
     The rows of ``w`` are in ``sec``'s cycle coordinates, where plaquette
-    p maps row i to row ``i ^ k_p`` (:func:`.statevec.flipped`), for any
+    p maps row i to row ``i ^ k_p`` (:func:`.gauge.flipped`), for any
     lattice.  Each factor copies its view into one scratch matrix (a copy
     through negative strides is cheaper than arithmetic through them),
     then runs three in-place ufunc calls on contiguous matrices; nothing
@@ -183,25 +123,6 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
             np.multiply(w, c, w)
             np.add(w, g, w)
         np.multiply(half if k == n_T - 1 else full, w, w)
-
-
-def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
-                                        program: LoopProgram, n_T: int
-                                        ) -> SectorOperator:
-    """Reference route: embed the sector basis, run the literal gate list
-    in the full 2**L space, project back.  Same matrix as
-    :func:`trotterized_loop_operator`; kept as a cross-check oracle."""
-    _check_program(model, program)
-    cols = embed_sector_coords(sector, np.eye(sector.dim, dtype=np.complex128))
-    L = sector.n_links
-    for step in program.steps:
-        if isinstance(step, Spatial):
-            pauli_apply_inplace(cols, _spatial_string(step.links), L)
-        else:
-            for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau),
-                                                 step.modified_links):
-                pauli_exp_inplace(cols, string, theta, L)
-    return SectorOperator(project_to_sector(sector, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +222,11 @@ def fit_power_law(rows) -> PowerLawFit:
                        prefactor=float(np.exp(intercept)))
 
 
-def sweep(model: Z2Model, program: LoopProgram, psi: StateVector, n_T_list,
-          sector: PhysicalSector) -> FidelityReport:
+def sweep(model: Z2Model, program: LoopProgram, coords: np.ndarray,
+          n_T_list, sector: PhysicalSector) -> FidelityReport:
     """Both fidelities per n_T against one exact oracle W.
 
-    ``psi`` is a normalized full-space state inside the physical
+    ``coords`` is a normalized state in the coordinates of the physical
     ``sector`` (typically the ground state).  Entries are independent; the
     report is ordered by n_T.
     """
@@ -314,7 +235,6 @@ def sweep(model: Z2Model, program: LoopProgram, psi: StateVector, n_T_list,
         raise ValueError("n_T list is empty")
     if any(b <= a for a, b in zip(n_T_list, n_T_list[1:])):
         raise ValueError(f"n_T list must be strictly increasing: {n_T_list}")
-    coords = project_to_sector(sector, psi.amps)
     if abs(np.linalg.norm(coords) - 1.0) > 1e-10:
         raise ValueError("psi is not a normalized physical-sector state")
     w_exact = exact_loop_operator(model, sector, program)

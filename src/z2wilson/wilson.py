@@ -1,10 +1,14 @@
-"""Space-time Wilson loop builders: direct, plaquette-based, link-based.
+"""Space-time Wilson loop builders: gate lists, ancilla and link circuits.
 
-Three routes to the same loops:
+Every gate list of the package is built here, from ``circuits``'s Pauli
+strings: a loop's spatial string and plaquette strings, the Trotterized
+evolution (:func:`trotter_strings`), and the circuits below.  The direct
+operator routes they are checked against are the sector oracle
+(:func:`z2wilson.trotter.exact_loop_operator`) and, on the full 2**L
+register, ``statevec.spatial_loop_direct``.  Three routes to the same
+loops:
 
-* direct operator composition on the statevector / in the physical sector
-  (the oracle), see :func:`spatial_loop_direct` and
-  :func:`z2wilson.trotter.exact_loop_operator`;
+* direct operator composition (the oracles above);
 * plaquette-based ancilla circuits built from the two-qubit V gate
   V = I (x) |+><+| + sigma_3 (x) |-><-| realized as a controlled Pauli
   exponential with an exact phase compensation;
@@ -20,31 +24,68 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import (Circuit, CircuitError, ControlledPauliExp, Measure,
-                       PauliExp, ResetAncilla, block_bit_probability,
-                       run_blocks)
+                       PauliExp, PauliString, ResetAncilla,
+                       block_bit_probability, run_blocks)
 from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
                     exact_evolve_in_sector)
-from .lattice import Lattice
+from .lattice import Lattice, _odd_links
 from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                        Temporal)
-from .statevec import PauliString, StateVector, pauli_apply_inplace
-from .trotter import TrotterPlan, _spatial_string, trotter_strings
 
 HALF_PI = np.pi / 2
 
 
 # ---------------------------------------------------------------------------
-# spatial loops
+# gate lists: loop strings and the Trotterized evolution
 # ---------------------------------------------------------------------------
 
-def spatial_loop_direct(sv: StateVector, links) -> None:
-    """Apply prod sigma_3(e) over the links to the state in place."""
-    links = list(links)
-    for li in links:
-        if li >= sv.n_qubits or li < 0:
-            raise ValueError(f"link {li} outside register")
-    pauli_apply_inplace(sv.amps, _spatial_string(links), sv.n_qubits)
+def _spatial_string(links) -> PauliString:
+    """Z product over a chain; links traversed twice cancel (Z**2 = I)."""
+    return PauliString({li: "Z" for li in _odd_links(links)})
 
+
+def plaquette_string(lattice: Lattice, plaq_index: int) -> PauliString:
+    """Z Z Z Z on the four links of a plaquette."""
+    return PauliString({li: "Z" for li in lattice.plaquettes[plaq_index]})
+
+
+def trotter_strings(model: Z2Model, n_T: int, tau: float,
+                    modified_links: frozenset[int] | set[int] = frozenset()
+                    ) -> list[tuple[PauliString, float]]:
+    """Gate list (string, theta) realizing one Trotterized evolution: the
+    same n_T Strang steps of time tau / n_T that ``trotter`` runs.
+
+    Convention: each entry applies e^{i theta P}.  Electric rotations are
+    ordered by link id, plaquette exponentials by plaquette id.
+    """
+    if n_T < 1:
+        raise ValueError(f"n_T must be >= 1, got {n_T}")
+    lat = model.lattice
+    half = tau / (2 * n_T)
+    mag = model.lam * tau / n_T
+
+    def electric(scale: float) -> list[tuple[PauliString, float]]:
+        out = []
+        for li in range(lat.n_links):
+            sign = -1.0 if li in modified_links else +1.0
+            out.append((PauliString({li: "X"}), sign * scale))
+        return out
+
+    def magnetic() -> list[tuple[PauliString, float]]:
+        return [(plaquette_string(lat, pi), mag)
+                for pi in range(lat.n_plaquettes)]
+
+    gates: list[tuple[PauliString, float]] = []
+    gates += electric(half)
+    for step in range(n_T):
+        gates += magnetic()
+        gates += electric(half if step == n_T - 1 else 2 * half)
+    return gates
+
+
+# ---------------------------------------------------------------------------
+# spatial loops
+# ---------------------------------------------------------------------------
 
 def spatial_loop_via_ancilla(circuit: Circuit, links, ancilla: int) -> None:
     """Chain of V gates sharing one ancilla prepared in |->.
@@ -53,7 +94,7 @@ def spatial_loop_via_ancilla(circuit: Circuit, links, ancilla: int) -> None:
     emitted as a controlled Z exponential of angle pi/2 on the |-> branch;
     the leftover i**n on that branch is cancelled exactly by one ancilla X
     rotation plus a recorded global phase, so the net action equals
-    :func:`spatial_loop_direct` with the ancilla returned in |->.
+    ``statevec.spatial_loop_direct`` with the ancilla returned in |->.
     """
     links = list(links)
     if ancilla < circuit.n_link_qubits:
@@ -335,7 +376,7 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
                                  -np.pi / 4))
             circuit.add_phase(-np.pi / 4)
         elif isinstance(step, (Temporal, FreeEvolve)):
-            for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau),
+            for string, theta in trotter_strings(model, n_T, step.tau,
                                                  step.modified_links):
                 emit_controlled_string(string, theta)
         else:  # pragma: no cover
@@ -399,7 +440,7 @@ def trotterized_program_circuit(model: Z2Model, program: LoopProgram,
             circuit.add(PauliExp(s, HALF_PI))
             circuit.add_phase(-HALF_PI)
         else:
-            for string, theta in trotter_strings(model, TrotterPlan(n_T, step.tau),
+            for string, theta in trotter_strings(model, n_T, step.tau,
                                                  step.modified_links):
                 circuit.add(PauliExp(string, theta))
     return circuit

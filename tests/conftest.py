@@ -13,9 +13,10 @@ import pytest
 
 from z2wilson.gauge import (SectorMoves, Z2Model, _link_mask,
                             build_physical_sector, electric_diag,
-                            ground_state, xor_perm)
+                            ground_state, project_to_sector, xor_perm)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import Spatial
+from z2wilson.statevec import StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,4 +94,13 @@ def cross_sector(cross_model):
 
 @pytest.fixture(scope="session")
 def cross_ground(cross_model, cross_sector):
-    return ground_state(cross_model, cross_sector)
+    """Energy and full-space ground state, as a StateVector."""
+    energy, amps = ground_state(cross_model, cross_sector)
+    return energy, StateVector(cross_sector.n_links, amps)
+
+
+@pytest.fixture(scope="session")
+def cross_coords(cross_sector, cross_ground):
+    """The full-space ground state projected to sector coordinates, as
+    ``cmd_sweep`` hands it to ``trotter.sweep``."""
+    return project_to_sector(cross_sector, cross_ground[1].amps)

@@ -13,23 +13,24 @@ import pytest
 
 from conftest import dense_pauli, expm_i_hermitian
 from z2wilson.circuits import (Circuit, Measure, circuit_stats,
-                               link_register_block, marginal_bit_probability,
-                               run_circuit, star_commutation_report)
+                               star_commutation_report)
 from z2wilson.gauge import (Z2Model, build_physical_sector,
-                            embed_sector_coords, embed_state,
-                            exact_evolve_in_sector, gauge_violation,
+                            embed_sector_coords, exact_evolve_in_sector,
                             ground_state, project_to_sector)
 from z2wilson.lattice import build_rect
 from z2wilson.programs import (FreeEvolve, LoopProgram, Spatial, Temporal,
                                staircase_default)
-from z2wilson.statevec import PauliString, StateVector, apply_pauli_exp
+from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
+                               apply_pauli_exp, gauge_violation,
+                               link_register_block, run_circuit,
+                               spatial_loop_direct, trotter_evolve)
 from z2wilson.trotter import (exact_loop_operator, state_fidelity, sweep,
-                              trotter_evolve, trotterized_loop_operator)
+                              trotterized_loop_operator)
 from z2wilson.wilson import (conjugated_temporal_plaquette, hadamard_test,
                              link_loop_circuit, plaquette_exp_via_ancilla,
                              prepare_plus, rect_loop_link_circuit,
                              rect_loop_plaquette_circuit,
-                             spatial_loop_direct, temporal_plaquette_exact,
+                             temporal_plaquette_exact,
                              trotterized_program_circuit)
 
 # oracle-pinned regression values (default staircase, cross, lam = 10)
@@ -44,13 +45,12 @@ def report(num: int, label: str, detail: str) -> None:
 def random_physical(sector, rng):
     c = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
     c /= np.linalg.norm(c)
-    return embed_state(sector, c)
+    return StateVector(sector.n_links, embed_sector_coords(sector, c))
 
 
-def test_criterion_1_trotter_scaling(cross_model, cross_sector, cross_ground):
+def test_criterion_1_trotter_scaling(cross_model, cross_sector, cross_coords):
     t0 = time.time()
-    _, gs = cross_ground
-    rep = sweep(cross_model, staircase_default(), gs,
+    rep = sweep(cross_model, staircase_default(), cross_coords,
                 [8, 16, 32, 64, 128], cross_sector)
     elapsed = time.time() - t0
     assert rep.fit_op is not None and rep.fit_gs is not None
@@ -204,7 +204,8 @@ def test_criterion_6_exact_degenerate_cases(cross_lattice):
     model0 = Z2Model(cross_lattice, 0.0)
     sector0 = build_physical_sector(model0)
     _, gs0 = ground_state(model0, sector0)
-    rep = sweep(model0, staircase_default(), gs0, [1, 3, 9, 27], sector0)
+    rep = sweep(model0, staircase_default(), project_to_sector(sector0, gs0),
+                [1, 3, 9, 27], sector0)
     for _, fop, fgs in rep.rows:
         assert abs(fop - 1) <= 1e-12
         assert abs(fgs - 1) <= 1e-12
@@ -277,7 +278,7 @@ def test_criterion_7_hadamard_and_closure(cross_model, cross_sector,
     probe.ancilla_init = dict(circ.ancilla_init)
     probe.gates = circ.gates[:-1]
     out, _ = run_circuit(probe, psi.copy())
-    p_up = marginal_bit_probability(out, med, 0)
+    p_up = _bit_probability(out.amps, out.n_qubits, med, 0)
     assert abs(p_up - 1.0) <= 1e-10
     report(7, "Hadamard test + closure",
            f"p+ deviation {abs(p - expected):.2e}, closure P(up) "

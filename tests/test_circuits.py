@@ -7,22 +7,19 @@ import pytest
 
 from conftest import random_state
 from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
-                               Measure, PauliExp, ResetAncilla, _measure_bit,
-                               _parity_flip, apply_gates,
-                               circuit_stats, circuit_to_text,
-                               extend_with_ancillas,
-                               link_register_block, marginal_bit_probability,
-                               run_blocks, run_circuit,
-                               star_commutation_report)
+                               Measure, PauliExp, ResetAncilla,
+                               _parity_flip, circuit_stats, circuit_to_text,
+                               run_blocks, star_commutation_report)
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import staircase_default
 from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
-                               apply_controlled_pauli_exp, apply_pauli_exp,
-                               init_basis)
+                               _measure_bit, apply_controlled_pauli_exp,
+                               apply_gates, apply_pauli_exp,
+                               extend_with_ancillas, init_basis,
+                               link_register_block, run_circuit)
 from z2wilson.wilson import hadamard_test_circuit, trotterized_program_circuit
 from z2wilson.gauge import (Z2Model, build_physical_sector,
-                            embed_sector_coords, embed_state,
-                            sector_ground_state)
+                            embed_sector_coords, sector_ground_state)
 
 
 class TestCircuitStructure:
@@ -252,7 +249,8 @@ class TestBlockExecutor:
                 c, model, sector, coords,
                 np.random.Generator(np.random.Philox(seed)))
             want, want_outcomes = run_circuit(
-                c, embed_state(sector, coords),
+                c, StateVector(sector.n_links,
+                               embed_sector_coords(sector, coords)),
                 np.random.Generator(np.random.Philox(seed)))
             assert got_outcomes == want_outcomes, seed
             assert np.max(np.abs(blocks_to_full_space(blocks, model, c)
@@ -375,6 +373,7 @@ class TestMarginals:
         a = c.alloc_ancilla(0)
         c.add(PauliExp(PauliString({a: "X"}), np.pi / 2))   # iX: flips ancilla
         out, _ = run_circuit(c, init_basis(1, "1"))
-        assert marginal_bit_probability(out, a, 1) == pytest.approx(1.0)
+        assert _bit_probability(out.amps, out.n_qubits, a, 1) == \
+            pytest.approx(1.0)
         blk = link_register_block(out, c, {a: 1})
         assert abs(abs(blk[1]) - 1) < 1e-12

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from z2wilson.circuits import (ControlledPauliExp, block_bit_probability,
-                               marginal_bit_probability, run_blocks,
-                               run_circuit)
+                               run_blocks)
 from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
                           ConfigError, RunConfig, load_config, main,
                           resolve_lattice)
@@ -19,6 +18,7 @@ from z2wilson.lattice import build_cross, build_rect, lattice_to_text
 from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
                                program_to_text,
                                staircase_default)
+from z2wilson.statevec import _bit_probability, run_circuit
 from z2wilson.trotter import trotterized_loop_operator
 from z2wilson.wilson import hadamard_test_circuit
 
@@ -127,8 +127,8 @@ class TestGroundState:
 
         monkeypatch.setattr(gauge_mod, solver, warn_and_solve)
         out_path = tmp_path / "out.txt"
-        code, out, _ = run_main(capsys, command, "--nt", "2",
-                                "--out", str(out_path))
+        nt = [] if command == "ground-state" else ["--nt", "2"]
+        code, out, _ = run_main(capsys, command, *nt, "--out", str(out_path))
         assert code == 3
         assert out.endswith("degenerate_ground_state true\n")
         if command != "ground-state":     # nothing is written before it
@@ -407,15 +407,15 @@ class TestMeasure:
         ]
         prog.write_text("EVOLVE -1e307\n")
         for args, message in cases:
-            code, out, err = run_main(capsys, command, "--nt", "1",
+            nt = [] if command == "validate" else ["--nt", "1"]
+            code, out, err = run_main(capsys, command, *nt,
                                       "--out", str(out_path), *args)
             assert code == EXIT_CONFIG
             assert out == ""
             assert not out_path.exists()
             assert err == f"error: {message}\n"
         # the largest finite phases still run
-        code, out, _ = run_main(capsys, command, "--nt", "1", "--tau",
-                                "1e306")
+        code, out, _ = run_main(capsys, command, *nt, "--tau", "1e306")
         assert code == EXIT_OK and "nan" not in out
 
     def test_overflowing_energies_refused_by_ground_state(self, capsys):
@@ -435,7 +435,8 @@ class TestMeasure:
         prog.write_text(f"TEMPORAL {tau} 1 2\n")
         out_path = tmp_path / "out"
         for args in (["--tau", tau], ["--program", str(prog)]):
-            code, out, err = run_main(capsys, command, "--nt", "2",
+            nt = [] if command == "validate" else ["--nt", "2"]
+            code, out, err = run_main(capsys, command, *nt,
                                       "--out", str(out_path), *args)
             assert code == EXIT_CONFIG
             assert out == ""
@@ -482,7 +483,7 @@ def measured(out):
 
 def circuit_p_plus(circuit, control, psi):
     final, _ = run_circuit(circuit, psi)
-    return marginal_bit_probability(final, control, 0)
+    return _bit_probability(final.amps, final.n_qubits, control, 0)
 
 
 def block_p_plus(circuit, control, model, sector, coords):
@@ -663,6 +664,50 @@ class TestExportCircuit:
         assert code == EXIT_OK
         assert body(run_main(capsys, "export-circuit", "--nt", "8")[1]) \
             == body(default)
+
+
+class TestUnreadFlags:
+    """A command-line flag the command (or export kind) does not read is
+    refused before any output; a config file may hold any key."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ground-state", "--nt", "2,4"], "ground-state does not read --nt"),
+        (["ground-state", "--kind", "link-loop"],
+         "ground-state does not read --kind"),
+        (["export-circuit", "--kind", "link-loop", "--lattice", "rect:2x2",
+          "--lambda", "3", "--tau", "2"],
+         "export-circuit --kind link-loop does not read --lambda, --tau"),
+        (["measure", "--threshold", "0.5"],
+         "measure does not read --threshold"),
+        (["sweep", "--shots", "5"], "sweep does not read --shots"),
+        (["validate", "--nt", "3,4"], "validate does not read --nt"),
+    ], ids=["ground-nt", "ground-kind", "link-loop-lambda-tau",
+            "measure-threshold", "sweep-shots", "validate-nt"])
+    def test_refused_before_output(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "out"
+        code, out, err = run_main(capsys, *argv, "--out", str(out_path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert not out_path.exists()
+        assert err == f"error: {message}\n"
+
+    def test_config_file_keys_accepted(self, capsys, tmp_path):
+        # one file may serve several commands
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nt=2,4\nshots=5\nthreshold=0.5\nkind=link-loop\n")
+        code, out, _ = run_main(capsys, "ground-state", "--lattice",
+                                "rect:2x2", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run_main(capsys, "ground-state", "--lattice",
+                               "rect:2x2")[1]
+
+    @pytest.mark.parametrize("command", ["validate", "ground-state"])
+    def test_seed_and_out_accepted_everywhere(self, capsys, tmp_path,
+                                              command):
+        out_path = tmp_path / "out"
+        code, _, _ = run_main(capsys, command, "--lattice", "rect:2x2",
+                              "--seed", "3", "--out", str(out_path))
+        assert code == EXIT_OK
 
 
 class TestClosedPipe:

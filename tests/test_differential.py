@@ -10,7 +10,7 @@ routes compared are
   exponentials by ``eigh``), projected onto the sector basis built here
   from explicit |+>/|-> Kronecker products;
 * the literal gate list in the full space
-  (:func:`trotterized_loop_operator_fullspace`);
+  (``statevec.trotterized_loop_operator_fullspace``);
 * the sector route (:func:`exact_loop_operator`,
   :func:`trotterized_loop_operator` and the sector operators of
   ``gauge`` and ``wilson``).
@@ -19,7 +19,7 @@ The sector route's Trotter loop, which runs in cycle coordinates, must
 also give the same bits as the plain gather loop of ``conftest``.
 
 The Hadamard-test circuit of each program also runs on both executors,
-the full-space :func:`run_circuit` and the sector-block
+the full-space ``statevec.run_circuit`` and the sector-block
 :func:`run_blocks`, whose p_+ must match the sector route's to two ulp per
 gate.  An open chain moves the controlled branch into a charged block, so
 those programs exercise the blocks of other charge patterns.
@@ -29,18 +29,17 @@ import numpy as np
 import pytest
 
 from conftest import bit_identical, dense_pauli, gather_loop_operator
-from z2wilson.circuits import (block_bit_probability,
-                               marginal_bit_probability, run_blocks,
-                               run_circuit)
-from z2wilson.gauge import (Z2Model, build_physical_sector, embed_state,
-                            hamiltonian_in_sector, spatial_loop_in_sector)
+from z2wilson.circuits import block_bit_probability, run_blocks
+from z2wilson.gauge import (Z2Model, build_physical_sector,
+                            embed_sector_coords, hamiltonian_in_sector,
+                            spatial_loop_in_sector)
 from z2wilson.lattice import _build_from_cells
 from z2wilson.programs import (FreeEvolve, LoopProgram, Spatial, Temporal,
                                program_errors)
-from z2wilson.statevec import PauliString
-from z2wilson.trotter import (exact_loop_operator,
-                              trotterized_loop_operator,
-                              trotterized_loop_operator_fullspace)
+from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
+                               run_circuit,
+                               trotterized_loop_operator_fullspace)
+from z2wilson.trotter import exact_loop_operator, trotterized_loop_operator
 from z2wilson.wilson import (conjugated_temporal_plaquette,
                              hadamard_test_circuit, temporal_plaquette_exact)
 
@@ -177,12 +176,14 @@ def assert_hadamard_executors_agree(model, sector, program, n_T, w_nt, rng):
     coords /= np.linalg.norm(coords)
     circuit, control = hadamard_test_circuit(model, program, n_T)
     blocks, _ = run_blocks(circuit, model, sector, coords)
-    full, _ = run_circuit(circuit, embed_state(sector, coords))
+    full, _ = run_circuit(circuit, StateVector(
+        sector.n_links, embed_sector_coords(sector, coords)))
     oracle = (2 + 2 * np.real(np.vdot(coords, w_nt @ coords))) / 4
     tol = ULP_PER_GATE * len(circuit.gates)
     assert abs(block_bit_probability(blocks, circuit, control, 0)
                - oracle) <= tol
-    assert abs(marginal_bit_probability(full, control, 0) - oracle) <= tol
+    assert abs(_bit_probability(full.amps, full.n_qubits, control, 0)
+               - oracle) <= tol
     opens = any(len(s.links) == 2 for s in program.steps
                 if isinstance(s, Spatial))
     assert (len(blocks) > 1) == opens

@@ -13,17 +13,17 @@ import pytest
 from conftest import dense_pauli, expm_i_hermitian
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             SectorMoves, Z2Model, _link_mask,
-                            build_physical_sector,
-                            embed_sector_coords, embed_state,
-                            exact_evolve_in_sector, gauge_violation,
+                            build_physical_sector, embed_sector_coords,
+                            exact_evolve_in_sector,
                             ground_state, hamiltonian_in_sector,
                             moved_charges, project_to_sector,
                             sector_basis_dump, sector_gauge_violation,
                             sector_ground_state, sector_spectrum,
                             spatial_loop_in_sector, spectral_bound,
-                            star_operator, xor_perm)
+                            xor_perm)
+from z2wilson.circuits import PauliString, star_operator
 from z2wilson.lattice import build_cross, build_rect
-from z2wilson.statevec import PauliString, StateVector, expect_pauli
+from z2wilson.statevec import StateVector, expect_pauli, gauge_violation
 
 CROSS_GROUND_ENERGY_LAM10 = -51.917375245849549   # pinned by the oracle below
 
@@ -51,28 +51,23 @@ def full_space_h_apply(lattice, lam):
 class TestStarOperator:
     def test_interior_weight_four(self):
         lat = build_rect(2, 2)
-        m = Z2Model(lat, 1.0)
         interior = next(v for v in range(lat.n_vertices)
                         if len(lat.star(v)) == 4)
-        assert star_operator(m, interior).weight == 4
+        assert star_operator(lat, interior).weight == 4
 
     def test_corner_weight_two(self):
-        lat = build_rect(1, 1)
-        m = Z2Model(lat, 1.0)
-        assert star_operator(m, 0).weight == 2
+        assert star_operator(build_rect(1, 1), 0).weight == 2
 
     def test_product_of_all_stars_is_identity(self):
         for lat in (build_cross(), build_rect(3, 2)):
-            m = Z2Model(lat, 1.0)
             prod = PauliString({})
             for v in range(lat.n_vertices):
-                prod = prod * star_operator(m, v)
+                prod = prod * star_operator(lat, v)
             assert prod.is_identity()
 
     def test_invalid_vertex(self):
-        m = Z2Model(build_rect(1, 1), 1.0)
         with pytest.raises(IndexError):
-            star_operator(m, 99)
+            star_operator(build_rect(1, 1), 99)
 
 
 class TestPhysicalSector:
@@ -112,7 +107,7 @@ class TestPhysicalSector:
             coords[k] = 1.0
             sv = StateVector(16, embed_sector_coords(cross_sector, coords))
             for v in range(cross_model.lattice.n_vertices):
-                val = expect_pauli(sv, star_operator(cross_model, v))
+                val = expect_pauli(sv, star_operator(cross_model.lattice, v))
                 assert abs(val - 1) < 1e-12
 
     def test_charged_sector_dim(self, cross_model):
@@ -257,7 +252,7 @@ class TestGroundState:
         sec = build_physical_sector(m)
         energy, gs = ground_state(m, sec)
         assert energy == -16
-        coords = project_to_sector(sec, gs.amps)
+        coords = project_to_sector(sec, gs)
         assert abs(abs(coords[0]) - 1) < 1e-12   # pure all-plus X state
 
     def test_lam10_energy_vs_power_iteration(self, cross_model, cross_sector,
@@ -278,15 +273,15 @@ class TestGroundState:
     def test_stars_plus_one(self, cross_model, cross_ground):
         _, gs = cross_ground
         for v in range(cross_model.lattice.n_vertices):
-            assert abs(expect_pauli(gs, star_operator(cross_model, v)) - 1) \
-                < 1e-12
+            assert abs(expect_pauli(gs, star_operator(cross_model.lattice, v))
+                       - 1) < 1e-12
 
     def test_phase_convention_deterministic(self, cross_model, cross_sector):
         _, a = ground_state(cross_model, cross_sector)
         _, b = ground_state(cross_model, cross_sector)
-        assert np.array_equal(a.amps, b.amps)
-        k = int(np.argmax(np.abs(a.amps)))
-        assert a.amps[k].real > 0 and abs(a.amps[k].imag) < 1e-12
+        assert np.array_equal(a, b)
+        k = int(np.argmax(np.abs(a)))
+        assert a[k].real > 0 and abs(a[k].imag) < 1e-12
 
     def test_degenerate_warning(self):
         # lam=0 on rect(1,1): spectrum {-4, +4}, not degenerate; force
@@ -305,7 +300,7 @@ class TestGroundState:
         energy, coords = sector_ground_state(cross_model, cross_sector)
         full_energy, gs = ground_state(cross_model, cross_sector)
         assert energy == full_energy
-        ref = project_to_sector(cross_sector, gs.amps)
+        ref = project_to_sector(cross_sector, gs)
         assert np.max(np.abs(coords - ref)) < 1e-12
 
     def test_sector_phase_rule(self, cross_model, cross_sector):
@@ -501,7 +496,8 @@ class TestGaugeViolation:
             c = rng.normal(size=32) + 1j * rng.normal(size=32)
             c /= np.linalg.norm(c)
             got = sector_gauge_violation(cross_model, cross_sector, c)
-            full = gauge_violation(embed_state(cross_sector, c), cross_model)
+            full = gauge_violation(StateVector(
+                16, embed_sector_coords(cross_sector, c)), cross_model)
             assert got < 1e-12
             assert abs(got - full) < 1e-12
 
@@ -516,6 +512,7 @@ class TestGaugeViolation:
         c = rng.normal(size=sec.dim) + 1j * rng.normal(size=sec.dim)
         c /= np.linalg.norm(c)
         got = sector_gauge_violation(cross_model, sec, c)
-        full = gauge_violation(embed_state(sec, c), cross_model)
+        full = gauge_violation(StateVector(
+            16, embed_sector_coords(sec, c)), cross_model)
         assert abs(got - 2.0) < 1e-12
         assert abs(got - full) < 1e-12

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import dense_pauli, expm_i_hermitian, random_state
 from z2wilson import statevec
-from z2wilson.circuits import ControlledPauliExp, apply_gates
+from z2wilson.circuits import ControlledPauliExp
 from z2wilson.statevec import (PauliString, PauliStringError, StateVector,
-                               apply_controlled_pauli_exp, apply_pauli,
+                               apply_controlled_pauli_exp, apply_gates,
+                               apply_pauli,
                                apply_pauli_exp, expect_pauli, init_basis,
                                inner, pauli_exp_inplace, qubit_purity,
                                reduced_qubit_density)

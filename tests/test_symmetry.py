@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from z2wilson.gauge import (Z2Model, build_physical_sector, ground_state,
-                            sector_ground_state)
+                            project_to_sector, sector_ground_state)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import (FreeEvolve, LoopProgram, Spatial, Temporal,
                                program_errors, staircase_default)
@@ -115,7 +115,8 @@ class TestImageAgrees:
 
     def test_sweep_rows(self, setting, name, sym):
         model, sector, _ = setting
-        _, psi = ground_state(model, sector)
+        _, amps = ground_state(model, sector)
+        psi = project_to_sector(sector, amps)
         rows = [sweep(model, p, psi, [8, 16, 32], sector).rows
                 for p in self.pair(name, sym)]
         assert [n for n, _, _ in rows[0]] == [n for n, _, _ in rows[1]]

@@ -23,12 +23,12 @@ from z2wilson.lattice import (build_cross, build_rect, lattice_from_text,
                               lattice_to_text, validate)
 from z2wilson.programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
                                Temporal, staircase_default, validate_program)
-from z2wilson.statevec import PauliString, StateVector
-from z2wilson.trotter import (TrotterPlan, exact_loop_operator, fit_power_law,
+from z2wilson.statevec import (PauliString, StateVector, trotter_evolve,
+                               trotterized_loop_operator_fullspace)
+from z2wilson.trotter import (exact_loop_operator, fit_power_law,
                               operator_fidelity, report_to_csv,
-                              state_fidelity, sweep, trotter_evolve,
-                              trotter_strings, trotterized_loop_operator,
-                              trotterized_loop_operator_fullspace)
+                              state_fidelity, sweep, trotterized_loop_operator)
+from z2wilson.wilson import trotter_strings
 
 # oracle-pinned regression values for the default staircase on the cross
 GS_FIDELITY_NT9 = 0.97756196884951441
@@ -47,12 +47,12 @@ def dense_h(lattice, lam, modified=frozenset()):
 
 
 class TestTrotterStrings:
-    def test_plan_rejects_zero_steps(self):
+    def test_plan_rejects_zero_steps(self, cross_model):
         with pytest.raises(ValueError):
-            TrotterPlan(0, 1.0)
+            trotter_strings(cross_model, 0, 1.0)
 
     def test_factor_structure(self, cross_model):
-        gates = trotter_strings(cross_model, TrotterPlan(3, 1.0))
+        gates = trotter_strings(cross_model, 3, 1.0)
         L = cross_model.lattice.n_links
         P = cross_model.lattice.n_plaquettes
         assert len(gates) == 4 * L + 3 * P
@@ -60,7 +60,7 @@ class TestTrotterStrings:
         assert all(th == pytest.approx(1.0 / 6) for _, th in gates[:L])
 
     def test_modified_link_sign_flip(self, cross_model):
-        gates = trotter_strings(cross_model, TrotterPlan(2, 1.0),
+        gates = trotter_strings(cross_model, 2, 1.0,
                                 modified_links={3})
         thetas = {next(iter(p.support)): th for p, th in gates[:16]}
         assert thetas[3] == -thetas[2]
@@ -71,7 +71,7 @@ class TestTrotterStrings:
         lat = build_rect(1, 1)
         m = Z2Model(lat, 2.0)
         tau, n_T = 0.9, 3
-        gates = trotter_strings(m, TrotterPlan(n_T, tau))
+        gates = trotter_strings(m, n_T, tau)
         n = lat.n_links
         u = np.eye(1 << n, dtype=complex)
         for string, theta in gates:
@@ -393,21 +393,21 @@ class TestSweep:
         m = Z2Model(cross_lattice, 0.0)
         sec = build_physical_sector(m)
         _, gs = ground_state(m, sec)
-        rep = sweep(m, staircase_default(), gs, [1, 2, 4], sec)
+        rep = sweep(m, staircase_default(), project_to_sector(sec, gs),
+                    [1, 2, 4], sec)
         for _, fop, fgs in rep.rows:
             assert fop == pytest.approx(1.0, abs=1e-12)
             assert fgs == pytest.approx(1.0, abs=1e-12)
 
-    def test_single_entry(self, cross_model, cross_sector, cross_ground):
-        _, gs = cross_ground
-        rep = sweep(cross_model, staircase_default(), gs, [9], cross_sector)
+    def test_single_entry(self, cross_model, cross_sector, cross_coords):
+        rep = sweep(cross_model, staircase_default(), cross_coords, [9],
+                    cross_sector)
         assert len(rep.rows) == 1
         assert rep.rows[0][0] == 9
         assert rep.fit_op is None and rep.fit_gs is None
 
-    def test_monotone_tail(self, cross_model, cross_sector, cross_ground):
-        _, gs = cross_ground
-        rep = sweep(cross_model, staircase_default(), gs,
+    def test_monotone_tail(self, cross_model, cross_sector, cross_coords):
+        rep = sweep(cross_model, staircase_default(), cross_coords,
                     [8, 16, 32, 64, 128], cross_sector)
         ops = [fop for _, fop, _ in rep.rows]
         gss = [fgs for _, _, fgs in rep.rows]
@@ -415,10 +415,9 @@ class TestSweep:
         assert all(b >= a for a, b in zip(gss[1:], gss[2:]))
 
     def test_second_order_signature(self, cross_model, cross_sector,
-                                    cross_ground):
+                                    cross_coords):
         # infidelity * n_T**4 settles to a constant over the last decade
-        _, gs = cross_ground
-        rep = sweep(cross_model, staircase_default(), gs,
+        rep = sweep(cross_model, staircase_default(), cross_coords,
                     [16, 32, 64, 128], cross_sector)
         for series in ("op", "gs"):
             consts = [(1 - (fop if series == "op" else fgs)) * n ** 4
@@ -427,18 +426,18 @@ class TestSweep:
                 assert c == pytest.approx(consts[0], rel=0.10)
 
     def test_rejects_non_increasing(self, cross_model, cross_sector,
-                                    cross_ground):
-        _, gs = cross_ground
+                                    cross_coords):
         with pytest.raises(ValueError):
-            sweep(cross_model, staircase_default(), gs, [8, 8], cross_sector)
+            sweep(cross_model, staircase_default(), cross_coords, [8, 8],
+                  cross_sector)
         with pytest.raises(ValueError):
-            sweep(cross_model, staircase_default(), gs, [], cross_sector)
+            sweep(cross_model, staircase_default(), cross_coords, [],
+                  cross_sector)
 
     def test_rows_above_their_bound_refused(self, cross_model, cross_sector,
-                                            cross_ground):
+                                            cross_coords):
         # the bound is sqrt(1 + d eps_W) sqrt(1 + d eps_nT) per row
-        _, gs = cross_ground
-        rep = sweep(cross_model, staircase_default(), gs, [8, 16],
+        rep = sweep(cross_model, staircase_default(), cross_coords, [8, 16],
                     cross_sector)
         bound = rep.fidelity_bound(1)
         assert bound == np.sqrt(1 + 32 * rep.exact_unitarity_error) * np.sqrt(
@@ -456,9 +455,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="one unitarity error per"):
             dataclasses.replace(rep, unitarity_errors=())
 
-    def test_csv_format(self, cross_model, cross_sector, cross_ground):
-        _, gs = cross_ground
-        rep = sweep(cross_model, staircase_default(), gs, [4, 8, 16],
+    def test_csv_format(self, cross_model, cross_sector, cross_coords):
+        rep = sweep(cross_model, staircase_default(), cross_coords, [4, 8, 16],
                     cross_sector)
         text = report_to_csv(rep)
         lines = text.splitlines()

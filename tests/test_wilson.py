@@ -11,17 +11,17 @@ import pytest
 
 from conftest import dense_pauli, expm_i_hermitian, random_state
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
-                               circuit_stats, link_register_block,
-                               run_circuit, star_commutation_report)
-from z2wilson.gauge import (Z2Model, build_physical_sector, embed_state,
-                            gauge_violation, project_to_sector)
+                               circuit_stats, star_commutation_report)
+from z2wilson.gauge import (Z2Model, build_physical_sector,
+                            embed_sector_coords, project_to_sector)
 from z2wilson.lattice import build_rect
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
                                staircase_default)
 from z2wilson.statevec import (PauliString, StateVector, apply_pauli_exp,
-                               qubit_purity)
-from z2wilson.trotter import (exact_loop_operator, trotter_evolve,
-                              trotterized_loop_operator)
+                               gauge_violation, link_register_block,
+                               qubit_purity, run_circuit, spatial_loop_direct,
+                               trotter_evolve)
+from z2wilson.trotter import exact_loop_operator, trotterized_loop_operator
 from z2wilson.wilson import (closure_strings,
                              conjugated_temporal_plaquette, controlled_loop,
                              hadamard_test,
@@ -30,8 +30,7 @@ from z2wilson.wilson import (closure_strings,
                              prepare_minus, prepare_plus,
                              rect_loop_link_circuit,
                              rect_loop_plaquette_circuit, rect_perimeter_links,
-                             sample_p_plus, spatial_loop_direct,
-                             spatial_loop_via_ancilla,
+                             sample_p_plus, spatial_loop_via_ancilla,
                              temporal_plaquette_exact,
                              trotterized_program_circuit)
 
@@ -41,8 +40,12 @@ def random_coords(sector, rng):
     return c / np.linalg.norm(c)
 
 
+def embed(sector, coords):
+    return StateVector(sector.n_links, embed_sector_coords(sector, coords))
+
+
 def random_physical_state(sector, rng):
-    return embed_state(sector, random_coords(sector, rng))
+    return embed(sector, random_coords(sector, rng))
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +70,7 @@ class TestSpatialLoopDirect:
         lat, _, sector = rect21
         coords = np.zeros(sector.dim, dtype=complex)
         coords[1] = 1.0
-        psi = embed_state(sector, coords)
+        psi = embed(sector, coords)
         spatial_loop_direct(psi, lat.plaquettes[1])
         assert psi.norm_error() < 1e-13
 
@@ -432,7 +435,7 @@ class TestControlledLoop:
     def test_two_ancilla_box_equals_direct_controlled(self, rect21):
         # c-U-box via V sandwich vs the same gates controlled directly
         from z2wilson.circuits import ControlledPauliExp
-        from z2wilson.trotter import TrotterPlan, trotter_strings
+        from z2wilson.wilson import trotter_strings
         lat, model, sector = rect21
         rng = np.random.default_rng(13)
         tau = 0.9 / model.lam
@@ -446,7 +449,7 @@ class TestControlledLoop:
         circ_b = Circuit(lat.n_links)
         ctrl_b = circ_b.alloc_ancilla(0)
         prepare_plus(circ_b, ctrl_b)
-        for string, th in trotter_strings(model, TrotterPlan(1, tau)):
+        for string, th in trotter_strings(model, 1, tau):
             circ_b.add(ControlledPauliExp(ctrl_b, "z", string, th))
         out_b, _ = run_circuit(circ_b, psi.copy())
         # circ_a additionally parks the box ancilla spin-down
