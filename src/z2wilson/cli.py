@@ -18,7 +18,6 @@ the sector layer, and no command loads the full-space ``statevec``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import re
@@ -81,8 +80,17 @@ class RunConfig:
         return out
 
     def config_hash(self) -> str:
+        # CPython's own SHA-256 module: hashlib would map OpenSSL's
+        # libcrypto into the process for these 16 hex digits
+        try:
+            from _sha2 import sha256            # CPython 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256      # CPython 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
         text = "\n".join(self.as_lines())
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return sha256(text.encode()).hexdigest()[:16]
 
 
 def _parse_nt(text: str) -> tuple[int, ...]:
@@ -346,6 +354,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if degenerate:
         return _report_degenerate()
     coords = project_to_sector(sector, amps)
+    del amps                    # 2**L amplitudes, not held through the sweep
     report = sweep(model, program, coords, list(cfg.nt), sector)
     for (n_T, _, _), err in zip(report.rows, report.unitarity_errors):
         if err > UNITARITY_TOLERANCE:
@@ -394,12 +403,12 @@ def cmd_measure(cfg: RunConfig) -> int:
 
 def cmd_export_circuit(cfg: RunConfig) -> int:
     from .circuits import circuit_to_text
-    from .gauge import Z2Model
     from .wilson import (rect_loop_link_circuit, rect_loop_plaquette_circuit,
                          trotterized_program_circuit)
     lat = resolve_lattice(cfg)
-    model = Z2Model(lat, cfg.lam)
     if cfg.kind == "program":
+        from .gauge import Z2Model
+        model = Z2Model(lat, cfg.lam)
         n_T = _single_nt(cfg, "export-circuit")
         program = _checked_program(cfg, lat)
         _check_overflow(model, program)

@@ -27,7 +27,7 @@ energy and its Gauss-law check are all computed in sector coordinates
 Embedding into the computational (Z) basis of the full 2**L space is an
 explicit step, needed only by ``sweep``'s pinned state (:func:`ground_state`)
 and the full-space reference routes, and is refused above 26 links.  It is
-a fast Walsh-Hadamard transform:
+a fast Walsh-Hadamard transform, computed in place (:func:`fwht`):
 |m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
 Only plain amplitude arrays cross that boundary here; the register as a
 gate target (Pauli kernels, statevectors, the full-space executor) is
@@ -47,6 +47,7 @@ _MAX_MASK_BITS = 63         # sector masks are uint64
 _MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
 _MAX_EMBED_QUBITS = 26      # one full-space vector of 2**26 amplitudes is 1 GiB
 _MAX_DENSE_DIM = 4096       # a dense complex 4096 x 4096 matrix is 256 MB
+_FWHT_PIECE = 1 << 13       # amplitudes per half of one fwht piece
 
 
 class GaugeError(ValueError):
@@ -274,28 +275,56 @@ def _gf2_solve(rows: list[int], rhs: list[int], n_bits: int
 # embedding between the sector and the full 2**L space
 # ---------------------------------------------------------------------------
 
-def fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along axis 0."""
-    out = a.astype(np.complex128, copy=True)
-    n = out.shape[0]
-    tail = out.shape[1:]
+def fwht(a: np.ndarray) -> None:
+    """Unnormalized fast Walsh-Hadamard transform along axis 0, in place.
+
+    ``a`` must be a C-contiguous complex128 array whose first axis has a
+    power-of-two length; trailing axes are transformed as stacked
+    columns.  The butterflies run pass by pass, ``h`` = 1, 2, 4, ..., each
+    pair as ``x + y`` and ``x - y``: the same operations in the same order
+    as a transform through two half-size copies, so the bits are the same.
+    Each pass goes through ``a`` in pieces of r rows from each side of its
+    butterflies, copied into one scratch of 2r rows: ``_FWHT_PIECE``
+    amplitudes per side (256 KB for one column), and never more than half
+    of ``a`` from 4 rows up.  Nothing else of ``a``'s size is allocated,
+    so the peak is ``a`` plus that scratch.
+    """
+    if a.dtype != np.complex128 or not a.flags.c_contiguous:
+        raise TypeError("fwht transforms a C-contiguous complex128 array "
+                        "in place")
+    n = a.shape[0]
+    if n & (n - 1):
+        raise ValueError(f"fwht needs a power-of-two length, got {n}")
+    rows = a.reshape(n, -1)
+    width = rows.shape[1]
+    r = 1 << max(0, (_FWHT_PIECE // width).bit_length() - 1)
+    r = max(1, min(r, n // 4))
+    scratch = np.empty((2, r * width), dtype=np.complex128)
     h = 1
     while h < n:
-        out = out.reshape(n // (2 * h), 2, h, *tail)
-        x = out[:, 0].copy()
-        y = out[:, 1].copy()
-        out[:, 0] = x + y
-        out[:, 1] = x - y
-        out = out.reshape(n, *tail)
+        # block i pairs its rows [0, h) with [h, 2h); a piece takes q whole
+        # blocks (h < r) or a run of g = r rows from each side of one
+        v = rows.reshape(n // (2 * h), 2, h, width)
+        q, g = max(1, r // h), min(h, r)
+        sx, sy = scratch.reshape(2, q, g, width)
+        for i in range(0, n // (2 * h), q):
+            for j in range(0, h, g):
+                x, y = v[i:i + q, 0, j:j + g], v[i:i + q, 1, j:j + g]
+                np.copyto(sx, x)
+                np.copyto(sy, y)
+                np.add(sx, sy, out=x)
+                np.subtract(sx, sy, out=y)
         h *= 2
-    return out
 
 
 def embed_sector_coords(sector: PhysicalSector, coords: np.ndarray) -> np.ndarray:
     """Sector coefficients -> full-space amplitudes in the Z basis.
 
-    Refused above 26 links: the full 2**L space is built only for the
-    gate circuits that need it, and 2**26 amplitudes already take 1 GiB.
+    The one full-space array is built here, then transformed and scaled
+    in place (:func:`fwht`): the peak is that array plus the transform's
+    256 KB scratch.  Refused above 26 links: the full 2**L space is built
+    only for the gate circuits that need it, and 2**26 amplitudes already
+    take 1 GiB.
     """
     L = sector.n_links
     if L > _MAX_EMBED_QUBITS:
@@ -304,13 +333,21 @@ def embed_sector_coords(sector: PhysicalSector, coords: np.ndarray) -> np.ndarra
                          f"{_MAX_EMBED_QUBITS} links")
     w = np.zeros((1 << L,) + coords.shape[1:], dtype=np.complex128)
     w[sector.masks.astype(np.intp)] = coords
-    return fwht(w) / np.sqrt(1 << L)
+    fwht(w)
+    w /= np.sqrt(1 << L)
+    return w
 
 
 def project_to_sector(sector: PhysicalSector, amps: np.ndarray) -> np.ndarray:
-    """Full-space amplitudes -> sector coefficients (adjoint of embed)."""
-    w = fwht(amps) / np.sqrt(1 << sector.n_links)
-    return w[sector.masks.astype(np.intp)]
+    """Full-space amplitudes -> sector coefficients (adjoint of embed).
+
+    ``amps`` is left as it is: one private copy is transformed in place
+    and only its sector rows are scaled, so the peak is ``amps``, that
+    copy and :func:`fwht`'s 256 KB scratch.
+    """
+    w = np.array(amps, dtype=np.complex128, order="C")
+    fwht(w)
+    return w[sector.masks.astype(np.intp)] / np.sqrt(1 << sector.n_links)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +398,8 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     if dim > _MAX_DENSE_DIM:
         raise GaugeError(f"sector dimension {dim} exceeds the dense-matrix "
                          f"limit {_MAX_DENSE_DIM}")
-    h = np.diag(electric_diag(model, sector, modified_links)
-                ).astype(np.complex128)
+    h = np.diag(electric_diag(model, sector, modified_links
+                              ).astype(np.complex128))
     for plaq in lat.plaquettes:
         perm = xor_perm(sector.masks, sector.masks, _link_mask(plaq))
         h[perm, np.arange(dim)] += -model.lam
@@ -462,14 +499,16 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
 
     Returns the energy and the 2**L computational-basis amplitudes.  Phase
     convention: the largest-magnitude full-space amplitude is made real
-    positive (lowest index wins ties).  A spectral gap below
-    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    positive (lowest index wins ties); the phase is divided out in place,
+    so the peak is the amplitudes plus the real magnitudes the rule reads
+    (1.5 vectors).  A spectral gap below ``gap_tolerance`` raises a
+    DegenerateGroundStateWarning.
     """
     energy, coords = _sector_eigh(model, sector, gap_tolerance)
     amps = embed_sector_coords(sector, coords)
     k = int(np.argmax(np.abs(amps)))
-    ph = amps[k] / abs(amps[k])
-    return energy, amps / ph
+    amps /= amps[k] / abs(amps[k])
+    return energy, amps
 
 
 def sector_gauge_violation(model: Z2Model, sector: PhysicalSector,

@@ -1,11 +1,13 @@
-"""Shared fixtures, independent dense oracles and one rounding reference.
+"""Shared fixtures, independent dense oracles and two rounding references.
 
 The oracle helpers here deliberately avoid the package's kernels: Pauli
 strings become explicit Kronecker products and exponentials go through a
 Hermitian eigendecomposition, so every comparison against them is a real
-cross-check, not a tautology.  :func:`gather_loop_operator` is different:
-it is the plain gather form of the sector Trotter loop, kept so that the
-tests can hold the package's loop to the same bits, not just to rounding.
+cross-check, not a tautology.  :func:`gather_loop_operator` and
+:func:`two_copy_fwht` are different: they are the plain forms of the
+sector Trotter loop and of the Walsh-Hadamard transform, kept so that the
+tests can hold the package's versions to the same bits, not just to
+rounding.
 """
 
 import numpy as np
@@ -64,6 +66,25 @@ def gather_loop_operator(model, sector, program, n_T):
                 w = c * w + s * w[perm, :]
             w = (half if k == n_T - 1 else full)[:, None] * w
     return w
+
+
+def two_copy_fwht(a):
+    """Unnormalized Walsh-Hadamard transform along axis 0 through two
+    half-size copies per pass: the butterflies, and their order, that
+    ``gauge.fwht`` keeps in place."""
+    out = a.astype(np.complex128, copy=True)
+    n = out.shape[0]
+    tail = out.shape[1:]
+    h = 1
+    while h < n:
+        out = out.reshape(n // (2 * h), 2, h, *tail)
+        x = out[:, 0].copy()
+        y = out[:, 1].copy()
+        out[:, 0] = x + y
+        out[:, 1] = x - y
+        out = out.reshape(n, *tail)
+        h *= 2
+    return out
 
 
 def bit_identical(a, b):

@@ -1,6 +1,7 @@
 """CLI commands: configs, outputs, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -63,6 +64,25 @@ class TestConfig:
         c = load_config(None, {"lam": "3"})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    CONFIGS = [{}, {"lam": "3"}, {"nt": "2,4", "tau": "-1e-3"},
+               {"lattice": "rect:4x2", "program": "p.prog", "seed": "7"},
+               {"kind": "link-loop", "lam": "nan", "threshold": "0.5"}]
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_hash_is_hashlib_sha256(self, overrides):
+        cfg = load_config(None, overrides)
+        text = "\n".join(cfg.as_lines())
+        assert cfg.config_hash() == \
+            hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    def test_hash_falls_back_to_hashlib(self, monkeypatch):
+        # None in sys.modules makes an import of that name fail
+        want = [load_config(None, o).config_hash() for o in self.CONFIGS]
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert [load_config(None, o).config_hash()
+                for o in self.CONFIGS] == want
 
     def test_resolve_rect(self):
         cfg = RunConfig(lattice="rect:3x2")
@@ -625,6 +645,22 @@ class TestExportCircuit:
         link_ratio = totals[("link-loop", 4)] / totals[("link-loop", 2)]
         assert plaq_ratio > 3.0
         assert link_ratio < 2.2
+
+    @pytest.mark.parametrize("kind", ["plaquette-loop", "link-loop"])
+    def test_loop_kinds_build_no_model(self, capsys, tmp_path, kind):
+        # the loop kinds never read lambda, so a config file's nan is no
+        # error there; the program kind still refuses it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lam=nan\n")
+        code, out, err = run_main(capsys, "export-circuit", "--kind", kind,
+                                  "--lattice", "rect:2x2", "--config",
+                                  str(cfg))
+        assert (code, err) == (EXIT_OK, "")
+        assert "# census" in out
+        code, out, err = run_main(capsys, "export-circuit", "--nt", "2",
+                                  "--config", str(cfg))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: coupling must be finite, got nan\n"
 
     @pytest.mark.parametrize("kind", ["plaquette-loop", "link-loop"])
     def test_loop_kinds_need_a_rect(self, capsys, kind):

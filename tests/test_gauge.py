@@ -10,11 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_pauli, expm_i_hermitian
+from conftest import (bit_identical, dense_pauli, expm_i_hermitian,
+                      two_copy_fwht)
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             SectorMoves, Z2Model, _link_mask,
                             build_physical_sector, embed_sector_coords,
-                            exact_evolve_in_sector,
+                            exact_evolve_in_sector, fwht,
                             ground_state, hamiltonian_in_sector,
                             moved_charges, project_to_sector,
                             sector_basis_dump, sector_gauge_violation,
@@ -166,6 +167,66 @@ class TestEmbedding:
         c[5] = 1.0
         amps = embed_sector_coords(cross_sector, c)
         assert abs(np.linalg.norm(amps) - 1) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 1 << 16])
+    @pytest.mark.parametrize("tail", [(), (3,)], ids=["1d", "columns"])
+    def test_fwht_bit_identical_to_two_copy_butterfly(self, n, tail):
+        rng = np.random.default_rng(n + len(tail))
+        a = (rng.normal(size=(n,) + tail)
+             + 1j * rng.normal(size=(n,) + tail))
+        b = a.copy()
+        assert fwht(b) is None
+        assert bit_identical(b, two_copy_fwht(a))
+
+    @pytest.mark.parametrize("shape", [(1 << 16,), (1 << 12, 16)])
+    def test_fwht_scratch_is_at_most_half_the_array(self, shape):
+        a = np.ones(shape, dtype=complex)
+        tracemalloc.start()
+        try:
+            fwht(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= a.nbytes // 2
+
+    def test_fwht_columns_wider_than_a_piece(self):
+        # 2**15 columns: each piece is one row of each half
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(8, 1 << 15)) + 1j * rng.normal(size=(8, 1 << 15))
+        b = a.copy()
+        fwht(b)
+        assert bit_identical(b, two_copy_fwht(a))
+
+    @pytest.mark.parametrize("a, error", [
+        (np.ones(8), TypeError),
+        (np.ones((8, 2), complex)[:, 0], TypeError),
+        (np.ones(6, complex), ValueError),
+    ], ids=["real", "strided", "length-6"])
+    def test_fwht_refuses_what_it_cannot_transform_in_place(self, a, error):
+        with pytest.raises(error):
+            fwht(a)
+
+    def test_project_leaves_its_input_unchanged(self, cross_model,
+                                                cross_sector):
+        _, amps = ground_state(cross_model, cross_sector)
+        before = amps.copy()
+        project_to_sector(cross_sector, amps)
+        assert bit_identical(amps, before)
+
+    def test_round_trip_holds_at_most_two_vectors(self):
+        # sweep's pinned state on 22 links: embed, phase, project
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sec = build_physical_sector(model)
+        vector = 16 << sec.n_links                   # 64 MB
+        tracemalloc.start()
+        try:
+            _, amps = ground_state(model, sec)
+            coords = project_to_sector(sec, amps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert coords.shape == (sec.dim,)
+        assert peak <= 2 * vector + 2**20
 
 
 class TestHamiltonian:

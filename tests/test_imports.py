@@ -1,6 +1,7 @@
 """Import footprint: the package namespace is lazy, each CLI command
-loads only the layers it runs, and no command loads ``statevec``, the one
-module that knows the full 2**L register.
+loads only the layers it runs, no command loads ``statevec``, the one
+module that knows the full 2**L register, and no command that only
+hashes its config header maps OpenSSL (``_hashlib``).
 
 Each case runs a fresh interpreter, so that ``sys.modules`` shows what the
 package and one command loaded.
@@ -23,7 +24,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 LOADED = """
 import json, sys
 loaded = sorted(m for m in sys.modules if m.startswith("z2wilson."))
-print(json.dumps({"modules": loaded, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"modules": loaded, "numpy": "numpy" in sys.modules,
+                  "openssl": "_hashlib" in sys.modules}))
 """
 
 RUN_COMMAND = """
@@ -35,11 +37,15 @@ assert code == 0, code
 """ + LOADED
 
 
-def loaded_by(code, *argv):
+def run_loaded(code, *argv):
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def loaded_by(code, *argv):
+    result = run_loaded(code, *argv)
     modules = {m.removeprefix("z2wilson.") for m in result["modules"]}
     return modules, result["numpy"]
 
@@ -58,6 +64,23 @@ def loaded_by(code, *argv):
 ], ids=["validate", "ground-state", "sweep", "measure", "export-circuit"])
 def test_command_loads_only_its_layers(argv, modules, numpy):
     assert loaded_by(RUN_COMMAND, *argv) == (modules, numpy)
+
+
+@pytest.mark.parametrize("argv, openssl", [
+    (["validate", "--lattice", "cross"], False),
+    (["sweep", "--nt", "2,4"], False),
+    (["ground-state", "--lattice", "rect:2x2", "--out", "OUT"], False),
+    (["export-circuit", "--kind", "plaquette-loop", "--lattice", "rect:2x2"],
+     False),
+    (["export-circuit", "--kind", "link-loop", "--lattice", "rect:2x2"],
+     False),
+    # numpy.random imports hashlib
+    (["measure", "--nt", "2", "--shots", "10"], True),
+], ids=["validate", "sweep", "ground-state", "plaquette-loop", "link-loop",
+        "measure"])
+def test_header_hash_maps_no_openssl(argv, openssl, tmp_path):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert run_loaded(RUN_COMMAND, *argv)["openssl"] is openssl
 
 
 def test_bare_import_loads_nothing():
