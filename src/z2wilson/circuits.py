@@ -1,7 +1,8 @@
 """Gate vocabulary, circuits, the sector-block executor, census and export.
 
-:class:`PauliString` is the gate vocabulary: a signed tensor product of
-single-qubit Paulis, with its algebra and bit masks.  A circuit acts on
+:class:`PauliString` is the gate vocabulary: a Hermitian string, +1 or -1
+times a tensor product of single-qubit Paulis, held as its X and Z bit
+masks.  Every gate is e^{i theta P} of such a string.  A circuit acts on
 the link register (qubits 0 .. n_links-1) plus ancilla and matter qubits
 appended above it.  Four gate kinds exist:
 
@@ -27,6 +28,7 @@ construction is exact, not just up-to-phase.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,57 +37,55 @@ import numpy as np
 from .gauge import PhysicalSector, SectorMoves, Z2Model
 from .lattice import Lattice
 
-AXES = ("X", "Y", "Z")
-
-# single-qubit products a*b -> (axis or None, phase)
-_PAULI_MUL = {
-    ("X", "X"): (None, 1), ("Y", "Y"): (None, 1), ("Z", "Z"): (None, 1),
-    ("X", "Y"): ("Z", 1j), ("Y", "X"): ("Z", -1j),
-    ("Y", "Z"): ("X", 1j), ("Z", "Y"): ("X", -1j),
-    ("Z", "X"): ("Y", 1j), ("X", "Z"): ("Y", -1j),
-}
-
-_VALID_PHASES = (1, -1, 1j, -1j)
+# axis -> (x bit) | (z bit) << 1, and back
+_AXIS_BITS = {"X": 1, "Z": 2, "Y": 3}
+_BITS_AXIS = "IXZY"
 
 
 class PauliStringError(ValueError):
     """Malformed Pauli string or use outside its register."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
-    """Signed tensor product of single-qubit Pauli operators.
+    """Hermitian Pauli string: a sign times a tensor product of X, Y, Z.
 
-    ``terms`` maps qubit index -> axis in {X, Y, Z}; ``phase`` is one of
-    {+1, -1, +i, -i}.  The empty string with phase +1 is the identity.
-    Instances are immutable and hashable.
+    Built from {qubit: axis} or [(qubit, axis), ...] and a ``phase`` of +1
+    or -1; an imaginary phase is refused.  Held as two bit masks (Aaronson
+    and Gottesman, PRA 70, 052328 (2004)): bit q of ``x`` is set where
+    qubit q carries X or Y, bit q of ``z`` where it carries Z or Y.  The
+    empty string with phase +1 is the identity.  Instances are immutable
+    and hashable.
     """
 
-    terms: tuple[tuple[int, str], ...]
-    phase: complex = 1
+    x: int
+    z: int
+    phase: int
 
     def __init__(self, terms, phase=1):
-        if isinstance(terms, dict):
-            items = sorted(terms.items())
-        else:
-            items = sorted(terms)
-        qubits = [q for q, _ in items]
-        if len(set(qubits)) != len(qubits):
-            raise PauliStringError(f"duplicate qubit entries in {items}")
-        for q, ax in items:
+        x = z = 0
+        for q, ax in terms.items() if isinstance(terms, dict) else terms:
+            q = operator.index(q)
             if q < 0:
                 raise PauliStringError(f"negative qubit index {q}")
-            if ax not in AXES:
+            if ax not in _AXIS_BITS:
                 raise PauliStringError(f"unknown Pauli axis {ax!r}")
-        phase = complex(phase)
-        if not any(abs(phase - p) < 1e-14 for p in _VALID_PHASES):
-            raise PauliStringError(f"phase must be one of +1,-1,+i,-i, got {phase}")
-        # snap to the exact unit
-        phase = min(_VALID_PHASES, key=lambda p: abs(phase - p))
-        object.__setattr__(self, "terms", tuple(items))
-        object.__setattr__(self, "phase", phase)
+            if (x | z) >> q & 1:
+                raise PauliStringError(f"duplicate entries for qubit {q}")
+            x |= (_AXIS_BITS[ax] & 1) << q
+            z |= (_AXIS_BITS[ax] >> 1) << q
+        if phase not in (1, -1):
+            raise PauliStringError(f"phase must be +1 or -1, got {phase}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "phase", 1 if phase == 1 else -1)
 
-    # -- structure ---------------------------------------------------------
+    @property
+    def terms(self) -> tuple[tuple[int, str], ...]:
+        """(qubit, axis) pairs in qubit order."""
+        return tuple(
+            (q, _BITS_AXIS[(self.x >> q & 1) | (self.z >> q & 1) << 1])
+            for q in range(self.max_qubit() + 1) if (self.x | self.z) >> q & 1)
 
     @property
     def support(self) -> frozenset[int]:
@@ -93,59 +93,27 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return len(self.terms)
-
-    def is_hermitian(self) -> bool:
-        return self.phase in (1, -1)
-
-    def is_identity(self) -> bool:
-        return not self.terms and self.phase == 1
+        return (self.x | self.z).bit_count()
 
     def max_qubit(self) -> int:
-        return max((q for q, _ in self.terms), default=-1)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        """Operator product self * other with exact phase bookkeeping."""
-        a = dict(self.terms)
-        b = dict(other.terms)
-        phase = self.phase * other.phase
-        out = {}
-        for q in sorted(set(a) | set(b)):
-            if q in a and q in b:
-                ax, ph = _PAULI_MUL[(a[q], b[q])]
-                phase *= ph
-                if ax is not None:
-                    out[q] = ax
-            else:
-                out[q] = a.get(q, b.get(q))
-        return PauliString(out, phase)
+        return (self.x | self.z).bit_length() - 1
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """True iff the strings commute (even number of clashing qubits)."""
-        a = dict(self.terms)
-        clashes = sum(
-            1 for q, ax in other.terms if q in a and a[q] != ax
-        )
-        return clashes % 2 == 0
+        """True iff the strings commute: the symplectic product of the
+        masks is even."""
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def masks(self) -> tuple[int, int, int]:
-        """(xmask, zmask, nY) for the kernel action; xmask covers X|Y, zmask Z|Y."""
-        xm = zm = ny = 0
-        for q, ax in self.terms:
-            if ax in ("X", "Y"):
-                xm |= 1 << q
-            if ax in ("Z", "Y"):
-                zm |= 1 << q
-            if ax == "Y":
-                ny += 1
-        return xm, zm, ny
+        """(x, z, nY) for the kernel action."""
+        return self.x, self.z, (self.x & self.z).bit_count()
 
     def __str__(self) -> str:
-        body = " ".join(f"{q}:{ax}" for q, ax in self.terms) or "I"
-        pre = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        return f"{pre}[{body}]"
+        sign = "+" if self.phase == 1 else "-"
+        return f"{sign}[{_string_fields(self) or 'I'}]"
+
+
+def _string_fields(p: PauliString) -> str:
+    return " ".join(f"{q}:{ax}" for q, ax in p.terms)
 
 
 def star_operator(lattice: Lattice, vertex: int) -> PauliString:
@@ -157,13 +125,13 @@ class CircuitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliExp:
     string: PauliString
     theta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlledPauliExp:
     control: int
     basis: str          # "z" (fires on spin-up) or "x-" (fires on |->)
@@ -178,12 +146,12 @@ class ControlledPauliExp:
                 f"control {self.control} overlaps gate support")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measure:
     qubit: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResetAncilla:
     qubit: int
     target_bit: int
@@ -224,19 +192,16 @@ class Circuit:
         return q
 
     def add(self, gate: Gate) -> None:
-        top = max((q for q, _ in self._gate_support(gate)), default=0)
+        if isinstance(gate, (Measure, ResetAncilla)):
+            top = gate.qubit
+        else:
+            top = gate.string.max_qubit()
+        if isinstance(gate, ControlledPauliExp):
+            top = max(top, gate.control)
         if top >= self.n_qubits:
             raise CircuitError(f"gate touches qubit {top} outside register "
                                f"of {self.n_qubits}")
         self.gates.append(gate)
-
-    @staticmethod
-    def _gate_support(gate: Gate):
-        if isinstance(gate, PauliExp):
-            return [(q, ax) for q, ax in gate.string.terms]
-        if isinstance(gate, ControlledPauliExp):
-            return [(gate.control, "C")] + list(gate.string.terms)
-        return [(gate.qubit, "M")]
 
     def add_phase(self, phase_radians: float) -> None:
         self.global_phase += phase_radians
@@ -346,8 +311,6 @@ class _BlockRun:
 
     def string(self, p: PauliString):
         if p not in self.strings:
-            if not p.is_hermitian():
-                raise CircuitError(f"exponent of non-Hermitian string {p}")
             xm, zm, ny = p.masks()
             links = (1 << self.n) - 1
             src = self.cols ^ (xm >> self.n)
@@ -540,11 +503,10 @@ def star_commutation_report(circuit: Circuit, lattice: Lattice
     stars = [star_operator(lattice, v) for v in range(lattice.n_vertices)]
     checked = 0
     failures: list[str] = []
-    link_set = set(range(lattice.n_links))
     for gi, gate in enumerate(circuit.gates):
         if not isinstance(gate, PauliExp):
             continue
-        if not gate.string.support <= link_set:
+        if gate.string.max_qubit() >= lattice.n_links:
             continue
         checked += 1
         for v, star in enumerate(stars):
@@ -552,13 +514,6 @@ def star_commutation_report(circuit: Circuit, lattice: Lattice
                 failures.append(
                     f"gate {gi} ({gate.string}) anticommutes with star {v}")
     return checked, failures
-
-
-_AXIS_OUT = {"X": "X", "Y": "Y", "Z": "Z"}
-
-
-def _string_fields(p: PauliString) -> str:
-    return " ".join(f"{q}:{_AXIS_OUT[ax]}" for q, ax in p.terms)
 
 
 def circuit_to_text(circuit: Circuit) -> str:

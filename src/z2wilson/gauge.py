@@ -462,7 +462,8 @@ def _sector_eigh(model: Z2Model, sector: PhysicalSector,
                  gap_tolerance: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, phase as eigh returns it.
 
-    A spectral gap below ``gap_tolerance`` raises a
+    The eigenvector is a copy, so the dim x dim eigenvector matrix is freed
+    on return.  A spectral gap below ``gap_tolerance`` raises a
     DegenerateGroundStateWarning.
     """
     h = hamiltonian_in_sector(model, sector).matrix
@@ -473,7 +474,7 @@ def _sector_eigh(model: Z2Model, sector: PhysicalSector,
             f"gap = {evals[1] - evals[0]:.3e}",
             DegenerateGroundStateWarning,
         )
-    return float(evals[0]), evecs[:, 0]
+    return float(evals[0]), evecs[:, 0].copy()
 
 
 def sector_ground_state(model: Z2Model, sector: PhysicalSector,

@@ -17,8 +17,8 @@ A Pauli string P acts on a basis index k as
 
     P|k> = phase * i**nY * (-1)**popcount(k & zmask) |k ^ xmask>
 
-(xmask: X/Y qubits, zmask: Z/Y qubits), and e^{i theta P} is
-cos(theta) I + i sin(theta) P exactly for a Hermitian P.  Kernels take a
+(xmask: X/Y qubits, zmask: Z/Y qubits, phase +-1), and e^{i theta P} is
+cos(theta) I + i sin(theta) P exactly.  Kernels take a
 vector (2**n,) or a stack of columns (2**n, k), one formula per job: a
 weight-1 rotation updates the qubit's two half-slices in place, a longer
 string is cos(theta) a + i sin(theta) (P a) with P a the sign factor
@@ -112,18 +112,16 @@ def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
 
 def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
                       n_qubits: int) -> None:
-    """amps <- e^{i theta P} amps, exact closed form (requires Hermitian P):
-    a half-slice rotation for weight 1, cos(theta) a + i sin(theta) (P a)
-    for every longer string."""
-    if not p.is_hermitian():
-        raise PauliStringError("exponent requires a Hermitian string (phase +-1)")
-    if p.is_identity():
-        amps *= np.exp(1j * theta)
+    """amps <- e^{i theta P} amps, exact closed form: a phase for +-I, a
+    half-slice rotation for weight 1, cos(theta) a + i sin(theta) (P a) for
+    every longer string."""
+    if not p.weight:
+        amps *= np.exp(1j * (p.phase * theta))
         return
     _check_register(p, n_qubits)
     if p.weight == 1:
         (qubit, axis), = p.terms
-        _single_qubit_exp(amps, qubit, axis, theta * p.phase.real, n_qubits)
+        _single_qubit_exp(amps, qubit, axis, p.phase * theta, n_qubits)
         return
     pa = pauli_action(amps, p, n_qubits)
     amps *= np.cos(theta)
@@ -229,8 +227,6 @@ def apply_controlled_pauli_exp(sv: StateVector, control: int, basis: str,
         raise PauliStringError(f"control {control} overlaps string support")
     if not 0 <= control < sv.n_qubits:
         raise PauliStringError(f"control {control} outside register")
-    if not p.is_hermitian():
-        raise PauliStringError("exponent requires a Hermitian string (phase +-1)")
     _controlled_exps(sv.amps, control, basis, [(p, theta)], sv.n_qubits)
 
 
@@ -242,9 +238,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def expect_pauli(sv: StateVector, p: PauliString) -> float:
-    """<sv|P|sv> for Hermitian P; imaginary residue beyond 1e-12 is an error."""
-    if not p.is_hermitian():
-        raise PauliStringError("expectation requires a Hermitian string")
+    """<sv|P|sv>; imaginary residue beyond 1e-12 is an error."""
     val = complex(np.vdot(sv.amps, pauli_action(sv.amps, p, sv.n_qubits)))
     if abs(val.imag) > 1e-12:
         raise FloatingPointError(f"non-real expectation {val}")

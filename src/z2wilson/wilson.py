@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import (Circuit, CircuitError, ControlledPauliExp, Measure,
-                       PauliExp, PauliString, ResetAncilla,
+from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
+                       Measure, PauliExp, PauliString, ResetAncilla,
                        block_bit_probability, run_blocks)
 from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
                     exact_evolve_in_sector)
@@ -147,10 +147,18 @@ def plaquette_exp_via_ancilla(circuit: Circuit, lattice: Lattice, links,
     links = list(links)
     if not _is_lattice_plaquette(lattice, links):
         raise CircuitError(f"links {links} are not a lattice plaquette")
+    _v_sandwich(circuit, ancilla, links,
+                PauliExp(PauliString({ancilla: "Z"}), -theta))
+
+
+def _v_sandwich(circuit: Circuit, ancilla: int, links, middle: Gate) -> None:
+    """V_links, the middle gate, then V_links^dag: one "x-" controlled Z
+    exponential of angle pi/2 per link on the ancilla, and the same chain
+    reversed at -pi/2."""
     for li in links:
         circuit.add(ControlledPauliExp(ancilla, "x-",
                                        PauliString({li: "Z"}), HALF_PI))
-    circuit.add(PauliExp(PauliString({ancilla: "Z"}), -theta))
+    circuit.add(middle)
     for li in reversed(links):
         circuit.add(ControlledPauliExp(ancilla, "x-",
                                        PauliString({li: "Z"}), -HALF_PI))
@@ -294,8 +302,7 @@ def link_loop_closure(circuit: Circuit, head_matter: int, tail_matter: int,
     circuit.add(Measure(closure_ancilla))
 
 
-def link_loop_circuit(lattice: Lattice, loop_links,
-                      open_with_mediator: bool = True) -> Circuit:
+def link_loop_circuit(lattice: Lattice, loop_links) -> Circuit:
     """Full link-based loop: open, transport around, close, measure.
 
     Two matter qubits are reused ping-pong along the path; one mediator
@@ -309,18 +316,13 @@ def link_loop_circuit(lattice: Lattice, loop_links,
     if len(path) % 2:
         raise ProgramError("closed lattice loops have even length")
     circuit = Circuit(lattice.n_links)
-    if open_with_mediator:
-        m0 = circuit.alloc_ancilla(initial_bit=1, role="matter")
-        m1 = circuit.alloc_ancilla(initial_bit=0, role="matter")
-        med = circuit.alloc_ancilla(initial_bit=0, role="mediator")
-        # creation: fires on (head down, tail up, mediator up)
-        for string, theta in closure_strings(m0, m1, med):
-            circuit.add(PauliExp(string, theta))
-        circuit.log_phase("opening", -1j)
-    else:
-        m0 = circuit.alloc_ancilla(initial_bit=0, role="matter")
-        m1 = circuit.alloc_ancilla(initial_bit=1, role="matter")
-        med = circuit.alloc_ancilla(initial_bit=1, role="mediator")
+    m0 = circuit.alloc_ancilla(initial_bit=1, role="matter")
+    m1 = circuit.alloc_ancilla(initial_bit=0, role="matter")
+    med = circuit.alloc_ancilla(initial_bit=0, role="mediator")
+    # creation: fires on (head down, tail up, mediator up)
+    for string, theta in closure_strings(m0, m1, med):
+        circuit.add(PauliExp(string, theta))
+    circuit.log_phase("opening", -1j)
     pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(len(verts))}
     link_wilson_line(circuit, lattice, path, matter_map=pos_map)
     link_loop_closure(circuit, m0, m1, med)
@@ -352,24 +354,19 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
             circuit.add(ControlledPauliExp(control_ancilla, "z", string, theta))
             return
         # plaquette magnetic term: two-ancilla construction
-        links = sorted(string.support)
         if box_ancilla is None:
             box_ancilla = circuit.alloc_ancilla(initial_bit=1, role="box")
         else:
             circuit.add(ResetAncilla(box_ancilla, 1))
-        for li in links:
-            circuit.add(ControlledPauliExp(box_ancilla, "x-",
-                                           PauliString({li: "Z"}), HALF_PI))
-        circuit.add(ControlledPauliExp(control_ancilla, "z",
-                                       PauliString({box_ancilla: "Z"}), -theta))
-        for li in reversed(links):
-            circuit.add(ControlledPauliExp(box_ancilla, "x-",
-                                           PauliString({li: "Z"}), -HALF_PI))
+        _v_sandwich(circuit, box_ancilla, sorted(string.support),
+                    ControlledPauliExp(control_ancilla, "z",
+                                       PauliString({box_ancilla: "Z"}),
+                                       -theta))
 
     for step in program.steps:
         if isinstance(step, Spatial):
             s = _spatial_string(step.links)
-            if s.is_identity():
+            if not s.weight:
                 continue
             circuit.add(ControlledPauliExp(control_ancilla, "z", s, HALF_PI))
             circuit.add(PauliExp(PauliString({control_ancilla: "Z"}),
@@ -435,7 +432,7 @@ def trotterized_program_circuit(model: Z2Model, program: LoopProgram,
     for step in program.steps:
         if isinstance(step, Spatial):
             s = _spatial_string(step.links)
-            if s.is_identity():
+            if not s.weight:
                 continue
             circuit.add(PauliExp(s, HALF_PI))
             circuit.add_phase(-HALF_PI)

@@ -691,6 +691,29 @@ class TestExportCircuit:
             assert err == ("error: export-circuit runs one n_T, got nt=2,4; "
                            "give a single value\n")
 
+    # SHA-256 of each export's body (the lines after the provenance
+    # header): any change to a builder's gate order, angles or strings, or
+    # to the text format, shows here
+    GOLDEN_BODIES = [
+        (["--nt", "2"],
+         "9da0fd176785accc3e0531e7e7df5c95313837f48fe6aefc29783567e18f914d"),
+        (["--kind", "plaquette-loop", "--lattice", "rect:3x3"],
+         "ae2ff77f7794d1ee37e3caec38f8efd0ff44220f4bd295bd08d72cfe36203a0f"),
+        (["--kind", "link-loop", "--lattice", "rect:3x2"],
+         "639dd488605b77cadba1312e7123f44aae8ede80b8161987c8c49cfd9ff95460"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", GOLDEN_BODIES)
+    def test_body_matches_golden_digest(self, capsys, tmp_path, args, digest):
+        path = tmp_path / "c.qc"
+        code, _, _ = run_main(capsys, "export-circuit", *args,
+                              "--out", str(path))
+        assert code == EXIT_OK
+        lines = path.read_text().splitlines(keepends=True)
+        while lines[0].startswith("#"):
+            lines.pop(0)
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
     def test_no_nt_exports_the_first_default(self, capsys):
         # the same circuit; only the config hash in the header differs
         def body(out):

@@ -13,7 +13,7 @@ import pytest
 from conftest import (bit_identical, dense_pauli, expm_i_hermitian,
                       two_copy_fwht)
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
-                            SectorMoves, Z2Model, _link_mask,
+                            SectorMoves, Z2Model, _link_mask, _sector_eigh,
                             build_physical_sector, embed_sector_coords,
                             exact_evolve_in_sector, fwht,
                             ground_state, hamiltonian_in_sector,
@@ -60,11 +60,16 @@ class TestStarOperator:
         assert star_operator(build_rect(1, 1), 0).weight == 2
 
     def test_product_of_all_stars_is_identity(self):
+        # every link has two ends, so each X appears twice: the XOR of the
+        # stars' masks is empty
         for lat in (build_cross(), build_rect(3, 2)):
-            prod = PauliString({})
+            x = z = 0
             for v in range(lat.n_vertices):
-                prod = prod * star_operator(lat, v)
-            assert prod.is_identity()
+                star = star_operator(lat, v)
+                assert star.phase == 1
+                x ^= star.x
+                z ^= star.z
+            assert (x, z) == (0, 0)
 
     def test_invalid_vertex(self):
         with pytest.raises(IndexError):
@@ -368,6 +373,16 @@ class TestGroundState:
         _, coords = sector_ground_state(cross_model, cross_sector)
         k = int(np.argmax(np.abs(coords)))
         assert coords[k].imag == 0 and coords[k].real > 0
+
+    def test_eigenvector_owns_its_data(self, cross_model, cross_sector):
+        # a view of eigh's column would keep the dim x dim eigenvector
+        # matrix alive while ground_state embeds; the copy keeps its bits
+        energy, coords = _sector_eigh(cross_model, cross_sector, 1e-10)
+        assert coords.base is None
+        evals, evecs = np.linalg.eigh(
+            hamiltonian_in_sector(cross_model, cross_sector).matrix)
+        assert energy == evals[0]
+        assert bit_identical(coords, evecs[:, 0])
 
 
 class TestEvolution:

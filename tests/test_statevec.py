@@ -14,12 +14,15 @@ from z2wilson.statevec import (PauliString, PauliStringError, StateVector,
                                reduced_qubit_density)
 
 
-def random_string(n, rng, allow_full=True, hermitian=True):
+def random_terms(n, rng, allow_full=True):
     k = rng.integers(1, n + 1 if allow_full else n)
     qubits = rng.choice(n, size=k, replace=False)
-    phase = 1 if hermitian else rng.choice([1, -1, 1j, -1j])
-    return PauliString({int(q): "XYZ"[rng.integers(3)] for q in qubits},
-                       phase=phase)
+    return {int(q): "XYZ"[rng.integers(3)] for q in qubits}
+
+
+def random_string(n, rng, allow_full=True, signed=False):
+    phase = int(rng.choice([1, -1])) if signed else 1
+    return PauliString(random_terms(n, rng, allow_full), phase=phase)
 
 
 class TestPauliString:
@@ -32,24 +35,34 @@ class TestPauliString:
             PauliString({0: "Q"})
 
     def test_bad_phase_rejected(self):
-        with pytest.raises(PauliStringError):
-            PauliString({0: "X"}, phase=2.0)
+        # strings are Hermitian: +-i is refused like any other phase
+        for phase in (2.0, 1j, -1j):
+            with pytest.raises(PauliStringError):
+                PauliString({0: "X"}, phase=phase)
 
-    def test_square_is_identity_for_hermitian(self):
+    def test_masks_and_views_match_dense(self):
+        # the masks read off the dense matrix: P|0> is a multiple of |x>,
+        # and P|2**q> / P|0> is -1 exactly where bit q of z is set
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            p = random_string(5, rng)
-            assert (p * p).is_identity()
-
-    def test_product_matches_dense(self):
-        rng = np.random.default_rng(1)
-        n = 4
-        for _ in range(25):
-            a = random_string(n, rng, hermitian=False)
-            b = random_string(n, rng, hermitian=False)
-            got = dense_pauli(a * b, n)
-            want = dense_pauli(a, n) @ dense_pauli(b, n)
-            assert np.max(np.abs(got - want)) < 1e-14
+        n = 5
+        draws = [({}, 1), ({}, -1)] + [
+            (random_terms(n, rng), int(rng.choice([1, -1])))
+            for _ in range(40)]
+        for terms, phase in draws:
+            p = PauliString(terms, phase=phase)
+            d = dense_pauli(p, n)
+            x = int(np.flatnonzero(d[:, 0])[0])
+            z = sum(1 << q for q in range(n)
+                    if d[x ^ 1 << q, 1 << q] / d[x, 0] == -1)
+            assert (p.x, p.z) == (x, z)
+            assert p.masks() == (x, z, bin(x & z).count("1"))
+            assert d[x, 0] == phase * 1j ** bin(x & z).count("1")
+            assert p.terms == tuple(sorted(terms.items()))
+            assert p.support == frozenset(terms)
+            assert p.weight == len(terms)
+            assert p.max_qubit() == max(terms, default=-1)
+            body = " ".join(f"{q}:{ax}" for q, ax in sorted(terms.items()))
+            assert str(p) == f"{'+' if phase == 1 else '-'}[{body or 'I'}]"
 
     def test_commutes_matches_dense(self):
         rng = np.random.default_rng(2)
@@ -100,7 +113,7 @@ class TestApplyPauli:
         rng = np.random.default_rng(3)
         n = 5
         for _ in range(30):
-            p = random_string(n, rng, hermitian=False)
+            p = random_string(n, rng, signed=True)
             v = random_state(n, rng)
             sv = StateVector(n, v.copy())
             apply_pauli(sv, p)
