@@ -49,4 +49,4 @@ w9 = trotterized_loop_operator(model, sector, program, 9)
 print("\nground-state fidelity at n_T = 9:",
       state_fidelity(coords, w, w9))
 print("loop expectation <gs|W|gs> =",
-      complex(np.vdot(coords, w.matrix @ coords)))
+      complex(np.vdot(coords, w @ coords)))

@@ -23,7 +23,7 @@ program = staircase_default()
 n_T = 4
 p_exact = hadamard_test(model, sector, coords, program, n_T)
 w = trotterized_loop_operator(model, sector, program, n_T)
-oracle = (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
+oracle = (2 + 2 * np.real(np.vdot(coords, w @ coords))) / 4
 
 print(f"n_T = {n_T}")
 print(f"p_+ from the controlled circuit : {p_exact:.15f}")

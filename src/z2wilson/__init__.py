@@ -42,15 +42,15 @@ _EXPORTS = {
                  "reduced_qubit_density", "run_circuit",
                  "spatial_loop_direct", "trotter_evolve"),
     "gauge": ("DegenerateGroundStateWarning", "PhysicalSector", "SectorMoves",
-              "SectorOperator", "Z2Model", "build_physical_sector",
-              "electric_diag", "exact_evolve_in_sector", "ground_state",
+              "Z2Model", "build_physical_sector", "electric_diag",
+              "exact_evolve_in_sector", "ground_state",
               "hamiltonian_in_sector", "sector_basis_dump",
               "sector_gauge_violation", "sector_ground_state",
               "sector_spectrum", "spatial_loop_in_sector", "spectral_bound",
-              "xor_perm"),
-    "programs": ("FreeEvolve", "LoopProgram", "ProgramError", "Spatial",
-                 "Temporal", "program_from_text", "program_to_text",
-                 "staircase_default", "validate_program"),
+              "unitarity_error", "xor_perm"),
+    "programs": ("LoopProgram", "ProgramError", "Spatial", "Temporal",
+                 "program_from_text", "program_to_text", "staircase_default",
+                 "validate_program"),
     "trotter": ("FidelityReport", "PowerLawFit", "exact_loop_operator",
                 "fit_power_law", "operator_fidelity", "report_to_csv",
                 "state_fidelity", "sweep", "trotterized_loop_operator"),

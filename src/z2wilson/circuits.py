@@ -17,7 +17,8 @@ blocks in the electric basis, so its cost follows the sector dimension
 instead of 2**n_links; it runs V-chains as their exact operator.  The
 literal reference on the whole 2**n register, which runs every gate of
 the same list, is ``statevec.run_circuit``; this module knows nothing of
-that register.
+that register.  :func:`circuit_to_text` writes a string's sign into
+its angle.
 
 Builders may also record an exact scalar ``global_phase`` (compensations
 that are not worth a gate) and a ``phase_log`` of phases their gate
@@ -170,14 +171,13 @@ class Circuit:
     """Gate list over links plus allocated work qubits.
 
     ``ancilla_init[q]`` is the computational bit each work qubit starts in
-    (0 = spin-up).  Builders emit gates; :func:`run_blocks` and
-    ``statevec.run_circuit`` execute them.
+    (0 = spin-up), all a circuit records of it.  Builders emit gates;
+    :func:`run_blocks` and ``statevec.run_circuit`` execute them.
     """
 
     n_link_qubits: int
     gates: list[Gate] = field(default_factory=list)
     ancilla_init: dict[int, int] = field(default_factory=dict)
-    ancilla_roles: dict[int, str] = field(default_factory=dict)
     global_phase: float = 0.0
     phase_log: list[tuple[str, complex]] = field(default_factory=list)
 
@@ -185,10 +185,9 @@ class Circuit:
     def n_qubits(self) -> int:
         return self.n_link_qubits + len(self.ancilla_init)
 
-    def alloc_ancilla(self, initial_bit: int = 0, role: str = "ancilla") -> int:
+    def alloc_ancilla(self, initial_bit: int = 0) -> int:
         q = self.n_qubits
         self.ancilla_init[q] = int(initial_bit)
-        self.ancilla_roles[q] = role
         return q
 
     def add(self, gate: Gate) -> None:
@@ -518,17 +517,19 @@ def star_commutation_report(circuit: Circuit, lattice: Lattice
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Line-oriented export: PEXP / CPEXP / MEASURE / RESET plus a census
-    footer in comment lines."""
+    footer in comment lines.  A -1 string P is written as +P at angle
+    -theta, since e^{i theta (-P)} = e^{i (-theta) P}."""
     lines = []
     for q, bit in circuit.ancilla_init.items():
         lines.append(f"RESET {q} {bit}")
     for gate in circuit.gates:
         if isinstance(gate, PauliExp):
-            lines.append(f"PEXP {gate.theta:.17g} {_string_fields(gate.string)}"
-                         .rstrip())
+            lines.append(f"PEXP {gate.theta * gate.string.phase:.17g} "
+                         f"{_string_fields(gate.string)}".rstrip())
         elif isinstance(gate, ControlledPauliExp):
             basis = "Z" if gate.basis == "z" else "X-"
-            lines.append(f"CPEXP {gate.control} {basis} {gate.theta:.17g} "
+            lines.append(f"CPEXP {gate.control} {basis} "
+                         f"{gate.theta * gate.string.phase:.17g} "
                          f"{_string_fields(gate.string)}".rstrip())
         elif isinstance(gate, Measure):
             lines.append(f"MEASURE {gate.qubit}")

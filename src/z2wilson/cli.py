@@ -278,12 +278,9 @@ def _check_overflow(model: Z2Model, program: LoopProgram | None) -> None:
             f"{bound} at lambda={model.lam}")
     if program is None:
         return
-    from .programs import Spatial, Temporal
-    for step in program.steps:
-        if isinstance(step, Spatial):
-            continue
-        kind = ("temporal step" if isinstance(step, Temporal)
-                else "free evolution")
+    from .programs import Temporal
+    for step in (s for s in program.steps if isinstance(s, Temporal)):
+        kind = "temporal step" if step.modified_links else "free evolution"
         phase = abs(step.tau) * bound
         if not math.isfinite(phase):
             raise ConfigError(
@@ -393,10 +390,10 @@ def cmd_measure(cfg: RunConfig) -> int:
         print(f"binomial_std_error {stderr:.17g}")
     # sector-oracle cross-checks of the same quantities
     w_nt = trotterized_loop_operator(model, sector, program, n_T)
-    p_oracle = (2 + 2 * np.real(np.vdot(coords, w_nt.matrix @ coords))) / 4
+    p_oracle = (2 + 2 * np.real(np.vdot(coords, w_nt @ coords))) / 4
     print(f"p_plus_oracle {p_oracle:.17g}")
     w = exact_loop_operator(model, sector, program)
-    wl = complex(np.vdot(coords, w.matrix @ coords))
+    wl = complex(np.vdot(coords, w @ coords))
     print(f"re_wilson_loop_exact {wl.real:.17g}")
     return EXIT_OK
 

@@ -19,10 +19,11 @@ the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
 term is the diagonal :func:`electric_diag`.  :class:`SectorMoves` alone
 knows which charge sector a string lands in; in its cycle coordinates
 (used by the Trotter loop) every string is the index flip ``i ^ k``, the
-reversed view :func:`flipped` rather than a permutation.  The Hamiltonian
-is a small dense matrix (32 x 32 on the cross).  The ground state, its
-energy and its Gauss-law check are all computed in sector coordinates
-(:func:`sector_ground_state`, :func:`sector_gauge_violation`).
+reversed view :func:`flipped` rather than a permutation.  A sector
+operator is a plain dim x dim complex array over the sorted rows (32 x 32
+on the cross).  The ground state, its energy and its Gauss-law check
+are all computed in sector coordinates (:func:`sector_ground_state`,
+:func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
 explicit step, needed only by ``sweep``'s pinned state (:func:`ground_state`)
@@ -351,38 +352,17 @@ def project_to_sector(sector: PhysicalSector, amps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sector operators
+# sector operators: dim x dim complex arrays over the sector's sorted rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorOperator:
-    """dim x dim matrix expressed in the PhysicalSector basis."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __matmul__(self, other: "SectorOperator") -> "SectorOperator":
-        return SectorOperator(self.matrix @ other.matrix)
-
-    def unitarity_error(self) -> float:
-        d = self.dim
-        return float(np.max(np.abs(self.matrix.conj().T @ self.matrix
-                                   - np.eye(d))))
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    @classmethod
-    def identity(cls, dim: int) -> "SectorOperator":
-        return cls(np.eye(dim, dtype=np.complex128))
+def unitarity_error(u: np.ndarray) -> float:
+    """max |U^dag U - I| over the entries of a square operator matrix."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
 
 
 def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
                           modified_links: frozenset[int] | set[int] = frozenset()
-                          ) -> SectorOperator:
+                          ) -> np.ndarray:
     """H + sum_{m in modified} 2 sigma_1(e_m), projected to the sector.
 
     The net electric coefficient on a modified link is +sigma_1 (the -sigma_1
@@ -403,7 +383,7 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     for plaq in lat.plaquettes:
         perm = xor_perm(sector.masks, sector.masks, _link_mask(plaq))
         h[perm, np.arange(dim)] += -model.lam
-    return SectorOperator(h)
+    return h
 
 
 def electric_diag(model: Z2Model, sector: PhysicalSector,
@@ -422,7 +402,7 @@ def electric_diag(model: Z2Model, sector: PhysicalSector,
     return diag
 
 
-def spatial_loop_in_sector(sector: PhysicalSector, links) -> SectorOperator:
+def spatial_loop_in_sector(sector: PhysicalSector, links) -> np.ndarray:
     """Sector matrix of prod sigma_3 over the given links.
 
     sigma_3 flips the electric label of its link with unit coefficient, so
@@ -434,12 +414,12 @@ def spatial_loop_in_sector(sector: PhysicalSector, links) -> SectorOperator:
     perm = xor_perm(sector.masks, sector.masks, _link_mask(links))
     mat = np.zeros((sector.dim, sector.dim), dtype=np.complex128)
     mat[perm, np.arange(sector.dim)] = 1.0
-    return SectorOperator(mat)
+    return mat
 
 
 def exact_evolve_in_sector(model: Z2Model, sector: PhysicalSector, tau: float,
                            modified_links: frozenset[int] | set[int] = frozenset()
-                           ) -> SectorOperator:
+                           ) -> np.ndarray:
     """e^{-i tau (H + sum 2 sigma_1)} by exact eigendecomposition.
 
     Valid because H and every sigma_1(e) commute with all stars, so the
@@ -447,15 +427,14 @@ def exact_evolve_in_sector(model: Z2Model, sector: PhysicalSector, tau: float,
     """
     if not np.isfinite(tau):
         raise GaugeError(f"tau must be finite, got {tau}")
-    h = hamiltonian_in_sector(model, sector, modified_links).matrix
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(
+        hamiltonian_in_sector(model, sector, modified_links))
     phases = np.exp(-1j * tau * evals)
-    return SectorOperator((evecs * phases) @ evecs.conj().T)
+    return (evecs * phases) @ evecs.conj().T
 
 
 def sector_spectrum(model: Z2Model, sector: PhysicalSector) -> np.ndarray:
-    h = hamiltonian_in_sector(model, sector).matrix
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(hamiltonian_in_sector(model, sector))
 
 
 def _sector_eigh(model: Z2Model, sector: PhysicalSector,
@@ -466,8 +445,7 @@ def _sector_eigh(model: Z2Model, sector: PhysicalSector,
     on return.  A spectral gap below ``gap_tolerance`` raises a
     DegenerateGroundStateWarning.
     """
-    h = hamiltonian_in_sector(model, sector).matrix
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(hamiltonian_in_sector(model, sector))
     if len(evals) > 1 and evals[1] - evals[0] < gap_tolerance:
         warnings.warn(
             f"ground state degenerate within {gap_tolerance}: "
@@ -500,14 +478,19 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
 
     Returns the energy and the 2**L computational-basis amplitudes.  Phase
     convention: the largest-magnitude full-space amplitude is made real
-    positive (lowest index wins ties); the phase is divided out in place,
-    so the peak is the amplitudes plus the real magnitudes the rule reads
-    (1.5 vectors).  A spectral gap below ``gap_tolerance`` raises a
-    DegenerateGroundStateWarning.
+    positive (lowest index wins ties).  The magnitudes are read in pieces
+    of ``_FWHT_PIECE`` amplitudes and the phase is divided out in place, so
+    the peak is the amplitudes plus :func:`fwht`'s scratch.  A spectral gap
+    below ``gap_tolerance`` raises a DegenerateGroundStateWarning.
     """
     energy, coords = _sector_eigh(model, sector, gap_tolerance)
     amps = embed_sector_coords(sector, coords)
-    k = int(np.argmax(np.abs(amps)))
+    # np.argmax(np.abs(amps)): the first piece holding the largest, then
+    # its first index
+    starts = range(0, len(amps), _FWHT_PIECE)
+    s = starts[int(np.argmax([np.abs(amps[i:i + _FWHT_PIECE]).max()
+                              for i in starts]))]
+    k = s + int(np.argmax(np.abs(amps[s:s + _FWHT_PIECE])))
     amps /= amps[k] / abs(amps[k])
     return energy, amps
 

@@ -4,8 +4,8 @@ A program is the stroboscopic recipe for one space-time Wilson loop:
 
 * ``Spatial(links)``      -- product of sigma_3 over a chain of links,
 * ``Temporal(tau, mods)`` -- e^{-i tau (H + sum_{e in mods} 2 sigma_1(e))},
-  the minimal temporal-loop band whose cross-section cuts the listed links,
-* ``FreeEvolve(tau)``     -- plain e^{-i tau H}.
+  the minimal temporal-loop band whose cross-section cuts the listed links;
+  with no links, the free evolution e^{-i tau H} (an ``EVOLVE`` record).
 
 Steps are listed in application order (the first step hits the state
 first).  Gauge invariance of the whole program requires the symmetric
@@ -13,8 +13,8 @@ difference of all Spatial links to be an even-degree subgraph; that is a
 hard validation error.  A link listed twice cancels (sigma_3**2 = I),
 within one step as across steps.  Temporal steps whose modified set does
 not match the running frontier (symmetric difference of Spatial links seen
-so far) still compose to gauge-invariant operators, so that mismatch is
-reported as a note, not an error.
+so far) still compose to gauge-invariant operators, so that mismatch, or a
+free evolution with an open frontier, is reported as a note, not an error.
 """
 
 from __future__ import annotations
@@ -50,24 +50,13 @@ class Temporal:
     modified_links: frozenset[int]
 
     def __init__(self, tau, modified_links):
-        object.__setattr__(self, "tau", _finite_tau(tau, "temporal step"))
-        object.__setattr__(self, "modified_links", frozenset(modified_links))
+        mods = frozenset(modified_links)
+        object.__setattr__(self, "tau", _finite_tau(
+            tau, "temporal step" if mods else "free evolution"))
+        object.__setattr__(self, "modified_links", mods)
 
 
-@dataclass(frozen=True)
-class FreeEvolve:
-    tau: float
-
-    def __post_init__(self):
-        _finite_tau(self.tau, "free evolution")
-
-    @property
-    def modified_links(self) -> frozenset[int]:
-        """An evolution that cuts no links."""
-        return frozenset()
-
-
-Step = Spatial | Temporal | FreeEvolve
+Step = Spatial | Temporal
 
 
 @dataclass(frozen=True)
@@ -78,12 +67,10 @@ class LoopProgram:
         object.__setattr__(self, "steps", tuple(steps))
 
     def total_time(self) -> float:
-        return sum(s.tau for s in self.steps
-                   if isinstance(s, (Temporal, FreeEvolve)))
+        return sum(s.tau for s in self.steps if isinstance(s, Temporal))
 
     def n_temporal(self) -> int:
-        return sum(1 for s in self.steps
-                   if isinstance(s, (Temporal, FreeEvolve)))
+        return sum(1 for s in self.steps if isinstance(s, Temporal))
 
 
 def _is_even_subgraph(lattice: Lattice, links: set[int]) -> bool:
@@ -128,15 +115,13 @@ def validate_program(lattice: Lattice, program: LoopProgram) -> list[str]:
                 out.append(f"error: step {k}: modified links {bad} not on "
                            f"lattice")
                 continue
-            if set(step.modified_links) != frontier:
-                out.append(
-                    f"note: step {k}: modified set {sorted(step.modified_links)} "
-                    f"differs from the spatial frontier {sorted(frontier)}"
-                )
-        elif isinstance(step, FreeEvolve):
-            if frontier:
+            if not step.modified_links and frontier:
                 out.append(f"note: step {k}: free evolution with open spatial "
                            f"frontier {sorted(frontier)}")
+            elif step.modified_links and step.modified_links != frontier:
+                out.append(f"note: step {k}: modified set "
+                           f"{sorted(step.modified_links)} differs from the "
+                           f"spatial frontier {sorted(frontier)}")
         else:
             out.append(f"error: step {k}: unknown step type {type(step)}")
     if not _is_even_subgraph(lattice, spatial_total):
@@ -188,9 +173,9 @@ def program_to_text(program: LoopProgram) -> str:
     for step in program.steps:
         if isinstance(step, Spatial):
             lines.append("SPATIAL " + " ".join(str(li) for li in step.links))
-        elif isinstance(step, Temporal):
+        elif step.modified_links:
             mods = " ".join(str(li) for li in sorted(step.modified_links))
-            lines.append(f"TEMPORAL {step.tau:.17g} {mods}".rstrip())
+            lines.append(f"TEMPORAL {step.tau:.17g} {mods}")
         else:
             lines.append(f"EVOLVE {step.tau:.17g}")
     return "\n".join(lines) + "\n"
@@ -216,7 +201,7 @@ def program_from_text(text: str) -> LoopProgram:
         elif kind == "EVOLVE":
             if len(parts) != 2:
                 raise ProgramError("EVOLVE takes exactly one tau")
-            steps.append(FreeEvolve(float(parts[1])))
+            steps.append(Temporal(float(parts[1]), ()))
         else:
             raise ProgramError(f"unknown program record {kind!r}")
     return LoopProgram(steps)

@@ -36,8 +36,8 @@ import numpy as np
 from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        Measure, PauliExp, PauliString, PauliStringError,
                        ResetAncilla, _outcome, star_operator)
-from .gauge import (PhysicalSector, SectorOperator, Z2Model,
-                    embed_sector_coords, flipped, project_to_sector)
+from .gauge import (PhysicalSector, Z2Model, embed_sector_coords, flipped,
+                    project_to_sector)
 from .programs import LoopProgram, Spatial
 from .trotter import _check_program
 from .wilson import _spatial_string, trotter_strings
@@ -388,7 +388,7 @@ def trotter_evolve(sv: StateVector, model: Z2Model, tau: float, n_T: int,
 
 def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
                                         program: LoopProgram, n_T: int
-                                        ) -> SectorOperator:
+                                        ) -> np.ndarray:
     """Reference route: embed the sector basis, run the literal gate list
     in the full 2**L space, project back.  Same matrix as
     ``trotter.trotterized_loop_operator``; kept as a cross-check oracle."""
@@ -402,7 +402,7 @@ def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
             for string, theta in trotter_strings(model, n_T, step.tau,
                                                  step.modified_links):
                 pauli_exp_inplace(cols, string, theta, L)
-    return SectorOperator(project_to_sector(sector, cols))
+    return project_to_sector(sector, cols)
 
 
 def spatial_loop_direct(sv: StateVector, links) -> None:

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
-                    _link_mask, electric_diag, exact_evolve_in_sector, flipped)
+from .gauge import (PhysicalSector, SectorMoves, Z2Model, _link_mask,
+                    electric_diag, exact_evolve_in_sector, flipped,
+                    unitarity_error)
 from .programs import LoopProgram, ProgramError, Spatial, program_errors
 
 INFIDELITY_FLOOR = 1e-13
@@ -47,7 +48,7 @@ def _check_program(model: Z2Model, program: LoopProgram) -> None:
 
 
 def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
-                        program: LoopProgram) -> SectorOperator:
+                        program: LoopProgram) -> np.ndarray:
     """Oracle W: exact sector product of the program's steps, in sorted
     rows, so that its products and ``eigh`` calls keep their rounding."""
     _check_program(model, program)
@@ -59,13 +60,13 @@ def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
             w = w[perm, :]
         else:
             w = exact_evolve_in_sector(model, sector, step.tau,
-                                       step.modified_links).matrix @ w
-    return SectorOperator(w)
+                                       step.modified_links) @ w
+    return w
 
 
 def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
                               program: LoopProgram, n_T: int
-                              ) -> SectorOperator:
+                              ) -> np.ndarray:
     """W_{n_T}: the Trotterized program restricted to the sector, exactly.
 
     Every Trotter factor commutes with all star operators, so restriction
@@ -88,7 +89,7 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
             w = flipped(w, k).copy().reshape(w.shape)
         else:
             _trotter_band(model, moves, sector, step, n_T, w)
-    return SectorOperator(w[np.argsort(moves.cycle(sector)), :])
+    return w[np.argsort(moves.cycle(sector)), :]
 
 
 def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
@@ -129,21 +130,20 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
 # figures of merit
 # ---------------------------------------------------------------------------
 
-def operator_fidelity(w_exact: SectorOperator, w_trot: SectorOperator) -> float:
+def operator_fidelity(w_exact: np.ndarray, w_trot: np.ndarray) -> float:
     """|tr(W^dag W')| / dim (normalized trace, phase insensitive)."""
-    if w_exact.dim != w_trot.dim:
-        raise ValueError(f"dimension mismatch {w_exact.dim} vs {w_trot.dim}")
-    return float(abs(np.trace(w_exact.matrix.conj().T @ w_trot.matrix))
-                 / w_exact.dim)
+    if len(w_exact) != len(w_trot):
+        raise ValueError(f"dimension mismatch {len(w_exact)} vs {len(w_trot)}")
+    return float(abs(np.trace(w_exact.conj().T @ w_trot)) / len(w_exact))
 
 
-def state_fidelity(psi_coords: np.ndarray, w_exact: SectorOperator,
-                   w_trot: SectorOperator) -> float:
+def state_fidelity(psi_coords: np.ndarray, w_exact: np.ndarray,
+                   w_trot: np.ndarray) -> float:
     """|<psi| W^dag W' |psi>| for a normalized sector state."""
     psi = np.asarray(psi_coords, dtype=np.complex128).ravel()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("state is not normalized in the sector")
-    return float(abs(np.vdot(w_exact.matrix @ psi, w_trot.matrix @ psi)))
+    return float(abs(np.vdot(w_exact @ psi, w_trot @ psi)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def sweep(model: Z2Model, program: LoopProgram, coords: np.ndarray,
         rows.append((int(n_T),
                      operator_fidelity(w_exact, w_trot),
                      state_fidelity(coords, w_exact, w_trot)))
-        unitarity_errors.append(w_trot.unitarity_error())
+        unitarity_errors.append(unitarity_error(w_trot))
     fit_op = fit_gs = None
     op_rows = [(n, 1.0 - f) for n, f, _ in rows]
     gs_rows = [(n, 1.0 - f) for n, _, f in rows]
@@ -260,7 +260,7 @@ def sweep(model: Z2Model, program: LoopProgram, coords: np.ndarray,
         except ValueError:
             pass
     return FidelityReport(tuple(rows), fit_op, fit_gs, tuple(unitarity_errors),
-                          w_exact.unitarity_error(), sector.dim)
+                          unitarity_error(w_exact), sector.dim)
 
 
 def report_to_csv(report: FidelityReport) -> str:

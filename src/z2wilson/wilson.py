@@ -26,11 +26,9 @@ import numpy as np
 from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        Measure, PauliExp, PauliString, ResetAncilla,
                        block_bit_probability, run_blocks)
-from .gauge import (PhysicalSector, SectorMoves, SectorOperator, Z2Model,
-                    exact_evolve_in_sector)
+from .gauge import PhysicalSector, SectorMoves, Z2Model, exact_evolve_in_sector
 from .lattice import Lattice, _odd_links
-from .programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
-                       Temporal)
+from .programs import LoopProgram, ProgramError, Spatial
 
 HALF_PI = np.pi / 2
 
@@ -169,7 +167,7 @@ def _v_sandwich(circuit: Circuit, ancilla: int, links, middle: Gate) -> None:
 # ---------------------------------------------------------------------------
 
 def temporal_plaquette_exact(model: Z2Model, sector: PhysicalSector,
-                             link: int, tau: float) -> SectorOperator:
+                             link: int, tau: float) -> np.ndarray:
     """Minimal temporal loop: e^{-i tau (H + 2 sigma_1(e))} in the sector."""
     if not 0 <= link < model.lattice.n_links:
         raise ValueError(f"link {link} out of range")
@@ -177,7 +175,7 @@ def temporal_plaquette_exact(model: Z2Model, sector: PhysicalSector,
 
 
 def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
-                                  link: int, tau: float) -> SectorOperator:
+                                  link: int, tau: float) -> np.ndarray:
     """sigma_3(e) e^{-i tau H} sigma_3(e) computed directly.
 
     sigma_3(e) maps the physical sector to the star sector charged -1 at the
@@ -190,9 +188,9 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
         raise ValueError(f"link {link} out of range")
     moves = SectorMoves(model, sector)
     charged, _ = moves.move(sector, 1 << link)
-    u_charged = exact_evolve_in_sector(model, charged, tau).matrix
+    u_charged = exact_evolve_in_sector(model, charged, tau)
     _, perm = moves.move(charged, 1 << link)
-    return SectorOperator(u_charged[np.ix_(perm, perm)])
+    return u_charged[np.ix_(perm, perm)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,8 @@ def link_wilson_line(circuit: Circuit, lattice: Lattice, path,
     path = list(path)
     verts = _vertex_sequence(lattice, path)
     if matter_map is None:
-        m0 = circuit.alloc_ancilla(initial_bit=0, role="matter")
-        m1 = circuit.alloc_ancilla(initial_bit=1, role="matter")
+        m0 = circuit.alloc_ancilla(initial_bit=0)
+        m1 = circuit.alloc_ancilla(initial_bit=1)
         pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(len(verts))}
     else:
         pos_map = dict(matter_map)
@@ -316,9 +314,9 @@ def link_loop_circuit(lattice: Lattice, loop_links) -> Circuit:
     if len(path) % 2:
         raise ProgramError("closed lattice loops have even length")
     circuit = Circuit(lattice.n_links)
-    m0 = circuit.alloc_ancilla(initial_bit=1, role="matter")
-    m1 = circuit.alloc_ancilla(initial_bit=0, role="matter")
-    med = circuit.alloc_ancilla(initial_bit=0, role="mediator")
+    m0 = circuit.alloc_ancilla(initial_bit=1)
+    m1 = circuit.alloc_ancilla(initial_bit=0)
+    med = circuit.alloc_ancilla(initial_bit=0)
     # creation: fires on (head down, tail up, mediator up)
     for string, theta in closure_strings(m0, m1, med):
         circuit.add(PauliExp(string, theta))
@@ -355,7 +353,7 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
             return
         # plaquette magnetic term: two-ancilla construction
         if box_ancilla is None:
-            box_ancilla = circuit.alloc_ancilla(initial_bit=1, role="box")
+            box_ancilla = circuit.alloc_ancilla(initial_bit=1)
         else:
             circuit.add(ResetAncilla(box_ancilla, 1))
         _v_sandwich(circuit, box_ancilla, sorted(string.support),
@@ -372,12 +370,10 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
             circuit.add(PauliExp(PauliString({control_ancilla: "Z"}),
                                  -np.pi / 4))
             circuit.add_phase(-np.pi / 4)
-        elif isinstance(step, (Temporal, FreeEvolve)):
+        else:
             for string, theta in trotter_strings(model, n_T, step.tau,
                                                  step.modified_links):
                 emit_controlled_string(string, theta)
-        else:  # pragma: no cover
-            raise ProgramError(f"unknown step {step!r}")
 
 
 def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
@@ -388,7 +384,7 @@ def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
     rotated back, so that it reads spin-up with probability p_+.
     """
     circuit = Circuit(model.lattice.n_links)
-    control = circuit.alloc_ancilla(initial_bit=0, role="hadamard-control")
+    control = circuit.alloc_ancilla(initial_bit=0)
     prepare_plus(circuit, control)
     controlled_loop(circuit, model, program, control, n_T)
     unprepare_plus(circuit, control)
@@ -475,7 +471,7 @@ def rect_loop_plaquette_circuit(lattice: Lattice, width: int, height: int
     product; the gate count is proportional to the enclosed area.
     """
     circuit = Circuit(lattice.n_links)
-    ancilla = circuit.alloc_ancilla(initial_bit=0, role="loop")
+    ancilla = circuit.alloc_ancilla(initial_bit=0)
     prepare_minus(circuit, ancilla)
     for pi in range(lattice.n_plaquettes):
         spatial_loop_via_ancilla(circuit, lattice.plaquettes[pi], ancilla)

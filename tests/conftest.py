@@ -3,7 +3,10 @@
 The oracle helpers here deliberately avoid the package's kernels: Pauli
 strings become explicit Kronecker products and exponentials go through a
 Hermitian eigendecomposition, so every comparison against them is a real
-cross-check, not a tautology.  :func:`gather_loop_operator` and
+cross-check, not a tautology.  :func:`wegner_dual_hamiltonian` goes
+further: it reads neither ``gauge`` nor ``lattice``, only unit-cell
+coordinates and the link numbering ``lattice.py`` documents
+(:func:`numbered_links`).  :func:`gather_loop_operator` and
 :func:`two_copy_fwht` are different: they are the plain forms of the
 sector Trotter loop and of the Walsh-Hadamard transform, kept so that the
 tests can hold the package's versions to the same bits, not just to
@@ -40,6 +43,57 @@ def expm_i_hermitian(h):
     """e^{i h} for Hermitian h via eigendecomposition."""
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(1j * evals)) @ evecs.conj().T
+
+
+def numbered_links(cells):
+    """Endpoint coordinates of each link of a cell set, in the link order
+    ``lattice.py`` documents: per row from the lowest, the horizontal
+    links by x, then the vertical links rising from that row by x."""
+    h = {(x, yy) for x, y in cells for yy in (y, y + 1)}
+    v = {(xx, y) for x, y in cells for xx in (x, x + 1)}
+    rows = sorted([(y, 0, x) for x, y in h] + [(y, 1, x) for x, y in v])
+    return [((x, y), (x + 1, y) if vertical == 0 else (x, y + 1))
+            for y, vertical, x in rows]
+
+
+def cell_links(cell):
+    """Endpoints of a unit cell's links: bottom, right, top, left."""
+    x, y = cell
+    return [((x, y), (x + 1, y)), ((x + 1, y), (x + 1, y + 1)),
+            ((x, y + 1), (x + 1, y + 1)), ((x, y), (x, y + 1))]
+
+
+def wegner_dual_hamiltonian(cells, lam, modified=()):
+    """The neutral sector of a planar lattice as a transverse-field Ising
+    model on its plaquette spins (Wegner, J. Math. Phys. 12, 2259 (1971)):
+
+        H = - sum_l s_l prod_{p contains l} Z_p  -  lam sum_p X_p
+
+    with s_l = -1 on a ``modified`` link (given by its endpoints) and +1
+    elsewhere.  sigma_1 of a link is the product of Z over the one or two
+    cells it bounds, a plaquette's sigma_3 product is X on its cell.  Spin
+    k is the k-th cell in row-major order, spin 0 the least significant
+    bit.  Built from Kronecker products and cell incidence alone.
+    """
+    cells = sorted(cells, key=lambda c: (c[1], c[0]))
+    n = len(cells)
+    bounded = {}                                  # link -> cells it bounds
+    for k, cell in enumerate(cells):
+        for ends in cell_links(cell):
+            bounded.setdefault(ends, []).append(k)
+
+    def on(spins, op):
+        out = np.array([[1.0]], dtype=complex)
+        for k in reversed(range(n)):
+            out = np.kron(out, op if k in spins else S0)
+        return out
+
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for ends, spins in bounded.items():
+        h -= (-1.0 if ends in modified else 1.0) * on(spins, SZ)
+    for k in range(n):
+        h -= lam * on({k}, SX)
+    return h
 
 
 def gather_loop_operator(model, sector, program, n_T):

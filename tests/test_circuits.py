@@ -25,7 +25,7 @@ from z2wilson.gauge import (Z2Model, build_physical_sector,
 class TestCircuitStructure:
     def test_alloc_above_links(self):
         c = Circuit(3)
-        a = c.alloc_ancilla(1, role="work")
+        a = c.alloc_ancilla(1)
         assert a == 3
         assert c.n_qubits == 4
         assert c.ancilla_init[a] == 1
@@ -341,6 +341,23 @@ class TestCensusAndExport:
         assert lines[2].startswith("CPEXP 2 X- 1.57")
         assert lines[3] == "MEASURE 2"
         assert any(l.startswith("# census") for l in lines)
+
+    def test_export_writes_a_strings_sign_into_its_angle(self):
+        zz = {0: "Z", 1: "Z"}
+        signed, twin = Circuit(2), Circuit(2)
+        for circ, phase, theta in ((signed, -1, 0.3), (twin, 1, -0.3)):
+            a = circ.alloc_ancilla(0)
+            circ.add(PauliExp(PauliString(zz, phase), theta))
+            circ.add(ControlledPauliExp(a, "z", PauliString(zz, phase), theta))
+        lines = circuit_to_text(signed).splitlines()
+        assert lines[1] == "PEXP -0.29999999999999999 0:Z 1:Z"
+        assert lines[2] == "CPEXP 2 Z -0.29999999999999999 0:Z 1:Z"
+        # the line read back is the same gate: e^{i theta (-P)} = e^{-i theta P}
+        assert circuit_to_text(twin) == circuit_to_text(signed)
+        psi = StateVector(2, random_state(2, np.random.default_rng(3)))
+        out_signed, _ = run_circuit(signed, psi.copy())
+        out_twin, _ = run_circuit(twin, psi.copy())
+        assert np.max(np.abs(out_signed.amps - out_twin.amps)) < 1e-15
 
     def test_export_deterministic(self):
         m = Z2Model(build_cross(), 10.0)

@@ -513,7 +513,7 @@ def block_p_plus(circuit, control, model, sector, coords):
 
 def sector_p_plus(model, sector, coords, program, n_T):
     w = trotterized_loop_operator(model, sector, program, n_T)
-    return (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
+    return (2 + 2 * np.real(np.vdot(coords, w @ coords))) / 4
 
 
 class TestMeasureRoundingContract:
@@ -592,13 +592,12 @@ class TestMeasureRoundingContract:
 class TestNumericalFailure:
     def test_exit_4_on_unitarity_drift(self, capsys, monkeypatch, tmp_path):
         import z2wilson.trotter as trotter_mod
-        from z2wilson.gauge import SectorOperator
 
         real = trotter_mod.trotterized_loop_operator
 
         def drifting(model, sector, program, n_T):
             w = real(model, sector, program, n_T)
-            return SectorOperator(w.matrix * 1.001)   # breaks unitarity
+            return w * 1.001   # breaks unitarity
 
         monkeypatch.setattr(trotter_mod, "trotterized_loop_operator", drifting)
         code, _, err = run_main(capsys, "sweep", "--nt", "2,4",
@@ -723,6 +722,73 @@ class TestExportCircuit:
         assert code == EXIT_OK
         assert body(run_main(capsys, "export-circuit", "--nt", "8")[1]) \
             == body(default)
+
+
+class TestEvolvePrograms:
+    """Pinned outputs of programs with free evolutions (``EVOLVE`` records).
+
+    One program closes every spatial frontier before it evolves freely;
+    the other evolves freely with a plaquette's four links open, which
+    ``validate`` notes.  Each digest is the SHA-256 of the exit code line,
+    stdout, a NUL, stderr, a NUL and the ``--out`` file, recorded before
+    free evolutions became ``Temporal`` steps with no modified link.  The
+    programs sit in the working directory under fixed names, because the
+    program path enters the config hash in each header.
+    """
+
+    PROGRAMS = {
+        "evolve_closed.prog": ("EVOLVE 0.3\nSPATIAL 0 2 4 1\n"
+                               "TEMPORAL 0.5 0 1 2 4\nSPATIAL 1 4 2 0\n"
+                               "EVOLVE 0.2\n"),
+        "evolve_open.prog": ("SPATIAL 4 8 11 7\nEVOLVE 0.4\n"
+                             "SPATIAL 4 8 11 7\n"),
+    }
+    GOLDEN = [
+        ("evolve_closed.prog", ["sweep", "--nt", "8,16,32", "--out"],
+         "902026b6612905a019d57702df994ba7f88c3a68d60690f8e3046fc8a8e042d2"),
+        ("evolve_closed.prog", ["measure", "--nt", "3", "--shots", "500",
+                                "--seed", "11"],
+         "d174246ba99e3014c6cc178ac06882e53d9062bfbfab7c079025d5547933a86c"),
+        ("evolve_closed.prog", ["export-circuit", "--nt", "2", "--out"],
+         "1f0794323cfe417294da43e2b1ff2e3b57481793a404158ef9a808362767a516"),
+        ("evolve_closed.prog", ["validate"],
+         "9af3811fac3cd8a4839cfcd09c0cfaefc1c6a75aa3e6f49ccafbaa93ccd155b6"),
+        ("evolve_open.prog", ["sweep", "--nt", "8,16,32", "--out"],
+         "a035c2216b6bdf449243bb7122dfc621833a0aadc1ba9ea2bdeb3f7b68beff3f"),
+        ("evolve_open.prog", ["measure", "--nt", "3", "--shots", "500",
+                              "--seed", "11"],
+         "62f0bf2f11f62b649c8ff117902def945beb9c9ff7c82513a5f2a1388557998a"),
+        ("evolve_open.prog", ["export-circuit", "--nt", "2", "--out"],
+         "423f51b11623aa51a14a7da96b56be5670aa2d86c55a1fed1789ee7359087c9d"),
+        ("evolve_open.prog", ["validate"],
+         "56f869c469c3476fdf18ecd9603d1c1f42366c53160c50278b9969071bbd2914"),
+    ]
+
+    @pytest.mark.parametrize("program,args,digest", GOLDEN,
+                             ids=[f"{p.split('.')[0]}-{a[0]}"
+                                  for p, a, _ in GOLDEN])
+    def test_outputs_match_golden_digest(self, capsys, monkeypatch, tmp_path,
+                                         program, args, digest):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.PROGRAMS.items():
+            (tmp_path / name).write_text(text)
+        argv = [args[0], "--program", program, *args[1:]]
+        if argv[-1] == "--out":
+            argv.append("result.out")
+        code, out, err = run_main(capsys, *argv)
+        path = tmp_path / "result.out"
+        record = (f"{code}\n{out}\0{err}\0".encode()
+                  + (path.read_bytes() if path.exists() else b""))
+        assert hashlib.sha256(record).hexdigest() == digest
+
+    def test_validate_notes_the_open_frontier(self, capsys, monkeypatch,
+                                              tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.prog").write_text(self.PROGRAMS["evolve_open.prog"])
+        code, out, err = run_main(capsys, "validate", "--program", "p.prog")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == ("program: note: step 1: free evolution with open "
+                       "spatial frontier [4, 7, 8, 11]\nok\n")
 
 
 class TestUnreadFlags:

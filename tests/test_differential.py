@@ -3,7 +3,8 @@
 Random connected cell sets (``lattice._build_from_cells``) carry random
 closed programs: plaquette ``Spatial`` steps, some split into two open
 chains with a band in between, each followed by a ``Temporal`` step whose
-modified set is the running frontier, then one ``FreeEvolve``.  The
+modified set is the running frontier, then one free evolution
+(``Temporal`` with no modified link).  The
 routes compared are
 
 * the dense Kronecker oracle of ``conftest`` (full 2**L matrices,
@@ -32,9 +33,9 @@ from conftest import bit_identical, dense_pauli, gather_loop_operator
 from z2wilson.circuits import block_bit_probability, run_blocks
 from z2wilson.gauge import (Z2Model, build_physical_sector,
                             embed_sector_coords, hamiltonian_in_sector,
-                            spatial_loop_in_sector)
+                            spatial_loop_in_sector, unitarity_error)
 from z2wilson.lattice import _build_from_cells
-from z2wilson.programs import (FreeEvolve, LoopProgram, Spatial, Temporal,
+from z2wilson.programs import (LoopProgram, Spatial, Temporal,
                                program_errors)
 from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
                                run_circuit,
@@ -77,7 +78,7 @@ def random_program(lattice, rng, n_slices):
             steps.append(Spatial(chain))
             frontier ^= set(chain)
             steps.append(Temporal(rng.uniform(0.2, 1.0), frontier))
-    steps.append(FreeEvolve(rng.uniform(0.2, 1.0)))
+    steps.append(Temporal(rng.uniform(0.2, 1.0), ()))
     program = LoopProgram(steps)
     assert program_errors(lattice, program) == []
     return program
@@ -201,30 +202,30 @@ def test_sector_fullspace_and_dense_oracle_agree(seed, n_cells):
     program = random_program(lat, rng, 1 if n_cells == 3 else 2)
     n_T = int(rng.integers(1, 3))
 
-    assert max_diff(hamiltonian_in_sector(model, sector).matrix,
+    assert max_diff(hamiltonian_in_sector(model, sector),
                     dense.project(dense.h() @ dense.basis)) < EXACT_TOL
     plaq = lat.plaquettes[rng.integers(lat.n_plaquettes)]
-    assert max_diff(spatial_loop_in_sector(sector, plaq).matrix,
+    assert max_diff(spatial_loop_in_sector(sector, plaq),
                     dense.project(dense.spatial(plaq, dense.basis))
                     ) < EXACT_TOL
 
     link = int(rng.integers(lat.n_links))
     tau = rng.uniform(0.2, 1.0)
-    conj = conjugated_temporal_plaquette(model, sector, link, tau).matrix
+    conj = conjugated_temporal_plaquette(model, sector, link, tau)
     conj_dense = dense.project(dense.spatial(
         [link], dense.evolve(tau, dense.spatial([link], dense.basis))))
     assert max_diff(conj, conj_dense) < EXACT_TOL
     assert max_diff(conj, temporal_plaquette_exact(
-        model, sector, link, tau).matrix) < EXACT_TOL
+        model, sector, link, tau)) < EXACT_TOL
 
-    w = exact_loop_operator(model, sector, program).matrix
+    w = exact_loop_operator(model, sector, program)
     assert max_diff(w, dense.exact(program)) < EXACT_TOL
 
-    w_nt = trotterized_loop_operator(model, sector, program, n_T).matrix
+    w_nt = trotterized_loop_operator(model, sector, program, n_T)
     assert bit_identical(w_nt, gather_loop_operator(model, sector, program,
                                                     n_T))
     w_full = trotterized_loop_operator_fullspace(model, sector, program,
-                                                 n_T).matrix
+                                                 n_T)
     assert max_diff(w_nt, w_full) < TROTTER_TOL
     assert max_diff(w_nt, dense.trotter(program, n_T)) < TROTTER_TOL
     assert_hadamard_executors_agree(model, sector, program, n_T, w_nt, rng)
@@ -240,13 +241,13 @@ def test_sector_and_fullspace_gate_routes_agree(seed, n_cells):
     program = random_program(lat, rng, int(rng.integers(1, 4)))
     n_T = int(rng.integers(1, 4))
     w_nt = trotterized_loop_operator(model, sector, program, n_T)
-    assert bit_identical(w_nt.matrix, gather_loop_operator(model, sector,
+    assert bit_identical(w_nt, gather_loop_operator(model, sector,
                                                            program, n_T))
     w_full = trotterized_loop_operator_fullspace(model, sector, program, n_T)
-    assert max_diff(w_nt.matrix, w_full.matrix) < TROTTER_TOL
+    assert max_diff(w_nt, w_full) < TROTTER_TOL
     w = exact_loop_operator(model, sector, program)
-    assert w.unitarity_error() < EXACT_TOL
-    assert_hadamard_executors_agree(model, sector, program, n_T, w_nt.matrix,
+    assert unitarity_error(w) < EXACT_TOL
+    assert_hadamard_executors_agree(model, sector, program, n_T, w_nt,
                                     rng)
 
 
@@ -260,6 +261,6 @@ def test_cycle_loop_bit_identical_to_gather():
         sector = build_physical_sector(model)
         program = random_program(lat, rng, int(rng.integers(1, 4)))
         n_T = int(rng.integers(1, 6))
-        w_nt = trotterized_loop_operator(model, sector, program, n_T).matrix
+        w_nt = trotterized_loop_operator(model, sector, program, n_T)
         assert bit_identical(w_nt, gather_loop_operator(
             model, sector, program, n_T)), seed

@@ -3,8 +3,8 @@
 import pytest
 
 from z2wilson.lattice import build_cross, build_rect
-from z2wilson.programs import (FreeEvolve, LoopProgram, ProgramError, Spatial,
-                               Temporal, program_from_text, program_to_text,
+from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
+                               program_from_text, program_to_text,
                                staircase_default, validate_program)
 
 
@@ -20,7 +20,7 @@ class TestSteps:
         with pytest.raises(ProgramError, match="tau must be finite"):
             Temporal(tau, {0})
         with pytest.raises(ProgramError, match="tau must be finite"):
-            FreeEvolve(tau)
+            Temporal(tau, ())
         with pytest.raises(ProgramError, match="tau must be finite"):
             staircase_default(tau)
         with pytest.raises(ProgramError, match="tau must be finite"):
@@ -30,7 +30,7 @@ class TestSteps:
 
     def test_program_total_time(self):
         prog = LoopProgram([Spatial([0]), Temporal(1.0, {0}),
-                            FreeEvolve(0.5)])
+                            Temporal(0.5, ())])
         assert prog.total_time() == 1.5
         assert prog.n_temporal() == 2
 
@@ -83,7 +83,7 @@ class TestValidation:
     def test_free_evolve_with_open_frontier_noted(self):
         lat = build_rect(1, 1)
         plaq = lat.plaquettes[0]
-        prog = LoopProgram([Spatial(plaq), FreeEvolve(1.0), Spatial(plaq)])
+        prog = LoopProgram([Spatial(plaq), Temporal(1.0, ()), Spatial(plaq)])
         diags = validate_program(lat, prog)
         assert any(d.startswith("note:") and "frontier" in d for d in diags)
 
@@ -111,7 +111,7 @@ class TestStaircaseDefault:
 class TestTextFormat:
     def test_round_trip(self):
         prog = LoopProgram([Spatial([3, 4, 5]), Temporal(1.25, {3, 5}),
-                            FreeEvolve(0.5), Spatial([5, 4, 3])])
+                            Temporal(0.5, ()), Spatial([5, 4, 3])])
         back = program_from_text(program_to_text(prog))
         assert back == prog
 

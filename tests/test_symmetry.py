@@ -14,10 +14,11 @@ that every route shares breaks these tests.
 import numpy as np
 import pytest
 
+from conftest import cell_links, numbered_links
 from z2wilson.gauge import (Z2Model, build_physical_sector, ground_state,
                             project_to_sector, sector_ground_state)
 from z2wilson.lattice import build_cross
-from z2wilson.programs import (FreeEvolve, LoopProgram, Spatial, Temporal,
+from z2wilson.programs import (LoopProgram, Spatial, Temporal,
                                program_errors, staircase_default)
 from z2wilson.trotter import exact_loop_operator, sweep
 from z2wilson.wilson import hadamard_test
@@ -28,15 +29,6 @@ SYMMETRIES = {
     "rotation": lambda x, y: (3 - y, x),             # 90 degrees
 }
 TOL = 1e-12
-
-
-def numbered_links(cells):
-    """Endpoint coordinates of each link, in the documented link order."""
-    h = {(x, yy) for x, y in cells for yy in (y, y + 1)}
-    v = {(xx, y) for x, y in cells for xx in (x, x + 1)}
-    rows = sorted([(y, 0, x) for x, y in h] + [(y, 1, x) for x, y in v])
-    return [((x, y), (x + 1, y) if vertical == 0 else (x, y + 1))
-            for y, vertical, x in rows]
 
 
 def link_map(cells, sym):
@@ -51,11 +43,9 @@ def image(program, m):
     for step in program.steps:
         if isinstance(step, Spatial):
             steps.append(Spatial([m[li] for li in step.links]))
-        elif isinstance(step, Temporal):
+        else:
             steps.append(Temporal(step.tau, {m[li] for li in
                                              step.modified_links}))
-        else:
-            steps.append(FreeEvolve(step.tau))
     return LoopProgram(steps)
 
 
@@ -64,7 +54,7 @@ PROGRAMS = {
     # an open chain: the temporal band runs in a charged sector
     "chain": LoopProgram([Spatial([4, 8]), Temporal(0.7, [4, 8]),
                           Spatial([8, 4])]),
-    "plaquette": LoopProgram([Spatial([0, 2, 4, 1]), FreeEvolve(0.4),
+    "plaquette": LoopProgram([Spatial([0, 2, 4, 1]), Temporal(0.4, ()),
                               Spatial([4, 1, 0, 2])]),
 }
 
@@ -78,9 +68,8 @@ def test_numbering_rule_is_the_lattice_numbering():
                               for a, b in numbered_links(CELLS))
     links = {ends: i for i, ends in enumerate(numbered_links(CELLS))}
     assert lat.plaquettes == tuple(
-        (links[(x, y), (x + 1, y)], links[(x + 1, y), (x + 1, y + 1)],
-         links[(x, y + 1), (x + 1, y + 1)], links[(x, y), (x, y + 1)])
-        for x, y in sorted(CELLS, key=lambda c: (c[1], c[0])))
+        tuple(links[ends] for ends in cell_links(cell))
+        for cell in sorted(CELLS, key=lambda c: (c[1], c[0])))
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIES))
@@ -109,7 +98,7 @@ class TestImageAgrees:
 
     def test_exact_wilson_loop(self, setting, name, sym):
         model, sector, coords = setting
-        vals = [np.vdot(coords, exact_loop_operator(model, sector, p).matrix
+        vals = [np.vdot(coords, exact_loop_operator(model, sector, p)
                         @ coords) for p in self.pair(name, sym)]
         assert abs(vals[0] - vals[1]) < TOL
 

@@ -13,7 +13,8 @@ from conftest import dense_pauli, expm_i_hermitian, random_state
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
                                circuit_stats, star_commutation_report)
 from z2wilson.gauge import (Z2Model, build_physical_sector,
-                            embed_sector_coords, project_to_sector)
+                            embed_sector_coords, project_to_sector,
+                            unitarity_error)
 from z2wilson.lattice import build_rect
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
                                staircase_default)
@@ -208,7 +209,7 @@ class TestPlaquetteExpViaAncilla:
 class TestTemporalPlaquette:
     def test_tau_zero_identity(self, cross_model, cross_sector):
         w = temporal_plaquette_exact(cross_model, cross_sector, 4, 0.0)
-        assert np.max(np.abs(w.matrix - np.eye(32))) < 1e-14
+        assert np.max(np.abs(w - np.eye(32))) < 1e-14
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0])
     @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
@@ -218,14 +219,14 @@ class TestTemporalPlaquette:
         for link in range(cross_lattice.n_links):
             lhs = conjugated_temporal_plaquette(model, sector, link, tau)
             rhs = temporal_plaquette_exact(model, sector, link, tau)
-            assert np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-11
+            assert np.max(np.abs(lhs - rhs)) < 1e-11
 
     def test_lam0_closed_form(self, cross_lattice):
         # separable: e^{-i tau(-sum sigma1 + 2 sigma1(e))} in the X basis
         model = Z2Model(cross_lattice, 0.0)
         sector = build_physical_sector(model)
         tau, link = 0.67, 4
-        w = temporal_plaquette_exact(model, sector, link, tau).matrix
+        w = temporal_plaquette_exact(model, sector, link, tau)
         for k, mask in enumerate(sector.masks):
             phase = 1.0 + 0j
             for li in range(16):
@@ -243,10 +244,10 @@ class TestComposeLoop:
         _, gs = cross_ground
         coords = project_to_sector(cross_sector, gs.amps)
         w = exact_loop_operator(cross_model, cross_sector, staircase_default())
-        val = complex(np.vdot(coords, w.matrix @ coords))
+        val = complex(np.vdot(coords, w @ coords))
         assert val == pytest.approx(-0.91967360257099173
                                     + 0.29782987864917987j, abs=1e-10)
-        assert w.unitarity_error() < 1e-12
+        assert unitarity_error(w) < 1e-12
 
 
 def dense_three_site(head_empty=True):
@@ -379,9 +380,9 @@ class TestLinkLoopClosure:
         psi = random_physical_state(sector, rng)
         loop = lat.plaquettes[0]
         circ = Circuit(lat.n_links)
-        m0 = circ.alloc_ancilla(0, role="matter")
-        m1 = circ.alloc_ancilla(1, role="matter")
-        med = circ.alloc_ancilla(1, role="mediator")
+        m0 = circ.alloc_ancilla(0)
+        m1 = circ.alloc_ancilla(1)
+        med = circ.alloc_ancilla(1)
         pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(4)}
         link_wilson_line(circ, lat, loop[:3], matter_map=pos_map)
         from z2wilson.wilson import link_loop_closure
@@ -453,7 +454,7 @@ class TestControlledLoop:
             circ_b.add(ControlledPauliExp(ctrl_b, "z", string, th))
         out_b, _ = run_circuit(circ_b, psi.copy())
         # circ_a additionally parks the box ancilla spin-down
-        box = next(q for q, r in circ.ancilla_roles.items() if r == "box")
+        (box,) = set(circ.ancilla_init) - {ctrl}
         for bit in (0, 1):
             blk_a = link_register_block(out_a, circ, {ctrl: bit, box: 1})
             blk_b = link_register_block(out_b, circ_b, {ctrl_b: bit})
@@ -491,7 +492,7 @@ class TestHadamardTest:
         n_T = 3
         p = hadamard_test(model, sector, coords, prog, n_T)
         w = trotterized_loop_operator(model, sector, prog, n_T)
-        want = (2 + 2 * np.real(np.vdot(coords, w.matrix @ coords))) / 4
+        want = (2 + 2 * np.real(np.vdot(coords, w @ coords))) / 4
         assert p == pytest.approx(want, abs=1e-10)
 
     def test_sampled_mode_seeded(self, rect21):
