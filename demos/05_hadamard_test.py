@@ -10,7 +10,7 @@ then shot noise is simulated with a counter-based generator.
 
 import numpy as np
 
-from z2wilson import (Z2Model, build_cross, build_physical_sector,
+from z2wilson import (Philox, Z2Model, build_cross, build_physical_sector,
                       hadamard_test, sample_p_plus, sector_ground_state,
                       staircase_default, trotterized_loop_operator)
 
@@ -31,7 +31,7 @@ print(f"p_+ from the sector oracle      : {oracle:.15f}")
 print(f"Re<gs|W_nT|gs>                  : {2*p_exact - 1:.15f}")
 
 print("\nsampled estimates (philox, seed 7):")
-rng = np.random.Generator(np.random.Philox(7))
+rng = Philox(7)
 for shots in (100, 1000, 10000):
     p_hat = sample_p_plus(p_exact, shots, rng)
     err = np.sqrt(p_exact * (1 - p_exact) / shots)

@@ -11,7 +11,8 @@ Layers, each importing only those before it: ``lattice`` (geometry),
 strings, circuits and their sector-block executor), ``wilson`` (every gate
 list) and ``statevec``, the one module that knows the full 2**L register
 and the full-space reference routes.  ``cli`` runs every command in
-sector coordinates and never loads ``statevec``.
+sector coordinates and never loads ``statevec``.  ``philox``, which
+imports only ``math``, draws the shots of ``measure``.
 
 The namespace is lazy: ``z2wilson.X`` and ``from z2wilson import X`` load
 the submodule that defines ``X`` on first use, so importing the package
@@ -65,6 +66,7 @@ _EXPORTS = {
                "sample_p_plus", "spatial_loop_via_ancilla",
                "temporal_plaquette_exact", "trotter_strings",
                "trotterized_program_circuit"),
+    "philox": ("Philox",),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

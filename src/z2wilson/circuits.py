@@ -398,7 +398,7 @@ class _BlockRun:
 
 
 def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
-               coords: np.ndarray, rng: np.random.Generator | None = None
+               coords: np.ndarray, rng=None
                ) -> tuple[Blocks, dict[int, int]]:
     """Run the gate list on the sector state ``coords``, in sector blocks.
 
@@ -410,9 +410,9 @@ def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
     (:meth:`_BlockRun.parity_swap`); any other "x-" group is rotated onto
     spin-up like ``statevec.apply_gates`` does.  Measure and
     ResetAncilla keep the thresholds and RNG rule of the full-space
-    route.  Returns the final blocks (global phase applied) and the
-    measurement outcomes keyed by gate position, as
-    ``statevec.run_circuit``.
+    route; ``rng`` is any object with ``random()``.  Returns the final
+    blocks (global phase applied) and the measurement outcomes keyed by
+    gate position, as ``statevec.run_circuit``.
     """
     if coords.shape != (sector.dim,):
         raise CircuitError(f"{coords.shape} coordinates for a sector of "

@@ -13,6 +13,11 @@ reports a process that a closed pipe ended; nothing is printed).
 Each command imports the layers it runs when it runs, so a request
 loads only those: ``validate`` needs no numpy, ``ground-state`` only
 the sector layer, and no command loads the full-space ``statevec``.
+``measure --shots`` draws from the package's own :class:`Philox`, so
+no command loads ``numpy.random`` or maps OpenSSL's libcrypto.  The
+``# seed N rng philox`` header line names that stream: Philox4x64-10
+keyed by numpy's ``SeedSequence(N)``, with numpy's binomial sampler,
+pinned in the package.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ if TYPE_CHECKING:
     from .programs import LoopProgram
 
 UNITARITY_TOLERANCE = 1e-8
+MAX_SHOTS = (1 << 63) - 1          # the binomial sampler's int64 n
 _NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 EXIT_OK = 0
@@ -146,6 +152,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             if getattr(cfg, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, "
                                   f"got {getattr(cfg, key)}")
+            if key == "shots" and cfg.shots > MAX_SHOTS:
+                raise ConfigError(f"shots must be <= 2**63 - 1, "
+                                  f"got {cfg.shots}")
         else:
             setattr(cfg, key, str(value))
     return cfg
@@ -370,6 +379,7 @@ def cmd_measure(cfg: RunConfig) -> int:
     import numpy as np
 
     from .gauge import sector_ground_state
+    from .philox import Philox
     from .trotter import exact_loop_operator, trotterized_loop_operator
     from .wilson import hadamard_test, sample_p_plus
     n_T = _single_nt(cfg, "measure")
@@ -382,8 +392,7 @@ def cmd_measure(cfg: RunConfig) -> int:
     print(f"p_plus_exact {p_exact:.17g}")
     print(f"re_wilson_loop {2 * p_exact - 1:.17g}")
     if cfg.shots:
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
-        p_sampled = sample_p_plus(p_exact, cfg.shots, rng)
+        p_sampled = sample_p_plus(p_exact, cfg.shots, Philox(cfg.seed))
         stderr = float(np.sqrt(max(p_exact * (1 - p_exact), 0.0)
                                / cfg.shots))
         print(f"p_plus_sampled {p_sampled:.17g}")

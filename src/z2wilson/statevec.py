@@ -306,17 +306,18 @@ def _measure_bit(amps: np.ndarray, qubit: int, n: int, rng) -> int:
 
 
 def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
-                rng: np.random.Generator | None = None) -> dict[int, int]:
+                rng=None) -> dict[int, int]:
     """Run a gate list in place on the n-qubit amplitudes, gate by gate.
 
-    Returns the measurement outcomes keyed by gate position.  Every gate
-    acts on the whole register.  Consecutive controlled gates sharing a
-    control and basis run as one group on the control's branch
-    (:func:`_controlled_exps`): gate for gate as each controlled gate
-    alone, with one basis-rotation pair for a whole "x-" group.  Every
-    Measure and ResetAncilla runs
-    :func:`_measure_bit`; a reset that reads the other bit then moves the
-    kept half onto the target half and zeroes the kept one.
+    ``rng`` is any object with ``random()``; a measurement that is not
+    certain draws from it.  Returns the measurement outcomes keyed by
+    gate position.  Every gate acts on the whole register.  Consecutive
+    controlled gates sharing a control and basis run as one group on the
+    control's branch (:func:`_controlled_exps`): gate for gate as each
+    controlled gate alone, with one basis-rotation pair for a whole "x-"
+    group.  Every Measure and ResetAncilla runs :func:`_measure_bit`; a
+    reset that reads the other bit then moves the kept half onto the
+    target half and zeroes the kept one.
     """
     outcomes: dict[int, int] = {}
     gi = 0
@@ -348,13 +349,13 @@ def apply_gates(amps: np.ndarray, gates: list[Gate], n: int,
     return outcomes
 
 
-def run_circuit(circuit: Circuit, link_sv: StateVector,
-                rng: np.random.Generator | None = None
+def run_circuit(circuit: Circuit, link_sv: StateVector, rng=None
                 ) -> tuple[StateVector, dict[int, int]]:
     """Run the gate list on link_sv extended with the declared ancillas.
 
+    ``rng`` is any object with ``random()`` (see :func:`apply_gates`).
     Returns the final full-register state (global phase applied) and the
-    measurement outcomes keyed by gate position (see :func:`apply_gates`).
+    measurement outcomes keyed by gate position.
     """
     sv = extend_with_ancillas(link_sv, circuit)
     outcomes = apply_gates(sv.amps, circuit.gates, sv.n_qubits, rng)

@@ -405,15 +405,17 @@ def hadamard_test(model: Z2Model, sector: PhysicalSector, coords: np.ndarray,
     return block_bit_probability(final, circuit, control, 0)
 
 
-def sample_p_plus(p_plus: float, shots: int, rng: np.random.Generator
-                  ) -> float:
+def sample_p_plus(p_plus: float, shots: int, rng) -> float:
     """Observed |+> frequency over ``shots`` Hadamard-test shots.
 
-    One binomial draw at p_plus, clamped to [0, 1] against rounding.
+    One ``rng.binomial(n, p)`` draw (any object with that method, such as
+    :class:`~z2wilson.philox.Philox`) at p_plus, clamped to [0, 1] against
+    rounding.  The count is divided as a double, as numpy divides its
+    int64 draw.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    return float(rng.binomial(shots, min(max(p_plus, 0.0), 1.0)) / shots)
+    return float(rng.binomial(shots, min(max(p_plus, 0.0), 1.0))) / shots
 
 
 def trotterized_program_circuit(model: Z2Model, program: LoopProgram,

@@ -381,6 +381,20 @@ class TestMeasure:
         assert out == ""
         assert err == "error: shots must be >= 0, got -5\n"
 
+    def test_shots_above_int64_refused_before_output(self, capsys):
+        # the binomial draw takes an int64 shot count; a larger one used to
+        # fail with a traceback after the exact lines were printed
+        code, out, err = run_main(capsys, "measure", "--nt", "2", "--shots",
+                                  "100000000000000000000")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("error: shots must be <= 2**63 - 1, "
+                       "got 100000000000000000000\n")
+        code, out, _ = run_main(capsys, "measure", "--nt", "2", "--shots",
+                                str(2**63 - 1), "--seed", "5")
+        assert code == EXIT_OK
+        assert "p_plus_sampled 0.42808965251222825\n" in out
+
     def test_negative_seed_refused_before_output(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=-1\n")

@@ -1,7 +1,8 @@
 """Import footprint: the package namespace is lazy, each CLI command
 loads only the layers it runs, no command loads ``statevec``, the one
-module that knows the full 2**L register, and no command that only
-hashes its config header maps OpenSSL (``_hashlib``).
+module that knows the full 2**L register, and no command loads
+``numpy.random`` or maps OpenSSL (``_hashlib``): headers hash with
+CPython's own SHA-256 and shots come from the package's ``philox``.
 
 Each case runs a fresh interpreter, so that ``sys.modules`` shows what the
 package and one command loaded.
@@ -25,6 +26,8 @@ LOADED = """
 import json, sys
 loaded = sorted(m for m in sys.modules if m.startswith("z2wilson."))
 print(json.dumps({"modules": loaded, "numpy": "numpy" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules,
+                  "secrets": "secrets" in sys.modules,
                   "openssl": "_hashlib" in sys.modules}))
 """
 
@@ -56,9 +59,9 @@ def loaded_by(code, *argv):
      {"cli", "lattice", "gauge"}, True),
     (["sweep", "--nt", "2,4"],
      {"cli", "lattice", "gauge", "programs", "trotter"}, True),
-    (["measure", "--nt", "2"],
-     {"cli", "lattice", "gauge", "programs", "trotter", "circuits", "wilson"},
-     True),
+    (["measure", "--nt", "2", "--shots", "10"],
+     {"cli", "lattice", "gauge", "programs", "trotter", "circuits", "wilson",
+      "philox"}, True),
     (["export-circuit", "--nt", "2"],
      {"cli", "lattice", "gauge", "programs", "circuits", "wilson"}, True),
 ], ids=["validate", "ground-state", "sweep", "measure", "export-circuit"])
@@ -66,21 +69,22 @@ def test_command_loads_only_its_layers(argv, modules, numpy):
     assert loaded_by(RUN_COMMAND, *argv) == (modules, numpy)
 
 
-@pytest.mark.parametrize("argv, openssl", [
-    (["validate", "--lattice", "cross"], False),
-    (["sweep", "--nt", "2,4"], False),
-    (["ground-state", "--lattice", "rect:2x2", "--out", "OUT"], False),
-    (["export-circuit", "--kind", "plaquette-loop", "--lattice", "rect:2x2"],
-     False),
-    (["export-circuit", "--kind", "link-loop", "--lattice", "rect:2x2"],
-     False),
-    # numpy.random imports hashlib
-    (["measure", "--nt", "2", "--shots", "10"], True),
+@pytest.mark.parametrize("argv", [
+    ["validate", "--lattice", "cross"],
+    ["sweep", "--nt", "2,4"],
+    ["ground-state", "--lattice", "rect:2x2", "--out", "OUT"],
+    ["export-circuit", "--kind", "plaquette-loop", "--lattice", "rect:2x2"],
+    ["export-circuit", "--kind", "link-loop", "--lattice", "rect:2x2"],
+    # the measure-cross request shape; its shots come from the package's
+    # Philox, not numpy.random, which maps OpenSSL through secrets
+    ["measure", "--nt", "9", "--shots", "10"],
 ], ids=["validate", "sweep", "ground-state", "plaquette-loop", "link-loop",
         "measure"])
-def test_header_hash_maps_no_openssl(argv, openssl, tmp_path):
+def test_header_hash_maps_no_openssl(argv, tmp_path):
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
-    assert run_loaded(RUN_COMMAND, *argv)["openssl"] is openssl
+    result = run_loaded(RUN_COMMAND, *argv)
+    assert not (result["openssl"] or result["secrets"]
+                or result["numpy_random"])
 
 
 def test_bare_import_loads_nothing():
