@@ -351,16 +351,14 @@ def cmd_ground_state(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    from .gauge import ground_state, project_to_sector
+    from .gauge import pinned_ground_state
     from .trotter import report_to_csv, sweep
     model, program, sector = _setup(cfg)
     # the full-space state, projected back: recorded sweep references pin
     # its rounding (ROADMAP item 1)
-    (_, amps), degenerate = _solve(ground_state, model, sector)
+    (_, coords), degenerate = _solve(pinned_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
-    coords = project_to_sector(sector, amps)
-    del amps                    # 2**L amplitudes, not held through the sweep
     report = sweep(model, program, coords, list(cfg.nt), sector)
     for (n_T, _, _), err in zip(report.rows, report.unitarity_errors):
         if err > UNITARITY_TOLERANCE:

@@ -26,8 +26,9 @@ are all computed in sector coordinates (:func:`sector_ground_state`,
 :func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
-explicit step, needed only by ``sweep``'s pinned state (:func:`ground_state`)
-and the full-space reference routes, and is refused above 26 links.  It is
+explicit step, needed only by ``sweep``'s pinned state
+(:func:`pinned_ground_state`, through :func:`ground_state`) and the
+full-space reference routes, and is refused above 26 links.  It is
 a fast Walsh-Hadamard transform, computed in place (:func:`fwht`):
 |m>_X = 2^{-L/2} sum_z (-1)^{popcount(z & m)} |z>.
 Only plain amplitude arrays cross that boundary here; the register as a
@@ -344,9 +345,17 @@ def project_to_sector(sector: PhysicalSector, amps: np.ndarray) -> np.ndarray:
 
     ``amps`` is left as it is: one private copy is transformed in place
     and only its sector rows are scaled, so the peak is ``amps``, that
-    copy and :func:`fwht`'s 256 KB scratch.
+    copy and :func:`fwht`'s 256 KB scratch.  ``sweep``'s pinned state
+    owns its amplitudes and skips the copy (:func:`pinned_ground_state`).
     """
-    w = np.array(amps, dtype=np.complex128, order="C")
+    return _project_in_place(sector,
+                             np.array(amps, dtype=np.complex128, order="C"))
+
+
+def _project_in_place(sector: PhysicalSector, w: np.ndarray) -> np.ndarray:
+    """:func:`project_to_sector` of ``w``, which is transformed in place
+    and left holding the unscaled transform: only the sector rows are
+    gathered and scaled."""
     fwht(w)
     return w[sector.masks.astype(np.intp)] / np.sqrt(1 << sector.n_links)
 
@@ -480,8 +489,10 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
     convention: the largest-magnitude full-space amplitude is made real
     positive (lowest index wins ties).  The magnitudes are read in pieces
     of ``_FWHT_PIECE`` amplitudes and the phase is divided out in place, so
-    the peak is the amplitudes plus :func:`fwht`'s scratch.  A spectral gap
-    below ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    the peak is the amplitudes plus :func:`fwht`'s scratch.  ``sweep``
+    takes its state from here, projected back in place by
+    :func:`pinned_ground_state`.  A spectral gap below ``gap_tolerance``
+    raises a DegenerateGroundStateWarning.
     """
     energy, coords = _sector_eigh(model, sector, gap_tolerance)
     amps = embed_sector_coords(sector, coords)
@@ -493,6 +504,25 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
     k = s + int(np.argmax(np.abs(amps[s:s + _FWHT_PIECE])))
     amps /= amps[k] / abs(amps[k])
     return energy, amps
+
+
+def pinned_ground_state(model: Z2Model, sector: PhysicalSector,
+                        gap_tolerance: float = 1e-10
+                        ) -> tuple[float, np.ndarray]:
+    """``sweep``'s ground state: energy and sector coordinates, bit for bit
+    ``project_to_sector(sector, ground_state(model, sector)[1])``.
+
+    The recorded sweep references pin the rounding of that full-space
+    round trip, whose phase is fixed on the 2**L amplitudes, so it is kept
+    until the references are re-derived for :func:`sector_ground_state`
+    (ROADMAP item 1, which deletes this function).  The amplitudes are
+    this function's own, so they are transformed back in place rather
+    than copied: the peak is one full-space vector plus :func:`fwht`'s
+    scratch, 1 GiB at the 26-link limit.  A spectral gap below
+    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    """
+    energy, amps = ground_state(model, sector, gap_tolerance)
+    return energy, _project_in_place(sector, amps)
 
 
 def sector_gauge_violation(model: Z2Model, sector: PhysicalSector,

@@ -114,8 +114,9 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
         model, sec, step.modified_links))[moves.cycle(sec), None]
     full = half * half
     theta = model.lam * step.tau / n_T
-    # the gather's scalars, as Python complex: no cast in each call
-    c, s = complex(np.cos(theta)), complex(1j * np.sin(theta))
+    # the gather's scalars, as 0-d complex128 arrays: a Python complex
+    # would be converted to one in every call
+    c, s = (np.array(complex(v)) for v in (np.cos(theta), 1j * np.sin(theta)))
     np.multiply(half, w, w)
     for k in range(n_T):
         for view in views:

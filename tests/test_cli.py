@@ -256,6 +256,41 @@ class TestSweep:
                    if l.startswith("12000,"))
         assert all(1 < float(f) < 1 + 1e-10 for f in row.split(",")[1:])
 
+    def test_rect4x2_pinned_state_holds_one_vector(self, capsys, tmp_path):
+        # one plaquette of rect:4x2 (22 links): the pinned state's
+        # full-space round trip at 2**22 amplitudes, as CI's r42 run
+        import tracemalloc
+
+        from z2wilson.gauge import build_physical_sector, ground_state
+        from z2wilson.trotter import report_to_csv, sweep
+
+        prog_path = tmp_path / "r42.prog"
+        prog_path.write_text("SPATIAL 1 6 10 5\nTEMPORAL 0.5 5 6\n")
+        out_path = tmp_path / "r42.csv"
+        run_main(capsys, "sweep", "--nt", "2",
+                 "--out", str(tmp_path / "warm.csv"))        # warm-up
+        tracemalloc.start()
+        try:
+            code, _, err = run_main(capsys, "sweep", "--lattice", "rect:4x2",
+                                    "--program", str(prog_path), "--nt", "8",
+                                    "--out", str(out_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, err
+        vector = 16 << 22                            # 64 MB
+        assert peak <= vector + 8 * 2**20
+
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sec = build_physical_sector(model)
+        coords = project_to_sector(sec, ground_state(model, sec)[1])
+        body = report_to_csv(sweep(model, program_from_text(
+            prog_path.read_text()), coords, [8], sec))
+        text = out_path.read_text()
+        start = text.index("n_T,op_fidelity,gs_fidelity\n")
+        assert text[start:start + len(body)] == body
+        assert text[start + len(body):].startswith("# min_n_T_at_threshold")
+
     def test_single_nt_9(self, capsys, tmp_path):
         out_path = tmp_path / "r.csv"
         code, _, _ = run_main(capsys, "sweep", "--nt", "9",

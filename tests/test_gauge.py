@@ -19,8 +19,8 @@ from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             build_physical_sector, embed_sector_coords,
                             exact_evolve_in_sector, fwht,
                             ground_state, hamiltonian_in_sector,
-                            moved_charges, project_to_sector,
-                            sector_basis_dump, sector_gauge_violation,
+                            moved_charges, pinned_ground_state,
+                            project_to_sector, sector_basis_dump, sector_gauge_violation,
                             sector_ground_state, sector_spectrum,
                             spatial_loop_in_sector, spectral_bound,
                             unitarity_error, xor_perm)
@@ -234,6 +234,38 @@ class TestEmbedding:
             tracemalloc.stop()
         assert coords.shape == (sec.dim,)
         assert peak <= 2 * vector + 2**20
+
+    @pytest.mark.parametrize("lattice, lam, charged", [
+        ("cross", 2.0, False), ("cross", 5.0, False), ("cross", 10.0, False),
+        ("cross", 20.0, False), ("rect:2x2", 10.0, False),
+        ("rect:4x2", 5.0, False), ("cross", 10.0, True),
+    ], ids=["cross-2", "cross-5", "cross-10", "cross-20", "rect2x2",
+            "rect4x2-5", "cross-charged"])
+    def test_pinned_state_bit_identical_to_round_trip(self, lattice, lam,
+                                                      charged):
+        lat = {"cross": build_cross, "rect:2x2": lambda: build_rect(2, 2),
+               "rect:4x2": lambda: build_rect(4, 2)}[lattice]()
+        model = Z2Model(lat, lam)
+        sec = build_physical_sector(
+            model, charged_at_ends(lat, 0) if charged else None)
+        energy, coords = pinned_ground_state(model, sec)
+        ref_energy, amps = ground_state(model, sec)
+        assert energy == ref_energy
+        assert bit_identical(coords, project_to_sector(sec, amps))
+
+    def test_pinned_state_holds_one_vector(self):
+        # the round trip above without project_to_sector's private copy
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sec = build_physical_sector(model)
+        vector = 16 << sec.n_links                   # 64 MB
+        tracemalloc.start()
+        try:
+            _, coords = pinned_ground_state(model, sec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert coords.shape == (sec.dim,)
+        assert peak <= vector + 2**20
 
     def test_ground_state_holds_one_vector(self):
         # the phase rule reads the magnitudes piece by piece: no real array
