@@ -506,8 +506,7 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
     return energy, amps
 
 
-def pinned_ground_state(model: Z2Model, sector: PhysicalSector,
-                        gap_tolerance: float = 1e-10
+def pinned_ground_state(model: Z2Model, sector: PhysicalSector
                         ) -> tuple[float, np.ndarray]:
     """``sweep``'s ground state: energy and sector coordinates, bit for bit
     ``project_to_sector(sector, ground_state(model, sector)[1])``.
@@ -518,10 +517,9 @@ def pinned_ground_state(model: Z2Model, sector: PhysicalSector,
     (ROADMAP item 1, which deletes this function).  The amplitudes are
     this function's own, so they are transformed back in place rather
     than copied: the peak is one full-space vector plus :func:`fwht`'s
-    scratch, 1 GiB at the 26-link limit.  A spectral gap below
-    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    scratch, 1 GiB at the 26-link limit.
     """
-    energy, amps = ground_state(model, sector, gap_tolerance)
+    energy, amps = ground_state(model, sector)
     return energy, _project_in_place(sector, amps)
 
 

@@ -221,7 +221,9 @@ class TestEmbedding:
         assert bit_identical(amps, before)
 
     def test_round_trip_holds_at_most_two_vectors(self):
-        # sweep's pinned state on 22 links: embed, phase, project
+        # ground_state + project_to_sector on 22 links, the copying route
+        # that tests and statevec use; sweep's one-vector route is bounded
+        # by test_pinned_state_holds_one_vector
         model = Z2Model(build_rect(4, 2), 10.0)
         sec = build_physical_sector(model)
         vector = 16 << sec.n_links                   # 64 MB
