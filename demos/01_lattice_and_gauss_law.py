@@ -1,14 +1,15 @@
 """Lattices, Gauss-law stars, and the physical sector.
 
 Builds the 16-link cross and a rectangular grid, prints their geometry,
-and enumerates the gauge-invariant subspace by the electric-basis parity
-filter.
+and enumerates the gauge-invariant subspace in the electric basis: one
+solution of the Gauss law (one parity per vertex star, ``star_masks``)
+shifted by every closed loop, never a scan of all 2**L masks.
 """
 
 import numpy as np
 
 from z2wilson import (Z2Model, build_cross, build_physical_sector, build_rect,
-                      ground_state, lattice_to_text, sector_basis_dump,
+                      lattice_to_text, sector_basis_dump, sector_ground_state,
                       validate)
 
 lat = build_cross()
@@ -21,6 +22,7 @@ print(lattice_to_text(lat))
 # star sizes tell the boundary structure: 2 at corners, up to 4 inside
 sizes = [len(lat.star(v)) for v in range(lat.n_vertices)]
 print("star sizes per vertex:", sizes)
+print("star link masks (hex):", [f"{m:x}" for m in lat.star_masks])
 
 # one Gauss constraint per vertex, one redundant: dim = 2^(16 - 12 + 1)
 model = Z2Model(lat, lam=10.0)
@@ -31,7 +33,7 @@ print("first basis states (electric bitmask, hex):")
 print("\n".join(sector_basis_dump(sector).splitlines()[:6]))
 
 # stars are +1 on every sector state; the ground state lives here
-energy, gs = ground_state(model, sector)
+energy, gs = sector_ground_state(model, sector)
 print("\nlambda=10 ground energy:", energy)
 checks = [abs(1 - np.vdot(gs, gs).real)]
 print("norm error:", checks[0])

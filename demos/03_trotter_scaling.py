@@ -9,14 +9,13 @@ Trotter signature.
 import numpy as np
 
 from z2wilson import (Z2Model, build_cross, build_physical_sector,
-                      ground_state, report_to_csv, staircase_default, sweep)
-from z2wilson.gauge import project_to_sector
+                      report_to_csv, sector_ground_state, staircase_default,
+                      sweep)
 
 lat = build_cross()
 model = Z2Model(lat, lam=10.0)
 sector = build_physical_sector(model)
-energy, gs = ground_state(model, sector)
-coords = project_to_sector(sector, gs)
+energy, coords = sector_ground_state(model, sector)
 program = staircase_default(tau=1.0)
 
 print("ground energy:", energy)

@@ -8,13 +8,14 @@ linear count of matter transport.
 
 import numpy as np
 
-from z2wilson import (Circuit, StateVector, Z2Model, build_physical_sector,
+from z2wilson import (Circuit, PauliString, Z2Model, build_physical_sector,
                       build_rect, circuit_stats, link_loop_circuit,
                       plaquette_exp_via_ancilla, rect_loop_link_circuit,
-                      rect_loop_plaquette_circuit, run_circuit,
-                      spatial_loop_direct)
+                      rect_loop_plaquette_circuit)
 from z2wilson.gauge import embed_sector_coords
-from z2wilson.statevec import link_register_block
+from z2wilson.statevec import (StateVector, apply_pauli_exp,
+                               link_register_block, run_circuit,
+                               spatial_loop_direct)
 from z2wilson.wilson import prepare_minus, spatial_loop_via_ancilla
 
 rng = np.random.default_rng(1)
@@ -46,7 +47,6 @@ circ = Circuit(lat.n_links)
 anc = circ.alloc_ancilla(1)
 plaquette_exp_via_ancilla(circ, lat, loop, theta, anc)
 out, _ = run_circuit(circ, psi.copy())
-from z2wilson import PauliString, apply_pauli_exp
 direct = psi.copy()
 apply_pauli_exp(direct, PauliString({li: "Z" for li in loop}), theta)
 blk = link_register_block(out, circ, {anc: 1})
@@ -71,8 +71,8 @@ print("phase predicted by the hop log:", circ.net_logged_phase())
 print(f"\n{'L':>4} {'plaquette route':>16} {'link route':>12}")
 for k in (1, 2, 3, 4):
     grid = build_rect(k, k)
-    n_plaq = circuit_stats(rect_loop_plaquette_circuit(grid, k, k))["total"]
-    n_link = circuit_stats(rect_loop_link_circuit(grid, k, k))["total"]
+    n_plaq = circuit_stats(rect_loop_plaquette_circuit(grid))["total"]
+    n_link = circuit_stats(rect_loop_link_circuit(grid))["total"]
     print(f"{4*k:>4} {n_plaq:>16} {n_link:>12}")
 print("plaquette composition grows with the enclosed area (L^2/4 cells),")
 print("matter transport with the perimeter (2 gates per link).")

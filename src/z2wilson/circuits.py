@@ -274,10 +274,6 @@ def _parity_flip(terms) -> tuple[int, int] | None:
     return zmask, int(phi == -1)
 
 
-def _sq_norm(a: np.ndarray) -> float:
-    return float(np.square(np.abs(a)).sum())
-
-
 class _BlockRun:
     """One circuit on one model's charge sectors, in the electric basis.
 
@@ -297,6 +293,7 @@ class _BlockRun:
             raise CircuitError(
                 f"circuit has {self.n} link qubits, lattice "
                 f"{model.lattice.n_links} links, sector {sector.n_links}")
+        self.circuit = circuit
         self.cols = np.arange(1 << (circuit.n_qubits - self.n))
         self.sector_moves = SectorMoves(model, sector)
         self.strings: dict = {}
@@ -381,7 +378,7 @@ class _BlockRun:
         moves the kept columns onto the target bit."""
         bit = self.ancilla_bit(gate.qubit)
         one = (self.cols & bit) != 0
-        p1 = sum(_sq_norm(b[:, one]) for b in state.values())
+        p1 = block_bit_probability(state, self.circuit, gate.qubit, 1)
         outcome = _outcome(p1, gate.qubit, rng)
         keep = one if outcome else ~one
         if any(np.any(b[:, ~keep]) for b in state.values()):
@@ -466,7 +463,8 @@ def block_bit_probability(state: Blocks, circuit: Circuit, qubit: int,
     n_ancilla = circuit.n_qubits - circuit.n_link_qubits
     col = 1 << (qubit - circuit.n_link_qubits)
     on = ((np.arange(1 << n_ancilla) & col) != 0) == bit
-    return sum(_sq_norm(b[:, on]) for b in state.values())
+    return sum(float(np.square(np.abs(b[:, on])).sum())
+               for b in state.values())
 
 
 # ---------------------------------------------------------------------------

@@ -418,11 +418,11 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
         _check_overflow(model, program)
         circuit = trotterized_program_circuit(model, program, n_T)
     elif cfg.kind in ("plaquette-loop", "link-loop"):
-        if (size := _rect_size(cfg.lattice)) is None:
+        if _rect_size(cfg.lattice) is None:
             raise ConfigError(f"{cfg.kind} export needs a rect:WxH lattice")
         build = (rect_loop_plaquette_circuit if cfg.kind == "plaquette-loop"
                  else rect_loop_link_circuit)
-        circuit = build(lat, *size)
+        circuit = build(lat)
     else:
         raise ConfigError(f"unknown circuit kind {cfg.kind!r}")
     text = provenance_header(cfg) + circuit_to_text(circuit)

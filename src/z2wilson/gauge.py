@@ -50,6 +50,7 @@ _MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
 _MAX_EMBED_QUBITS = 26      # one full-space vector of 2**26 amplitudes is 1 GiB
 _MAX_DENSE_DIM = 4096       # a dense complex 4096 x 4096 matrix is 256 MB
 _FWHT_PIECE = 1 << 13       # amplitudes per half of one fwht piece
+GAP_TOLERANCE = 1e-10       # a smaller ground-state gap warns as degenerate
 
 
 class GaugeError(ValueError):
@@ -84,14 +85,10 @@ def _link_mask(links) -> int:
 
 
 def moved_charges(lattice: Lattice, charges, mask: int) -> tuple[int, ...]:
-    """Star charges reached from ``charges`` by sigma_3 on the links in
-    ``mask``: each link flips the charges of its two endpoints."""
-    out = list(charges)
-    for li, (a, b) in enumerate(lattice.links):
-        if mask >> li & 1:
-            out[a] = -out[a]
-            out[b] = -out[b]
-    return tuple(out)
+    """Star charges reached from ``charges`` by sigma_3 on ``mask``: a
+    charge flips where the mask holds an odd number of its star's links."""
+    return tuple(-q if (mask & star).bit_count() & 1 else q
+                 for q, star in zip(charges, lattice.star_masks))
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,6 @@ class PhysicalSector:
     @property
     def dim(self) -> int:
         return len(self.masks)
-
-    def is_physical(self) -> bool:
-        return all(q == 1 for q in self.charges)
 
 
 def build_physical_sector(model: Z2Model,
@@ -139,8 +133,8 @@ def build_physical_sector(model: Z2Model,
     if L > _MAX_MASK_BITS:
         raise GaugeError(f"sector masks are limited to {_MAX_MASK_BITS} links, "
                          f"lattice has {L}")
-    stars = [_link_mask(lat.star(v)) for v in range(lat.n_vertices)]
-    particular, null = _gf2_solve(stars, [int(q == -1) for q in charges], L)
+    particular, null = _gf2_solve(lat.star_masks,
+                                  [int(q == -1) for q in charges], L)
     expected = L - lat.n_vertices + 1
     if len(null) != expected:
         raise GaugeError(
@@ -177,8 +171,8 @@ class SectorMoves:
         self.model = model
         self._sectors = {sector.charges: sector}
         self._cycles: dict[tuple[int, ...], np.ndarray] = {}
-        stars = [_link_mask(lat.star(v)) for v in range(lat.n_vertices)]
-        self._null = _gf2_solve(stars, [0] * lat.n_vertices, lat.n_links)[1]
+        self._null = _gf2_solve(lat.star_masks, [0] * lat.n_vertices,
+                                lat.n_links)[1]
 
     def sector(self, charges: tuple[int, ...]) -> PhysicalSector:
         if charges not in self._sectors:
@@ -329,15 +323,20 @@ def embed_sector_coords(sector: PhysicalSector, coords: np.ndarray) -> np.ndarra
     take 1 GiB.
     """
     L = sector.n_links
-    if L > _MAX_EMBED_QUBITS:
-        raise GaugeError(f"full-space embedding needs 2**{L} amplitudes; "
-                         f"the full-space routes are limited to "
-                         f"{_MAX_EMBED_QUBITS} links")
+    _refuse_embedding(L)
     w = np.zeros((1 << L,) + coords.shape[1:], dtype=np.complex128)
     w[sector.masks.astype(np.intp)] = coords
     fwht(w)
     w /= np.sqrt(1 << L)
     return w
+
+
+def _refuse_embedding(n_links: int) -> None:
+    """Refuse a full-space array of 2**n_links amplitudes above 26 links."""
+    if n_links > _MAX_EMBED_QUBITS:
+        raise GaugeError(f"full-space embedding needs 2**{n_links} "
+                         f"amplitudes; the full-space routes are limited to "
+                         f"{_MAX_EMBED_QUBITS} links")
 
 
 def project_to_sector(sector: PhysicalSector, amps: np.ndarray) -> np.ndarray:
@@ -442,30 +441,25 @@ def exact_evolve_in_sector(model: Z2Model, sector: PhysicalSector, tau: float,
     return (evecs * phases) @ evecs.conj().T
 
 
-def sector_spectrum(model: Z2Model, sector: PhysicalSector) -> np.ndarray:
-    return np.linalg.eigvalsh(hamiltonian_in_sector(model, sector))
-
-
-def _sector_eigh(model: Z2Model, sector: PhysicalSector,
-                 gap_tolerance: float) -> tuple[float, np.ndarray]:
+def _sector_eigh(model: Z2Model, sector: PhysicalSector
+                 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, phase as eigh returns it.
 
     The eigenvector is a copy, so the dim x dim eigenvector matrix is freed
-    on return.  A spectral gap below ``gap_tolerance`` raises a
+    on return.  A spectral gap below :data:`GAP_TOLERANCE` raises a
     DegenerateGroundStateWarning.
     """
     evals, evecs = np.linalg.eigh(hamiltonian_in_sector(model, sector))
-    if len(evals) > 1 and evals[1] - evals[0] < gap_tolerance:
+    if len(evals) > 1 and evals[1] - evals[0] < GAP_TOLERANCE:
         warnings.warn(
-            f"ground state degenerate within {gap_tolerance}: "
+            f"ground state degenerate within {GAP_TOLERANCE}: "
             f"gap = {evals[1] - evals[0]:.3e}",
             DegenerateGroundStateWarning,
         )
     return float(evals[0]), evecs[:, 0].copy()
 
 
-def sector_ground_state(model: Z2Model, sector: PhysicalSector,
-                        gap_tolerance: float = 1e-10
+def sector_ground_state(model: Z2Model, sector: PhysicalSector
                         ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, in sector coordinates.
 
@@ -474,15 +468,15 @@ def sector_ground_state(model: Z2Model, sector: PhysicalSector,
     Perron-Frobenius vector in both the electric and the computational
     basis, so this fixes the same phase as :func:`ground_state` up to
     rounding.  Nothing of size 2**L is built.  A spectral gap below
-    ``gap_tolerance`` raises a DegenerateGroundStateWarning.
+    :data:`GAP_TOLERANCE` raises a DegenerateGroundStateWarning.
     """
-    energy, coords = _sector_eigh(model, sector, gap_tolerance)
+    energy, coords = _sector_eigh(model, sector)
     k = int(np.argmax(np.abs(coords)))
     return energy, coords / (coords[k] / abs(coords[k]))
 
 
-def ground_state(model: Z2Model, sector: PhysicalSector,
-                 gap_tolerance: float = 1e-10) -> tuple[float, np.ndarray]:
+def ground_state(model: Z2Model, sector: PhysicalSector
+                 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, embedded in the full space.
 
     Returns the energy and the 2**L computational-basis amplitudes.  Phase
@@ -491,10 +485,14 @@ def ground_state(model: Z2Model, sector: PhysicalSector,
     of ``_FWHT_PIECE`` amplitudes and the phase is divided out in place, so
     the peak is the amplitudes plus :func:`fwht`'s scratch.  ``sweep``
     takes its state from here, projected back in place by
-    :func:`pinned_ground_state`.  A spectral gap below ``gap_tolerance``
-    raises a DegenerateGroundStateWarning.
+    :func:`pinned_ground_state`.  A spectral gap below
+    :data:`GAP_TOLERANCE` raises a DegenerateGroundStateWarning.  Too many
+    links to embed are refused before the eigensolve, unless the sector is
+    too large for it, which refuses first.
     """
-    energy, coords = _sector_eigh(model, sector, gap_tolerance)
+    if sector.dim <= _MAX_DENSE_DIM:
+        _refuse_embedding(sector.n_links)
+    energy, coords = _sector_eigh(model, sector)
     amps = embed_sector_coords(sector, coords)
     # np.argmax(np.abs(amps)): the first piece holding the largest, then
     # its first index
@@ -535,8 +533,8 @@ def sector_gauge_violation(model: Z2Model, sector: PhysicalSector,
     """
     probs = np.abs(np.asarray(coords)) ** 2
     worst = 0.0
-    for v in range(model.lattice.n_vertices):
-        smask = np.uint64(_link_mask(model.lattice.star(v)))
+    for star in model.lattice.star_masks:
+        smask = np.uint64(star)
         signs = 1.0 - 2.0 * (np.bitwise_count(sector.masks & smask) & 1)
         worst = max(worst, abs(1.0 - float(probs @ signs)))
     return worst

@@ -13,6 +13,7 @@ model; sigma_3 is its own inverse.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 Cell = tuple[int, int]
@@ -22,21 +23,28 @@ CROSS_CELLS: tuple[Cell, ...] = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 
 @dataclass(frozen=True)
 class Lattice:
-    """Immutable lattice graph; safe for unrestricted concurrent reads."""
+    """Immutable lattice graph; safe for unrestricted concurrent reads.
+
+    ``star_masks[v]``, the XOR of the bits of the links in ``stars[v]``,
+    is the Gauss law at v for every layer (a self-loop cancels)."""
 
     n_vertices: int
     links: tuple[tuple[int, int], ...]
     plaquettes: tuple[tuple[int, int, int, int], ...]
     stars: tuple[tuple[int, ...], ...] = field(init=False)
+    star_masks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         stars: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        masks = [0] * self.n_vertices
         for li, (a, b) in enumerate(self.links):
             for v in (a, b):
                 if 0 <= v < self.n_vertices:
                     stars[v].append(li)
+                    masks[v] ^= 1 << li
         object.__setattr__(self, "stars",
                            tuple(tuple(s) for s in stars))
+        object.__setattr__(self, "star_masks", tuple(masks))
 
     @property
     def n_links(self) -> int:
@@ -118,6 +126,30 @@ def build_cross() -> Lattice:
     sector has dimension 2**(16 - 12 + 1) = 32.
     """
     return _build_from_cells(list(CROSS_CELLS))
+
+
+def boundary_walk(lattice: Lattice) -> list[int]:
+    """The links in exactly one plaquette, in the order a walk meets them:
+    from the lowest-numbered one, first endpoint to second, around to the
+    start (on a rect lattice, counterclockwise from the bottom-left
+    corner).  Raises ValueError unless they form one simple cycle."""
+    count = Counter(li for plaq in lattice.plaquettes for li in plaq)
+    edge = sorted(li for li, c in count.items() if c == 1)
+    at: dict[int, list[int]] = {}
+    for li in edge:
+        for v in lattice.links[li]:
+            at.setdefault(v, []).append(li)
+    walk = edge[:1]
+    if walk and all(len(ends) == 2 for ends in at.values()):
+        start, v = lattice.links[walk[0]]
+        while v != start:
+            a, b = at[v]
+            walk.append(b if a == walk[-1] else a)
+            x, y = lattice.links[walk[-1]]
+            v = y if x == v else x
+        if len(walk) == len(edge):
+            return walk
+    raise ValueError("the lattice boundary is not one simple cycle")
 
 
 def validate(lattice: Lattice) -> list[str]:

@@ -66,20 +66,14 @@ class LoopProgram:
     def __init__(self, steps):
         object.__setattr__(self, "steps", tuple(steps))
 
-    def total_time(self) -> float:
-        return sum(s.tau for s in self.steps if isinstance(s, Temporal))
-
     def n_temporal(self) -> int:
         return sum(1 for s in self.steps if isinstance(s, Temporal))
 
 
 def _is_even_subgraph(lattice: Lattice, links: set[int]) -> bool:
-    deg = [0] * lattice.n_vertices
-    for li in links:
-        a, b = lattice.links[li]
-        deg[a] += 1
-        deg[b] += 1
-    return all(d % 2 == 0 for d in deg)
+    mask = sum(1 << li for li in links)
+    return not any((mask & star).bit_count() & 1
+                   for star in lattice.star_masks)
 
 
 def _is_contiguous_chain(lattice: Lattice, links: tuple[int, ...]) -> bool:

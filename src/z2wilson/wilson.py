@@ -27,7 +27,7 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        Measure, PauliExp, PauliString, ResetAncilla,
                        block_bit_probability, run_blocks)
 from .gauge import PhysicalSector, SectorMoves, Z2Model, exact_evolve_in_sector
-from .lattice import Lattice, _odd_links
+from .lattice import Lattice, _odd_links, boundary_walk
 from .programs import LoopProgram, ProgramError, Spatial
 
 HALF_PI = np.pi / 2
@@ -40,11 +40,6 @@ HALF_PI = np.pi / 2
 def _spatial_string(links) -> PauliString:
     """Z product over a chain; links traversed twice cancel (Z**2 = I)."""
     return PauliString({li: "Z" for li in _odd_links(links)})
-
-
-def plaquette_string(lattice: Lattice, plaq_index: int) -> PauliString:
-    """Z Z Z Z on the four links of a plaquette."""
-    return PauliString({li: "Z" for li in lattice.plaquettes[plaq_index]})
 
 
 def trotter_strings(model: Z2Model, n_T: int, tau: float,
@@ -70,8 +65,7 @@ def trotter_strings(model: Z2Model, n_T: int, tau: float,
         return out
 
     def magnetic() -> list[tuple[PauliString, float]]:
-        return [(plaquette_string(lat, pi), mag)
-                for pi in range(lat.n_plaquettes)]
+        return [(_spatial_string(plaq), mag) for plaq in lat.plaquettes]
 
     gates: list[tuple[PauliString, float]] = []
     gates += electric(half)
@@ -97,9 +91,7 @@ def spatial_loop_via_ancilla(circuit: Circuit, links, ancilla: int) -> None:
     links = list(links)
     if ancilla < circuit.n_link_qubits:
         raise CircuitError("ancilla index lies in the link register")
-    for li in links:
-        circuit.add(ControlledPauliExp(ancilla, "x-",
-                                       PauliString({li: "Z"}), HALF_PI))
+    _v_chain(circuit, ancilla, links, HALF_PI)
     r = len(links) % 4
     if r:
         circuit.add(PauliExp(PauliString({ancilla: "X"}), r * np.pi / 4))
@@ -149,17 +141,19 @@ def plaquette_exp_via_ancilla(circuit: Circuit, lattice: Lattice, links,
                 PauliExp(PauliString({ancilla: "Z"}), -theta))
 
 
-def _v_sandwich(circuit: Circuit, ancilla: int, links, middle: Gate) -> None:
-    """V_links, the middle gate, then V_links^dag: one "x-" controlled Z
-    exponential of angle pi/2 per link on the ancilla, and the same chain
-    reversed at -pi/2."""
+def _v_chain(circuit: Circuit, ancilla: int, links, theta: float) -> None:
+    """One "x-" controlled Z exponential of angle theta per link, in order."""
     for li in links:
         circuit.add(ControlledPauliExp(ancilla, "x-",
-                                       PauliString({li: "Z"}), HALF_PI))
+                                       PauliString({li: "Z"}), theta))
+
+
+def _v_sandwich(circuit: Circuit, ancilla: int, links, middle: Gate) -> None:
+    """V_links, the middle gate, then V_links^dag: the V-chain at pi/2, and
+    the same chain reversed at -pi/2."""
+    _v_chain(circuit, ancilla, links, HALF_PI)
     circuit.add(middle)
-    for li in reversed(links):
-        circuit.add(ControlledPauliExp(ancilla, "x-",
-                                       PauliString({li: "Z"}), -HALF_PI))
+    _v_chain(circuit, ancilla, reversed(links), -HALF_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +232,24 @@ def hop_strings(src: int, link: int, dest: int) -> list[tuple[PauliString, float
 
 
 def link_wilson_line(circuit: Circuit, lattice: Lattice, path,
-                     matter_map: dict[int, int] | None = None) -> dict[int, int]:
+                     matter_map: dict[int, int]) -> None:
     """Transport the matter excitation along the path, depositing sigma_3.
 
-    Matter qubits are assigned to path positions ping-pong fashion (two
-    registers suffice: a hop empties its source, which becomes the next
-    destination).  ``matter_map`` maps path positions to qubits; with None,
-    two matter qubits are allocated, head spin-up.  The head position must
-    hold the excitation and every other listed register must be empty
-    (spin-down) on entry.  Records one -i phase per hop in the circuit
-    phase log.  Returns the position -> qubit assignment used.
+    ``matter_map`` maps path positions to matter qubits; two registers
+    used ping-pong fashion suffice, since a hop empties its source, which
+    becomes the next destination.  The head position must hold the
+    excitation and every other listed register must be empty (spin-down)
+    on entry.  Records one -i phase per hop in the circuit phase log.
     """
     path = list(path)
     verts = _vertex_sequence(lattice, path)
-    if matter_map is None:
-        m0 = circuit.alloc_ancilla(initial_bit=0)
-        m1 = circuit.alloc_ancilla(initial_bit=1)
-        pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(len(verts))}
-    else:
-        pos_map = dict(matter_map)
-        if any(p not in pos_map for p in range(len(verts))):
-            raise ProgramError("matter_map must cover every path position")
+    if any(p not in matter_map for p in range(len(verts))):
+        raise ProgramError("matter_map must cover every path position")
     for k, link in enumerate(path):
-        src, dest = pos_map[k], pos_map[k + 1]
+        src, dest = matter_map[k], matter_map[k + 1]
         for string, theta in hop_strings(src, link, dest):
             circuit.add(PauliExp(string, theta))
         circuit.log_phase(f"hop link {link}", -1j)
-    return pos_map
 
 
 def closure_strings(head: int, tail: int, mediator: int
@@ -322,7 +307,7 @@ def link_loop_circuit(lattice: Lattice, loop_links) -> Circuit:
         circuit.add(PauliExp(string, theta))
     circuit.log_phase("opening", -1j)
     pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(len(verts))}
-    link_wilson_line(circuit, lattice, path, matter_map=pos_map)
+    link_wilson_line(circuit, lattice, path, pos_map)
     link_loop_closure(circuit, m0, m1, med)
     return circuit
 
@@ -445,26 +430,7 @@ def trotterized_program_circuit(model: Z2Model, program: LoopProgram,
 # gate-count scaling circuits
 # ---------------------------------------------------------------------------
 
-def rect_perimeter_links(lattice: Lattice, width: int, height: int
-                         ) -> list[int]:
-    """Ordered boundary cycle of a width x height plaquette grid."""
-    def hid(x, y):
-        per_row = 2 * width + 1
-        return y * per_row + x
-
-    def vid(x, y):
-        per_row = 2 * width + 1
-        return y * per_row + width + x
-
-    out = [hid(x, 0) for x in range(width)]
-    out += [vid(width, y) for y in range(height)]
-    out += [hid(x, height) for x in reversed(range(width))]
-    out += [vid(0, y) for y in reversed(range(height))]
-    return out
-
-
-def rect_loop_plaquette_circuit(lattice: Lattice, width: int, height: int
-                                ) -> Circuit:
+def rect_loop_plaquette_circuit(lattice: Lattice) -> Circuit:
     """Perimeter loop as the product of all enclosed plaquette V-chains.
 
     One ancilla is prepared in |-> and shared by every enclosed plaquette
@@ -482,8 +448,6 @@ def rect_loop_plaquette_circuit(lattice: Lattice, width: int, height: int
     return circuit
 
 
-def rect_loop_link_circuit(lattice: Lattice, width: int, height: int
-                           ) -> Circuit:
-    """Perimeter loop via matter transport: gate count linear in the length."""
-    return link_loop_circuit(lattice, rect_perimeter_links(lattice, width,
-                                                           height))
+def rect_loop_link_circuit(lattice: Lattice) -> Circuit:
+    """Boundary loop via matter transport: gate count linear in the length."""
+    return link_loop_circuit(lattice, boundary_walk(lattice))

@@ -1,0 +1,161 @@
+"""Mutation catalogue: one-line faults that the Tier-1 suite must catch.
+
+Each entry replaces one exact text, which must occur exactly once in its
+file, in a temporary copy of ``src``, ``tests`` and ``pyproject.toml``,
+and runs the Tier-1 suite there with ``-x``.  A mutant is killed when the
+suite fails; the first failing test is reported.  A survivor fails the
+run unless its entry is marked equivalent, with the reason.
+
+    python3 tests/mutants.py
+
+Exit status: 0 when every mutant is killed or marked equivalent, 1 when
+one survives, 2 when an entry's text does not occur exactly once (the
+catalogue no longer matches the code).  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str               # relative to the repository root
+    old: str
+    new: str
+    why: str
+    equivalent: str = ""    # reason the change cannot alter behaviour
+
+
+CATALOGUE = [
+    Mutant("trotter-theta-sign", "src/z2wilson/trotter.py",
+           "theta = model.lam * step.tau / n_T",
+           "theta = -model.lam * step.tau / n_T",
+           "the sector Trotter band's plaquette angle with the wrong sign"),
+    Mutant("strang-last-half-full", "src/z2wilson/trotter.py",
+           "np.multiply(half if k == n_T - 1 else full, w, w)",
+           "np.multiply(full, w, w)",
+           "the closing electric half-step of the Strang product made a "
+           "full step"),
+    Mutant("gate-list-magnetic-sign", "src/z2wilson/wilson.py",
+           "mag = model.lam * tau / n_T",
+           "mag = -model.lam * tau / n_T",
+           "the gate list's plaquette angle with the wrong sign: the "
+           "circuit route no longer runs the sector route's product"),
+    Mutant("gs-fidelity-real-part", "src/z2wilson/trotter.py",
+           "return float(abs(np.vdot(w_exact @ psi, w_trot @ psi)))",
+           "return float(np.vdot(w_exact @ psi, w_trot @ psi).real)",
+           "the state fidelity as a real part, not the paper's modulus"),
+    Mutant("op-fidelity-real-part", "src/z2wilson/trotter.py",
+           "return float(abs(np.trace(w_exact.conj().T @ w_trot)) "
+           "/ len(w_exact))",
+           "return float(np.trace(w_exact.conj().T @ w_trot).real "
+           "/ len(w_exact))",
+           "the operator fidelity as a real part, not the paper's modulus"),
+    Mutant("fit-stderr-dof", "src/z2wilson/trotter.py",
+           "s2 = float(np.sum(resid ** 2) / max(m - 2, 1))",
+           "s2 = float(np.sum(resid ** 2) / m)",
+           "the fit's standard error with m degrees of freedom, not m - 2; "
+           "only the sweep golden digests pin it"),
+    Mutant("fit-min-rows", "src/z2wilson/trotter.py",
+           "if len(kept) < 3:",
+           "if len(kept) < 2:",
+           "a power law fitted through two rows, which leaves no residual"),
+    Mutant("fit-floor-1e-11", "src/z2wilson/trotter.py",
+           "INFIDELITY_FLOOR = 1e-13",
+           "INFIDELITY_FLOOR = 1e-11",
+           "a fit floor that drops rows the n_T^-4 law still holds for"),
+    Mutant("fit-floor-1e-15", "src/z2wilson/trotter.py",
+           "INFIDELITY_FLOOR = 1e-13",
+           "INFIDELITY_FLOOR = 1e-15",
+           "a fit floor that keeps rows at the rounding level"),
+    Mutant("moved-charges-parity", "src/z2wilson/gauge.py",
+           "return tuple(-q if (mask & star).bit_count() & 1 else q",
+           "return tuple(q if (mask & star).bit_count() & 1 else -q",
+           "sigma_3 moves to the charge sector of the opposite star parity"),
+    Mutant("boundary-walk-reversed", "src/z2wilson/lattice.py",
+           "start, v = lattice.links[walk[0]]",
+           "v, start = lattice.links[walk[0]]",
+           "the boundary walked clockwise, from the other endpoint of its "
+           "first link: the link-loop export changes order"),
+]
+
+_FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def _copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def run_mutant(copy: str, mutant: Mutant) -> tuple[bool, str, float]:
+    """(killed, first failing test, seconds) of one mutant in ``copy``,
+    whose file is restored afterwards."""
+    path = os.path.join(copy, mutant.path)
+    with open(path) as fh:
+        original = fh.read()
+    with open(path, "w") as fh:
+        fh.write(original.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    start = time.monotonic()
+    try:
+        proc = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True,
+                              text=True)
+    finally:
+        with open(path, "w") as fh:
+            fh.write(original)
+    seconds = time.monotonic() - start
+    found = _FIRST_FAILURE.search(proc.stdout)
+    return proc.returncode != 0, found.group(2) if found else "", seconds
+
+
+def main() -> int:
+    stale = []
+    for m in CATALOGUE:
+        with open(os.path.join(ROOT, m.path)) as fh:
+            count = fh.read().count(m.old)
+        if count != 1:
+            stale.append(f"{m.name}: {m.path} holds its text {count} times")
+    if stale:
+        print("catalogue does not match the code:\n  " + "\n  ".join(stale))
+        return 2
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="z2w-mutants-") as copy:
+        _copy_tree(copy)
+        for m in CATALOGUE:
+            killed, first, seconds = run_mutant(copy, m)
+            if killed:
+                print(f"killed    {m.name} ({seconds:.1f} s) by "
+                      f"{first or 'a failing run'}", flush=True)
+            elif m.equivalent:
+                print(f"survived  {m.name} ({seconds:.1f} s), equivalent: "
+                      f"{m.equivalent}", flush=True)
+            else:
+                print(f"SURVIVED  {m.name} ({seconds:.1f} s): {m.why}",
+                      flush=True)
+                survivors.append(m.name)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(CATALOGUE)} mutants killed or equivalent")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

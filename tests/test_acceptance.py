@@ -290,9 +290,9 @@ def test_criterion_8_gate_count_scaling():
     for k in (1, 2, 3, 4):
         lat = build_rect(k, k)
         plaq_counts.append(
-            circuit_stats(rect_loop_plaquette_circuit(lat, k, k))["total"])
+            circuit_stats(rect_loop_plaquette_circuit(lat))["total"])
         link_counts.append(
-            circuit_stats(rect_loop_link_circuit(lat, k, k))["total"])
+            circuit_stats(rect_loop_link_circuit(lat))["total"])
         Ls.append(4 * k)
     L = np.array(Ls, dtype=float)
     quad = np.vstack([L ** 2, L, np.ones_like(L)]).T

@@ -141,7 +141,7 @@ class TestGroundState:
         solver = "ground_state" if command == "sweep" else "sector_ground_state"
         real = getattr(gauge_mod, solver)
 
-        def warn_and_solve(model, sector, gap_tolerance=1e-10):
+        def warn_and_solve(model, sector):
             _w.warn("forced", DegenerateGroundStateWarning)
             return real(model, sector)
 
@@ -228,6 +228,33 @@ class TestSweep:
             _, fop, fgs = row.split(",")
             assert float(fop) == pytest.approx(1.0, abs=1e-12)
             assert float(fgs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("size, plaquette, err", [
+        ("5x2", "0 6 11 5", "full-space embedding needs 2**27 amplitudes; "
+         "the full-space routes are limited to 26 links"),
+        ("4x3", "0 5 9 4", "full-space embedding needs 2**31 amplitudes; "
+         "the full-space routes are limited to 26 links"),
+        # too large for the dense eigensolve too: that refusal comes first
+        ("5x3", "0 6 11 5", "sector dimension 32768 exceeds the "
+         "dense-matrix limit 4096"),
+    ], ids=["rect5x2", "rect4x3", "rect5x3"])
+    def test_embedding_cap_refused_before_eigensolve(
+            self, capsys, monkeypatch, tmp_path, size, plaquette, err):
+        # sweep's pinned state is a full-space vector; above 26 links it is
+        # refused before the eigensolve, with the refusal it always gave
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh ran before the refusal")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        # plaquette 0 (bottom, right, top, left), then a band that cuts
+        # its side links
+        _, right, _, left = plaquette.split()
+        prog = tmp_path / "one.prog"
+        prog.write_text(f"SPATIAL {plaquette}\nTEMPORAL 0.5 {left} {right}\n")
+        code, out, stderr = run_main(capsys, "sweep", "--lattice",
+                                     f"rect:{size}", "--program", str(prog),
+                                     "--nt", "8,16,32")
+        assert (code, out, stderr) == (EXIT_CONFIG, "", f"error: {err}\n")
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

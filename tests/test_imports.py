@@ -136,6 +136,17 @@ def test_exports_are_the_defining_modules_objects():
     assert set(z2wilson.__all__) <= set(dir(z2wilson))
 
 
+def test_full_space_names_not_exported():
+    # the full-space reference routes are imported from z2wilson.statevec
+    import z2wilson.statevec as statevec
+    own = {name for name, obj in vars(statevec).items()
+           if getattr(obj, "__module__", None) == "z2wilson.statevec"}
+    assert "run_circuit" in own and "StateVector" in own
+    assert not own & set(z2wilson.__all__)
+    assert "ground_state" not in z2wilson.__all__
+    assert z2wilson.statevec is statevec
+
+
 def test_unknown_attribute():
     with pytest.raises(AttributeError, match="no_such_name"):
         z2wilson.no_such_name

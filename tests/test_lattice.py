@@ -2,9 +2,10 @@
 
 import pytest
 
+from z2wilson.gauge import _link_mask
 from z2wilson.lattice import (CROSS_CELLS, Lattice, _build_from_cells,
-                              build_cross, build_rect, lattice_from_text,
-                              lattice_to_text, validate)
+                              boundary_walk, build_cross, build_rect,
+                              lattice_from_text, lattice_to_text, validate)
 
 
 def plus_pentomino_reference():
@@ -101,6 +102,69 @@ class TestBuildRect:
                     == lattice_to_text(_build_from_cells(list(cells))))
         lat = _build_from_cells([(0, -1), (0, 0)])
         assert lattice_to_text(lat) == lattice_to_text(build_rect(1, 2))
+
+
+class TestStarMasks:
+    @pytest.mark.parametrize("lat", [build_cross()] + [
+        build_rect(w, h) for w in range(1, 5) for h in range(1, 4)],
+        ids=["cross"] + [f"rect{w}x{h}" for w in range(1, 5)
+                         for h in range(1, 4)])
+    def test_masks_are_the_stars_link_masks(self, lat):
+        assert lat.star_masks == tuple(_link_mask(lat.star(v))
+                                       for v in range(lat.n_vertices))
+
+    def test_self_loop_cancels(self):
+        lat = Lattice(2, ((0, 1), (1, 1)), ())
+        assert lat.stars == ((0,), (0, 1, 1))
+        assert lat.star_masks == (0b1, 0b1)
+
+
+def rect_perimeter_formula(width, height):
+    """Boundary of rect:WxH from the link numbering's closed form (per row
+    of 2W + 1 links: W horizontal, then W + 1 vertical), counterclockwise
+    from link 0: the reference the walk must reproduce."""
+    def hid(x, y):
+        return y * (2 * width + 1) + x
+
+    def vid(x, y):
+        return y * (2 * width + 1) + width + x
+
+    out = [hid(x, 0) for x in range(width)]
+    out += [vid(width, y) for y in range(height)]
+    out += [hid(x, height) for x in reversed(range(width))]
+    out += [vid(0, y) for y in reversed(range(height))]
+    return out
+
+
+class TestBoundaryWalk:
+    def test_rect_matches_perimeter_formula(self):
+        for w in range(1, 8):
+            for h in range(1, 8):
+                assert boundary_walk(build_rect(w, h)) == \
+                    rect_perimeter_formula(w, h), (w, h)
+
+    def test_cross_is_one_closed_walk(self):
+        lat = build_cross()
+        walk = boundary_walk(lat)
+        assert len(walk) == 12 and walk[0] == 0
+        # consecutive links share a vertex, the last closing on the first
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            assert set(lat.links[a]) & set(lat.links[b])
+        in_one = [li for li in range(lat.n_links)
+                  if sum(li in p for p in lat.plaquettes) == 1]
+        assert sorted(walk) == in_one
+
+    @pytest.mark.parametrize("cells", [
+        [(0, 0), (1, 1)],                                    # corner only
+        [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)],
+    ], ids=["corner", "ring"])
+    def test_not_one_simple_cycle(self, cells):
+        with pytest.raises(ValueError, match="not one simple cycle"):
+            boundary_walk(_build_from_cells(cells))
+
+    def test_no_plaquettes(self):
+        with pytest.raises(ValueError, match="not one simple cycle"):
+            boundary_walk(Lattice(2, ((0, 1),), ()))
 
 
 class TestValidate:

@@ -129,7 +129,7 @@ def test_run_blocks_reads_the_same_outcomes():
     lattice = build_rect(2, 2)
     model = Z2Model(lattice, 1.0)
     sector = build_physical_sector(model)
-    circuit = rect_loop_link_circuit(lattice, 2, 2)
+    circuit = rect_loop_link_circuit(lattice)
     mediator = circuit.gates[-1].qubit
     assert circuit.gates[-1] == Measure(mediator)
     circuit.gates.insert(-1, PauliExp(PauliString({mediator: "X"}), 0.6))

@@ -1,11 +1,14 @@
 """Loop programs: step types, validation rules, text format, the builtin."""
 
+import random
+
 import pytest
 
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
-                               program_from_text, program_to_text,
-                               staircase_default, validate_program)
+                               _is_even_subgraph, program_from_text,
+                               program_to_text, staircase_default,
+                               validate_program)
 
 
 class TestSteps:
@@ -28,14 +31,40 @@ class TestSteps:
         with pytest.raises(ProgramError, match="tau must be finite"):
             program_from_text(f"EVOLVE {tau}\n")
 
-    def test_program_total_time(self):
+    def test_program_taus_and_temporal_count(self):
         prog = LoopProgram([Spatial([0]), Temporal(1.0, {0}),
                             Temporal(0.5, ())])
-        assert prog.total_time() == 1.5
+        assert sum(s.tau for s in prog.steps
+                   if isinstance(s, Temporal)) == 1.5
         assert prog.n_temporal() == 2
 
 
 class TestValidation:
+    @pytest.mark.parametrize("lat", [build_cross(), build_rect(3, 2),
+                                     build_rect(4, 3)],
+                             ids=["cross", "rect3x2", "rect4x3"])
+    def test_closure_check_equals_vertex_degrees(self, lat):
+        def even_degrees(links):
+            deg = [0] * lat.n_vertices
+            for li in links:
+                a, b = lat.links[li]
+                deg[a] += 1
+                deg[b] += 1
+            return all(d % 2 == 0 for d in deg)
+
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(200):
+            if rng.random() < 0.5:      # a closed cycle: XOR of plaquettes
+                links = set()
+                for plaq in rng.sample(lat.plaquettes, rng.randint(1, 3)):
+                    links ^= set(plaq)
+            else:
+                links = {li for li in range(lat.n_links) if rng.random() < .5}
+            assert _is_even_subgraph(lat, links) == even_degrees(links)
+            seen.add(even_degrees(links))
+        assert seen == {True, False}
+
     def test_staircase_default_has_no_errors(self):
         lat = build_cross()
         diags = validate_program(lat, staircase_default())
@@ -105,7 +134,8 @@ class TestStaircaseDefault:
 
     def test_tau_parameter(self):
         prog = staircase_default(0.25)
-        assert prog.total_time() == 0.5
+        assert [s.tau for s in prog.steps if isinstance(s, Temporal)] == \
+            [0.25, 0.25]
 
 
 class TestTextFormat:

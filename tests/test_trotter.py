@@ -380,6 +380,19 @@ class TestFitPowerLaw:
         assert fit.exponent == pytest.approx(np.log(1e-4 / 1e-2)
                                              / np.log(8 / 2), rel=1e-6)
 
+    def test_floor_is_1e_13(self):
+        # a row between 1e-13 and 1e-11 is kept (without it fewer than
+        # three rows remain); the row at exactly 1e-13 is dropped, alone
+        # among the rows with a warning
+        rows = [(10, 1e-4), (100, 1e-8), (1000, 1e-12), (10000, 1e-13)]
+        with pytest.warns(UserWarning) as caught:
+            fit = fit_power_law(rows)
+        assert [str(w.message) for w in caught] == [
+            "infidelity 1.000e-13 at n_T=10000 is below the numerical floor "
+            "1e-13; row excluded from fit"]
+        assert fit.exponent == pytest.approx(-4.0, abs=1e-9)
+        assert fit.prefactor == pytest.approx(1.0, rel=1e-8)
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             fit_power_law([(2, 0.1), (4, 0.01)])

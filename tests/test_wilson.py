@@ -15,7 +15,7 @@ from z2wilson.circuits import (Circuit, CircuitError, Measure,
 from z2wilson.gauge import (Z2Model, build_physical_sector,
                             embed_sector_coords, project_to_sector,
                             unitarity_error)
-from z2wilson.lattice import build_rect
+from z2wilson.lattice import boundary_walk, build_rect
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
                                staircase_default)
 from z2wilson.statevec import (PauliString, StateVector, apply_pauli_exp,
@@ -30,7 +30,7 @@ from z2wilson.wilson import (closure_strings,
                              link_wilson_line, plaquette_exp_via_ancilla,
                              prepare_minus, prepare_plus,
                              rect_loop_link_circuit,
-                             rect_loop_plaquette_circuit, rect_perimeter_links,
+                             rect_loop_plaquette_circuit,
                              sample_p_plus, spatial_loop_via_ancilla,
                              temporal_plaquette_exact,
                              trotterized_program_circuit)
@@ -317,12 +317,14 @@ class TestLinkWilsonLine:
             loop = lat.plaquettes[pi]
             psi = random_physical_state(sector, rng)
             circ = Circuit(lat.n_links)
-            pos_map = link_wilson_line(circ, lat, loop)
+            m0 = circ.alloc_ancilla(initial_bit=0)      # head: spin-up
+            m1 = circ.alloc_ancilla(initial_bit=1)
+            link_wilson_line(circ, lat, loop,
+                             {p: (m0, m1)[p % 2] for p in range(5)})
             out, _ = run_circuit(circ, psi.copy())
             direct = psi.copy()
             spatial_loop_direct(direct, loop)
             # matter returns to initial pattern: head up, partner down
-            m0, m1 = pos_map[0], pos_map[1]
             blk = link_register_block(out, circ, {m0: 0, m1: 1})
             ov = np.vdot(direct.amps, blk)
             assert abs(abs(ov) - 1) < 1e-12
@@ -332,8 +334,9 @@ class TestLinkWilsonLine:
     def test_non_contiguous_path_rejected(self, rect21):
         lat, _, _ = rect21
         circ = Circuit(lat.n_links)
-        with pytest.raises(ProgramError):
-            link_wilson_line(circ, lat, [0, 6])
+        m0, m1 = circ.alloc_ancilla(0), circ.alloc_ancilla(1)
+        with pytest.raises(ProgramError, match="contiguous"):
+            link_wilson_line(circ, lat, [0, 6], {0: m0, 1: m1, 2: m0})
 
 
 class TestLinkLoopClosure:
@@ -544,9 +547,9 @@ class TestGateCountScaling:
         for k in (1, 2, 3, 4):
             lat = build_rect(k, k)
             plaq_counts.append(
-                circuit_stats(rect_loop_plaquette_circuit(lat, k, k))["total"])
+                circuit_stats(rect_loop_plaquette_circuit(lat))["total"])
             link_counts.append(
-                circuit_stats(rect_loop_link_circuit(lat, k, k))["total"])
+                circuit_stats(rect_loop_link_circuit(lat))["total"])
             Ls.append(4 * k)
         L = np.array(Ls, dtype=float)
         a_quad = np.vstack([L ** 2, L, np.ones_like(L)]).T
@@ -564,7 +567,7 @@ class TestGateCountScaling:
     def test_perimeter_links_form_cycle(self):
         for k in (1, 2, 3):
             lat = build_rect(k, k)
-            links = rect_perimeter_links(lat, k, k)
+            links = boundary_walk(lat)
             assert len(links) == 4 * k
             deg = {}
             for li in links:
@@ -579,10 +582,10 @@ class TestGateCountScaling:
         sector = build_physical_sector(model)
         rng = np.random.default_rng(17)
         psi = random_physical_state(sector, rng)
-        circ = rect_loop_plaquette_circuit(lat, 2, 2)
+        circ = rect_loop_plaquette_circuit(lat)
         out, _ = run_circuit(circ, psi.copy())
         a = next(iter(circ.ancilla_init))
         blk = link_register_block(out, circ, {a: 0})
         direct = psi.copy()
-        spatial_loop_direct(direct, rect_perimeter_links(lat, 2, 2))
+        spatial_loop_direct(direct, boundary_walk(lat))
         assert abs(abs(np.vdot(direct.amps, blk)) - 1) < 1e-11
