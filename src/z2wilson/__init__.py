@@ -44,7 +44,7 @@ _EXPORTS = {
               "exact_evolve_in_sector", "hamiltonian_in_sector",
               "sector_basis_dump", "sector_gauge_violation",
               "sector_ground_state", "spatial_loop_in_sector",
-              "spectral_bound", "unitarity_error", "xor_perm"),
+              "spectral_bound", "unitarity_error"),
     "programs": ("LoopProgram", "ProgramError", "Spatial", "Temporal",
                  "program_from_text", "program_to_text", "staircase_default",
                  "validate_program"),

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gauge import PhysicalSector, SectorMoves, Z2Model
+from .gauge import PhysicalSector, SectorMoves, Z2Model, flipped
 from .lattice import Lattice
 
 # axis -> (x bit) | (z bit) << 1, and back
@@ -317,19 +317,19 @@ class _BlockRun:
         return self.strings[p]
 
     def act(self, state: Blocks, p: PauliString) -> Blocks:
-        """P applied to every block (exact: a gather and unit factors)."""
+        """P applied to every block (exact: a row flip, gathers and signs)."""
         flip, sign, src, fac = self.string(p)
         out = {}
         for key, blk in state.items():
             if (key, p) not in self.moves:
                 sec = self.sector_moves.sector(key)
-                dst, perm = (self.sector_moves.move(sec, flip) if flip
-                             else (sec, None))
+                dst, k = (self.sector_moves.flip(sec, flip) if flip
+                          else (sec, 0))
                 rows = (1.0 - 2.0 * (np.bitwise_count(
                     dst.masks & np.uint64(sign)) & 1) if sign else None)
-                self.moves[key, p] = dst.charges, perm, rows
-            dst, perm, rows = self.moves[key, p]
-            v = blk if perm is None else blk[perm]
+                self.moves[key, p] = dst.charges, k, rows
+            dst, k, rows = self.moves[key, p]
+            v = flipped(blk, k).reshape(blk.shape) if k else blk
             if src is not None:
                 v = v[:, src]
             if rows is not None:

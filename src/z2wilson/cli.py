@@ -160,23 +160,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _rect_size(spec: str) -> tuple[int, int] | None:
-    """(W, H) of a ``rect:WxH`` lattice spec; None for any other spec."""
-    if not spec.startswith("rect:"):
-        return None
-    try:
-        w, h = (int(p) for p in spec[5:].lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"bad rect spec {spec!r}; use rect:WxH") from exc
-    return w, h
-
-
 def resolve_lattice(cfg: RunConfig) -> Lattice:
     spec = cfg.lattice
     if spec == "cross":
         return build_cross()
-    if size := _rect_size(spec):
-        return build_rect(*size)
+    if spec.startswith("rect:"):
+        try:
+            w, h = (int(p) for p in spec[5:].lower().split("x"))
+        except ValueError as exc:
+            raise ConfigError(f"bad rect spec {spec!r}; use rect:WxH") from exc
+        return build_rect(w, h)
     if os.path.exists(spec):
         with open(spec) as fh:
             try:
@@ -418,8 +411,6 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
         _check_overflow(model, program)
         circuit = trotterized_program_circuit(model, program, n_T)
     elif cfg.kind in ("plaquette-loop", "link-loop"):
-        if _rect_size(cfg.lattice) is None:
-            raise ConfigError(f"{cfg.kind} export needs a rect:WxH lattice")
         build = (rect_loop_plaquette_circuit if cfg.kind == "plaquette-loop"
                  else rect_loop_link_circuit)
         circuit = build(lat)

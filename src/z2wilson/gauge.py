@@ -13,16 +13,16 @@ particular solution shifted by the cycle space of the lattice graph.  The
 sector is enumerated from a basis of that cycle space, never by scanning
 all 2**L masks, so its cost follows the sector dimension 2**(L-V+1).
 
-The sector is the primary representation.  Its masks are sorted, and a
-mask is looked up by ``searchsorted``: a sigma_3 string or plaquette is
-the XOR permutation :func:`xor_perm` by its link mask, every sigma_1
-term is the diagonal :func:`electric_diag`.  :class:`SectorMoves` alone
-knows which charge sector a string lands in; in its cycle coordinates
-(used by the Trotter loop) every string is the index flip ``i ^ k``, the
-reversed view :func:`flipped` rather than a permutation.  A sector
-operator is a plain dim x dim complex array over the sorted rows (32 x 32
-on the cross).  The ground state, its energy and its Gauss-law check
-are all computed in sector coordinates (:func:`sector_ground_state`,
+The sector is the primary representation.  Its masks are enumerated in
+increasing order, and row i is also the cycle coordinate i: ``masks[0]``
+XOR the cycle basis vectors picked by the bits of i.  So a sigma_3 string
+takes row i to row ``i ^ k``, with k the row that row 0 lands on
+(:meth:`SectorMoves.flip`, the reversed view :func:`flipped` rather than
+a gather), and every sigma_1 term is the diagonal :func:`electric_diag`.
+:class:`SectorMoves` alone knows which charge sector a string lands in.
+A sector operator is a plain dim x dim complex array over these rows
+(32 x 32 on the cross).  The ground state, its energy and its Gauss-law
+check are all computed in sector coordinates (:func:`sector_ground_state`,
 :func:`sector_gauge_violation`).
 
 Embedding into the computational (Z) basis of the full 2**L space is an
@@ -96,14 +96,14 @@ class PhysicalSector:
     """Joint star eigenspace in the electric basis.
 
     ``masks[k]`` is the X-configuration bitmask of sector basis state k.
-    The masks are sorted, so the index of a mask is a ``searchsorted``
-    lookup (see :func:`xor_perm`).  ``charges[v]`` is the star eigenvalue
+    The masks increase with k, and row k is also cycle coordinate k
+    (:func:`build_physical_sector`).  ``charges[v]`` is the star eigenvalue
     at vertex v (all +1 for the physical sector); any admissible pattern
     has dim = 2**(n_links - n_vertices + 1).
     """
 
     n_links: int
-    masks: np.ndarray                    # (dim,) uint64, sorted
+    masks: np.ndarray                    # (dim,) uint64, increasing
     charges: tuple[int, ...]
 
     @property
@@ -117,11 +117,11 @@ def build_physical_sector(model: Z2Model,
 
     Default charges are +1 at every vertex (the Gauss-invariant sector).
     The star parities form a linear system over GF(2); its solutions are
-    one particular mask XOR any element of the cycle space, which is
-    spanned by doubling over a null-space basis and then sorted.  The
-    product of all stars is the identity, so admissible patterns carry an
-    even number of -1 entries; anything else has no solution and is
-    rejected.
+    one particular mask XOR any element of the cycle space, spanned by
+    doubling over a null-space basis in increasing order, with no sort
+    (:func:`_gf2_solve`).  The product of all stars is the identity, so
+    admissible patterns carry an even number of -1 entries; anything else
+    has no solution and is rejected.
     """
     lat = model.lattice
     L = lat.n_links
@@ -144,13 +144,12 @@ def build_physical_sector(model: Z2Model,
     if 1 << expected > _MAX_SECTOR_DIM:
         raise GaugeError(f"sector dimension 2**{expected} exceeds the "
                          f"enumeration limit {_MAX_SECTOR_DIM}")
-    masks = _span(particular, null)
-    masks.sort()
-    return PhysicalSector(L, masks, charges)
+    return PhysicalSector(L, _span(particular, null), charges)
 
 
 def _span(base: int, basis: list[int]) -> np.ndarray:
-    """``base ^ XOR_j (bit j of i) basis[j]`` at position i, by doubling."""
+    """``base ^ XOR_j (bit j of i) basis[j]`` at position i, by doubling:
+    increasing in i on :func:`_gf2_solve`'s output."""
     masks = np.array([base], dtype=np.uint64)
     for b in basis:
         masks = np.concatenate([masks, masks ^ np.uint64(b)])
@@ -160,50 +159,29 @@ def _span(base: int, basis: list[int]) -> np.ndarray:
 class SectorMoves:
     """Which sector a sigma_3 link mask takes a sector to, and how rows map.
 
-    Rows are sorted (:meth:`move`) or in cycle coordinates (:meth:`cycle`,
-    :meth:`flip`): row i of a sector is ``masks[0] ^ XOR_j (bit j of i)
-    b_j``, with one GF(2) cycle basis b_j, solved once, for every sector.
-    Each sector and cycle order is built once, when first asked for.
+    Every sector's rows are its cycle coordinates over one GF(2) cycle
+    basis (:func:`build_physical_sector`), so a string takes row i to row
+    ``i ^ k`` in the target (:meth:`flip`).  Each sector is built once,
+    when first asked for.
     """
 
     def __init__(self, model: Z2Model, sector: PhysicalSector):
-        lat = self.lattice = model.lattice
         self.model = model
         self._sectors = {sector.charges: sector}
-        self._cycles: dict[tuple[int, ...], np.ndarray] = {}
-        self._null = _gf2_solve(lat.star_masks, [0] * lat.n_vertices,
-                                lat.n_links)[1]
 
     def sector(self, charges: tuple[int, ...]) -> PhysicalSector:
         if charges not in self._sectors:
             self._sectors[charges] = build_physical_sector(self.model, charges)
         return self._sectors[charges]
 
-    def move(self, src: PhysicalSector, mask: int
-             ) -> tuple[PhysicalSector, np.ndarray]:
-        """Target sector of sigma_3 on ``mask``, and the sorted-row
-        permutation: row j there is row ``perm[j]`` of ``src``."""
-        dst = self.sector(moved_charges(self.lattice, src.charges, mask))
-        return dst, xor_perm(src.masks, dst.masks, mask)
-
-    def cycle(self, sector: PhysicalSector) -> np.ndarray:
-        """Sorted index of every state of ``sector``, in cycle coordinates."""
-        if sector.charges not in self._cycles:
-            self._cycles[sector.charges] = np.searchsorted(
-                sector.masks, _span(int(sector.masks[0]), self._null))
-        return self._cycles[sector.charges]
-
     def flip(self, src: PhysicalSector, mask: int
              ) -> tuple[PhysicalSector, int]:
-        """Target sector of sigma_3 on ``mask``, and k: row i in ``src``'s
-        cycle coordinates goes to row ``i ^ k`` in the target's.  k is the
-        coordinate of the cycle ``src.masks[0] ^ mask ^ dst.masks[0]``:
-        basis vector j alone holds its lowest set bit (its free variable in
-        :func:`_gf2_solve`), so that bit of the cycle is bit j of k."""
-        dst = self.sector(moved_charges(self.lattice, src.charges, mask))
-        c = int(src.masks[0]) ^ mask ^ int(dst.masks[0])
-        return dst, sum((c >> ((b & -b).bit_length() - 1) & 1) << j
-                        for j, b in enumerate(self._null))
+        """Target sector of sigma_3 on ``mask``, and k: row i of ``src``
+        goes to row ``i ^ k`` of the target, where k is the row that row 0
+        lands on."""
+        dst = self.sector(moved_charges(self.model.lattice, src.charges,
+                                        mask))
+        return dst, _row_of(dst, int(src.masks[0]) ^ mask)
 
 
 def flipped(a: np.ndarray, k: int) -> np.ndarray:
@@ -215,23 +193,15 @@ def flipped(a: np.ndarray, k: int) -> np.ndarray:
                       else slice(None) for ax in range(n_bits))]
 
 
-def xor_perm(src_masks: np.ndarray, dst_masks: np.ndarray,
-             mask: int) -> np.ndarray:
-    """Index in ``src_masks`` of ``m ^ mask`` for every ``m`` in ``dst_masks``.
-
-    ``src_masks`` must be sorted (as every sector's masks are).  The result
-    is the row permutation taking a matrix over the source basis to the
-    destination basis under the sigma_3 product with this link mask.  A
-    missing target means the link set is not a closed cycle between the
-    two sectors, which raises GaugeError.
-    """
-    targets = dst_masks ^ np.uint64(mask)
-    idx = np.searchsorted(src_masks, targets)
-    idx[idx == len(src_masks)] = 0
-    if not np.array_equal(src_masks[idx], targets):
+def _row_of(sector: PhysicalSector, mask: int) -> int:
+    """Row of ``mask`` in ``sector``.  A mask outside it means a sigma_3
+    string is not a closed cycle between the two sectors it was asked to
+    join, which raises GaugeError."""
+    i = int(np.searchsorted(sector.masks, np.uint64(mask)))
+    if i == sector.dim or sector.masks[i] != mask:
         raise GaugeError("link set is not a closed cycle; sigma_3 product "
                          "leaves the sector")
-    return idx
+    return i
 
 
 def _gf2_solve(rows: list[int], rhs: list[int], n_bits: int
@@ -240,7 +210,11 @@ def _gf2_solve(rows: list[int], rhs: list[int], n_bits: int
 
     Returns one solution and a basis of the null space, all as bitmasks
     over ``n_bits``.  Rows are kept in reduced echelon form keyed by their
-    highest set bit; an inconsistent system raises GaugeError.
+    lowest set bit, so every other bit of a row is a free variable above
+    its pivot.  Null vector j then tops out at its own free variable, which
+    no other vector and not the solution holds: :func:`_span` lists the
+    coset in increasing order, and row i is cycle coordinate i.  An
+    inconsistent system raises GaugeError.
     """
     pivots: dict[int, tuple[int, int]] = {}      # pivot bit -> (row, b)
     for row, b in zip(rows, rhs):
@@ -253,7 +227,7 @@ def _gf2_solve(rows: list[int], rhs: list[int], n_bits: int
                     "charge pattern is inconsistent with Gauss's law; each "
                     "connected component needs an even number of -1 charges")
             continue
-        p = row.bit_length() - 1
+        p = (row & -row).bit_length() - 1
         for q, (qrow, qb) in pivots.items():
             if qrow >> p & 1:
                 pivots[q] = (qrow ^ row, qb ^ b)
@@ -360,7 +334,7 @@ def _project_in_place(sector: PhysicalSector, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sector operators: dim x dim complex arrays over the sector's sorted rows
+# sector operators: dim x dim complex arrays over the sector's rows
 # ---------------------------------------------------------------------------
 
 def unitarity_error(u: np.ndarray) -> float:
@@ -388,9 +362,10 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
                          f"limit {_MAX_DENSE_DIM}")
     h = np.diag(electric_diag(model, sector, modified_links
                               ).astype(np.complex128))
+    rows = np.arange(dim)
     for plaq in lat.plaquettes:
-        perm = xor_perm(sector.masks, sector.masks, _link_mask(plaq))
-        h[perm, np.arange(dim)] += -model.lam
+        k = _row_of(sector, int(sector.masks[0]) ^ _link_mask(plaq))
+        h[rows ^ k, rows] += -model.lam
     return h
 
 
@@ -415,13 +390,14 @@ def spatial_loop_in_sector(sector: PhysicalSector, links) -> np.ndarray:
 
     sigma_3 flips the electric label of its link with unit coefficient, so
     this is the XOR permutation by the link mask (a link listed twice
-    cancels).  The link set must have even overlap with every star (a
-    closed cycle); otherwise the product leaves the sector, which is
-    reported as a GaugeError.
+    cancels), the row flip ``i ^ k``.  The link set must have even overlap
+    with every star (a closed cycle); otherwise the product leaves the
+    sector, which is reported as a GaugeError.
     """
-    perm = xor_perm(sector.masks, sector.masks, _link_mask(links))
+    rows = np.arange(sector.dim)
+    k = _row_of(sector, int(sector.masks[0]) ^ _link_mask(links))
     mat = np.zeros((sector.dim, sector.dim), dtype=np.complex128)
-    mat[perm, np.arange(sector.dim)] = 1.0
+    mat[rows ^ k, rows] = 1.0
     return mat
 
 

@@ -9,9 +9,10 @@ with the electric factor an exact product of single-link X rotations
 factor an exact product of four-link ZZZZ exponentials; all terms inside a
 factor commute, so the only approximation is the electric/magnetic split.
 Consecutive electric half-factors inside one evolution are merged.
-This module runs that product as a sector operator, in cycle coordinates,
-where every plaquette and spatial step is an index flip through
-``gauge.flipped``.  The literal gate list (``wilson.trotter_strings``) and
+This module runs that product as a sector operator.  Its rows are the
+sector's cycle coordinates (``gauge.build_physical_sector``), where every
+plaquette and spatial step is an index flip through ``gauge.flipped``.
+The literal gate list (``wilson.trotter_strings``) and
 its full-space run (``statevec.trotter_evolve``,
 ``statevec.trotterized_loop_operator_fullspace``) live elsewhere: this
 module builds no Pauli string and no 2**L register.
@@ -47,21 +48,30 @@ def _check_program(model: Z2Model, program: LoopProgram) -> None:
         raise ProgramError("; ".join(errs))
 
 
-def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
-                        program: LoopProgram) -> np.ndarray:
-    """Oracle W: exact sector product of the program's steps, in sorted
-    rows, so that its products and ``eigh`` calls keep their rounding."""
+def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
+          temporal) -> np.ndarray:
+    """The program's product on ``sector``'s rows: a spatial step is a copy
+    of the index-flip view (:meth:`SectorMoves.flip`), a temporal step in
+    the current sector ``sec`` is ``w = temporal(moves, sec, step, w)``."""
     _check_program(model, program)
     moves = SectorMoves(model, sector)
     w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:
         if isinstance(step, Spatial):
-            sector, perm = moves.move(sector, _link_mask(step.links))
-            w = w[perm, :]
+            sector, k = moves.flip(sector, _link_mask(step.links))
+            w = flipped(w, k).reshape(w.shape)
         else:
-            w = exact_evolve_in_sector(model, sector, step.tau,
-                                       step.modified_links) @ w
+            w = temporal(moves, sector, step, w)
     return w
+
+
+def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
+                        program: LoopProgram) -> np.ndarray:
+    """Oracle W: exact sector product of the program's steps, each
+    temporal step one ``eigh`` evolution."""
+    return _walk(model, sector, program,
+                 lambda moves, sec, step, w: exact_evolve_in_sector(
+                     model, sec, step.tau, step.modified_links) @ w)
 
 
 def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
@@ -73,45 +83,36 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     commutes with the product: the operator is assembled directly in
     sector coordinates, where the electric factor is diagonal and each
     plaquette exponential is cos(theta) I + i sin(theta) (XOR permutation).
-    The rows stay in cycle coordinates for the whole program, one gather
-    in and one out; every spatial step and plaquette is an index flip
-    (:meth:`SectorMoves.flip`, :func:`.gauge.flipped`), not a gather.
-    The result is bit-identical to the gather ``w = c * w + s * w[perm, :]``
-    on sorted rows.  This reproduces the full-space gate circuit matrix
-    (``statevec.trotterized_loop_operator_fullspace``) at dim x dim cost.
+    Every spatial step and plaquette is an index flip (:func:`_walk`,
+    :func:`_trotter_band`), bit-identical to the gather
+    ``w = c * w + s * w[perm, :]``.  This reproduces the full-space gate
+    circuit matrix (``statevec.trotterized_loop_operator_fullspace``) at
+    dim x dim cost.
     """
-    _check_program(model, program)
-    moves = SectorMoves(model, sector)
-    w = np.eye(sector.dim, dtype=np.complex128)[moves.cycle(sector), :]
-    for step in program.steps:
-        if isinstance(step, Spatial):
-            sector, k = moves.flip(sector, _link_mask(step.links))
-            w = flipped(w, k).copy().reshape(w.shape)
-        else:
-            _trotter_band(model, moves, sector, step, n_T, w)
-    return w[np.argsort(moves.cycle(sector)), :]
+    return _walk(model, sector, program,
+                 lambda moves, sec, step, w: _trotter_band(
+                     model, moves, sec, step, n_T, w))
 
 
 def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
-                  step, n_T: int, w: np.ndarray) -> None:
+                  step, n_T: int, w: np.ndarray) -> np.ndarray:
     """Apply one temporal step's Trotter product to ``w`` in place.
 
-    The rows of ``w`` are in ``sec``'s cycle coordinates, where plaquette
-    p maps row i to row ``i ^ k_p`` (:func:`.gauge.flipped`), for any
-    lattice.  Each factor copies its view into one scratch matrix (a copy
-    through negative strides is cheaper than arithmetic through them),
-    then runs three in-place ufunc calls on contiguous matrices; nothing
-    inside the loop allocates.  Row permutations are exact, c = (cos, 0) and
-    s = (0, sin) give one nonzero product per component, and the sum
-    keeps its order, so every entry is bit-identical to the gather
-    ``c * w + s * w[perm, :]``.
+    Plaquette p maps row i of ``sec`` to row ``i ^ k_p``
+    (:func:`.gauge.flipped`), for any lattice.  Each factor copies its
+    view into one scratch matrix (a copy through negative strides is
+    cheaper than arithmetic through them), then runs three in-place ufunc
+    calls on contiguous matrices; nothing inside the loop allocates.  Row
+    permutations are exact, c = (cos, 0) and s = (0, sin) give one nonzero
+    product per component, and the sum keeps its order, so every entry is
+    bit-identical to the gather ``c * w + s * w[perm, :]``.
     """
     views = [flipped(w, moves.flip(sec, _link_mask(plaq))[1])
              for plaq in model.lattice.plaquettes]
     g = np.empty_like(w)
     g_cube = flipped(g, 0)                      # g's cube, as a view
     half = np.exp(-1j * (step.tau / (2 * n_T)) * electric_diag(
-        model, sec, step.modified_links))[moves.cycle(sec), None]
+        model, sec, step.modified_links))[:, None]
     full = half * half
     theta = model.lam * step.tau / n_T
     # the gather's scalars, as 0-d complex128 arrays: a Python complex
@@ -125,6 +126,7 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
             np.multiply(w, c, w)
             np.add(w, g, w)
         np.multiply(half if k == n_T - 1 else full, w, w)
+    return w
 
 
 # ---------------------------------------------------------------------------

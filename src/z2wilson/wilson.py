@@ -180,11 +180,10 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
     """
     if not 0 <= link < model.lattice.n_links:
         raise ValueError(f"link {link} out of range")
-    moves = SectorMoves(model, sector)
-    charged, _ = moves.move(sector, 1 << link)
+    charged, k = SectorMoves(model, sector).flip(sector, 1 << link)
     u_charged = exact_evolve_in_sector(model, charged, tau)
-    _, perm = moves.move(charged, 1 << link)
-    return u_charged[np.ix_(perm, perm)]
+    rows = np.arange(sector.dim) ^ k
+    return u_charged[np.ix_(rows, rows)]
 
 
 # ---------------------------------------------------------------------------

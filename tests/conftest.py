@@ -16,9 +16,8 @@ rounding.
 import numpy as np
 import pytest
 
-from z2wilson.gauge import (SectorMoves, Z2Model, _link_mask,
-                            build_physical_sector, electric_diag,
-                            ground_state, project_to_sector, xor_perm)
+from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
+                            electric_diag, ground_state, project_to_sector)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import Spatial
 from z2wilson.statevec import StateVector
@@ -96,18 +95,36 @@ def wegner_dual_hamiltonian(cells, lam, modified=()):
     return h
 
 
+def searchsorted_perm(src_masks, dst_masks, mask):
+    """Index in the sorted ``src_masks`` of ``m ^ mask`` for every ``m`` in
+    ``dst_masks``: row j of the destination is row ``perm[j]`` of the
+    source under the sigma_3 string ``mask``."""
+    targets = dst_masks ^ np.uint64(mask)
+    perm = np.searchsorted(src_masks, targets)
+    assert np.array_equal(src_masks[perm % len(src_masks)], targets)
+    return perm
+
+
 def gather_loop_operator(model, sector, program, n_T):
     """W_{n_T} in sorted sector rows, one fancy-index gather per factor:
-    w = c * w + s * w[perm, :] for every plaquette of every Trotter step."""
-    moves = SectorMoves(model, sector)
+    w = c * w + s * w[perm, :] for every plaquette of every Trotter step.
+    Each permutation is a ``searchsorted`` over the masks, and a spatial
+    step's target sector is read off the star parities of a moved mask,
+    so nothing here goes through ``gauge.SectorMoves``."""
+    stars = model.lattice.star_masks
     sec = sector
     w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:
         if isinstance(step, Spatial):
-            sec, perm = moves.move(sec, _link_mask(step.links))
-            w = w[perm, :]
+            mask = _link_mask(step.links)
+            moved = int(sec.masks[0]) ^ mask
+            dst = build_physical_sector(model, [
+                -1 if (moved & star).bit_count() & 1 else 1
+                for star in stars])
+            w = w[searchsorted_perm(sec.masks, dst.masks, mask), :]
+            sec = dst
             continue
-        perms = [xor_perm(sec.masks, sec.masks, _link_mask(plaq))
+        perms = [searchsorted_perm(sec.masks, sec.masks, _link_mask(plaq))
                  for plaq in model.lattice.plaquettes]
         half = np.exp(-1j * (step.tau / (2 * n_T)) *
                       electric_diag(model, sec, step.modified_links))

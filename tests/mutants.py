@@ -85,6 +85,21 @@ CATALOGUE = [
            "return tuple(-q if (mask & star).bit_count() & 1 else q",
            "return tuple(q if (mask & star).bit_count() & 1 else -q",
            "sigma_3 moves to the charge sector of the opposite star parity"),
+    Mutant("gf2-pivot-highest-bit", "src/z2wilson/gauge.py",
+           "p = (row & -row).bit_length() - 1",
+           "p = row.bit_length() - 1",
+           "echelon rows keyed by their highest bit: the sector masks are "
+           "no longer listed in increasing order, so a row is no longer "
+           "its cycle coordinate and sigma_3 is no longer the flip i ^ k"),
+    Mutant("row-of-unchecked", "src/z2wilson/gauge.py",
+           "if i == sector.dim or sector.masks[i] != mask:",
+           "if i == sector.dim:",
+           "a mask missing from the sector read as the row it would sort "
+           "into: an open string passes as a closed cycle"),
+    Mutant("band-drops-plaquette", "src/z2wilson/trotter.py",
+           "for plaq in model.lattice.plaquettes]",
+           "for plaq in model.lattice.plaquettes[1:]]",
+           "the sector Trotter band skips one plaquette's exponential"),
     Mutant("boundary-walk-reversed", "src/z2wilson/lattice.py",
            "start, v = lattice.links[walk[0]]",
            "v, start = lattice.links[walk[0]]",

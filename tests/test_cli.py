@@ -15,7 +15,8 @@ from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
                           ConfigError, RunConfig, load_config, main,
                           resolve_lattice)
 from z2wilson.gauge import Z2Model, project_to_sector
-from z2wilson.lattice import build_cross, build_rect, lattice_to_text
+from z2wilson.lattice import (_build_from_cells, build_cross, build_rect,
+                              lattice_to_text)
 from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
                                program_to_text,
                                staircase_default)
@@ -738,9 +739,8 @@ class TestExportCircuit:
         assert err == "error: coupling must be finite, got nan\n"
 
     @pytest.mark.parametrize("kind", ["plaquette-loop", "link-loop"])
-    def test_loop_kinds_need_a_rect(self, capsys, kind):
+    def test_loop_kinds_refuse_bad_lattices(self, capsys, kind):
         for lattice, message in (
-                ("cross", f"{kind} export needs a rect:WxH lattice"),
                 ("rect:2y2", "bad rect spec 'rect:2y2'; use rect:WxH"),
                 ("rect:0x2", "width and height must be >= 1, got 0x2")):
             code, out, err = run_main(capsys, "export-circuit", "--kind",
@@ -748,6 +748,28 @@ class TestExportCircuit:
             assert code == EXIT_CONFIG
             assert out == ""
             assert err == f"error: {message}\n"
+
+    def test_link_loop_needs_one_boundary_cycle(self, capsys, tmp_path):
+        # two cells meeting at a corner: their boundary is no simple cycle
+        # to walk, while the plaquette product still exists
+        path = tmp_path / "corner.lat"
+        path.write_text(lattice_to_text(
+            _build_from_cells([(0, 0), (1, 1)])))
+        code, out, err = run_main(capsys, "export-circuit", "--kind",
+                                  "link-loop", "--lattice", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: the lattice boundary is not one simple cycle\n"
+        code, out, err = run_main(capsys, "export-circuit", "--kind",
+                                  "plaquette-loop", "--lattice", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert "# census" in out
+
+    @pytest.mark.parametrize("kind", ["plaquette-loop", "link-loop"])
+    def test_loop_kinds_export_the_cross(self, capsys, kind):
+        code, out, err = run_main(capsys, "export-circuit", "--kind", kind,
+                                  "--lattice", "cross")
+        assert (code, err) == (EXIT_OK, "")
+        assert "# census" in out
 
     def test_bad_kind(self, capsys):
         code, _, err = run_main(capsys, "export-circuit", "--kind", "magic")

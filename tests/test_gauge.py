@@ -16,7 +16,7 @@ from conftest import (SX, bit_identical, cell_links, dense_pauli,
                       wegner_dual_hamiltonian)
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             SectorMoves, Z2Model, _FWHT_PIECE, _link_mask,
-                            _sector_eigh,
+                            _row_of, _sector_eigh,
                             build_physical_sector, embed_sector_coords,
                             exact_evolve_in_sector, fwht,
                             ground_state, hamiltonian_in_sector,
@@ -24,7 +24,7 @@ from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             project_to_sector, sector_basis_dump, sector_gauge_violation,
                             sector_ground_state,
                             spatial_loop_in_sector, spectral_bound,
-                            unitarity_error, xor_perm)
+                            unitarity_error)
 from z2wilson.circuits import PauliString, star_operator
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.statevec import StateVector, expect_pauli, gauge_violation
@@ -79,6 +79,13 @@ class TestStarOperator:
             star_operator(build_rect(1, 1), 99)
 
 
+def lattice_of(spec):
+    """The cross, or rect:WxH."""
+    if spec == "cross":
+        return build_cross()
+    return build_rect(*(int(n) for n in spec[5:].split("x")))
+
+
 class TestPhysicalSector:
     def test_cross_dim_32(self, cross_sector):
         assert cross_sector.dim == 32
@@ -92,8 +99,7 @@ class TestPhysicalSector:
     @pytest.mark.parametrize("lattice", [
         "cross", "rect:1x1", "rect:2x1", "rect:2x2", "rect:3x2"])
     def test_masks_match_brute_force(self, lattice, charged):
-        lat = (build_cross() if lattice == "cross"
-               else build_rect(*(int(n) for n in lattice[5:].split("x"))))
+        lat = lattice_of(lattice)
         charges = [1] * lat.n_vertices
         if charged:
             a, b = lat.links[0]
@@ -108,6 +114,24 @@ class TestPhysicalSector:
                  if all(bin(m & s).count("1") % 2 == w
                         for s, w in zip(stars, want))]
         assert [int(x) for x in sec.masks] == masks
+
+    @pytest.mark.parametrize("lattice", ["cross"] + [
+        f"rect:{w}x{h}" for w in range(1, 21) for h in range(1, 21)
+        if w * h <= 20])
+    def test_masks_increase_without_a_sort(self, lattice):
+        # _gf2_solve's lowest-bit pivots make _span's doubling list every
+        # coset in increasing order, neutral or charged, up to 2**20 rows
+        lat = lattice_of(lattice)
+        model = Z2Model(lat, 1.0)
+        rng = np.random.default_rng(lat.n_links)
+        patterns = [None]
+        for _ in range(2):
+            charges = rng.choice((1, -1), size=lat.n_vertices)
+            charges[-1] *= charges.prod()         # an even number of -1
+            patterns.append(charges)
+        for charges in patterns:
+            masks = build_physical_sector(model, charges).masks
+            assert np.all(masks[1:] > masks[:-1])
 
     def test_every_basis_state_satisfies_stars(self, cross_model,
                                                cross_sector):
@@ -612,37 +636,49 @@ def charged_at_ends(lattice, link):
 
 
 class TestXorPerm:
+    """sigma_3 on a link mask is the row flip ``i ^ k`` of
+    :meth:`SectorMoves.flip`; a dict of every mask is the reference."""
+
     @pytest.mark.parametrize("charged", [False, True],
                              ids=["neutral", "charged"])
     @pytest.mark.parametrize("lattice", ["cross", "rect:2x2"])
     def test_plaquettes_match_dict_reference(self, lattice, charged):
-        lat = build_cross() if lattice == "cross" else build_rect(2, 2)
+        lat = lattice_of(lattice)
         charges = charged_at_ends(lat, 0) if charged else None
-        sec = build_physical_sector(Z2Model(lat, 1.0), charges)
+        model = Z2Model(lat, 1.0)
+        sec = build_physical_sector(model, charges)
+        moves = SectorMoves(model, sec)
         masks = [sum(1 << li for li in p) for p in lat.plaquettes]
         masks.append(masks[0] ^ masks[-1])      # a two-plaquette cycle
         for mask in masks:
-            perm = xor_perm(sec.masks, sec.masks, mask)
-            assert perm.tolist() == dict_perm(sec.masks, sec.masks, mask)
+            dst, k = moves.flip(sec, mask)
+            assert dst is sec
+            assert (np.arange(sec.dim) ^ k).tolist() == dict_perm(
+                sec.masks, sec.masks, mask)
 
     @pytest.mark.parametrize("lattice", ["cross", "rect:2x2"])
     def test_across_sectors_matches_dict_reference(self, lattice):
-        lat = build_cross() if lattice == "cross" else build_rect(2, 2)
+        lat = lattice_of(lattice)
         model = Z2Model(lat, 1.0)
         neutral = build_physical_sector(model)
+        moves = SectorMoves(model, neutral)
         for li in range(lat.n_links):
             charged = build_physical_sector(model, charged_at_ends(lat, li))
             for src, dst in ((neutral, charged), (charged, neutral)):
-                perm = xor_perm(src.masks, dst.masks, 1 << li)
-                assert perm.tolist() == dict_perm(src.masks, dst.masks,
-                                                  1 << li)
+                moved, k = moves.flip(src, 1 << li)
+                assert moved.charges == dst.charges
+                assert (np.arange(src.dim) ^ k).tolist() == dict_perm(
+                    src.masks, dst.masks, 1 << li)
 
     def test_open_chain_rejected(self, cross_sector, cross_lattice):
         chain = (1 << cross_lattice.plaquettes[0][0]
                  | 1 << cross_lattice.plaquettes[0][1])
-        for mask in (1, chain):
-            with pytest.raises(GaugeError):
-                xor_perm(cross_sector.masks, cross_sector.masks, mask)
+        # one link, an open chain, and a link bit past the last row
+        for mask in (1, chain, 1 << cross_lattice.n_links):
+            with pytest.raises(GaugeError, match="not a closed cycle"):
+                _row_of(cross_sector, int(cross_sector.masks[0]) ^ mask)
+        assert [_row_of(cross_sector, int(m)) for m in cross_sector.masks
+                ] == list(range(cross_sector.dim))
 
     def test_sector_build_at_enumeration_limit_is_masks_only(self):
         model = Z2Model(build_rect(5, 4), 1.0)       # dim 2**20
@@ -655,42 +691,41 @@ class TestXorPerm:
             tracemalloc.stop()
         assert sec.dim == 1 << 20
         assert peak < 32 * 2**20
+        assert np.all(sec.masks[1:] > sec.masks[:-1])   # unsorted, in order
 
 
 class TestSectorMoves:
-    @pytest.mark.parametrize("lattice", ["cross", "rect:3x2"])
+    @pytest.mark.parametrize("lattice", ["cross", "rect:3x2", "rect:9x1"])
     def test_flip_and_move_agree_across_sectors(self, lattice):
-        # any link mask: closed strings stay, open ones change the sector
-        lat = build_cross() if lattice == "cross" else build_rect(3, 2)
+        # any link mask: closed strings stay, open ones change the sector.
+        # The row flip i ^ k is the mask move m -> m ^ mask, row by row
+        lat = lattice_of(lattice)
         model = Z2Model(lat, 1.0)
         moves = SectorMoves(model, build_physical_sector(model))
         src = moves.sector((1,) * lat.n_vertices)
         rng = np.random.default_rng(5)
         masks = [int(rng.integers(1, 1 << lat.n_links)) for _ in range(12)]
         masks += [_link_mask(lat.plaquettes[0]), 1 << (lat.n_links - 1)]
+        idx = np.arange(src.dim)
         for mask in masks:
-            dst, perm = moves.move(src, mask)
+            dst, k = moves.flip(src, mask)
             assert dst.charges == moved_charges(lat, src.charges, mask)
-            assert np.array_equal(src.masks[perm], dst.masks ^ np.uint64(mask))
-            flipped, k = moves.flip(src, mask)
-            assert flipped is dst and 0 <= k < src.dim
-            lin_src = src.masks[moves.cycle(src)]
-            lin_dst = dst.masks[moves.cycle(dst)]
-            idx = np.arange(src.dim)
-            assert np.array_equal(lin_dst[idx ^ k], lin_src ^ np.uint64(mask))
-            assert np.array_equal(perm[moves.cycle(dst)[idx ^ k]],
-                                  moves.cycle(src))
+            assert 0 <= k < src.dim
+            assert np.array_equal(dst.masks[idx ^ k],
+                                  src.masks ^ np.uint64(mask))
+            assert (idx ^ k).tolist() == dict_perm(src.masks, dst.masks,
+                                                   mask)
             src = dst
 
-    def test_each_sector_and_cycle_built_once(self, cross_model,
-                                              cross_sector):
+    def test_each_sector_built_once(self, cross_model, cross_sector):
         moves = SectorMoves(cross_model, cross_sector)
         assert moves.sector(cross_sector.charges) is cross_sector
-        dst, _ = moves.move(cross_sector, 1 << 4)
+        dst, k = moves.flip(cross_sector, 1 << 4)
+        assert dst is not cross_sector
         assert moves.flip(cross_sector, 1 << 4)[0] is dst
         assert moves.sector(dst.charges) is dst
-        assert moves.cycle(dst) is moves.cycle(dst)
-        assert sorted(moves.cycle(dst)) == list(range(dst.dim))
+        back, k_back = moves.flip(dst, 1 << 4)
+        assert back is cross_sector and k_back == k
 
 
 class TestGaugeViolation:

@@ -226,8 +226,9 @@ def cross_with_repeated_plaquette():
 
 
 class TestCycleCoordinates:
-    """The sector Trotter loop runs in cycle coordinates, where each
-    plaquette is a reversed view; it must give the gather's bits."""
+    """A sector's sorted rows are its cycle coordinates, where each
+    plaquette is a reversed view; the sector Trotter loop runs there and
+    must give the gather's bits."""
 
     @pytest.mark.parametrize("charged", [False, True])
     def test_plaquettes_are_index_flips(self, cross_model, charged):
@@ -237,14 +238,20 @@ class TestCycleCoordinates:
             charges = moved_charges(lat, (1,) * lat.n_vertices,
                                     _link_mask(lat.plaquettes[2][:2]))
         sec = build_physical_sector(cross_model, charges)
-        order = SectorMoves(cross_model, sec).cycle(sec)
-        assert sorted(order) == list(range(sec.dim))
-        lin = sec.masks[order]
+        lin = sec.masks
         idx = np.arange(sec.dim)
+        # row i is masks[0] ^ XOR_j (bit j of i) (masks[2**j] ^ masks[0])
+        span = np.full(sec.dim, lin[0])
+        for j in range(sec.dim.bit_length() - 1):
+            span[idx >> j & 1 == 1] ^= lin[1 << j] ^ lin[0]
+        assert np.array_equal(span, lin)
+        moves = SectorMoves(cross_model, sec)
         for plaq in lat.plaquettes:
             m = np.uint64(_link_mask(plaq))
             flip = int(np.flatnonzero(lin == lin[0] ^ m)[0])
             assert np.array_equal(lin[idx ^ flip], lin ^ m)
+            dst, k = moves.flip(sec, int(m))
+            assert dst is sec and k == flip
 
     @pytest.mark.parametrize("lam", [2.0, 5.0, 10.0, 20.0])
     @pytest.mark.parametrize("tau", [0.5, 1.0])
@@ -275,8 +282,7 @@ class TestCycleCoordinates:
         lat = cross_with_repeated_plaquette()
         model = Z2Model(lat, 4.0)
         sector = build_physical_sector(model)
-        order = SectorMoves(model, sector).cycle(sector)
-        lin = sector.masks[order]
+        lin = sector.masks
         flips = [int(np.flatnonzero(lin == lin[0] ^ np.uint64(
                  _link_mask(p)))[0]) for p in lat.plaquettes]
         assert flips[5] == flips[2]

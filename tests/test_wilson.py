@@ -11,11 +11,12 @@ import pytest
 
 from conftest import dense_pauli, expm_i_hermitian, random_state
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
-                               circuit_stats, star_commutation_report)
+                               circuit_stats, run_blocks,
+                               star_commutation_report)
 from z2wilson.gauge import (Z2Model, build_physical_sector,
                             embed_sector_coords, project_to_sector,
-                            unitarity_error)
-from z2wilson.lattice import boundary_walk, build_rect
+                            spatial_loop_in_sector, unitarity_error)
+from z2wilson.lattice import boundary_walk, build_cross, build_rect
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
                                staircase_default)
 from z2wilson.statevec import (PauliString, StateVector, apply_pauli_exp,
@@ -589,3 +590,27 @@ class TestGateCountScaling:
         direct = psi.copy()
         spatial_loop_direct(direct, boundary_walk(lat))
         assert abs(abs(np.vdot(direct.amps, blk)) - 1) < 1e-11
+
+    def test_both_loops_run_on_the_cross(self):
+        # the loop builders take any lattice whose boundary is one cycle:
+        # both circuits act as the boundary loop on the cross's blocks
+        lat = build_cross()
+        model = Z2Model(lat, 1.0)
+        sector = build_physical_sector(model)
+        coords = random_coords(sector, np.random.default_rng(23))
+        want = spatial_loop_in_sector(sector, boundary_walk(lat)) @ coords
+        blocks, _ = run_blocks(rect_loop_plaquette_circuit(lat), model,
+                               sector, coords)
+        assert blocks.keys() == {sector.charges}
+        assert np.max(np.abs(blocks[sector.charges][:, 0] - want)) < 1e-15
+        assert not blocks[sector.charges][:, 1].any()
+        circuit = rect_loop_link_circuit(lat)
+        blocks, outcomes = run_blocks(circuit, model, sector, coords)
+        assert outcomes == {len(circuit.gates) - 1: 0}    # the loop closes
+        col = sum(bit << (q - lat.n_links)
+                  for q, bit in circuit.ancilla_init.items())
+        block = blocks[sector.charges]
+        assert abs(abs(np.vdot(want, block[:, col])) - 1) < 1e-12
+        assert all(np.abs(b).max() < 1e-12 for charges, b in blocks.items()
+                   if charges != sector.charges)
+        assert np.abs(np.delete(block, col, axis=1)).max() < 1e-12
