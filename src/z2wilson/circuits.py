@@ -14,11 +14,12 @@ appended above it.  Four gate kinds exist:
 
 :func:`run_blocks` runs a gate list on a sector state, held as Gauss-law
 blocks in the electric basis, so its cost follows the sector dimension
-instead of 2**n_links; it runs V-chains as their exact operator.  The
-literal reference on the whole 2**n register, which runs every gate of
-the same list, is ``statevec.run_circuit``; this module knows nothing of
-that register.  :func:`circuit_to_text` writes a string's sign into
-its angle.
+instead of 2**n_links.  A run of controlled gates acts on the control's
+firing component, where a V gate (an "x-" gate at +-pi/2) is exactly
++-i P, so a V-chain runs as its exact operator.  The literal reference on
+the whole 2**n register, which runs every gate of the same list, is
+``statevec.run_circuit``; this module knows nothing of that register.
+:func:`circuit_to_text` writes a string's sign into its angle.
 
 Builders may also record an exact scalar ``global_phase`` (compensations
 that are not worth a gate) and a ``phase_log`` of phases their gate
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -244,46 +244,17 @@ def _mix(x: Blocks, y: Blocks, cx, cy) -> Blocks:
     return out
 
 
-@lru_cache(maxsize=64)
-def _z_string(zmask: int, flip: int) -> PauliString:
-    """(-1)**flip Z(zmask)."""
-    return PauliString({q: "Z" for q in range(zmask.bit_length())
-                        if zmask >> q & 1}, -1 if flip else 1)
-
-
-def _parity_flip(terms) -> tuple[int, int] | None:
-    """(zmask, flip) when an "x-" group is an exact parity-controlled NOT.
-
-    Every term must be a Z-only string with theta = +-pi/2 exactly, so
-    that e^{i theta P} = i sign(theta) P.  The product of the terms is then
-    phi Z(zmask), with phi the product of the factors i sign(theta) phase
-    and zmask the XOR of the strings' masks; with phi = +-1 (flip = 1 for
-    -1) the group is P+ (x) I + P- (x) phi Z(zmask).  None otherwise:
-    such groups take the rotation route.
-    """
-    phi = 1
-    zmask = 0
-    for p, theta in terms:
-        xm, zm, _ = p.masks()
-        if xm or abs(theta) != np.pi / 2:
-            return None
-        phi *= (1j if theta > 0 else -1j) * p.phase
-        zmask ^= zm
-    if phi not in (1, -1):
-        return None
-    return zmask, int(phi == -1)
-
-
 class _BlockRun:
     """One circuit on one model's charge sectors, in the electric basis.
 
     A state is {charge pattern: (sector dim, 2**n_ancilla) amplitudes}:
     rows are the sector's link masks, columns the ancilla bits (column bit
-    j is qubit n_link_qubits + j, in the computational basis).  Each
-    string is translated once: a link sigma_3 factor flips its mask bit,
-    moving the row to the sector whose charges differ at the link's
-    endpoints (:class:`SectorMoves`); a link sigma_1 factor is the sign
-    (-1)**bit of the new mask; ancilla factors gather and sign columns.
+    j is qubit n_link_qubits + j, in the computational basis).  A string
+    is translated once per charge pattern, dropped control bit and factor:
+    a link sigma_3 factor flips its mask bit, moving the row to the sector
+    whose charges differ at the link's endpoints (:class:`SectorMoves`); a
+    link sigma_1 factor is the sign (-1)**bit of the new mask; ancilla
+    factors gather and sign columns.
     """
 
     def __init__(self, circuit: Circuit, model: Z2Model,
@@ -296,7 +267,6 @@ class _BlockRun:
         self.circuit = circuit
         self.cols = np.arange(1 << (circuit.n_qubits - self.n))
         self.sector_moves = SectorMoves(model, sector)
-        self.strings: dict = {}
         self.moves: dict = {}
 
     def ancilla_bit(self, qubit: int) -> int:
@@ -305,30 +275,30 @@ class _BlockRun:
                                "controls and measures ancillas only")
         return 1 << (qubit - self.n)
 
-    def string(self, p: PauliString):
-        if p not in self.strings:
-            xm, zm, ny = p.masks()
-            links = (1 << self.n) - 1
-            src = self.cols ^ (xm >> self.n)
-            fac = p.phase * 1j ** ny * (
-                1.0 - 2.0 * (np.bitwise_count(src & (zm >> self.n)) & 1))
-            self.strings[p] = (zm & links, xm & links,
-                               src if xm >> self.n else None, fac)
-        return self.strings[p]
-
-    def act(self, state: Blocks, p: PauliString) -> Blocks:
-        """P applied to every block (exact: a row flip, gathers and signs)."""
-        flip, sign, src, fac = self.string(p)
+    def act(self, state: Blocks, p: PauliString, drop: int = 0,
+            factor=1) -> Blocks:
+        """``factor`` * P applied to every block (exact: a row flip, gathers
+        and signs); with a ``drop`` bit the blocks hold only the columns
+        where it is clear."""
+        xm, zm, ny = p.masks()
+        flip, sign = zm & ((1 << self.n) - 1), xm & ((1 << self.n) - 1)
         out = {}
         for key, blk in state.items():
-            if (key, p) not in self.moves:
+            move = self.moves.get((key, p, drop, factor))
+            if move is None:
                 sec = self.sector_moves.sector(key)
                 dst, k = (self.sector_moves.flip(sec, flip) if flip
                           else (sec, 0))
                 rows = (1.0 - 2.0 * (np.bitwise_count(
                     dst.masks & np.uint64(sign)) & 1) if sign else None)
-                self.moves[key, p] = dst.charges, k, rows
-            dst, k, rows = self.moves[key, p]
+                kept = self.cols[(self.cols & drop) == 0]
+                src = kept ^ (xm >> self.n)
+                fac = factor * p.phase * 1j ** ny * (
+                    1.0 - 2.0 * (np.bitwise_count(src & (zm >> self.n)) & 1))
+                move = self.moves[key, p, drop, factor] = (
+                    dst.charges, k, rows,
+                    np.searchsorted(kept, src) if xm >> self.n else None, fac)
+            dst, k, rows, src, fac = move
             v = flipped(blk, k).reshape(blk.shape) if k else blk
             if src is not None:
                 v = v[:, src]
@@ -338,37 +308,44 @@ class _BlockRun:
         return out
 
     def exp(self, state: Blocks, p: PauliString, theta: float,
-            control: int | None = None) -> Blocks:
-        """e^{i theta P} = cos + i sin P, on the control's spin-up columns
-        when a control is given."""
-        c, s = np.cos(theta), 1j * np.sin(theta)
-        if control is not None:
-            up = (self.cols & self.ancilla_bit(control)) == 0
-            c, s = np.where(up, c, 1.0), np.where(up, s, 0.0)
-        return _mix(state, self.act(state, p), c, s)
+            drop: int = 0) -> Blocks:
+        """e^{i theta P} = cos + i sin P."""
+        return _mix(state, self.act(state, p, drop),
+                    np.cos(theta), 1j * np.sin(theta))
 
-    def parity_swap(self, state: Blocks, control: int, zmask: int,
-                    flip: int) -> Blocks:
-        """P+ (x) I + P- (x) S with S = (-1)**flip Z(zmask), the exact
-        operator of a V-chain (:func:`_parity_flip`).
-
-        With p = a0 + a1 and q = S(a0 - a1) over the control's column
-        pairs, the new halves are (p + q) / 2 and (p - q) / 2.  S moves and
-        signs amplitudes exactly, so a box's V-chain leaves its two halves
-        in the exact -1 and +1 eigenspaces of S, and the reversed chain
-        returns the ancilla with an exactly zero other half.
+    def controlled(self, state: Blocks, control: int, basis: str,
+                   gates) -> Blocks:
+        """A run of gates with one control and basis, on the control's
+        firing component.  With a0, a1 the columns where the control bit is
+        clear and set, "z" fires on a0 and keeps a1; "x-" fires on a0 - a1
+        and puts back (a0 + a1 + fire) / 2 and (a0 + a1 - fire) / 2.  An
+        "x-" gate at theta = +-pi/2 is exactly +-i P, so a box's reversed
+        V-chain leaves an exactly zero other half.  "z" gates at +-pi/2
+        keep cos and sin: made exact, the controlled spatial strings of
+        ``hadamard_test_circuit`` would move measure's rounding.
         """
         bit = self.ancilla_bit(control)
         lo = self.cols[(self.cols & bit) == 0]
         hi = lo | bit
-        s = _z_string(zmask, flip)
-        p = {key: b[:, lo] + b[:, hi] for key, b in state.items()}
-        q = {key: b[:, lo] - b[:, hi] for key, b in self.act(state, s).items()}
+        z = basis == "z"
+        fire = {key: b[:, lo] if z else b[:, lo] - b[:, hi]
+                for key, b in state.items()}
+        rest = {key: b[:, hi] if z else b[:, lo] + b[:, hi]
+                for key, b in state.items()}
+        for g in gates:
+            if not z and abs(g.theta) == np.pi / 2:
+                fire = self.act(fire, g.string, bit,
+                                1j if g.theta > 0 else -1j)
+            else:
+                fire = self.exp(fire, g.string, g.theta, bit)
+        halves = ((fire, rest) if z else
+                  (_mix(rest, fire, 0.5, 0.5), _mix(rest, fire, 0.5, -0.5)))
         out = {}
-        for (key, h0), h1 in zip(_mix(p, q, 0.5, 0.5).items(),
-                                 _mix(p, q, 0.5, -0.5).values()):
-            out[key] = np.empty((len(h0), len(self.cols)), dtype=complex)
-            out[key][:, lo], out[key][:, hi] = h0, h1
+        for key in [*fire, *(key for key in rest if key not in fire)]:
+            out[key] = np.zeros((self.sector_moves.sector(key).dim,
+                                 len(self.cols)), dtype=complex)
+            out[key][:, lo] = halves[0].get(key, 0.0)
+            out[key][:, hi] = halves[1].get(key, 0.0)
         return out
 
     def measure(self, state: Blocks, gate: Measure | ResetAncilla,
@@ -402,14 +379,14 @@ def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
     The literal gates run on {charge pattern: amplitudes over sector
     masks x ancilla bits} (see :class:`_BlockRun`), so the cost follows
     the sector dimension, not 2**n_links: only the blocks a gate reaches
-    are built.  Controls and measured qubits must be ancillas.  An "x-"
-    group that :func:`_parity_flip` recognises runs as its exact operator
-    (:meth:`_BlockRun.parity_swap`); any other "x-" group is rotated onto
-    spin-up like ``statevec.apply_gates`` does.  Measure and
-    ResetAncilla keep the thresholds and RNG rule of the full-space
-    route; ``rng`` is any object with ``random()``.  Returns the final
-    blocks (global phase applied) and the measurement outcomes keyed by
-    gate position, as ``statevec.run_circuit``.
+    are built.  Controls and measured qubits must be ancillas.  Each run
+    of consecutive controlled gates with one control and basis acts on
+    the control's firing component (:meth:`_BlockRun.controlled`), where
+    an "x-" gate at +-pi/2 is exactly +-i P.  Measure and ResetAncilla
+    keep the thresholds and RNG rule of the full-space route; ``rng`` is
+    any object with ``random()``.  Returns the final blocks (global phase
+    applied) and the measurement outcomes keyed by gate position, as
+    ``statevec.run_circuit``.
     """
     if coords.shape != (sector.dim,):
         raise CircuitError(f"{coords.shape} coordinates for a sector of "
@@ -431,25 +408,15 @@ def run_blocks(circuit: Circuit, model: Z2Model, sector: PhysicalSector,
             state = run.exp(state, gate.string, gate.theta)
         elif not isinstance(gate, ControlledPauliExp):  # pragma: no cover
             raise CircuitError(f"unknown gate {gate!r}")
-        elif gate.basis == "z":
-            state = run.exp(state, gate.string, gate.theta, gate.control)
         else:
             group = [gate]
             while (gi < len(gates)
                    and isinstance(gates[gi], ControlledPauliExp)
                    and (gates[gi].control, gates[gi].basis)
-                   == (gate.control, "x-")):
+                   == (gate.control, gate.basis)):
                 group.append(gates[gi])
                 gi += 1
-            swap = _parity_flip([(g.string, g.theta) for g in group])
-            if swap is not None:
-                state = run.parity_swap(state, gate.control, *swap)
-                continue
-            y = PauliString({gate.control: "Y"})
-            state = run.exp(state, y, -np.pi / 4)
-            for g in group:
-                state = run.exp(state, g.string, g.theta, gate.control)
-            state = run.exp(state, y, np.pi / 4)
+            state = run.controlled(state, gate.control, gate.basis, group)
     if circuit.global_phase:
         state = {key: b * np.exp(1j * circuit.global_phase)
                  for key, b in state.items()}

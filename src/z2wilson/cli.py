@@ -4,11 +4,12 @@ Commands: ``ground-state``, ``sweep``, ``measure``, ``export-circuit``,
 ``validate``.  Configuration comes from a flat ``key=value`` file plus
 command-line overrides; every output file starts with a provenance header
 (artifact version, config hash, seed) and is written atomically.  A
-command-line flag that the command does not read (:data:`READS`) is
-refused before any output.  Exit
-codes: 0 success, 2 configuration error, 3 degenerate ground state,
-4 numerical failure, 141 stdout closed early (128 + SIGPIPE, as a shell
-reports a process that a closed pipe ended; nothing is printed).
+command-line flag that the command does not read (:data:`READS`), and an
+output path that names a directory or lies in a missing one, are refused
+before any output.  Exit codes: 0 success, 2 configuration error,
+3 degenerate ground state, 4 numerical failure, 141 stdout closed early
+(128 + SIGPIPE, as a shell reports a process that a closed pipe ended;
+nothing is printed).
 
 Each command imports the layers it runs when it runs, so a request
 loads only those: ``validate`` needs no numpy, ``ground-state`` only
@@ -527,6 +528,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         _check_flags(args.command, cfg,
                      [k for k, v in overrides.items() if v is not None])
+        writes = args.command in ("ground-state", "sweep", "export-circuit")
+        if writes and cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(cfg.out)))):
+            raise ConfigError(f"cannot write --out {cfg.out!r}: not a file "
+                              "in an existing directory")
         code = COMMANDS[args.command](cfg)
         sys.stdout.flush()
         return code

@@ -169,6 +169,11 @@ def random_state(n_qubits, rng):
     return v / np.linalg.norm(v)
 
 
+def random_coords(sector, rng):
+    c = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+    return c / np.linalg.norm(c)
+
+
 @pytest.fixture(scope="session")
 def cross_lattice():
     return build_cross()

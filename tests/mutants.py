@@ -2,15 +2,18 @@
 
 Each entry replaces one exact text, which must occur exactly once in its
 file, in a temporary copy of ``src``, ``tests`` and ``pyproject.toml``,
-and runs the Tier-1 suite there with ``-x``.  A mutant is killed when the
-suite fails; the first failing test is reported.  A survivor fails the
-run unless its entry is marked equivalent, with the reason.
+and runs the Tier-1 suite there with ``-x``.  An entry may name a test
+file that kills it, which runs first: the full suite runs only if that
+file passes.  A mutant is killed when either run fails; the first failing
+test is reported.  A survivor fails the run unless its entry is marked
+equivalent, with the reason.
 
     python3 tests/mutants.py
 
 Exit status: 0 when every mutant is killed or marked equivalent, 1 when
-one survives, 2 when an entry's text does not occur exactly once (the
-catalogue no longer matches the code).  Standard library only.
+one survives, 2 when an entry's text does not occur exactly once or its
+first test file is missing (the catalogue no longer matches the code).
+Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class Mutant:
     old: str
     new: str
     why: str
+    first: str = ""         # test file run before the full suite
     equivalent: str = ""    # reason the change cannot alter behaviour
 
 
@@ -43,68 +47,101 @@ CATALOGUE = [
     Mutant("trotter-theta-sign", "src/z2wilson/trotter.py",
            "theta = model.lam * step.tau / n_T",
            "theta = -model.lam * step.tau / n_T",
-           "the sector Trotter band's plaquette angle with the wrong sign"),
+           "the sector Trotter band's plaquette angle with the wrong sign",
+           first="tests/test_acceptance.py"),
     Mutant("strang-last-half-full", "src/z2wilson/trotter.py",
            "np.multiply(half if k == n_T - 1 else full, w, w)",
            "np.multiply(full, w, w)",
            "the closing electric half-step of the Strang product made a "
-           "full step"),
+           "full step",
+           first="tests/test_acceptance.py"),
     Mutant("gate-list-magnetic-sign", "src/z2wilson/wilson.py",
            "mag = model.lam * tau / n_T",
            "mag = -model.lam * tau / n_T",
            "the gate list's plaquette angle with the wrong sign: the "
-           "circuit route no longer runs the sector route's product"),
+           "circuit route no longer runs the sector route's product",
+           first="tests/test_acceptance.py"),
     Mutant("gs-fidelity-real-part", "src/z2wilson/trotter.py",
            "return float(abs(np.vdot(w_exact @ psi, w_trot @ psi)))",
            "return float(np.vdot(w_exact @ psi, w_trot @ psi).real)",
-           "the state fidelity as a real part, not the paper's modulus"),
+           "the state fidelity as a real part, not the paper's modulus",
+           first="tests/test_acceptance.py"),
     Mutant("op-fidelity-real-part", "src/z2wilson/trotter.py",
            "return float(abs(np.trace(w_exact.conj().T @ w_trot)) "
            "/ len(w_exact))",
            "return float(np.trace(w_exact.conj().T @ w_trot).real "
            "/ len(w_exact))",
-           "the operator fidelity as a real part, not the paper's modulus"),
+           "the operator fidelity as a real part, not the paper's modulus",
+           first="tests/test_cli.py"),
     Mutant("fit-stderr-dof", "src/z2wilson/trotter.py",
            "s2 = float(np.sum(resid ** 2) / max(m - 2, 1))",
            "s2 = float(np.sum(resid ** 2) / m)",
            "the fit's standard error with m degrees of freedom, not m - 2; "
-           "only the sweep golden digests pin it"),
+           "only the sweep golden digests pin it",
+           first="tests/test_cli.py"),
     Mutant("fit-min-rows", "src/z2wilson/trotter.py",
            "if len(kept) < 3:",
            "if len(kept) < 2:",
-           "a power law fitted through two rows, which leaves no residual"),
+           "a power law fitted through two rows, which leaves no residual",
+           first="tests/test_trotter.py"),
     Mutant("fit-floor-1e-11", "src/z2wilson/trotter.py",
            "INFIDELITY_FLOOR = 1e-13",
            "INFIDELITY_FLOOR = 1e-11",
-           "a fit floor that drops rows the n_T^-4 law still holds for"),
+           "a fit floor that drops rows the n_T^-4 law still holds for",
+           first="tests/test_trotter.py"),
     Mutant("fit-floor-1e-15", "src/z2wilson/trotter.py",
            "INFIDELITY_FLOOR = 1e-13",
            "INFIDELITY_FLOOR = 1e-15",
-           "a fit floor that keeps rows at the rounding level"),
+           "a fit floor that keeps rows at the rounding level",
+           first="tests/test_trotter.py"),
     Mutant("moved-charges-parity", "src/z2wilson/gauge.py",
            "return tuple(-q if (mask & star).bit_count() & 1 else q",
            "return tuple(q if (mask & star).bit_count() & 1 else -q",
-           "sigma_3 moves to the charge sector of the opposite star parity"),
+           "sigma_3 moves to the charge sector of the opposite star parity",
+           first="tests/test_acceptance.py"),
     Mutant("gf2-pivot-highest-bit", "src/z2wilson/gauge.py",
            "p = (row & -row).bit_length() - 1",
            "p = row.bit_length() - 1",
            "echelon rows keyed by their highest bit: the sector masks are "
            "no longer listed in increasing order, so a row is no longer "
-           "its cycle coordinate and sigma_3 is no longer the flip i ^ k"),
+           "its cycle coordinate and sigma_3 is no longer the flip i ^ k",
+           first="tests/test_acceptance.py"),
     Mutant("row-of-unchecked", "src/z2wilson/gauge.py",
            "if i == sector.dim or sector.masks[i] != mask:",
            "if i == sector.dim:",
            "a mask missing from the sector read as the row it would sort "
-           "into: an open string passes as a closed cycle"),
+           "into: an open string passes as a closed cycle",
+           first="tests/test_gauge.py"),
     Mutant("band-drops-plaquette", "src/z2wilson/trotter.py",
            "for plaq in model.lattice.plaquettes]",
            "for plaq in model.lattice.plaquettes[1:]]",
-           "the sector Trotter band skips one plaquette's exponential"),
+           "the sector Trotter band skips one plaquette's exponential",
+           first="tests/test_acceptance.py"),
     Mutant("boundary-walk-reversed", "src/z2wilson/lattice.py",
            "start, v = lattice.links[walk[0]]",
            "v, start = lattice.links[walk[0]]",
            "the boundary walked clockwise, from the other endpoint of its "
-           "first link: the link-loop export changes order"),
+           "first link: the link-loop export changes order",
+           first="tests/test_cli.py"),
+    Mutant("x-group-inexact-v", "src/z2wilson/circuits.py",
+           "if not z and abs(g.theta) == np.pi / 2:",
+           "if False and abs(g.theta) == np.pi / 2:",
+           "an \"x-\" gate at +-pi/2 run on cos and sin, not as the exact "
+           "+-i P: a box's V-chain leaves cos(pi/2) residue, and its reset "
+           "finds the other half of the box ancilla nonzero",
+           first="tests/test_circuits.py"),
+    Mutant("x-group-recombine-sign", "src/z2wilson/circuits.py",
+           "(_mix(rest, fire, 0.5, 0.5), _mix(rest, fire, 0.5, -0.5))",
+           "(_mix(rest, fire, 0.5, -0.5), _mix(rest, fire, 0.5, 0.5))",
+           "an \"x-\" group puts its fired component back with the wrong "
+           "sign: the group fires on |+> and flips the control",
+           first="tests/test_circuits.py"),
+    Mutant("z-group-fires-on-hi", "src/z2wilson/circuits.py",
+           "fire = {key: b[:, lo] if z else",
+           "fire = {key: b[:, hi] if z else",
+           "a \"z\" group evolves the columns where its control bit is set "
+           "and writes them over the spin-up half",
+           first="tests/test_circuits.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)
@@ -128,10 +165,14 @@ def run_mutant(copy: str, mutant: Mutant) -> tuple[bool, str, float]:
         fh.write(original.replace(mutant.old, mutant.new))
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    runs = [TIER1 + [mutant.first]] if mutant.first else []
     start = time.monotonic()
     try:
-        proc = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True,
-                              text=True)
+        for argv in runs + [TIER1]:
+            proc = subprocess.run(argv, cwd=copy, env=env,
+                                  capture_output=True, text=True)
+            if proc.returncode:
+                break
     finally:
         with open(path, "w") as fh:
             fh.write(original)
@@ -147,6 +188,8 @@ def main() -> int:
             count = fh.read().count(m.old)
         if count != 1:
             stale.append(f"{m.name}: {m.path} holds its text {count} times")
+        if m.first and not os.path.isfile(os.path.join(ROOT, m.first)):
+            stale.append(f"{m.name}: no test file {m.first}")
     if stale:
         print("catalogue does not match the code:\n  " + "\n  ".join(stale))
         return 2

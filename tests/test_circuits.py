@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import random_coords, random_state
 from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
                                Measure, PauliExp, ResetAncilla,
-                               _parity_flip, circuit_stats, circuit_to_text,
-                               run_blocks, star_commutation_report)
+                               circuit_stats, circuit_to_text, run_blocks,
+                               star_commutation_report)
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import staircase_default
 from z2wilson.statevec import (PauliString, StateVector, _bit_probability,
@@ -285,30 +285,71 @@ class TestBlockExecutor:
         assert all(circuit.gates[gi].qubit == box for gi in outcomes)
 
 
-class TestParityFlip:
-    """Recognition of the V-chains that run_blocks runs as exact operators."""
+class TestControlledGroups:
+    """One rule for every controlled run: its gates act on the control's
+    firing component, and an "x-" gate at +-pi/2 is exactly +-i P."""
 
-    def test_real_chain_gives_mask_and_flip(self):
-        # (i Z0)(i Z1 Z2) = -Z0 Z1 Z2; a -pi/2 or a -1 phase flips the sign
-        chain = [(PauliString({0: "Z"}), np.pi / 2),
-                 (PauliString({1: "Z", 2: "Z"}), np.pi / 2)]
-        assert _parity_flip(chain) == (0b111, 1)
-        chain[1] = (PauliString({1: "Z", 2: "Z"}, -1), np.pi / 2)
-        assert _parity_flip(chain) == (0b111, 0)
-        chain += [(PauliString({0: "Z", 3: "Z"}), np.pi / 2),
-                  (PauliString({3: "Z"}), -np.pi / 2)]
-        assert _parity_flip(chain) == (0b110, 0)
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+    def test_lone_v_chain_and_its_reverse_return_the_state(self, length):
+        # the chain and its reverse are separate groups, split by a
+        # measurement of another ancilla that reads 0 with certainty; odd
+        # chains, whose phase is +-i, are as exact as even ones
+        model = Z2Model(build_cross(), 10.0)
+        sector = build_physical_sector(model)
+        coords = random_coords(sector, np.random.default_rng(length))
+        c = Circuit(model.lattice.n_links)
+        a, b = c.alloc_ancilla(0), c.alloc_ancilla(0)
+        links = [0, 5, 9, 12, 14][:length]
+        for li in links:
+            c.add(ControlledPauliExp(a, "x-", PauliString({li: "Z"}),
+                                     np.pi / 2))
+        c.add(Measure(b))
+        for li in reversed(links):
+            c.add(ControlledPauliExp(a, "x-", PauliString({li: "Z"}),
+                                     -np.pi / 2))
+        blocks, outcomes = run_blocks(c, model, sector, coords)
+        assert outcomes == {length: 0}
+        block = blocks.pop(sector.charges)
+        assert np.array_equal(block[:, 0].copy().view(np.uint64),
+                              coords.view(np.uint64))
+        assert not np.any(block[:, 1:])
+        assert blocks and not any(np.any(v) for v in blocks.values())
 
-    def test_other_groups_give_none(self):
-        z = [PauliString({q: "Z"}) for q in range(3)]
-        # odd chain: the product phase is i**3 = -i
-        assert _parity_flip([(p, np.pi / 2) for p in z]) is None
-        # an angle other than +-pi/2, or a string with an X factor
-        assert _parity_flip([(z[0], np.pi / 2),
-                             (z[1], np.pi / 2 + 1e-15)]) is None
-        assert _parity_flip([(z[0], np.pi / 2), (z[1], 0.3)]) is None
-        assert _parity_flip([(PauliString({0: "X"}), np.pi / 2),
-                             (z[1], np.pi / 2)]) is None
+    def test_z_run_grouped_equals_gate_by_gate(self):
+        # a barrier (a certain measurement of ancilla c) between the "z"
+        # gates makes each gate its own group; the bits and the block order
+        # are the same.  The strings move charges and carry X, Y and Z on
+        # ancilla b, and the full-space route checks the result
+        model = Z2Model(build_rect(2, 1), 1.0)
+        sector = build_physical_sector(model)
+        coords = random_coords(sector, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        grouped = Circuit(model.lattice.n_links)
+        a, b, c = (grouped.alloc_ancilla(bit) for bit in (0, 1, 0))
+        barriered = dataclasses.replace(grouped, gates=[])
+        for circuit in (grouped, barriered):
+            circuit.add(PauliExp(PauliString({a: "Y"}), 0.3))
+            circuit.add(PauliExp(PauliString({b: "Y"}), -0.7))
+        for i in range(6):
+            terms = dict(random_link_string(rng, model.lattice.n_links).terms)
+            if i % 4:
+                terms[b] = "XYZ"[i % 4 - 1]
+            theta = np.pi / 2 if i == 2 else float(rng.uniform(-np.pi, np.pi))
+            gate = ControlledPauliExp(a, "z", PauliString(terms), theta)
+            grouped.add(gate)
+            barriered.add(gate)
+            barriered.add(Measure(c))
+        got, _ = run_blocks(grouped, model, sector, coords)
+        want, _ = run_blocks(barriered, model, sector, coords)
+        assert len(got) > 1
+        assert list(got) == list(want)
+        for key, block in got.items():
+            assert np.array_equal(block.copy().view(np.uint64),
+                                  want[key].copy().view(np.uint64))
+        full, _ = run_circuit(grouped, StateVector(
+            sector.n_links, embed_sector_coords(sector, coords)))
+        assert np.max(np.abs(blocks_to_full_space(got, model, grouped)
+                             - full.amps)) <= 1e-13
 
 
 class TestCensusAndExport:

@@ -933,6 +933,30 @@ class TestUnreadFlags:
         assert code == EXIT_OK
 
 
+class TestOutPath:
+    """An --out path that lies in a missing directory, or names a
+    directory, is refused before any output or work."""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("argv", [
+        ["ground-state", "--lattice", "rect:2x2"],
+        ["sweep", "--nt", "8,16,32"],
+        ["export-circuit", "--nt", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_refused_before_output(self, capsys, monkeypatch, tmp_path,
+                                   argv, where):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh ran before the refusal")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        path = tmp_path / "d" / "out" if where == "missing-dir" else tmp_path
+        code, out, err = run_main(capsys, *argv, "--out", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: cannot write --out {str(path)!r}: not a "
+                       "file in an existing directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestClosedPipe:
     SRC = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")

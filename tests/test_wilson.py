@@ -9,7 +9,8 @@ exponentials built from raw sigma^+/sigma^- matrices.
 import numpy as np
 import pytest
 
-from conftest import dense_pauli, expm_i_hermitian, random_state
+from conftest import (dense_pauli, expm_i_hermitian, random_coords,
+                      random_state)
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
                                circuit_stats, run_blocks,
                                star_commutation_report)
@@ -35,11 +36,6 @@ from z2wilson.wilson import (closure_strings,
                              sample_p_plus, spatial_loop_via_ancilla,
                              temporal_plaquette_exact,
                              trotterized_program_circuit)
-
-
-def random_coords(sector, rng):
-    c = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
-    return c / np.linalg.norm(c)
 
 
 def embed(sector, coords):
