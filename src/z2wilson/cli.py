@@ -4,7 +4,8 @@ Commands: ``ground-state``, ``sweep``, ``measure``, ``export-circuit``,
 ``validate``.  Configuration comes from a flat ``key=value`` file plus
 command-line overrides; every output file starts with a provenance header
 (artifact version, config hash, seed) and is written atomically.  A
-command-line flag that the command does not read (:data:`READS`), and an
+command-line flag that the command does not read (:data:`READS`; ``--out``
+only where it writes, ``--tau`` only for a builtin program), and an
 output path that names a directory or lies in a missing one, are refused
 before any output.  Exit codes: 0 success, 2 configuration error,
 3 degenerate ground state, 4 numerical failure, 141 stdout closed early
@@ -411,12 +412,10 @@ def cmd_export_circuit(cfg: RunConfig) -> int:
         program = _checked_program(cfg, lat)
         _check_overflow(model, program)
         circuit = trotterized_program_circuit(model, program, n_T)
-    elif cfg.kind in ("plaquette-loop", "link-loop"):
+    else:                           # a loop kind: main refuses any other
         build = (rect_loop_plaquette_circuit if cfg.kind == "plaquette-loop"
                  else rect_loop_link_circuit)
         circuit = build(lat)
-    else:
-        raise ConfigError(f"unknown circuit kind {cfg.kind!r}")
     text = provenance_header(cfg) + circuit_to_text(circuit)
     _emit(cfg.out, text)
     return EXIT_OK
@@ -454,33 +453,35 @@ COMMANDS = {
 
 
 # The RunConfig fields each command reads; export-circuit's depend on its
-# kind.  A command-line flag outside its entry is refused.  --seed and
-# --out are accepted everywhere, and a config file may hold any key: one
-# file may serve several commands.
+# kind.  A command-line flag outside its entry is refused: --out and the
+# header's --seed go with the writing commands, --seed also with measure.
+# A config file may hold any key: one file may serve several commands.
 READS = {
     "validate": {"lattice", "lam", "program", "tau"},
-    "ground-state": {"lattice", "lam"},
-    "sweep": {"lattice", "lam", "program", "tau", "nt", "threshold"},
-    "measure": {"lattice", "lam", "program", "tau", "nt", "shots"},
+    "ground-state": {"lattice", "lam", "seed", "out"},
+    "sweep": {"lattice", "lam", "program", "tau", "nt", "threshold", "seed",
+              "out"},
+    "measure": {"lattice", "lam", "program", "tau", "nt", "shots", "seed"},
     "export-circuit --kind program": {"kind", "lattice", "lam", "program",
-                                      "tau", "nt"},
-    "export-circuit --kind plaquette-loop": {"kind", "lattice"},
-    "export-circuit --kind link-loop": {"kind", "lattice"},
+                                      "tau", "nt", "seed", "out"},
+    "export-circuit --kind plaquette-loop": {"kind", "lattice", "seed", "out"},
+    "export-circuit --kind link-loop": {"kind", "lattice", "seed", "out"},
 }
 
 
-def _check_flags(command: str, cfg: RunConfig, flags) -> None:
-    """Refuse command-line ``flags`` (RunConfig field names) that the
-    command, or the export kind, does not read."""
-    if command == "export-circuit":
-        command += f" --kind {cfg.kind}"
-    if command not in READS:        # an unknown kind: the command refuses it
-        return
-    unread = sorted(set(flags) - READS[command] - {"seed", "out"})
+def _check_flags(key: str, cfg: RunConfig, flags) -> None:
+    """Refuse command-line ``flags`` (RunConfig field names) outside
+    ``READS[key]``, and ``--tau`` beside a program file."""
+    unread = sorted(set(flags) - READS[key])
     if unread:
         names = ", ".join("--lambda" if f == "lam" else f"--{f}"
                           for f in unread)
-        raise ConfigError(f"{command} does not read {names}")
+        raise ConfigError(f"{key} does not read {names}")
+    if "tau" in flags:
+        from .programs import BUILTIN_PROGRAMS
+        if cfg.program not in BUILTIN_PROGRAMS:
+            raise ConfigError(f"{key} reads --tau only for a builtin "
+                              f"program, not {cfg.program!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,11 +527,14 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
         cfg = load_config(args.config, overrides)
-        _check_flags(args.command, cfg,
+        key = (f"{args.command} --kind {cfg.kind}"
+               if args.command == "export-circuit" else args.command)
+        if key not in READS:
+            raise ConfigError(f"unknown circuit kind {cfg.kind!r}")
+        _check_flags(key, cfg,
                      [k for k, v in overrides.items() if v is not None])
-        writes = args.command in ("ground-state", "sweep", "export-circuit")
-        if writes and cfg.out and (os.path.isdir(cfg.out) or not os.path.isdir(
-                os.path.dirname(os.path.abspath(cfg.out)))):
+        if "out" in READS[key] and cfg.out and (os.path.isdir(cfg.out) or
+                not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out)))):
             raise ConfigError(f"cannot write --out {cfg.out!r}: not a file "
                               "in an existing directory")
         code = COMMANDS[args.command](cfg)

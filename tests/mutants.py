@@ -142,6 +142,24 @@ CATALOGUE = [
            "a \"z\" group evolves the columns where its control bit is set "
            "and writes them over the spin-up half",
            first="tests/test_circuits.py"),
+    Mutant("cli-seed-out-everywhere", "src/z2wilson/cli.py",
+           "unread = sorted(set(flags) - READS[key])",
+           "unread = sorted(set(flags) - READS[key] - {\"seed\", \"out\"})",
+           "--seed and --out accepted by every command again: measure "
+           "--out writes no file and exits 0",
+           first="tests/test_cli.py"),
+    Mutant("gate-list-extra-step", "src/z2wilson/wilson.py",
+           "for step in range(n_T):",
+           "for step in range(n_T + 1):",
+           "the gate list runs n_T + 1 Strang steps of time tau / n_T: the "
+           "circuit route no longer runs the sector route's product",
+           first="tests/test_wilson.py"),
+    Mutant("philox-word-order", "src/z2wilson/philox.py",
+           "self._buffer = [c3, c2, c1, c0]",
+           "self._buffer = [c0, c1, c2, c3]",
+           "each Philox block's four words handed out last first: every "
+           "shot draw leaves numpy's stream",
+           first="tests/test_philox.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)

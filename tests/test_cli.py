@@ -149,7 +149,9 @@ class TestGroundState:
         monkeypatch.setattr(gauge_mod, solver, warn_and_solve)
         out_path = tmp_path / "out.txt"
         nt = [] if command == "ground-state" else ["--nt", "2"]
-        code, out, _ = run_main(capsys, command, *nt, "--out", str(out_path))
+        # measure writes no file, so it takes no --out
+        out_args = ["--out", str(out_path)] if command != "measure" else []
+        code, out, _ = run_main(capsys, command, *nt, *out_args)
         assert code == 3
         assert out.endswith("degenerate_ground_state true\n")
         if command != "ground-state":     # nothing is written before it
@@ -412,13 +414,14 @@ class TestMeasure:
                                                       command):
         prog = tmp_path / "bad.prog"
         out_path = tmp_path / "out"
+        out_args = [] if command == "measure" else ["--out", str(out_path)]
         for text, message in [
                 ("SPATIAL 0\nTEMPORAL 1.0 0\n",
                  "spatial traversals do not close"),
                 ("SPATIAL 40 41\n", "step 0: links [40, 41] not on lattice")]:
             prog.write_text(text)
             code, out, err = run_main(capsys, command, "--program", str(prog),
-                                      "--nt", "1", "--out", str(out_path))
+                                      "--nt", "1", *out_args)
             assert code == EXIT_CONFIG
             assert out == ""
             assert not out_path.exists()
@@ -428,7 +431,7 @@ class TestMeasure:
         # refusal says so and asks for a program file
         for lattice in ("rect:2x2", "rect:3x3"):
             code, out, err = run_main(capsys, command, "--lattice", lattice,
-                                      "--nt", "1", "--out", str(out_path))
+                                      "--nt", "1", *out_args)
             assert code == EXIT_CONFIG
             assert out == ""
             assert not out_path.exists()
@@ -503,10 +506,11 @@ class TestMeasure:
              "at lambda=1e+308"),
         ]
         prog.write_text("EVOLVE -1e307\n")
+        writes = command in ("sweep", "export-circuit")
+        out_args = ["--out", str(out_path)] if writes else []
         for args, message in cases:
             nt = [] if command == "validate" else ["--nt", "1"]
-            code, out, err = run_main(capsys, command, *nt,
-                                      "--out", str(out_path), *args)
+            code, out, err = run_main(capsys, command, *nt, *out_args, *args)
             assert code == EXIT_CONFIG
             assert out == ""
             assert not out_path.exists()
@@ -531,10 +535,11 @@ class TestMeasure:
         prog = tmp_path / "tau.prog"
         prog.write_text(f"TEMPORAL {tau} 1 2\n")
         out_path = tmp_path / "out"
+        writes = command in ("sweep", "export-circuit")
+        out_args = ["--out", str(out_path)] if writes else []
         for args in (["--tau", tau], ["--program", str(prog)]):
             nt = [] if command == "validate" else ["--nt", "2"]
-            code, out, err = run_main(capsys, command, *nt,
-                                      "--out", str(out_path), *args)
+            code, out, err = run_main(capsys, command, *nt, *out_args, *args)
             assert code == EXIT_CONFIG
             assert out == ""
             assert not out_path.exists()
@@ -901,9 +906,9 @@ class TestUnreadFlags:
           "--lambda", "3", "--tau", "2"],
          "export-circuit --kind link-loop does not read --lambda, --tau"),
         (["measure", "--threshold", "0.5"],
-         "measure does not read --threshold"),
+         "measure does not read --out, --threshold"),
         (["sweep", "--shots", "5"], "sweep does not read --shots"),
-        (["validate", "--nt", "3,4"], "validate does not read --nt"),
+        (["validate", "--nt", "3,4"], "validate does not read --nt, --out"),
     ], ids=["ground-nt", "ground-kind", "link-loop-lambda-tau",
             "measure-threshold", "sweep-shots", "validate-nt"])
     def test_refused_before_output(self, capsys, tmp_path, argv, message):
@@ -924,13 +929,77 @@ class TestUnreadFlags:
         assert out == run_main(capsys, "ground-state", "--lattice",
                                "rect:2x2")[1]
 
-    @pytest.mark.parametrize("command", ["validate", "ground-state"])
-    def test_seed_and_out_accepted_everywhere(self, capsys, tmp_path,
-                                              command):
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        """Fail any eigensolve: the refusals come before one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran before the refusal")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["ground-state", "--lattice", "rect:2x2"],
+        ["sweep", "--nt", "4,8,16"],
+        ["export-circuit", "--nt", "2"],
+        ["export-circuit", "--kind", "plaquette-loop", "--lattice",
+         "rect:2x2"],
+        ["export-circuit", "--kind", "link-loop", "--lattice", "rect:2x2"],
+    ], ids=["ground-state", "sweep", "program", "plaquette-loop", "link-loop"])
+    def test_seed_and_out_read_where_written(self, capsys, tmp_path, argv):
+        # each writing command writes --out, headed by --seed
         out_path = tmp_path / "out"
-        code, _, _ = run_main(capsys, command, "--lattice", "rect:2x2",
-                              "--seed", "3", "--out", str(out_path))
+        code, _, _ = run_main(capsys, *argv, "--seed", "3",
+                              "--out", str(out_path))
         assert code == EXIT_OK
+        assert out_path.read_text().splitlines()[2] == "# seed 3 rng philox"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--nt", "2", "--out"], "measure does not read --out"),
+        (["validate", "--out"], "validate does not read --out"),
+        (["validate", "--seed", "3"], "validate does not read --seed"),
+    ], ids=["measure-out", "validate-out", "validate-seed"])
+    def test_seed_and_out_refused_where_unread(self, capsys, no_eigh,
+                                               tmp_path, argv, message):
+        # measure and validate write no file: --out would name none
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "out")]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "measure", "export-circuit",
+                                         "validate"])
+    def test_tau_refused_beside_a_program_file(self, capsys, no_eigh,
+                                               tmp_path, command):
+        # --tau sets the builtins' step time; a program file's steps carry
+        # their own, so beside one it would change nothing
+        prog = tmp_path / "chain.prog"
+        prog.write_text("SPATIAL 4 8\nTEMPORAL 0.7 4 8\nSPATIAL 8 4\n")
+        out_path = tmp_path / "out"
+        args = {"sweep": ["--nt", "8,16", "--out", str(out_path)],
+                "measure": ["--nt", "2"],
+                "export-circuit": ["--nt", "2", "--out", str(out_path)],
+                "validate": []}[command]
+        code, out, err = run_main(capsys, command, "--program", str(prog),
+                                  "--tau", "0.3", *args)
+        assert (code, out) == (EXIT_CONFIG, "")
+        key = command + (" --kind program" if command == "export-circuit"
+                         else "")
+        assert err == (f"error: {key} reads --tau only for a builtin "
+                       f"program, not {str(prog)!r}\n")
+        assert not out_path.exists()
+
+    def test_config_file_tau_beside_a_program_file(self, capsys, tmp_path):
+        # a config file may serve the builtins too, so its tau is accepted
+        prog = tmp_path / "chain.prog"
+        prog.write_text("SPATIAL 4 8\nTEMPORAL 0.7 4 8\nSPATIAL 8 4\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau=0.3\n")
+        argv = ["measure", "--program", str(prog), "--nt", "2"]
+        code, out, _ = run_main(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run_main(capsys, *argv)[1]
 
 
 class TestOutPath:
