@@ -5,12 +5,12 @@ Commands: ``ground-state``, ``sweep``, ``measure``, ``export-circuit``,
 command-line overrides; every output file starts with a provenance header
 (artifact version, config hash, seed) and is written atomically.  A
 command-line flag that the command does not read (:data:`READS`; ``--out``
-only where it writes, ``--tau`` only for a builtin program), and an
-output path that names a directory or lies in a missing one, are refused
-before any output.  Exit codes: 0 success, 2 configuration error,
-3 degenerate ground state, 4 numerical failure, 141 stdout closed early
-(128 + SIGPIPE, as a shell reports a process that a closed pipe ended;
-nothing is printed).
+only where it writes, ``--tau`` only for a builtin program), an output
+path that names a directory or lies in a missing one, and an input file
+that cannot be read are refused before any output.  Exit codes: 0
+success, 2 configuration error, 3 degenerate ground state, 4 numerical
+failure, 141 stdout closed early (128 + SIGPIPE, as a shell reports a
+process that a closed pipe ended; nothing is printed).
 
 Each command imports the layers it runs when it runs, so a request
 loads only those: ``validate`` needs no numpy, ``ground-state`` only
@@ -115,21 +115,30 @@ def _parse_nt(text: str) -> tuple[int, ...]:
     return values
 
 
+def _read(what: str, path: str) -> str:
+    """An input file's text; one that cannot be read is refused."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}"
+                          ) from None
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
     entries: dict[str, str] = {}
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file {path!r} does not exist")
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"bad config line {raw.rstrip()!r}")
-                key, value = line.split("=", 1)
-                entries[key.strip()] = value.strip()
+        for raw in _read("config file", path).split("\n"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"bad config line {raw.rstrip()!r}")
+            key, value = line.split("=", 1)
+            entries[key.strip()] = value.strip()
     entries.update({k: v for k, v in overrides.items() if v is not None})
     valid = {f.name for f in fields(RunConfig)}
     cfg._explicit = set(entries)
@@ -173,11 +182,11 @@ def resolve_lattice(cfg: RunConfig) -> Lattice:
             raise ConfigError(f"bad rect spec {spec!r}; use rect:WxH") from exc
         return build_rect(w, h)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            try:
-                lat = lattice_from_text(fh.read())
-            except ValueError as exc:
-                raise ConfigError(f"lattice file {spec!r}: {exc}") from None
+        text = _read("lattice file", spec)
+        try:
+            lat = lattice_from_text(text)
+        except ValueError as exc:
+            raise ConfigError(f"lattice file {spec!r}: {exc}") from None
         problems = validate(lat)
         if problems:
             raise ConfigError(f"lattice file {spec!r} invalid: {problems[0]}")
@@ -191,8 +200,7 @@ def resolve_program(cfg: RunConfig) -> LoopProgram:
     if spec in BUILTIN_PROGRAMS:
         return BUILTIN_PROGRAMS[spec](cfg.tau)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return program_from_text(fh.read())
+        return program_from_text(_read("program file", spec))
     raise ConfigError(f"program {spec!r} is neither a builtin "
                       f"({', '.join(BUILTIN_PROGRAMS)}) nor a file")
 
@@ -427,11 +435,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     # energies and phases overflow through lambda and the program's taus
     if {"program", "tau", "lam"} & explicit:
         from .gauge import Z2Model
-        _check_overflow(Z2Model(lat, cfg.lam), resolve_program(cfg))
+        program = resolve_program(cfg)
+        _check_overflow(Z2Model(lat, cfg.lam), program)
     # --tau is a parameter of the builtin programs, so it is checked too
     if {"program", "tau"} & explicit:
         from .programs import BUILTIN_PROGRAMS, validate_program
-        diags = validate_program(lat, resolve_program(cfg))
+        diags = validate_program(lat, program)
         errs = [d for d in diags if d.startswith("error:")]
         if errs and cfg.program in BUILTIN_PROGRAMS:
             raise _program_refusal(cfg, errs[0].removeprefix("error: "))

@@ -6,9 +6,9 @@ complex array of length 2**n_qubits with qubit 0 the least significant
 bit of the index; bit 0 is spin-up (sigma_3 = +1).  No CLI command loads
 it: commands compute in sector coordinates, and the routes here are the
 literal references the tests hold them to -- the Pauli kernels and
-:class:`StateVector`, the gate-list executor :func:`run_circuit`, the
-gate-by-gate Trotter evolution (:func:`trotter_evolve`,
-:func:`trotterized_loop_operator_fullspace`), :func:`spatial_loop_direct`
+:class:`StateVector`, the gate-list executor :func:`run_circuit`,
+:func:`trotter_evolve`, :func:`trotterized_loop_operator_fullspace` (which
+runs the gate list ``export-circuit`` writes), :func:`spatial_loop_direct`
 and :func:`gauge_violation`.  It builds on ``circuits.PauliString``, the
 gate lists of ``wilson`` and the embedding ``gauge.embed_sector_coords``;
 nothing imports it.
@@ -38,9 +38,10 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        ResetAncilla, _outcome, star_operator)
 from .gauge import (PhysicalSector, Z2Model, embed_sector_coords, flipped,
                     project_to_sector)
-from .programs import LoopProgram, Spatial
+from .programs import LoopProgram
 from .trotter import _check_program
-from .wilson import _spatial_string, trotter_strings
+from .wilson import (_spatial_string, trotter_strings,
+                     trotterized_program_circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +391,15 @@ def trotter_evolve(sv: StateVector, model: Z2Model, tau: float, n_T: int,
 def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
                                         program: LoopProgram, n_T: int
                                         ) -> np.ndarray:
-    """Reference route: embed the sector basis, run the literal gate list
-    in the full 2**L space, project back.  Same matrix as
-    ``trotter.trotterized_loop_operator``; kept as a cross-check oracle."""
+    """Reference route: embed the sector basis, run the gate list that
+    ``export-circuit`` writes (``wilson.trotterized_program_circuit``) in
+    the full 2**L space with its global phase, project back.  Same matrix
+    as ``trotter.trotterized_loop_operator``; kept as a cross-check oracle."""
     _check_program(model, program)
+    circuit = trotterized_program_circuit(model, program, n_T)
     cols = embed_sector_coords(sector, np.eye(sector.dim, dtype=np.complex128))
-    L = sector.n_links
-    for step in program.steps:
-        if isinstance(step, Spatial):
-            cols[:] = pauli_action(cols, _spatial_string(step.links), L)
-        else:
-            for string, theta in trotter_strings(model, n_T, step.tau,
-                                                 step.modified_links):
-                pauli_exp_inplace(cols, string, theta, L)
+    apply_gates(cols, circuit.gates, sector.n_links)
+    cols *= np.exp(1j * circuit.global_phase)
     return project_to_sector(sector, cols)
 
 

@@ -12,10 +12,11 @@ Consecutive electric half-factors inside one evolution are merged.
 This module runs that product as a sector operator.  Its rows are the
 sector's cycle coordinates (``gauge.build_physical_sector``), where every
 plaquette and spatial step is an index flip through ``gauge.flipped``.
-The literal gate list (``wilson.trotter_strings``) and
-its full-space run (``statevec.trotter_evolve``,
-``statevec.trotterized_loop_operator_fullspace``) live elsewhere: this
-module builds no Pauli string and no 2**L register.
+The literal gate list (``wilson.trotterized_program_circuit``, which
+``export-circuit`` writes and ``measure`` controls, from one walk of the
+program) and its full-space run
+(``statevec.trotterized_loop_operator_fullspace``, the same gates) live
+elsewhere: this module builds no Pauli string and no 2**L register.
 
 Fidelities follow the two figures of merit reported for the sweeps:
 operator fidelity |tr(W^dag W')| with normalized trace, and state fidelity
@@ -85,9 +86,9 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     plaquette exponential is cos(theta) I + i sin(theta) (XOR permutation).
     Every spatial step and plaquette is an index flip (:func:`_walk`,
     :func:`_trotter_band`), bit-identical to the gather
-    ``w = c * w + s * w[perm, :]``.  This reproduces the full-space gate
-    circuit matrix (``statevec.trotterized_loop_operator_fullspace``) at
-    dim x dim cost.
+    ``w = c * w + s * w[perm, :]``.  This reproduces the matrix of the
+    exported gate circuit run in the full space
+    (``statevec.trotterized_loop_operator_fullspace``) at dim x dim cost.
     """
     return _walk(model, sector, program,
                  lambda moves, sec, step, w: _trotter_band(

@@ -75,6 +75,19 @@ def trotter_strings(model: Z2Model, n_T: int, tau: float,
     return gates
 
 
+def _program_strings(model: Z2Model, program: LoopProgram, n_T: int):
+    """(string, theta, loop) of each gate of the Trotterized program, in
+    order: the one walk from a program to gates.  A spatial step is its
+    loop string at pi/2 (``loop`` True), none if its links cancel."""
+    for step in program.steps:
+        if not isinstance(step, Spatial):
+            for string, theta in trotter_strings(model, n_T, step.tau,
+                                                 step.modified_links):
+                yield string, theta, False
+        elif (s := _spatial_string(step.links)).weight:
+            yield s, HALF_PI, True
+
+
 # ---------------------------------------------------------------------------
 # spatial loops
 # ---------------------------------------------------------------------------
@@ -317,47 +330,34 @@ def link_loop_circuit(lattice: Lattice, loop_links) -> Circuit:
 
 def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
                     control_ancilla: int, n_T: int) -> None:
-    """Controlled version of the full Trotterized loop.
+    """Controlled version of the full Trotterized loop: the gates of
+    :func:`trotterized_program_circuit`, from the same walk.
 
-    Spatial steps become single controlled loop-string exponentials with an
-    exact phase fix (c-U^C); electric rotations become controlled X
-    rotations (c-U^Gamma); each plaquette exponential becomes the
-    two-ancilla sandwich c-U^Box = V^dag_b [controlled e^{-i theta Z_b}] V_b
-    with the work ancilla b spin-down.
+    Loop strings become single controlled exponentials with an exact phase
+    fix (c-U^C); electric rotations become controlled X rotations
+    (c-U^Gamma); each plaquette exponential becomes the two-ancilla
+    sandwich c-U^Box = V^dag_b [controlled e^{-i theta Z_b}] V_b with the
+    work ancilla b spin-down.
     """
-    lat = model.lattice
-    if control_ancilla < lat.n_links:
+    if control_ancilla < model.lattice.n_links:
         raise CircuitError("control ancilla collides with the link register")
     box_ancilla: int | None = None
-
-    def emit_controlled_string(string: PauliString, theta: float) -> None:
-        nonlocal box_ancilla
-        if string.weight <= 1:
+    for string, theta, loop in _program_strings(model, program, n_T):
+        if loop or string.weight <= 1:
             circuit.add(ControlledPauliExp(control_ancilla, "z", string, theta))
-            return
-        # plaquette magnetic term: two-ancilla construction
-        if box_ancilla is None:
-            box_ancilla = circuit.alloc_ancilla(initial_bit=1)
-        else:
-            circuit.add(ResetAncilla(box_ancilla, 1))
-        _v_sandwich(circuit, box_ancilla, sorted(string.support),
-                    ControlledPauliExp(control_ancilla, "z",
-                                       PauliString({box_ancilla: "Z"}),
-                                       -theta))
-
-    for step in program.steps:
-        if isinstance(step, Spatial):
-            s = _spatial_string(step.links)
-            if not s.weight:
-                continue
-            circuit.add(ControlledPauliExp(control_ancilla, "z", s, HALF_PI))
+        else:   # plaquette magnetic term: two-ancilla construction
+            if box_ancilla is None:
+                box_ancilla = circuit.alloc_ancilla(initial_bit=1)
+            else:
+                circuit.add(ResetAncilla(box_ancilla, 1))
+            _v_sandwich(circuit, box_ancilla, sorted(string.support),
+                        ControlledPauliExp(control_ancilla, "z",
+                                           PauliString({box_ancilla: "Z"}),
+                                           -theta))
+        if loop:
             circuit.add(PauliExp(PauliString({control_ancilla: "Z"}),
                                  -np.pi / 4))
             circuit.add_phase(-np.pi / 4)
-        else:
-            for string, theta in trotter_strings(model, n_T, step.tau,
-                                                 step.modified_links):
-                emit_controlled_string(string, theta)
 
 
 def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
@@ -404,24 +404,17 @@ def sample_p_plus(p_plus: float, shots: int, rng) -> float:
 
 def trotterized_program_circuit(model: Z2Model, program: LoopProgram,
                                 n_T: int) -> Circuit:
-    """Plain (uncontrolled) gate list of the Trotterized program.
-
-    Spatial steps are emitted as one loop-string exponential pair
-    equivalent to the sigma_3 product: e^{i pi/2 P} = i P, compensated by a
-    recorded global phase, keeping every gate a Pauli exponential.
-    """
+    """Plain (uncontrolled) gate list of the Trotterized program: what
+    ``export-circuit`` writes and the full-space reference
+    (``statevec.trotterized_loop_operator_fullspace``) runs; its walk also
+    feeds :func:`controlled_loop`.  A loop string's e^{i pi/2 P} = i P is
+    compensated by a recorded global phase: the sigma_3 product, with
+    every gate a Pauli exponential."""
     circuit = Circuit(model.lattice.n_links)
-    for step in program.steps:
-        if isinstance(step, Spatial):
-            s = _spatial_string(step.links)
-            if not s.weight:
-                continue
-            circuit.add(PauliExp(s, HALF_PI))
+    for string, theta, loop in _program_strings(model, program, n_T):
+        circuit.add(PauliExp(string, theta))
+        if loop:
             circuit.add_phase(-HALF_PI)
-        else:
-            for string, theta in trotter_strings(model, n_T, step.tau,
-                                                 step.modified_links):
-                circuit.add(PauliExp(string, theta))
     return circuit
 
 

@@ -160,6 +160,37 @@ CATALOGUE = [
            "each Philox block's four words handed out last first: every "
            "shot draw leaves numpy's stream",
            first="tests/test_philox.py"),
+    Mutant("gate-walk-keeps-empty-spatial", "src/z2wilson/wilson.py",
+           "elif (s := _spatial_string(step.links)).weight:",
+           "elif (s := _spatial_string(step.links)).weight or True:",
+           "a spatial step whose links cancel still emits its identity "
+           "string at pi/2: the exported and controlled gate lists gain "
+           "gates the sigma_3 product does not have",
+           first="tests/test_cli.py"),
+    Mutant("cli-nt-floor-zero", "src/z2wilson/cli.py",
+           "if any(v < 1 for v in values):",
+           "if any(v < 0 for v in values):",
+           "n_T = 0 accepted: sweep reaches its eigensolve and fails there, "
+           "not with one error line before any work",
+           first="tests/test_cli.py"),
+    Mutant("cli-read-not-found-only", "src/z2wilson/cli.py",
+           "except OSError as exc:",
+           "except FileNotFoundError as exc:",
+           "an input path that names a directory ends in a traceback, not "
+           "in one error line and exit 2",
+           first="tests/test_cli.py"),
+    Mutant("plaquette-order-right-left", "src/z2wilson/lattice.py",
+           '''lid[("v", x + 1, y)],  # right
+                      lid[("h", x, y + 1)],  # top
+                      lid[("v", x, y)]))     # left''',
+           '''lid[("v", x, y)],      # left
+                      lid[("h", x, y + 1)],  # top
+                      lid[("v", x + 1, y)]))  # right''',
+           "each cell's links listed bottom, left, top, right: the same "
+           "plaquette strings, but position 1 of a plaquette is now its "
+           "left link, so the plaquette-loop export changes order and the "
+           "numbering no longer matches one built from cell coordinates",
+           first="tests/test_symmetry.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -1,6 +1,7 @@
 """CLI commands: configs, outputs, determinism, exit codes."""
 
 import dataclasses
+import errno
 import hashlib
 import os
 import subprocess
@@ -14,7 +15,7 @@ from z2wilson.circuits import (ControlledPauliExp, block_bit_probability,
 from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
                           ConfigError, RunConfig, load_config, main,
                           resolve_lattice)
-from z2wilson.gauge import Z2Model, project_to_sector
+from z2wilson.gauge import Z2Model, build_physical_sector, project_to_sector
 from z2wilson.lattice import (_build_from_cells, build_cross, build_rect,
                               lattice_to_text)
 from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
@@ -29,6 +30,15 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def no_eigh(monkeypatch):
+    """Fail any eigensolve: the refusals come before one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran before the refusal")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
 
 
 class TestConfig:
@@ -884,6 +894,45 @@ class TestEvolvePrograms:
                   + (path.read_bytes() if path.exists() else b""))
         assert hashlib.sha256(record).hexdigest() == digest
 
+    def test_cancelling_spatial_step_emits_no_gate(self, capsys,
+                                                   monkeypatch, tmp_path):
+        # SPATIAL 4 4 traverses link 4 twice: sigma_3**2 = I, so every
+        # route and every output is that of the program without the step
+        monkeypatch.chdir(tmp_path)
+        text = self.PROGRAMS["evolve_closed.prog"]
+        (tmp_path / "plain.prog").write_text(text)
+        (tmp_path / "cancel.prog").write_text("SPATIAL 4 4\n" + text)
+
+        def body(name):
+            path = tmp_path / f"{name}.qc"
+            code, _, _ = run_main(capsys, "export-circuit", "--program",
+                                  f"{name}.prog", "--nt", "2",
+                                  "--out", str(path))
+            assert code == EXIT_OK
+            return path.read_text().splitlines()[3:]
+
+        def measured(name):
+            code, out, err = run_main(capsys, "measure", "--program",
+                                      f"{name}.prog", "--nt", "3",
+                                      "--shots", "500", "--seed", "11")
+            assert (code, err) == (EXIT_OK, "")
+            return out
+
+        assert body("cancel") == body("plain")
+        assert measured("cancel") == measured("plain")
+        model = Z2Model(build_cross(), 10.0)
+        plain = program_from_text(text)
+        cancel = program_from_text("SPATIAL 4 4\n" + text)
+        assert len(cancel.steps) == len(plain.steps) + 1
+        (circ, ctrl), (circ0, ctrl0) = (hadamard_test_circuit(model, p, 3)
+                                        for p in (cancel, plain))
+        assert (circ.gates, circ.global_phase, ctrl) == \
+            (circ0.gates, circ0.global_phase, ctrl0)
+        sector = build_physical_sector(model)
+        assert np.array_equal(
+            trotterized_loop_operator(model, sector, cancel, 3),
+            trotterized_loop_operator(model, sector, plain, 3))
+
     def test_validate_notes_the_open_frontier(self, capsys, monkeypatch,
                                               tmp_path):
         monkeypatch.chdir(tmp_path)
@@ -928,14 +977,6 @@ class TestUnreadFlags:
         assert code == EXIT_OK
         assert out == run_main(capsys, "ground-state", "--lattice",
                                "rect:2x2")[1]
-
-    @pytest.fixture
-    def no_eigh(self, monkeypatch):
-        """Fail any eigensolve: the refusals come before one."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigh ran before the refusal")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
 
     @pytest.mark.parametrize("argv", [
         ["ground-state", "--lattice", "rect:2x2"],
@@ -1000,6 +1041,47 @@ class TestUnreadFlags:
         code, out, _ = run_main(capsys, *argv, "--config", str(cfg))
         assert code == EXIT_OK
         assert out == run_main(capsys, *argv)[1]
+
+
+class TestInputRefusals:
+    """A bad value, a missing or malformed input and an input path that
+    names a directory are each refused with one error line, before any
+    output or eigensolve."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--nt", "0"], "n_T values must be >= 1"),
+        (["sweep", "--nt", ","], "empty n_T list"),
+        (["sweep", "--lambda", "abc"], "bad float for lam: 'abc'"),
+        (["measure", "--shots", "x"], "bad integer for shots: 'x'"),
+        (["sweep", "--program", "nosuch"],
+         "program 'nosuch' is neither a builtin (staircase-default) nor a "
+         "file"),
+        (["validate", "--config", "missing.cfg"],
+         "config file 'missing.cfg' does not exist"),
+        (["sweep", "--config", "garbage.cfg"], "bad config line 'garbage'"),
+    ], ids=["nt-zero", "nt-empty", "bad-float", "bad-integer",
+            "no-such-program", "missing-config", "bad-config-line"])
+    def test_refused_before_output(self, capsys, monkeypatch, no_eigh,
+                                   tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "garbage.cfg").write_text("garbage\n")
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, what", [
+        (["validate", "--lattice"], "lattice file"),
+        (["validate", "--program"], "program file"),
+        (["validate", "--config"], "config file"),
+        (["sweep", "--nt", "8,16,32", "--program"], "program file"),
+    ], ids=["validate-lattice", "validate-program", "validate-config",
+            "sweep-program"])
+    def test_directory_input_refused(self, capsys, no_eigh, tmp_path, argv,
+                                     what):
+        code, out, err = run_main(capsys, *argv, str(tmp_path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: cannot read {what} {str(tmp_path)!r}: "
+                       f"{os.strerror(errno.EISDIR)}\n")
 
 
 class TestOutPath:
