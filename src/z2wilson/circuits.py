@@ -142,7 +142,9 @@ class ControlledPauliExp:
     def __post_init__(self):
         if self.basis not in ("z", "x-"):
             raise CircuitError(f"unknown control basis {self.basis!r}")
-        if self.control in self.string.support:
+        if self.control < 0:
+            raise CircuitError(f"negative control qubit {self.control}")
+        if (self.string.x | self.string.z) >> self.control & 1:
             raise CircuitError(
                 f"control {self.control} overlaps gate support")
 

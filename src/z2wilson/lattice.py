@@ -172,15 +172,9 @@ def validate(lattice: Lattice) -> list[str]:
         if any(not 0 <= li < nl for li in plaq):
             out.append(f"plaquette {pi}: link index out of range in {plaq}")
             continue
-        verts = set()
-        closed = True
-        for k in range(4):
-            a1, b1 = lattice.links[plaq[k]]
-            a2, b2 = lattice.links[plaq[(k + 1) % 4]]
-            if not ({a1, b1} & {a2, b2}):
-                closed = False
-            verts.update({a1, b1})
-        if not closed or len(verts) != 4:
+        ends = [set(lattice.links[li]) for li in plaq]
+        closed = all(ends[k - 1] & ends[k] for k in range(4))
+        if not closed or len(set().union(*ends)) != 4:
             out.append(f"plaquette {pi}: links {plaq} do not form a 4-cycle")
 
     in_star = [0] * nl
@@ -193,6 +187,16 @@ def validate(lattice: Lattice) -> list[str]:
     for li, cnt in enumerate(in_star):
         if cnt != 2:
             out.append(f"link {li}: appears in {cnt} stars, expected 2")
+    # the sector layer drops one Gauss law as redundant: one per component
+    reached, todo = set(), [0] if nv > 0 else []
+    while todo:
+        if (v := todo.pop()) not in reached:
+            reached.add(v)
+            todo += [w for li in lattice.stars[v] for w in lattice.links[li]
+                     if 0 <= w < nv]
+    if len(reached) < nv:
+        out.append(f"vertices {sorted(set(range(nv)) - reached)} are not "
+                   "connected to vertex 0")
     return out
 
 

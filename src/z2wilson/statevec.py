@@ -224,10 +224,10 @@ def apply_controlled_pauli_exp(sv: StateVector, control: int, basis: str,
     basis "x-": fires when the control qubit is in |->.
     The control must lie outside the support of P.
     """
-    if control in p.support:
-        raise PauliStringError(f"control {control} overlaps string support")
     if not 0 <= control < sv.n_qubits:
         raise PauliStringError(f"control {control} outside register")
+    if (p.x | p.z) >> control & 1:
+        raise PauliStringError(f"control {control} overlaps string support")
     _controlled_exps(sv.amps, control, basis, [(p, theta)], sv.n_qubits)
 
 

@@ -49,30 +49,20 @@ def trotter_strings(model: Z2Model, n_T: int, tau: float,
     same n_T Strang steps of time tau / n_T that ``trotter`` runs.
 
     Convention: each entry applies e^{i theta P}.  Electric rotations are
-    ordered by link id, plaquette exponentials by plaquette id.
+    ordered by link id, plaquette exponentials by plaquette id.  The steps
+    repeat one step's strings, each built once.
     """
     if n_T < 1:
         raise ValueError(f"n_T must be >= 1, got {n_T}")
     lat = model.lattice
     half = tau / (2 * n_T)
     mag = model.lam * tau / n_T
-
-    def electric(scale: float) -> list[tuple[PauliString, float]]:
-        out = []
-        for li in range(lat.n_links):
-            sign = -1.0 if li in modified_links else +1.0
-            out.append((PauliString({li: "X"}), sign * scale))
-        return out
-
-    def magnetic() -> list[tuple[PauliString, float]]:
-        return [(_spatial_string(plaq), mag) for plaq in lat.plaquettes]
-
-    gates: list[tuple[PauliString, float]] = []
-    gates += electric(half)
-    for step in range(n_T):
-        gates += magnetic()
-        gates += electric(half if step == n_T - 1 else 2 * half)
-    return gates
+    xs = [(PauliString({li: "X"}), -1.0 if li in modified_links else +1.0)
+          for li in range(lat.n_links)]
+    edge = [(s, sign * half) for s, sign in xs]
+    inner = [(s, sign * (2 * half)) for s, sign in xs]
+    magnetic = [(_spatial_string(plaq), mag) for plaq in lat.plaquettes]
+    return edge + (magnetic + inner) * (n_T - 1) + magnetic + edge
 
 
 def _program_strings(model: Z2Model, program: LoopProgram, n_T: int):
@@ -350,7 +340,7 @@ def controlled_loop(circuit: Circuit, model: Z2Model, program: LoopProgram,
                 box_ancilla = circuit.alloc_ancilla(initial_bit=1)
             else:
                 circuit.add(ResetAncilla(box_ancilla, 1))
-            _v_sandwich(circuit, box_ancilla, sorted(string.support),
+            _v_sandwich(circuit, box_ancilla, [q for q, _ in string.terms],
                         ControlledPauliExp(control_ancilla, "z",
                                            PauliString({box_ancilla: "Z"}),
                                            -theta))

@@ -10,7 +10,9 @@ coordinates and the link numbering ``lattice.py`` documents
 :func:`two_copy_fwht` are different: they are the plain forms of the
 sector Trotter loop and of the Walsh-Hadamard transform, kept so that the
 tests can hold the package's versions to the same bits, not just to
-rounding.
+rounding.  :func:`stepwise_trotter_strings` is the per-step form of
+``wilson.trotter_strings``, whose gate list the package builds from one
+step's strings.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
                             electric_diag, ground_state, project_to_sector)
 from z2wilson.lattice import build_cross
 from z2wilson.programs import Spatial
-from z2wilson.statevec import StateVector
+from z2wilson.statevec import PauliString, StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -137,6 +139,31 @@ def gather_loop_operator(model, sector, program, n_T):
                 w = c * w + s * w[perm, :]
             w = (half if k == n_T - 1 else full)[:, None] * w
     return w
+
+
+def stepwise_trotter_strings(model, n_T, tau, modified_links=frozenset()):
+    """The gate list of ``wilson.trotter_strings`` built step by step, new
+    strings in every step: an electric half step, then per Strang step the
+    plaquette layer and an electric full step (a half step after the
+    last)."""
+    lat = model.lattice
+    half = tau / (2 * n_T)
+    mag = model.lam * tau / n_T
+
+    def electric(scale):
+        return [(PauliString({li: "X"}),
+                 (-1.0 if li in modified_links else +1.0) * scale)
+                for li in range(lat.n_links)]
+
+    def magnetic():
+        return [(PauliString({li: "Z" for li in plaq}), mag)
+                for plaq in lat.plaquettes]
+
+    gates = electric(half)
+    for step in range(n_T):
+        gates += magnetic()
+        gates += electric(half if step == n_T - 1 else 2 * half)
+    return gates
 
 
 def two_copy_fwht(a):

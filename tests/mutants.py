@@ -6,7 +6,11 @@ and runs the Tier-1 suite there with ``-x``.  An entry may name a test
 file that kills it, which runs first: the full suite runs only if that
 file passes.  A mutant is killed when either run fails; the first failing
 test is reported.  A survivor fails the run unless its entry is marked
-equivalent, with the reason.
+equivalent, with the reason.  Each run's address space is capped at
+``MEMORY_CAP`` (``RLIMIT_AS``, set in the child before it starts): a
+mutant that makes the suite allocate without bound ends that run, with a
+``MemoryError`` or a crash inside numpy, and counts as killed, instead of
+taking the machine's memory.
 
     python3 tests/mutants.py
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+MEMORY_CAP = 2 << 30        # bytes of address space per test run
 
 
 @dataclass(frozen=True)
@@ -149,10 +155,17 @@ CATALOGUE = [
            "--out writes no file and exits 0",
            first="tests/test_cli.py"),
     Mutant("gate-list-extra-step", "src/z2wilson/wilson.py",
-           "for step in range(n_T):",
-           "for step in range(n_T + 1):",
+           "* (n_T - 1)",
+           "* n_T",
            "the gate list runs n_T + 1 Strang steps of time tau / n_T: the "
            "circuit route no longer runs the sector route's product",
+           first="tests/test_wilson.py"),
+    Mutant("gate-list-inner-half", "src/z2wilson/wilson.py",
+           "inner = [(s, sign * (2 * half)) for s, sign in xs]",
+           "inner = [(s, sign * half) for s, sign in xs]",
+           "the electric steps between the gate list's plaquette layers "
+           "run at the half angle of its two ends: the circuit route "
+           "evolves for less time than the sector route",
            first="tests/test_wilson.py"),
     Mutant("philox-word-order", "src/z2wilson/philox.py",
            "self._buffer = [c3, c2, c1, c0]",
@@ -160,6 +173,18 @@ CATALOGUE = [
            "each Philox block's four words handed out last first: every "
            "shot draw leaves numpy's stream",
            first="tests/test_philox.py"),
+    Mutant("philox-left-tail-kept", "src/z2wilson/philox.py",
+           "                if y < 0:\n                    continue\n",
+           "",
+           "a BTPE proposal from the left exponential tail below 0 is "
+           "accepted, not drawn again: the draw leaves numpy's stream",
+           first="tests/test_philox.py"),
+    Mutant("lattice-one-component-unchecked", "src/z2wilson/lattice.py",
+           "if len(reached) < nv:",
+           "if False and len(reached) < nv:",
+           "a lattice file of two disconnected graphs passes validate, and "
+           "the sector layer refuses it further in",
+           first="tests/test_lattice.py"),
     Mutant("gate-walk-keeps-empty-spatial", "src/z2wilson/wilson.py",
            "elif (s := _spatial_string(step.links)).weight:",
            "elif (s := _spatial_string(step.links)).weight or True:",
@@ -204,6 +229,10 @@ def _copy_tree(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run_mutant(copy: str, mutant: Mutant) -> tuple[bool, str, float]:
     """(killed, first failing test, seconds) of one mutant in ``copy``,
     whose file is restored afterwards."""
@@ -219,7 +248,8 @@ def run_mutant(copy: str, mutant: Mutant) -> tuple[bool, str, float]:
     try:
         for argv in runs + [TIER1]:
             proc = subprocess.run(argv, cwd=copy, env=env,
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True,
+                                  preexec_fn=_cap_memory)
             if proc.returncode:
                 break
     finally:

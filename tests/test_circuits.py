@@ -39,6 +39,11 @@ class TestCircuitStructure:
         with pytest.raises(CircuitError):
             ControlledPauliExp(0, "z", PauliString({0: "Z"}), 0.1)
 
+    def test_negative_control_rejected(self):
+        # the overlap test shifts the string's masks by the control
+        with pytest.raises(CircuitError, match="negative control qubit -1"):
+            ControlledPauliExp(-1, "z", PauliString({0: "Z"}), 0.1)
+
     def test_bad_basis_rejected(self):
         with pytest.raises(CircuitError):
             ControlledPauliExp(1, "y", PauliString({0: "Z"}), 0.1)

@@ -1084,6 +1084,42 @@ class TestInputRefusals:
                        f"{os.strerror(errno.EISDIR)}\n")
 
 
+    SQUARE = ("LINK 0 0 1\nLINK 1 1 2\nLINK 2 2 3\nLINK 3 3 0\n")
+
+    @pytest.mark.parametrize("name, text, argv, stdout, stderr", [
+        ("foo.lat", "LATTICE v=4 e=4 p=1\n" + SQUARE + "PLAQ 0 0 1 2 3\n"
+         "FOO 1\n", ["sweep", "--lattice"], "",
+         "error: lattice file {path!r}: unknown lattice record 'FOO'\n"),
+        ("links.lat", "LATTICE v=4 e=5 p=1\n" + SQUARE + "PLAQ 0 0 1 2 3\n",
+         ["sweep", "--lattice"], "",
+         "error: lattice file {path!r}: LINK records do not match header "
+         "count\n"),
+        ("plaqs.lat", "LATTICE v=4 e=4 p=2\n" + SQUARE + "PLAQ 0 0 1 2 3\n",
+         ["sweep", "--lattice"], "",
+         "error: lattice file {path!r}: PLAQ records do not match header "
+         "count\n"),
+        ("range.lat", "LATTICE v=4 e=4 p=1\n" + SQUARE + "PLAQ 0 0 1 2 9\n",
+         ["sweep", "--lattice"], "",
+         "error: lattice file {path!r} invalid: plaquette 0: link index out "
+         "of range in (0, 1, 2, 9)\n"),
+        ("off.prog", "SPATIAL 4 8 11 7\nTEMPORAL 0.5 99\nSPATIAL 4 8 11 7\n",
+         ["validate", "--program"],
+         "program: error: step 1: modified links [99] not on lattice\n", ""),
+        ("off.prog", "SPATIAL 4 8 11 7\nTEMPORAL 0.5 99\nSPATIAL 4 8 11 7\n",
+         ["sweep", "--nt", "8,16,32", "--program"], "",
+         "error: step 1: modified links [99] not on lattice\n"),
+    ], ids=["unknown-record", "link-count", "plaquette-count",
+            "plaquette-link-range", "validate-program-links",
+            "sweep-program-links"])
+    def test_bad_input_file_refused(self, capsys, no_eigh, tmp_path, name,
+                                    text, argv, stdout, stderr):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_main(capsys, *argv, str(path))
+        assert (code, out) == (EXIT_CONFIG, stdout)
+        assert err == stderr.format(path=str(path))
+
+
 class TestOutPath:
     """An --out path that lies in a missing directory, or names a
     directory, is refused before any output or work."""
@@ -1174,6 +1210,22 @@ class TestValidateCommand:
             assert out == ""
             assert err.startswith("error: lattice file") and record in err
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["ground-state"], ["sweep", "--nt", "8,16,32"],
+        ["measure", "--nt", "2"],
+        ["export-circuit", "--kind", "plaquette-loop"]],
+        ids=lambda argv: argv[-1] if argv[0] == "export-circuit" else argv[0])
+    def test_disconnected_lattice_file(self, capsys, no_eigh, tmp_path,
+                                       argv):
+        # two unit squares that share no vertex: every command refuses the
+        # file up front, not the sector layer further in
+        path = tmp_path / "two.lat"
+        path.write_text(lattice_to_text(_build_from_cells([(0, 0), (2, 0)])))
+        code, out, err = run_main(capsys, *argv, "--lattice", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: lattice file {str(path)!r} invalid: vertices "
+                       "[2, 3, 6, 7] are not connected to vertex 0\n")
 
     @pytest.mark.parametrize("n_vertices", [0, -3])
     def test_lattice_file_without_vertices(self, capsys, tmp_path,

@@ -198,6 +198,15 @@ class TestValidate:
         assert diags == [f"{n_vertices} vertices: a lattice needs at "
                          "least one"]
 
+    def test_disconnected_graph(self):
+        # two unit squares that share no vertex: each passes every local
+        # check, but the pair has two redundant Gauss laws, not one
+        diags = validate(_build_from_cells([(0, 0), (2, 0)]))
+        assert diags == ["vertices [2, 3, 6, 7] are not connected to "
+                         "vertex 0"]
+        # squares that share one corner form one graph
+        assert validate(_build_from_cells([(0, 0), (1, 1)])) == []
+
 
 class TestTextFormat:
     def test_round_trip(self):

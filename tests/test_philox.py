@@ -79,6 +79,15 @@ def test_binomial_on_a_seeded_grid():
                 == [int(want.binomial(n, p)) for _ in range(3)]), (seed, n, p)
 
 
+def test_binomial_left_tail_rejected():
+    # BTPE's left exponential tail proposes y < 0 on the 40th draw, which
+    # is rejected and drawn again, as numpy does
+    want = numpy_generator(378).binomial(100, 0.31, size=40)
+    ours = Philox(378)
+    assert ([ours.binomial(100, 0.31) for _ in range(40)]
+            == [int(w) for w in want])
+
+
 @pytest.mark.parametrize("n, p", [(-1, 0.5), (1 << 63, 0.5), (5, -0.1),
                                   (5, 1.5), (5, float("nan"))])
 def test_binomial_refuses_what_numpy_refuses(n, p):

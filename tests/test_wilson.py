@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (dense_pauli, expm_i_hermitian, random_coords,
-                      random_state)
+                      random_state, stepwise_trotter_strings)
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
                                circuit_stats, run_blocks,
                                star_commutation_report)
@@ -34,7 +34,7 @@ from z2wilson.wilson import (closure_strings,
                              rect_loop_link_circuit,
                              rect_loop_plaquette_circuit,
                              sample_p_plus, spatial_loop_via_ancilla,
-                             temporal_plaquette_exact,
+                             temporal_plaquette_exact, trotter_strings,
                              trotterized_program_circuit)
 
 
@@ -459,6 +459,19 @@ class TestControlledLoop:
             blk_a = link_register_block(out_a, circ, {ctrl: bit, box: 1})
             blk_b = link_register_block(out_b, circ_b, {ctrl_b: bit})
             assert np.max(np.abs(blk_a - blk_b)) < 1e-12
+
+
+class TestTrotterStrings:
+    @pytest.mark.parametrize("n_T", [1, 2, 5])
+    @pytest.mark.parametrize("modified", [frozenset(), frozenset({1, 3, 5})],
+                             ids=["plain", "modified"])
+    def test_equals_stepwise_reference(self, rect21, n_T, modified):
+        lat, model, _ = rect21
+        gates = trotter_strings(model, n_T, 0.7, modified)
+        assert gates == stepwise_trotter_strings(model, n_T, 0.7, modified)
+        # one step's strings, each object repeated across the steps
+        assert (len({id(s) for s, _ in gates})
+                == lat.n_links + lat.n_plaquettes)
 
 
 class TestHadamardTest:
