@@ -134,6 +134,14 @@ def program_errors(lattice: Lattice, program: LoopProgram) -> list[str]:
             if d.startswith("error:")]
 
 
+def _check_program(lattice: Lattice, program: LoopProgram) -> None:
+    """Refuse a program with any error of :func:`program_errors`: the one
+    check at the top of each walk, in ``trotter`` and in ``wilson``."""
+    errs = program_errors(lattice, program)
+    if errs:
+        raise ProgramError("; ".join(errs))
+
+
 def staircase_default(tau: float = 1.0) -> LoopProgram:
     """Two-slice staircase on the central column of the cross.
 

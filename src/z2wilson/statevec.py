@@ -18,10 +18,10 @@ A Pauli string P acts on a basis index k as
     P|k> = phase * i**nY * (-1)**popcount(k & zmask) |k ^ xmask>
 
 (xmask: X/Y qubits, zmask: Z/Y qubits, phase +-1), and e^{i theta P} is
-cos(theta) I + i sin(theta) P exactly.  Kernels take a
-vector (2**n,) or a stack of columns (2**n, k), one formula per job: a
-weight-1 rotation updates the qubit's two half-slices in place, a longer
-string is cos(theta) a + i sin(theta) (P a) with P a the sign factor
+cos(theta) I + i sin(theta) P exactly.  Kernels take a vector (2**n,) or
+a stack of columns (2**n, k), one formula per job: a weight-1 rotation
+updates the qubit's two half-slices in place, every other string (+-I
+included) is cos(theta) a + i sin(theta) (P a) with P a the sign factor
 times the index-flip view ``gauge.flipped``, and a controlled group runs
 on a copy of its control's branch.  No kernel uses a BLAS product, fuses
 phases or reorders a sum, so each is bit-identical to its plain formula.
@@ -39,7 +39,6 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
 from .gauge import (PhysicalSector, Z2Model, embed_sector_coords, flipped,
                     project_to_sector)
 from .programs import LoopProgram
-from .trotter import _check_program
 from .wilson import (_spatial_string, trotter_strings,
                      trotterized_program_circuit)
 
@@ -113,12 +112,9 @@ def _single_qubit_exp(amps: np.ndarray, qubit: int, axis: str, theta: float,
 
 def pauli_exp_inplace(amps: np.ndarray, p: PauliString, theta: float,
                       n_qubits: int) -> None:
-    """amps <- e^{i theta P} amps, exact closed form: a phase for +-I, a
-    half-slice rotation for weight 1, cos(theta) a + i sin(theta) (P a) for
-    every longer string."""
-    if not p.weight:
-        amps *= np.exp(1j * (p.phase * theta))
-        return
+    """amps <- e^{i theta P} amps, exact closed form: a half-slice rotation
+    for weight 1, cos(theta) a + i sin(theta) (P a) for every other string
+    (+-I included)."""
     _check_register(p, n_qubits)
     if p.weight == 1:
         (qubit, axis), = p.terms
@@ -394,8 +390,8 @@ def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
     """Reference route: embed the sector basis, run the gate list that
     ``export-circuit`` writes (``wilson.trotterized_program_circuit``) in
     the full 2**L space with its global phase, project back.  Same matrix
-    as ``trotter.trotterized_loop_operator``; kept as a cross-check oracle."""
-    _check_program(model, program)
+    as ``trotter.trotterized_loop_operator``, and refuses the same
+    programs; kept as a cross-check oracle."""
     circuit = trotterized_program_circuit(model, program, n_T)
     cols = embed_sector_coords(sector, np.eye(sector.dim, dtype=np.complex128))
     apply_gates(cols, circuit.gates, sector.n_links)

@@ -34,7 +34,7 @@ import numpy as np
 from .gauge import (PhysicalSector, SectorMoves, Z2Model, _link_mask,
                     electric_diag, exact_evolve_in_sector, flipped,
                     unitarity_error)
-from .programs import LoopProgram, ProgramError, Spatial, program_errors
+from .programs import LoopProgram, Spatial, _check_program
 
 INFIDELITY_FLOOR = 1e-13
 
@@ -43,18 +43,12 @@ INFIDELITY_FLOOR = 1e-13
 # loop operators in the physical sector
 # ---------------------------------------------------------------------------
 
-def _check_program(model: Z2Model, program: LoopProgram) -> None:
-    errs = program_errors(model.lattice, program)
-    if errs:
-        raise ProgramError("; ".join(errs))
-
-
 def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
           temporal) -> np.ndarray:
     """The program's product on ``sector``'s rows: a spatial step is a copy
     of the index-flip view (:meth:`SectorMoves.flip`), a temporal step in
     the current sector ``sec`` is ``w = temporal(moves, sec, step, w)``."""
-    _check_program(model, program)
+    _check_program(model.lattice, program)
     moves = SectorMoves(model, sector)
     w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:

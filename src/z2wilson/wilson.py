@@ -28,7 +28,7 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        block_bit_probability, run_blocks)
 from .gauge import PhysicalSector, SectorMoves, Z2Model, exact_evolve_in_sector
 from .lattice import Lattice, _odd_links, boundary_walk
-from .programs import LoopProgram, ProgramError, Spatial
+from .programs import LoopProgram, ProgramError, Spatial, _check_program
 
 HALF_PI = np.pi / 2
 
@@ -67,8 +67,10 @@ def trotter_strings(model: Z2Model, n_T: int, tau: float,
 
 def _program_strings(model: Z2Model, program: LoopProgram, n_T: int):
     """(string, theta, loop) of each gate of the Trotterized program, in
-    order: the one walk from a program to gates.  A spatial step is its
-    loop string at pi/2 (``loop`` True), none if its links cancel."""
+    order: the one walk from a program to gates, which refuses what the
+    sector walk refuses.  A spatial step is its loop string at pi/2
+    (``loop`` True), none if its links cancel."""
+    _check_program(model.lattice, program)
     for step in program.steps:
         if not isinstance(step, Spatial):
             for string, theta in trotter_strings(model, n_T, step.tau,
@@ -102,22 +104,13 @@ def spatial_loop_via_ancilla(circuit: Circuit, links, ancilla: int) -> None:
 
 
 def prepare_minus(circuit: Circuit, qubit: int) -> None:
-    """|up> -> |-> (exact, one Y rotation)."""
+    """|up> -> |-> (exact, one Y rotation); also |+> -> |up>, |-> -> |down>,
+    the inverse of :func:`prepare_plus`."""
     circuit.add(PauliExp(PauliString({qubit: "Y"}), np.pi / 4))
 
 
 def prepare_plus(circuit: Circuit, qubit: int) -> None:
-    """|up> -> |+>."""
-    circuit.add(PauliExp(PauliString({qubit: "Y"}), -np.pi / 4))
-
-
-def unprepare_plus(circuit: Circuit, qubit: int) -> None:
-    """|+> -> |up>, |-> -> |down>: X-basis measurement becomes a Z readout."""
-    circuit.add(PauliExp(PauliString({qubit: "Y"}), np.pi / 4))
-
-
-def unprepare_minus(circuit: Circuit, qubit: int) -> None:
-    """|-> -> |up> (exact inverse of :func:`prepare_minus`)."""
+    """|up> -> |+>; also |-> -> |up>, the inverse of :func:`prepare_minus`."""
     circuit.add(PauliExp(PauliString({qubit: "Y"}), -np.pi / 4))
 
 
@@ -193,29 +186,17 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
 # link-based construction
 # ---------------------------------------------------------------------------
 
-def _vertex_sequence(lattice: Lattice, path) -> list[int]:
-    """Vertices visited by a contiguous ordered link path."""
-    path = list(path)
+def _vertex_sequence(lattice: Lattice, path: list[int]) -> list[int]:
+    """Vertices visited by a contiguous ordered link path, from the end of
+    its first link that its second link does not share."""
     if not path:
         raise ProgramError("empty link path")
-    if len(path) == 1:
-        a, b = lattice.links[path[0]]
-        return [a, b]
-    a0, b0 = lattice.links[path[0]]
-    a1, b1 = lattice.links[path[1]]
-    shared = {a0, b0} & {a1, b1}
-    if not shared:
-        raise ProgramError("path is not vertex-contiguous at step 0")
-    first_shared = sorted(shared)[0]
-    verts = [b0 if first_shared == a0 else a0, first_shared]
-    for k in range(1, len(path)):
-        a, b = lattice.links[path[k]]
-        if verts[-1] == a:
-            verts.append(b)
-        elif verts[-1] == b:
-            verts.append(a)
-        else:
+    a, b = lattice.links[path[0]]
+    verts = [b if len(path) > 1 and a in lattice.links[path[1]] else a]
+    for k, link in enumerate(path):
+        if verts[-1] not in (ends := lattice.links[link]):
             raise ProgramError(f"path is not vertex-contiguous at step {k}")
+        verts.append(sum(ends) - verts[-1])     # the link's other end
     return verts
 
 
@@ -361,7 +342,7 @@ def hadamard_test_circuit(model: Z2Model, program: LoopProgram, n_T: int
     control = circuit.alloc_ancilla(initial_bit=0)
     prepare_plus(circuit, control)
     controlled_loop(circuit, model, program, control, n_T)
-    unprepare_plus(circuit, control)
+    prepare_minus(circuit, control)     # |+> -> |up>: a Z readout of X
     return circuit, control
 
 
@@ -425,7 +406,7 @@ def rect_loop_plaquette_circuit(lattice: Lattice) -> Circuit:
     prepare_minus(circuit, ancilla)
     for pi in range(lattice.n_plaquettes):
         spatial_loop_via_ancilla(circuit, lattice.plaquettes[pi], ancilla)
-    unprepare_minus(circuit, ancilla)
+    prepare_plus(circuit, ancilla)      # |-> -> |up>
     circuit.add(ResetAncilla(ancilla, 0))
     return circuit
 

@@ -5,12 +5,13 @@ file, in a temporary copy of ``src``, ``tests`` and ``pyproject.toml``,
 and runs the Tier-1 suite there with ``-x``.  An entry may name a test
 file that kills it, which runs first: the full suite runs only if that
 file passes.  A mutant is killed when either run fails; the first failing
-test is reported.  A survivor fails the run unless its entry is marked
-equivalent, with the reason.  Each run's address space is capped at
-``MEMORY_CAP`` (``RLIMIT_AS``, set in the child before it starts): a
-mutant that makes the suite allocate without bound ends that run, with a
-``MemoryError`` or a crash inside numpy, and counts as killed, instead of
-taking the machine's memory.
+test is reported, or for a run that a signal ended, the test it crashed
+in, read from the faulthandler dump pytest writes to stderr.  A survivor
+fails the run unless its entry is marked equivalent, with the reason.
+Each run's address space is capped at ``MEMORY_CAP`` (``RLIMIT_AS``, set
+in the child before it starts): a mutant that makes the suite allocate
+without bound ends that run, with a ``MemoryError`` or a crash inside
+numpy, and counts as killed, instead of taking the machine's memory.
 
     python3 tests/mutants.py
 
@@ -216,9 +217,49 @@ CATALOGUE = [
            "left link, so the plaquette-loop export changes order and the "
            "numbering no longer matches one built from cell coordinates",
            first="tests/test_symmetry.py"),
+    Mutant("gate-walk-unchecked", "src/z2wilson/wilson.py",
+           "    _check_program(model.lattice, program)\n",
+           "",
+           "the gate walk runs a program the sector walk refuses: the "
+           "exported circuit and the Hadamard test return numbers for an "
+           "off-lattice modified link or an open chain",
+           first="tests/test_wilson.py"),
+    Mutant("link-loop-odd-unchecked", "src/z2wilson/wilson.py",
+           "if len(path) % 2:",
+           "if False:",
+           "a closed loop of odd length (a triangle) gets a link-loop "
+           "circuit, whose ping-pong matter registers cannot close it",
+           first="tests/test_wilson.py"),
+    Mutant("vertex-walk-start", "src/z2wilson/wilson.py",
+           "verts = [b if len(path) > 1 and a in lattice.links[path[1]] "
+           "else a]",
+           "verts = [a]",
+           "a link path always walked from its first link's first "
+           "endpoint: a path whose second link leaves from there is "
+           "refused as not contiguous",
+           first="tests/test_acceptance.py"),
+    Mutant("cells-horizontal-reversed", "src/z2wilson/lattice.py",
+           "for x in sorted(ex for ex, ey in h_edges if ey == y):",
+           "for x in sorted((ex for ex, ey in h_edges if ey == y), "
+           "reverse=True):",
+           "each row's horizontal links numbered right to left: the same "
+           "graph under other link ids, so every link named by number "
+           "(programs, goldens) lands elsewhere",
+           first="tests/test_lattice.py"),
+    Mutant("staircase-far-modified-link", "src/z2wilson/programs.py",
+           "Temporal(tau, {bottom[1], bottom[3]}),",
+           "Temporal(tau, {bottom[1], 15}),",
+           "the builtin staircase's first band cuts link 15, which shares "
+           "no vertex with the bottom plaquette, in place of its left "
+           "link: still gauge invariant, but no longer the paper's loop",
+           first="tests/test_acceptance.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)
+# a test function's frame in a faulthandler dump, which lists the innermost
+# frame first
+_CRASH_FRAME = re.compile(
+    r'File "(?:[^"]*/)?(tests/test_\w+\.py)", line \d+ in (test\w*)')
 
 
 def _copy_tree(dest: str) -> None:
@@ -233,8 +274,19 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
+def _killer(proc: subprocess.CompletedProcess) -> str:
+    """The report of a failing run: "by" its first failing test, or for a
+    run that a signal ended, "crashed" and the test it crashed in."""
+    if proc.returncode < 0:
+        crash = f"crashed (signal {-proc.returncode})"
+        frame = _CRASH_FRAME.search(proc.stderr)
+        return f"{crash} in {frame[1]}::{frame[2]}" if frame else crash
+    found = _FIRST_FAILURE.search(proc.stdout)
+    return f"by {found[2] if found else 'a failing run'}"
+
+
 def run_mutant(copy: str, mutant: Mutant) -> tuple[bool, str, float]:
-    """(killed, first failing test, seconds) of one mutant in ``copy``,
+    """(killed, what failed the run, seconds) of one mutant in ``copy``,
     whose file is restored afterwards."""
     path = os.path.join(copy, mutant.path)
     with open(path) as fh:
@@ -255,9 +307,7 @@ def run_mutant(copy: str, mutant: Mutant) -> tuple[bool, str, float]:
     finally:
         with open(path, "w") as fh:
             fh.write(original)
-    seconds = time.monotonic() - start
-    found = _FIRST_FAILURE.search(proc.stdout)
-    return proc.returncode != 0, found.group(2) if found else "", seconds
+    return proc.returncode != 0, _killer(proc), time.monotonic() - start
 
 
 def main() -> int:
@@ -276,10 +326,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="z2w-mutants-") as copy:
         _copy_tree(copy)
         for m in CATALOGUE:
-            killed, first, seconds = run_mutant(copy, m)
+            killed, killer, seconds = run_mutant(copy, m)
             if killed:
-                print(f"killed    {m.name} ({seconds:.1f} s) by "
-                      f"{first or 'a failing run'}", flush=True)
+                print(f"killed    {m.name} ({seconds:.1f} s) {killer}",
+                      flush=True)
             elif m.equivalent:
                 print(f"survived  {m.name} ({seconds:.1f} s), equivalent: "
                       f"{m.equivalent}", flush=True)

@@ -6,6 +6,8 @@ primitives are additionally checked against dense 8-dimensional
 exponentials built from raw sigma^+/sigma^- matrices.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,15 @@ from z2wilson.circuits import (Circuit, CircuitError, Measure,
 from z2wilson.gauge import (Z2Model, build_physical_sector,
                             embed_sector_coords, project_to_sector,
                             spatial_loop_in_sector, unitarity_error)
-from z2wilson.lattice import boundary_walk, build_cross, build_rect
+from z2wilson.lattice import (Lattice, boundary_walk, build_cross, build_rect,
+                              validate)
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
                                staircase_default)
 from z2wilson.statevec import (PauliString, StateVector, apply_pauli_exp,
                                gauge_violation, link_register_block,
                                qubit_purity, run_circuit, spatial_loop_direct,
-                               trotter_evolve)
+                               trotter_evolve,
+                               trotterized_loop_operator_fullspace)
 from z2wilson.trotter import exact_loop_operator, trotterized_loop_operator
 from z2wilson.wilson import (closure_strings,
                              conjugated_temporal_plaquette, controlled_loop,
@@ -397,6 +401,15 @@ class TestLinkLoopClosure:
         with pytest.raises(ProgramError):
             link_loop_circuit(lat, [0, 2])
 
+    def test_odd_closed_loop_rejected(self):
+        # a triangle is a valid lattice whose three links close on their
+        # start vertex, so only the length check refuses it
+        tri = Lattice(3, ((0, 1), (1, 2), (2, 0)), ())
+        assert validate(tri) == []
+        with pytest.raises(ProgramError,
+                           match="closed lattice loops have even length"):
+            link_loop_circuit(tri, [0, 1, 2])
+
 
 class TestControlledLoop:
     def test_control_branches(self, rect21):
@@ -459,6 +472,34 @@ class TestControlledLoop:
             blk_a = link_register_block(out_a, circ, {ctrl: bit, box: 1})
             blk_b = link_register_block(out_b, circ_b, {ctrl_b: bit})
             assert np.max(np.abs(blk_a - blk_b)) < 1e-12
+
+
+class TestGateWalkRefusals:
+    """Every gate route refuses what the sector route refuses, with its
+    message, before it adds a gate."""
+
+    @pytest.mark.parametrize("steps", [
+        [Temporal(0.5, {99})],
+        [Spatial([4, 8]), Temporal(0.5, {4, 8})],
+    ], ids=["modified-link-off-lattice", "open-chain"])
+    def test_gate_routes_refuse_as_the_sector_route(self, cross_model,
+                                                    cross_sector, steps):
+        model, sector, program = cross_model, cross_sector, LoopProgram(steps)
+        with pytest.raises(ProgramError) as refusal:
+            trotterized_loop_operator(model, sector, program, 2)
+        message = f"^{re.escape(str(refusal.value))}$"
+        circuit = Circuit(model.lattice.n_links)
+        control = circuit.alloc_ancilla(initial_bit=0)
+        coords = np.eye(sector.dim, dtype=np.complex128)[0]
+        for route in (
+                lambda: trotterized_program_circuit(model, program, 2),
+                lambda: controlled_loop(circuit, model, program, control, 2),
+                lambda: hadamard_test(model, sector, coords, program, 2),
+                lambda: trotterized_loop_operator_fullspace(model, sector,
+                                                            program, 2)):
+            with pytest.raises(ProgramError, match=message):
+                route()
+        assert circuit.gates == [] and circuit.ancilla_init == {control: 0}
 
 
 class TestTrotterStrings:
