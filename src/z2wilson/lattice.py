@@ -60,6 +60,21 @@ class Lattice:
         return self.stars[vertex]
 
 
+def _link_walk(lattice: Lattice, links) -> list[int]:
+    """The vertices reached by walking ``links`` in order, from the end of
+    the first that the second does not share, until one fails to continue
+    the walk.  They form a walk iff all ``len(links) + 1`` are reached."""
+    if not links:
+        return []
+    a, b = lattice.links[links[0]]
+    verts = [b if len(links) > 1 and a in lattice.links[links[1]] else a]
+    for li in links:
+        if verts[-1] not in (ends := lattice.links[li]):
+            break
+        verts.append(sum(ends) - verts[-1])     # the link's other end
+    return verts
+
+
 def _odd_links(links) -> set[int]:
     """Links listed an odd number of times: a walk's edge set over GF(2).
 
@@ -135,19 +150,17 @@ def boundary_walk(lattice: Lattice) -> list[int]:
     corner).  Raises ValueError unless they form one simple cycle."""
     count = Counter(li for plaq in lattice.plaquettes for li in plaq)
     edge = sorted(li for li, c in count.items() if c == 1)
-    at: dict[int, list[int]] = {}
-    for li in edge:
-        for v in lattice.links[li]:
-            at.setdefault(v, []).append(li)
     walk = edge[:1]
-    if walk and all(len(ends) == 2 for ends in at.values()):
+    if walk:
         start, v = lattice.links[walk[0]]
-        while v != start:
-            a, b = at[v]
-            walk.append(b if a == walk[-1] else a)
-            x, y = lattice.links[walk[-1]]
-            v = y if x == v else x
-        if len(walk) == len(edge):
+        while v != start and len(walk) < len(edge):
+            nxt = [li for li in lattice.stars[v]
+                   if count[li] == 1 and li != walk[-1]]
+            if len(nxt) != 1:
+                break
+            walk.append(nxt[0])
+            v = sum(lattice.links[nxt[0]]) - v
+        if v == start and len(walk) == len(edge):
             return walk
     raise ValueError("the lattice boundary is not one simple cycle")
 
@@ -172,9 +185,8 @@ def validate(lattice: Lattice) -> list[str]:
         if any(not 0 <= li < nl for li in plaq):
             out.append(f"plaquette {pi}: link index out of range in {plaq}")
             continue
-        ends = [set(lattice.links[li]) for li in plaq]
-        closed = all(ends[k - 1] & ends[k] for k in range(4))
-        if not closed or len(set().union(*ends)) != 4:
+        walk = _link_walk(lattice, plaq)
+        if len(walk) != 5 or walk[0] != walk[4] or len(set(walk)) != 4:
             out.append(f"plaquette {pi}: links {plaq} do not form a 4-cycle")
 
     in_star = [0] * nl

@@ -2,7 +2,8 @@
 
 A program is the stroboscopic recipe for one space-time Wilson loop:
 
-* ``Spatial(links)``      -- product of sigma_3 over a chain of links,
+* ``Spatial(links)``      -- product of sigma_3 over a chain of links: a
+  walk, each link starting where the last ended (``lattice._link_walk``),
 * ``Temporal(tau, mods)`` -- e^{-i tau (H + sum_{e in mods} 2 sigma_1(e))},
   the minimal temporal-loop band whose cross-section cuts the listed links;
   with no links, the free evolution e^{-i tau H} (an ``EVOLVE`` record).
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import Lattice, _odd_links, build_cross
+from .lattice import Lattice, _link_walk, _odd_links, build_cross
 
 
 class ProgramError(ValueError):
@@ -76,20 +77,10 @@ def _is_even_subgraph(lattice: Lattice, links: set[int]) -> bool:
                    for star in lattice.star_masks)
 
 
-def _is_contiguous_chain(lattice: Lattice, links: tuple[int, ...]) -> bool:
-    for k in range(len(links) - 1):
-        a1, b1 = lattice.links[links[k]]
-        a2, b2 = lattice.links[links[k + 1]]
-        if not ({a1, b1} & {a2, b2}):
-            return False
-    return True
-
-
 def validate_program(lattice: Lattice, program: LoopProgram) -> list[str]:
     """Diagnostics: "error:" entries block composition, "note:" ones do not."""
     out: list[str] = []
     frontier: set[int] = set()
-    spatial_total: set[int] = set()
     for k, step in enumerate(program.steps):
         if isinstance(step, Spatial):
             bad = [li for li in step.links
@@ -97,11 +88,11 @@ def validate_program(lattice: Lattice, program: LoopProgram) -> list[str]:
             if bad:
                 out.append(f"error: step {k}: links {bad} not on lattice")
                 continue
-            if not _is_contiguous_chain(lattice, step.links):
+            walk = _link_walk(lattice, step.links)
+            if step.links and len(walk) <= len(step.links):
                 out.append(f"error: step {k}: spatial links are not a "
                            f"contiguous chain")
             frontier ^= _odd_links(step.links)
-            spatial_total ^= _odd_links(step.links)
         elif isinstance(step, Temporal):
             bad = [li for li in step.modified_links
                    if not 0 <= li < lattice.n_links]
@@ -118,10 +109,10 @@ def validate_program(lattice: Lattice, program: LoopProgram) -> list[str]:
                            f"spatial frontier {sorted(frontier)}")
         else:
             out.append(f"error: step {k}: unknown step type {type(step)}")
-    if not _is_even_subgraph(lattice, spatial_total):
+    if not _is_even_subgraph(lattice, frontier):
         out.append(
             "error: spatial traversals do not close (odd-traversal links "
-            f"{sorted(spatial_total)} are not an even-degree subgraph); the "
+            f"{sorted(frontier)} are not an even-degree subgraph); the "
             "composed operator is not gauge invariant"
         )
     return out

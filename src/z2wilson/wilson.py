@@ -27,7 +27,7 @@ from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        Measure, PauliExp, PauliString, ResetAncilla,
                        block_bit_probability, run_blocks)
 from .gauge import PhysicalSector, SectorMoves, Z2Model, exact_evolve_in_sector
-from .lattice import Lattice, _odd_links, boundary_walk
+from .lattice import Lattice, _link_walk, _odd_links, boundary_walk
 from .programs import LoopProgram, ProgramError, Spatial, _check_program
 
 HALF_PI = np.pi / 2
@@ -187,16 +187,13 @@ def conjugated_temporal_plaquette(model: Z2Model, sector: PhysicalSector,
 # ---------------------------------------------------------------------------
 
 def _vertex_sequence(lattice: Lattice, path: list[int]) -> list[int]:
-    """Vertices visited by a contiguous ordered link path, from the end of
-    its first link that its second link does not share."""
+    """The walk of a link path; ProgramError unless it is one."""
     if not path:
         raise ProgramError("empty link path")
-    a, b = lattice.links[path[0]]
-    verts = [b if len(path) > 1 and a in lattice.links[path[1]] else a]
-    for k, link in enumerate(path):
-        if verts[-1] not in (ends := lattice.links[link]):
-            raise ProgramError(f"path is not vertex-contiguous at step {k}")
-        verts.append(sum(ends) - verts[-1])     # the link's other end
+    verts = _link_walk(lattice, path)
+    if len(verts) <= len(path):
+        raise ProgramError("path is not vertex-contiguous at step "
+                           f"{len(verts) - 1}")
     return verts
 
 
@@ -214,25 +211,23 @@ def hop_strings(src: int, link: int, dest: int) -> list[tuple[PauliString, float
     ]
 
 
-def link_wilson_line(circuit: Circuit, lattice: Lattice, path,
-                     matter_map: dict[int, int]) -> None:
+def link_wilson_line(circuit: Circuit, lattice: Lattice, path, head: int,
+                     partner: int) -> None:
     """Transport the matter excitation along the path, depositing sigma_3.
 
-    ``matter_map`` maps path positions to matter qubits; two registers
-    used ping-pong fashion suffice, since a hop empties its source, which
-    becomes the next destination.  The head position must hold the
-    excitation and every other listed register must be empty (spin-down)
-    on entry.  Records one -i phase per hop in the circuit phase log.
+    The two matter registers are used ping-pong fashion, since a hop
+    empties its source, which becomes the next destination: even hops go
+    from ``head`` to ``partner``, odd hops back.  ``head`` must hold the
+    excitation and ``partner`` be empty (spin-down) on entry.  Records one
+    -i phase per hop in the circuit phase log.
     """
     path = list(path)
-    verts = _vertex_sequence(lattice, path)
-    if any(p not in matter_map for p in range(len(verts))):
-        raise ProgramError("matter_map must cover every path position")
-    for k, link in enumerate(path):
-        src, dest = matter_map[k], matter_map[k + 1]
-        for string, theta in hop_strings(src, link, dest):
+    _vertex_sequence(lattice, path)
+    for link in path:
+        for string, theta in hop_strings(head, link, partner):
             circuit.add(PauliExp(string, theta))
         circuit.log_phase(f"hop link {link}", -1j)
+        head, partner = partner, head
 
 
 def closure_strings(head: int, tail: int, mediator: int
@@ -289,8 +284,7 @@ def link_loop_circuit(lattice: Lattice, loop_links) -> Circuit:
     for string, theta in closure_strings(m0, m1, med):
         circuit.add(PauliExp(string, theta))
     circuit.log_phase("opening", -1j)
-    pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(len(verts))}
-    link_wilson_line(circuit, lattice, path, pos_map)
+    link_wilson_line(circuit, lattice, path, m0, m1)
     link_loop_closure(circuit, m0, m1, med)
     return circuit
 

@@ -20,7 +20,7 @@ import pytest
 
 from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
                             electric_diag, ground_state, project_to_sector)
-from z2wilson.lattice import build_cross
+from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import Spatial
 from z2wilson.statevec import PauliString, StateVector
 
@@ -199,6 +199,22 @@ def random_state(n_qubits, rng):
 def random_coords(sector, rng):
     c = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
     return c / np.linalg.norm(c)
+
+
+def outcome(call):
+    """What ``call()`` returns, or "Type: message" of the ValueError it
+    raises (every input check of the package raises one): one row of a
+    table of input checks names either."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def one_plaquette():
+    """Model (lambda 1) and neutral sector of rect:1x1: 4 links, dim 2."""
+    model = Z2Model(build_rect(1, 1), 1.0)
+    return model, build_physical_sector(model)
 
 
 @pytest.fixture(scope="session")

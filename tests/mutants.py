@@ -230,8 +230,8 @@ CATALOGUE = [
            "a closed loop of odd length (a triangle) gets a link-loop "
            "circuit, whose ping-pong matter registers cannot close it",
            first="tests/test_wilson.py"),
-    Mutant("vertex-walk-start", "src/z2wilson/wilson.py",
-           "verts = [b if len(path) > 1 and a in lattice.links[path[1]] "
+    Mutant("vertex-walk-start", "src/z2wilson/lattice.py",
+           "verts = [b if len(links) > 1 and a in lattice.links[links[1]] "
            "else a]",
            "verts = [a]",
            "a link path always walked from its first link's first "
@@ -253,6 +253,28 @@ CATALOGUE = [
            "no vertex with the bottom plaquette, in place of its left "
            "link: still gauge invariant, but no longer the paper's loop",
            first="tests/test_acceptance.py"),
+    Mutant("spatial-step-first-two", "src/z2wilson/programs.py",
+           "walk = _link_walk(lattice, step.links)\n"
+           "            if step.links and len(walk) <= len(step.links):",
+           "walk = _link_walk(lattice, step.links[:2])\n"
+           "            if step.links and len(walk) <= len(step.links[:2]):",
+           "a spatial step checked only on its first two links: the T "
+           "junction 4, 8, 5 on the cross passes as a chain",
+           first="tests/test_programs.py"),
+    Mutant("plaquette-touches-four", "src/z2wilson/lattice.py",
+           "if len(walk) != 5 or walk[0] != walk[4] or len(set(walk)) != 4:",
+           "if len({v for li in plaq for v in lattice.links[li]}) != 4:",
+           "a plaquette accepted when its links touch four vertices, "
+           "whether or not they walk a cycle: the link-loop and "
+           "plaquette-loop exports run a plaquette that is no loop",
+           first="tests/test_lattice.py"),
+    Mutant("boundary-walk-past-start", "src/z2wilson/lattice.py",
+           "while v != start and len(walk) < len(edge):",
+           "while len(walk) < len(edge):",
+           "the boundary walk goes on past its start until it has as many "
+           "links as the boundary: two disjoint squares return one square "
+           "walked twice",
+           first="tests/test_lattice.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_coords, random_state
+from conftest import one_plaquette, outcome, random_coords, random_state
 from z2wilson.circuits import (Circuit, CircuitError, ControlledPauliExp,
                                Measure, PauliExp, ResetAncilla,
                                circuit_stats, circuit_to_text, run_blocks,
@@ -440,3 +440,40 @@ class TestMarginals:
             pytest.approx(1.0)
         blk = link_register_block(out, c, {a: 1})
         assert abs(abs(blk[1]) - 1) < 1e-12
+
+
+def _link_controlled_gate():
+    circuit = Circuit(4)
+    circuit.add(ControlledPauliExp(0, "z", PauliString({1: "X"}), 0.3))
+    return circuit
+
+
+def _gauge_check_of_skipped_gates():
+    # an open line under a control, and one times an ancilla X: both
+    # anticommute with a star, but neither is a pure link gate
+    lat = build_rect(1, 1)
+    circuit = Circuit(lat.n_links)
+    a = circuit.alloc_ancilla(0)
+    circuit.add(ControlledPauliExp(a, "z", PauliString({0: "Z"}), 0.3))
+    circuit.add(PauliExp(PauliString({0: "Z", a: "X"}), 0.3))
+    return star_commutation_report(circuit, lat)
+
+
+COORDS = np.array([1.0, 0.0], dtype=complex)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: PauliString({-1: "Z"}),
+     "PauliStringError: negative qubit index -1"),
+    (lambda: run_blocks(Circuit(16), *one_plaquette(), COORDS),
+     "CircuitError: circuit has 16 link qubits, lattice 4 links, sector 4"),
+    (lambda: run_blocks(_link_controlled_gate(), *one_plaquette(), COORDS),
+     "CircuitError: qubit 0 is a link; the block route controls and "
+     "measures ancillas only"),
+    (lambda: run_blocks(Circuit(4), *one_plaquette(), np.zeros(3)),
+     "CircuitError: (3,) coordinates for a sector of dimension 2"),
+    (_gauge_check_of_skipped_gates, (0, [])),
+], ids=["negative-qubit", "register-size", "link-control",
+        "coordinate-shape", "gauge-check-skips"])
+def test_input_check(call, expected):
+    assert outcome(call) == expected

@@ -16,8 +16,8 @@ from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
                           ConfigError, RunConfig, load_config, main,
                           resolve_lattice)
 from z2wilson.gauge import Z2Model, build_physical_sector, project_to_sector
-from z2wilson.lattice import (_build_from_cells, build_cross, build_rect,
-                              lattice_to_text)
+from z2wilson.lattice import (Lattice, _build_from_cells, build_cross,
+                              build_rect, lattice_to_text)
 from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
                                program_to_text,
                                staircase_default)
@@ -1108,9 +1108,13 @@ class TestInputRefusals:
         ("off.prog", "SPATIAL 4 8 11 7\nTEMPORAL 0.5 99\nSPATIAL 4 8 11 7\n",
          ["sweep", "--nt", "8,16,32", "--program"], "",
          "error: step 1: modified links [99] not on lattice\n"),
+        # links 4, 8 and 5 all meet at vertex 4: refused before n_T prints
+        ("t.prog", "SPATIAL 4 8 5\nTEMPORAL 0.5 4 8\nSPATIAL 7 11\n"
+         "SPATIAL 5\n", ["measure", "--nt", "2", "--program"], "",
+         "error: step 0: spatial links are not a contiguous chain\n"),
     ], ids=["unknown-record", "link-count", "plaquette-count",
             "plaquette-link-range", "validate-program-links",
-            "sweep-program-links"])
+            "sweep-program-links", "measure-program-t-junction"])
     def test_bad_input_file_refused(self, capsys, no_eigh, tmp_path, name,
                                     text, argv, stdout, stderr):
         path = tmp_path / name
@@ -1226,6 +1230,29 @@ class TestValidateCommand:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == (f"error: lattice file {str(path)!r} invalid: vertices "
                        "[2, 3, 6, 7] are not connected to vertex 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["ground-state", "--out"],
+        ["export-circuit", "--kind", "plaquette-loop", "--out"]],
+        ids=lambda argv: argv[2] if argv[0] == "export-circuit" else argv[0])
+    def test_plaquette_not_a_closed_walk(self, capsys, no_eigh, tmp_path,
+                                         argv):
+        # rect:2x1 plus a second link 7 beside link 3: plaquette 2's links
+        # meet cyclically and touch four vertices, but walk no cycle
+        lat = build_rect(2, 1)
+        path = tmp_path / "t.lat"
+        path.write_text(lattice_to_text(Lattice(
+            lat.n_vertices, lat.links + ((1, 4),),
+            lat.plaquettes + ((0, 3, 1, 7),))))
+        out_path = tmp_path / "out.txt"
+        if argv[-1] == "--out":
+            argv = [*argv, str(out_path)]
+        code, out, err = run_main(capsys, *argv, "--lattice", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: lattice file {str(path)!r} invalid: "
+                       "plaquette 2: links (0, 3, 1, 7) do not form a "
+                       "4-cycle\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("n_vertices", [0, -3])
     def test_lattice_file_without_vertices(self, capsys, tmp_path,

@@ -12,8 +12,8 @@ import pytest
 
 import z2wilson.gauge as gauge_mod
 from conftest import (SX, bit_identical, cell_links, dense_pauli,
-                      expm_i_hermitian, numbered_links, two_copy_fwht,
-                      wegner_dual_hamiltonian)
+                      expm_i_hermitian, numbered_links, one_plaquette,
+                      outcome, two_copy_fwht, wegner_dual_hamiltonian)
 from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             SectorMoves, Z2Model, _FWHT_PIECE, _link_mask,
                             _row_of, _sector_eigh,
@@ -26,7 +26,7 @@ from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             spatial_loop_in_sector, spectral_bound,
                             unitarity_error)
 from z2wilson.circuits import PauliString, star_operator
-from z2wilson.lattice import build_cross, build_rect
+from z2wilson.lattice import _build_from_cells, build_cross, build_rect
 from z2wilson.statevec import StateVector, expect_pauli, gauge_violation
 
 CROSS_GROUND_ENERGY_LAM10 = -51.917375245849549   # pinned by the oracle below
@@ -771,3 +771,25 @@ class TestGaugeViolation:
             16, embed_sector_coords(sec, c)), cross_model)
         assert abs(got - 2.0) < 1e-12
         assert abs(got - full) < 1e-12
+
+
+def _disconnected_sector():
+    # two unit squares that share no vertex, never passed to validate: the
+    # cycle space has one dimension more than L - V + 1
+    return build_physical_sector(Z2Model(_build_from_cells([(0, 0), (2, 0)]),
+                                         1.0))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: build_physical_sector(one_plaquette()[0], charges=(1, -1, 1)),
+     "GaugeError: charges must be +-1 per vertex"),
+    (lambda: build_physical_sector(one_plaquette()[0], charges=(1, 1, 0, 1)),
+     "GaugeError: charges must be +-1 per vertex"),
+    (_disconnected_sector,
+     "GaugeError: sector dimension 2**2 != 2**(L-V+1) = 2**1; check "
+     "lattice connectivity"),
+    (lambda: exact_evolve_in_sector(*one_plaquette(), float("inf")),
+     "GaugeError: tau must be finite, got inf"),
+], ids=["charge-count", "charge-value", "disconnected", "tau-infinite"])
+def test_input_check(call, expected):
+    assert outcome(call) == expected

@@ -1,10 +1,13 @@
 """Lattice geometry: constructors, invariants, diagnostics, text format."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from z2wilson.gauge import _link_mask
 from z2wilson.lattice import (CROSS_CELLS, Lattice, _build_from_cells,
-                              boundary_walk, build_cross, build_rect,
+                              _link_walk, boundary_walk, build_cross, build_rect,
                               lattice_from_text, lattice_to_text, validate)
 
 
@@ -166,6 +169,27 @@ class TestBoundaryWalk:
         with pytest.raises(ValueError, match="not one simple cycle"):
             boundary_walk(Lattice(2, ((0, 1),), ()))
 
+    def test_returned_walk_is_the_boundary_once(self):
+        # random cell sets in a 4 x 4 box, connected or not: whenever the
+        # walk is returned, it is one closed link walk that uses every
+        # link of exactly one plaquette once
+        rng = random.Random(2)
+        box = [(x, y) for x in range(4) for y in range(4)]
+        returned = 0
+        for _ in range(400):
+            lat = _build_from_cells(rng.sample(box, rng.randint(1, 7)))
+            try:
+                walk = boundary_walk(lat)
+            except ValueError:
+                continue
+            returned += 1
+            verts = _link_walk(lat, walk)
+            assert len(verts) == len(walk) + 1 and verts[0] == verts[-1]
+            count = Counter(li for plaq in lat.plaquettes for li in plaq)
+            assert sorted(walk) == sorted(li for li, c in count.items()
+                                          if c == 1)
+        assert returned > 50
+
 
 class TestValidate:
     def test_repeated_link_in_plaquette(self):
@@ -187,6 +211,16 @@ class TestValidate:
         bad = Lattice(lat.n_vertices, lat.links, ((0, 1, 5, 6),))
         diags = validate(bad)
         assert any("plaquette 0" in d for d in diags)
+
+    def test_plaquette_that_is_not_a_closed_walk(self):
+        # rect:2x1 plus a second link 7 beside link 3: the links of
+        # (0, 3, 1, 7) meet cyclically and touch four vertices, but after
+        # links 0 and 3 reach vertex 4, link 1 does not continue the walk
+        lat = build_rect(2, 1)
+        bad = Lattice(lat.n_vertices, lat.links + ((1, 4),),
+                      lat.plaquettes + ((0, 3, 1, 7),))
+        assert validate(bad) == ["plaquette 2: links (0, 3, 1, 7) do not "
+                                 "form a 4-cycle"]
 
     def test_out_of_range_endpoint(self):
         bad = Lattice(2, ((0, 5), (0, 1)), ())

@@ -96,6 +96,20 @@ class TestValidation:
                                                    Spatial([0, 6])]))
         assert any("contiguous" in d for d in diags)
 
+    def test_t_junction_step_is_error(self):
+        # links 4, 8 and 5 of the cross all meet at vertex 4: each pair of
+        # consecutive links shares a vertex, but they are no walk
+        lat = build_cross()
+        prog = program_from_text("SPATIAL 4 8 5\nTEMPORAL 0.5 4 8\n"
+                                 "SPATIAL 7 11\nSPATIAL 5\n")
+        assert [d for d in validate_program(lat, prog)
+                if d.startswith("error:")] == [
+            "error: step 0: spatial links are not a contiguous chain"]
+        # the same links as two walks give the same sigma_3 product
+        split = LoopProgram([Spatial([4, 8]), Spatial([5]), *prog.steps[1:]])
+        assert not [d for d in validate_program(lat, split)
+                    if d.startswith("error:")]
+
     def test_unclosed_spatial_total_is_error(self):
         lat = build_rect(1, 1)
         diags = validate_program(lat, LoopProgram([Spatial([0])]))
@@ -160,3 +174,11 @@ class TestTextFormat:
             program_from_text("EVOLVE 1.0 2.0\n")
         with pytest.raises(ProgramError):
             program_from_text("WIBBLE 3\n")
+
+
+@pytest.mark.parametrize("steps, expected", [
+    (["spatial"], ["error: step 0: unknown step type <class 'str'>"]),
+    ([Spatial([])], []),
+], ids=["unknown-step-type", "empty-spatial-step"])
+def test_input_check(steps, expected):
+    assert validate_program(build_rect(1, 1), LoopProgram(steps)) == expected

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (bit_identical, dense_pauli, expm_i_hermitian,
-                      gather_loop_operator)
+                      gather_loop_operator, one_plaquette, outcome)
 from z2wilson.gauge import (SectorMoves, Z2Model, _link_mask,
                             build_physical_sector, embed_sector_coords,
                             exact_evolve_in_sector, ground_state,
@@ -25,8 +25,8 @@ from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
                                staircase_default, validate_program)
 from z2wilson.statevec import (PauliString, StateVector, trotter_evolve,
                                trotterized_loop_operator_fullspace)
-from z2wilson.trotter import (exact_loop_operator, fit_power_law,
-                              operator_fidelity, report_to_csv,
+from z2wilson.trotter import (FidelityReport, exact_loop_operator,
+                              fit_power_law, operator_fidelity, report_to_csv,
                               state_fidelity, sweep, trotterized_loop_operator)
 from z2wilson.wilson import trotter_strings
 
@@ -181,12 +181,13 @@ class TestLoopOperators:
 
     def test_link_repeated_within_one_step_cancels(self, cross_model,
                                                     cross_sector):
-        # the bottom plaquette then the center one as one closed walk; the
-        # shared link 4 is traversed twice and cancels (sigma_3**2 = I)
+        # the bottom plaquette from its top-left corner, then the center
+        # one from the same corner, as one closed walk; the shared link 4
+        # is traversed twice and cancels (sigma_3**2 = I)
         lat = cross_model.lattice
         bottom, center = lat.plaquettes[0], lat.plaquettes[2]
-        walk = bottom + center
-        assert walk == (0, 2, 4, 1, 4, 8, 11, 7)
+        walk = bottom[3:] + bottom[:3] + center
+        assert walk == (1, 0, 2, 4, 4, 8, 11, 7)
         prog = LoopProgram([Spatial(walk)])
         assert validate_program(lat, prog) == []
         two = exact_loop_operator(cross_model, cross_sector,
@@ -481,3 +482,21 @@ class TestSweep:
         n, fop, fgs = lines[1].split(",")
         assert int(n) == 4
         assert float(fop) == rep.rows[0][1]   # 17 digits round-trip
+
+
+def _sweep_unnormalised():
+    model, sector = one_plaquette()
+    program = LoopProgram([Spatial(model.lattice.plaquettes[0])])
+    return sweep(model, program, np.array([2.0, 0.0], dtype=complex), [8],
+                 sector)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: FidelityReport(((16, 1.0, 1.0), (8, 1.0, 1.0)), None, None,
+                            (0.0, 0.0), 0.0, 1),
+     "ValueError: report rows must be sorted by n_T"),
+    (_sweep_unnormalised,
+     "ValueError: psi is not a normalized physical-sector state"),
+], ids=["report-unsorted", "sweep-unnormalised"])
+def test_input_check(call, expected):
+    assert outcome(call) == expected

@@ -11,8 +11,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (dense_pauli, expm_i_hermitian, random_coords,
-                      random_state, stepwise_trotter_strings)
+from conftest import (dense_pauli, expm_i_hermitian, one_plaquette,
+                      outcome, random_coords, random_state,
+                      stepwise_trotter_strings)
 from z2wilson.circuits import (Circuit, CircuitError, Measure,
                                circuit_stats, run_blocks,
                                star_commutation_report)
@@ -29,7 +30,7 @@ from z2wilson.statevec import (PauliString, StateVector, apply_pauli_exp,
                                trotter_evolve,
                                trotterized_loop_operator_fullspace)
 from z2wilson.trotter import exact_loop_operator, trotterized_loop_operator
-from z2wilson.wilson import (closure_strings,
+from z2wilson.wilson import (_vertex_sequence, closure_strings,
                              conjugated_temporal_plaquette, controlled_loop,
                              hadamard_test,
                              hop_strings, link_loop_circuit,
@@ -320,8 +321,7 @@ class TestLinkWilsonLine:
             circ = Circuit(lat.n_links)
             m0 = circ.alloc_ancilla(initial_bit=0)      # head: spin-up
             m1 = circ.alloc_ancilla(initial_bit=1)
-            link_wilson_line(circ, lat, loop,
-                             {p: (m0, m1)[p % 2] for p in range(5)})
+            link_wilson_line(circ, lat, loop, m0, m1)
             out, _ = run_circuit(circ, psi.copy())
             direct = psi.copy()
             spatial_loop_direct(direct, loop)
@@ -337,7 +337,7 @@ class TestLinkWilsonLine:
         circ = Circuit(lat.n_links)
         m0, m1 = circ.alloc_ancilla(0), circ.alloc_ancilla(1)
         with pytest.raises(ProgramError, match="contiguous"):
-            link_wilson_line(circ, lat, [0, 6], {0: m0, 1: m1, 2: m0})
+            link_wilson_line(circ, lat, [0, 6], m0, m1)
 
 
 class TestLinkLoopClosure:
@@ -387,8 +387,7 @@ class TestLinkLoopClosure:
         m0 = circ.alloc_ancilla(0)
         m1 = circ.alloc_ancilla(1)
         med = circ.alloc_ancilla(1)
-        pos_map = {p: (m0 if p % 2 == 0 else m1) for p in range(4)}
-        link_wilson_line(circ, lat, loop[:3], matter_map=pos_map)
+        link_wilson_line(circ, lat, loop[:3], m0, m1)
         from z2wilson.wilson import link_loop_closure
         link_loop_closure(circ, m0, m1, med)
         out, outcomes = run_circuit(circ, psi.copy())
@@ -664,3 +663,23 @@ class TestGateCountScaling:
         assert all(np.abs(b).max() < 1e-12 for charges, b in blocks.items()
                    if charges != sector.charges)
         assert np.abs(np.delete(block, col, axis=1)).max() < 1e-12
+
+
+def _control_in_link_register():
+    model, _ = one_plaquette()
+    program = LoopProgram([Spatial(model.lattice.plaquettes[0])])
+    controlled_loop(Circuit(4), model, program, 3, 1)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: temporal_plaquette_exact(*one_plaquette(), 4, 0.5),
+     "ValueError: link 4 out of range"),
+    (lambda: conjugated_temporal_plaquette(*one_plaquette(), -1, 0.5),
+     "ValueError: link -1 out of range"),
+    (lambda: _vertex_sequence(build_rect(1, 1), []),
+     "ProgramError: empty link path"),
+    (_control_in_link_register,
+     "CircuitError: control ancilla collides with the link register"),
+], ids=["temporal-link", "conjugated-link", "empty-path", "link-control"])
+def test_input_check(call, expected):
+    assert outcome(call) == expected
