@@ -28,9 +28,10 @@ __version__ = "0.1.0"
 
 # One BLAS thread unless the caller says otherwise: a second thread has to
 # be woken for each of the many small BLAS calls inside LAPACK's eigensolver,
-# which about doubles the CPU of the 256 x 256 rect:4x2 eigh, and on one
-# thread results do not depend on the host's core count.  Set here, so it
-# is in place before any submodule loads numpy.
+# which takes a rect:4x2 ground-state request (one real 256 x 256 eigh)
+# from 0.14 s to 0.23 s of CPU, and on one thread results do not depend on
+# the host's core count.  Set here, so it is in place before any submodule
+# loads numpy.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

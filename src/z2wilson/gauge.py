@@ -20,10 +20,12 @@ takes row i to row ``i ^ k``, with k the row that row 0 lands on
 (:meth:`SectorMoves.flip`, the reversed view :func:`flipped` rather than
 a gather), and every sigma_1 term is the diagonal :func:`electric_diag`.
 :class:`SectorMoves` alone knows which charge sector a string lands in.
-A sector operator is a plain dim x dim complex array over these rows
-(32 x 32 on the cross).  The ground state, its energy and its Gauss-law
-check are all computed in sector coordinates (:func:`sector_ground_state`,
-:func:`sector_gauge_violation`).
+A sector operator is a plain dim x dim array over these rows (32 x 32 on
+the cross): complex, except the Hamiltonian, which is real in this basis
+(:func:`hamiltonian_in_sector`).  The ground state, its energy and its
+Gauss-law check are all computed in sector coordinates
+(:func:`sector_ground_state`, :func:`sector_gauge_violation`), the
+eigenpair by the real symmetric solver.
 
 Embedding into the computational (Z) basis of the full 2**L space is an
 explicit step, needed only by ``sweep``'s pinned state
@@ -48,7 +50,7 @@ from .lattice import Lattice, _odd_links
 _MAX_MASK_BITS = 63         # sector masks are uint64
 _MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
 _MAX_EMBED_QUBITS = 26      # one full-space vector of 2**26 amplitudes is 1 GiB
-_MAX_DENSE_DIM = 4096       # a dense complex 4096 x 4096 matrix is 256 MB
+_MAX_DENSE_DIM = 4096       # a dense real 4096 x 4096 H is 128 MB
 _FWHT_PIECE = 1 << 13       # amplitudes per half of one fwht piece
 GAP_TOLERANCE = 1e-10       # a smaller ground-state gap warns as degenerate
 
@@ -334,7 +336,7 @@ def _project_in_place(sector: PhysicalSector, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sector operators: dim x dim complex arrays over the sector's rows
+# sector operators: dim x dim arrays over the sector's rows
 # ---------------------------------------------------------------------------
 
 def unitarity_error(u: np.ndarray) -> float:
@@ -348,8 +350,13 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     """H + sum_{m in modified} 2 sigma_1(e_m), projected to the sector.
 
     The net electric coefficient on a modified link is +sigma_1 (the -sigma_1
-    in H plus the 2 sigma_1 insertion).  Sectors above 4096 states are
-    refused: their dense matrix would take more than 256 MB.
+    in H plus the 2 sigma_1 insertion).  In the electric basis the matrix
+    is real and symmetric, so it is float64: an integer diagonal, and -lam
+    in row ``i ^ k`` of column i for each plaquette, whose sigma_3 string
+    takes row i there.  For lam > 0 it is stoquastic (no positive
+    off-diagonal entry), and the ground state is a positive vector.
+    Sectors above 4096 states are refused: their dense matrix would take
+    more than 128 MB.
     """
     lat = model.lattice
     L = lat.n_links
@@ -360,8 +367,7 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     if dim > _MAX_DENSE_DIM:
         raise GaugeError(f"sector dimension {dim} exceeds the dense-matrix "
                          f"limit {_MAX_DENSE_DIM}")
-    h = np.diag(electric_diag(model, sector, modified_links
-                              ).astype(np.complex128))
+    h = np.diag(electric_diag(model, sector, modified_links))
     rows = np.arange(dim)
     for plaq in lat.plaquettes:
         k = _row_of(sector, int(sector.masks[0]) ^ _link_mask(plaq))
@@ -407,25 +413,28 @@ def exact_evolve_in_sector(model: Z2Model, sector: PhysicalSector, tau: float,
     """e^{-i tau (H + sum 2 sigma_1)} by exact eigendecomposition.
 
     Valid because H and every sigma_1(e) commute with all stars, so the
-    evolution never leaves the sector.
+    evolution never leaves the sector.  H is solved as a complex matrix:
+    the recorded sweep references pin that solver's rounding (ROADMAP
+    item 2).
     """
     if not np.isfinite(tau):
         raise GaugeError(f"tau must be finite, got {tau}")
     evals, evecs = np.linalg.eigh(
-        hamiltonian_in_sector(model, sector, modified_links))
+        hamiltonian_in_sector(model, sector, modified_links
+                              ).astype(np.complex128))
     phases = np.exp(-1j * tau * evals)
     return (evecs * phases) @ evecs.conj().T
 
 
-def _sector_eigh(model: Z2Model, sector: PhysicalSector
-                 ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the sector Hamiltonian, phase as eigh returns it.
+def _sector_eigh(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the sector Hamiltonian ``h``, phase as eigh
+    returns it, in ``h``'s dtype.
 
     The eigenvector is a copy, so the dim x dim eigenvector matrix is freed
     on return.  A spectral gap below :data:`GAP_TOLERANCE` raises a
     DegenerateGroundStateWarning.
     """
-    evals, evecs = np.linalg.eigh(hamiltonian_in_sector(model, sector))
+    evals, evecs = np.linalg.eigh(h)
     if len(evals) > 1 and evals[1] - evals[0] < GAP_TOLERANCE:
         warnings.warn(
             f"ground state degenerate within {GAP_TOLERANCE}: "
@@ -439,14 +448,18 @@ def sector_ground_state(model: Z2Model, sector: PhysicalSector
                         ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, in sector coordinates.
 
-    Phase convention: the largest-magnitude sector coordinate is made real
-    positive (lowest index wins ties).  For lam > 0 the ground state is a
-    Perron-Frobenius vector in both the electric and the computational
-    basis, so this fixes the same phase as :func:`ground_state` up to
-    rounding.  Nothing of size 2**L is built.  A spectral gap below
-    :data:`GAP_TOLERANCE` raises a DegenerateGroundStateWarning.
+    H is solved by the real symmetric eigensolver, and the coordinates are
+    returned as complex128.  Phase convention: the largest-magnitude
+    sector coordinate is made real positive (lowest index wins ties) by a
+    complex division by its phase.  For lam > 0 the ground state is
+    a Perron-Frobenius vector in both the electric and the computational
+    basis, so every coordinate comes out positive and the phase is the
+    same as :func:`ground_state`'s up to rounding.  Nothing of size 2**L
+    is built.  A spectral gap below :data:`GAP_TOLERANCE` raises a
+    DegenerateGroundStateWarning.
     """
-    energy, coords = _sector_eigh(model, sector)
+    energy, coords = _sector_eigh(hamiltonian_in_sector(model, sector))
+    coords = coords.astype(np.complex128)
     k = int(np.argmax(np.abs(coords)))
     return energy, coords / (coords[k] / abs(coords[k]))
 
@@ -464,11 +477,14 @@ def ground_state(model: Z2Model, sector: PhysicalSector
     :func:`pinned_ground_state`.  A spectral gap below
     :data:`GAP_TOLERANCE` raises a DegenerateGroundStateWarning.  Too many
     links to embed are refused before the eigensolve, unless the sector is
-    too large for it, which refuses first.
+    too large for it, which refuses first.  H is solved as a complex
+    matrix: the recorded sweep references pin that solver's rounding
+    (ROADMAP item 2).
     """
     if sector.dim <= _MAX_DENSE_DIM:
         _refuse_embedding(sector.n_links)
-    energy, coords = _sector_eigh(model, sector)
+    energy, coords = _sector_eigh(
+        hamiltonian_in_sector(model, sector).astype(np.complex128))
     amps = embed_sector_coords(sector, coords)
     # np.argmax(np.abs(amps)): the first piece holding the largest, then
     # its first index
@@ -488,7 +504,7 @@ def pinned_ground_state(model: Z2Model, sector: PhysicalSector
     The recorded sweep references pin the rounding of that full-space
     round trip, whose phase is fixed on the 2**L amplitudes, so it is kept
     until the references are re-derived for :func:`sector_ground_state`
-    (ROADMAP item 1, which deletes this function).  The amplitudes are
+    (ROADMAP item 2, which deletes this function).  The amplitudes are
     this function's own, so they are transformed back in place rather
     than copied: the peak is one full-space vector plus :func:`fwht`'s
     scratch, 1 GiB at the 26-link limit.

@@ -275,6 +275,25 @@ CATALOGUE = [
            "links as the boundary: two disjoint squares return one square "
            "walked twice",
            first="tests/test_lattice.py"),
+    Mutant("hamiltonian-plaquette-sign", "src/z2wilson/gauge.py",
+           "h[rows ^ k, rows] += -model.lam",
+           "h[rows ^ k, rows] += model.lam",
+           "the sector Hamiltonian's plaquette entries +lam: H is no "
+           "longer stoquastic and its ground state no longer positive",
+           first="tests/test_gauge.py"),
+    Mutant("ground-state-unpinned", "src/z2wilson/gauge.py",
+           "hamiltonian_in_sector(model, sector).astype(np.complex128))",
+           "hamiltonian_in_sector(model, sector))",
+           "sweep's ground state from the real solver: its rounding, which "
+           "the recorded sweep references pin, moves",
+           first="tests/test_gauge.py"),
+    Mutant("evolve-unpinned", "src/z2wilson/gauge.py",
+           "hamiltonian_in_sector(model, sector, modified_links\n"
+           "                              ).astype(np.complex128))",
+           "hamiltonian_in_sector(model, sector, modified_links))",
+           "the exact evolution from the real solver: the rounding of "
+           "sweep's exact W, which the sweep references pin, moves",
+           first="tests/test_gauge.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -198,6 +198,51 @@ class TestGroundState:
         # one full-space vector of 2**22 amplitudes is 64 MB
         assert peak < 16 * 2 ** 20
 
+    def test_rect4x2_rows_match_the_complex_solve(self, tmp_path):
+        # the rows of the complex solve that sweep's ground_state runs,
+        # rebuilt beside the command in a child on one BLAS thread (the
+        # CLI's default, so thread count moves neither): at the
+        # benchmark's five couplings the real solve differs only by rounding
+        code = """if True:
+            import sys
+            import numpy as np
+            from z2wilson.cli import main
+            from z2wilson.gauge import (Z2Model, build_physical_sector,
+                                        hamiltonian_in_sector)
+            from z2wilson.lattice import build_rect
+            for lam in ("0.5", "1.0", "2.0", "5.0", "10.0"):
+                path = f"{sys.argv[1]}/gs{lam}.txt"
+                assert main(["ground-state", "--lattice", "rect:4x2",
+                             "--lambda", lam, "--out", path]) == 0
+                model = Z2Model(build_rect(4, 2), float(lam))
+                sector = build_physical_sector(model)
+                evals, evecs = np.linalg.eigh(hamiltonian_in_sector(
+                    model, sector).astype(np.complex128))
+                ref = evecs[:, 0]
+                k = int(np.argmax(np.abs(ref)))
+                ref = ref / (ref[k] / abs(ref[k]))
+                lines = open(path).read().splitlines()
+                energy = next(float(l.split()[2]) for l in lines
+                              if l.startswith("# ground_energy"))
+                amps = np.array([[float(x) for x in l.split()[2:]]
+                                 for l in lines if l.startswith("AMP")])
+                assert amps.shape == (sector.dim, 2)
+                print("ROW", lam, abs(energy - evals[0]), np.max(np.abs(
+                    amps - np.column_stack([ref.real, ref.imag]))))
+            """
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        rows = [line.split()[1:] for line in out.splitlines()
+                if line.startswith("ROW ")]
+        assert [r[0] for r in rows] == ["0.5", "1.0", "2.0", "5.0", "10.0"]
+        for _, d_energy, d_amp in rows:
+            assert float(d_energy) <= 1e-13
+            assert float(d_amp) <= 1e-15
+
     def test_above_the_full_space_link_cap(self, capsys):
         # rect:9x1 has 28 links but a 512-dimensional sector
         code, out, _ = run_main(capsys, "ground-state", "--lattice",
@@ -387,12 +432,14 @@ class TestMeasure:
         assert len(calls) == 1
         # the sampled value of the two-run implementation, bit for bit
         assert "p_plus_sampled 0.46999999999999997\n" in out
-        # the block route's digits, bit for bit: the box V-chains run as
-        # their exact operator and return the box ancilla with an exactly
-        # zero other half, so its resets neither clear nor rescale, and
-        # p_plus_exact sits 4.4e-16 from p_plus_oracle 0.42808965237385715
-        assert "p_plus_exact 0.42808965237385671\n" in out
-        assert "re_wilson_loop -0.14382069525228658\n" in out
+        # the block route's digits, bit for bit, on the real symmetric
+        # solver's ground state: the box V-chains run as their exact
+        # operator and return the box ancilla with an exactly zero other
+        # half, so its resets neither clear nor rescale, and p_plus_exact
+        # sits 7.8e-16 from p_plus_oracle 0.42808965237385715
+        assert "p_plus_exact 0.42808965237385638\n" in out
+        assert "re_wilson_loop -0.14382069525228725\n" in out
+        assert "p_plus_oracle 0.42808965237385715\n" in out
 
     def test_above_26_links_within_ulps_per_gate_of_oracle(self, capsys,
                                                            tmp_path):
@@ -469,7 +516,7 @@ class TestMeasure:
         code, out, _ = run_main(capsys, "measure", "--nt", "2", "--shots",
                                 str(2**63 - 1), "--seed", "5")
         assert code == EXIT_OK
-        assert "p_plus_sampled 0.42808965251222825\n" in out
+        assert "p_plus_sampled 0.42808965251222791\n" in out
 
     def test_negative_seed_refused_before_output(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -844,7 +891,9 @@ class TestEvolvePrograms:
     the other evolves freely with a plaquette's four links open, which
     ``validate`` notes.  Each digest is the SHA-256 of the exit code line,
     stdout, a NUL, stderr, a NUL and the ``--out`` file, recorded before
-    free evolutions became ``Temporal`` steps with no modified link.  The
+    free evolutions became ``Temporal`` steps with no modified link; the
+    two ``measure`` digests were re-recorded when ``measure`` took its
+    ground state from the real symmetric solver.  The
     programs sit in the working directory under fixed names, because the
     program path enters the config hash in each header.
     """
@@ -861,7 +910,7 @@ class TestEvolvePrograms:
          "902026b6612905a019d57702df994ba7f88c3a68d60690f8e3046fc8a8e042d2"),
         ("evolve_closed.prog", ["measure", "--nt", "3", "--shots", "500",
                                 "--seed", "11"],
-         "d174246ba99e3014c6cc178ac06882e53d9062bfbfab7c079025d5547933a86c"),
+         "c52d08867d5fad6eeede335eaf6a2088f57da3845bda15ffd39edd44525a96ab"),
         ("evolve_closed.prog", ["export-circuit", "--nt", "2", "--out"],
          "1f0794323cfe417294da43e2b1ff2e3b57481793a404158ef9a808362767a516"),
         ("evolve_closed.prog", ["validate"],
@@ -870,7 +919,7 @@ class TestEvolvePrograms:
          "a035c2216b6bdf449243bb7122dfc621833a0aadc1ba9ea2bdeb3f7b68beff3f"),
         ("evolve_open.prog", ["measure", "--nt", "3", "--shots", "500",
                               "--seed", "11"],
-         "62f0bf2f11f62b649c8ff117902def945beb9c9ff7c82513a5f2a1388557998a"),
+         "5d6518379c0d10b172b2cd097ef9d7e40cb8a2c60f3f53cb74b4616969b9be22"),
         ("evolve_open.prog", ["export-circuit", "--nt", "2", "--out"],
          "423f51b11623aa51a14a7da96b56be5670aa2d86c55a1fed1789ee7359087c9d"),
         ("evolve_open.prog", ["validate"],

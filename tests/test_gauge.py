@@ -379,6 +379,37 @@ class TestHamiltonian:
         h = hamiltonian_in_sector(cross_model, cross_sector, {3, 7})
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("spec, lam, charged, mods", [
+        ("cross", 10.0, False, ()),
+        ("cross", -2.5, False, (3, 7)),
+        ("cross", 0.5, True, (0,)),
+        ("rect:2x2", 2.0, True, (1, 4)),
+        ("rect:3x3", 1.5, False, (5,)),
+    ])
+    def test_real_symmetric_with_plaquette_entries(self, spec, lam, charged,
+                                                   mods):
+        # read off the masks alone: the diagonal is the integer electric
+        # energy, and entry (i, j) is -lam times the number of plaquettes
+        # whose link mask is masks[i] ^ masks[j]
+        lat = lattice_of(spec)
+        m = Z2Model(lat, lam)
+        sec = build_physical_sector(
+            m, charged_at_ends(lat, 0) if charged else None)
+        h = hamiltonian_in_sector(m, sec, frozenset(mods))
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        masks = [int(x) for x in sec.masks]
+        diag = [sum((1 if li in mods else -1) * (1 - 2 * (mask >> li & 1))
+                    for li in range(lat.n_links)) for mask in masks]
+        assert np.array_equal(np.diag(h), diag)
+        plaq_masks = [sum(1 << li for li in plaq) for plaq in lat.plaquettes]
+        count = np.zeros((sec.dim, sec.dim))
+        for i, mi in enumerate(masks):
+            for j, mj in enumerate(masks):
+                count[i, j] = plaq_masks.count(mi ^ mj)
+        off = ~np.eye(sec.dim, dtype=bool)
+        assert np.array_equal(h[off], -lam * count[off])
+
     def test_invalid_modified_link(self, cross_model, cross_sector):
         with pytest.raises(GaugeError):
             hamiltonian_in_sector(cross_model, cross_sector, {99})
@@ -531,26 +562,64 @@ class TestGroundState:
 
     def test_sector_ground_state_matches_full_space_route(self, cross_model,
                                                           cross_sector):
+        # the real symmetric solve against sweep's complex one
         energy, coords = sector_ground_state(cross_model, cross_sector)
         full_energy, gs = ground_state(cross_model, cross_sector)
-        assert energy == full_energy
+        assert abs(energy - full_energy) < 1e-12
         ref = project_to_sector(cross_sector, gs)
         assert np.max(np.abs(coords - ref)) < 1e-12
+
+    @pytest.mark.parametrize("spec, charged", [
+        ("cross", False), ("rect:3x3", False), ("rect:4x2", False),
+        ("cross", True)])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+    def test_positive_for_positive_coupling(self, spec, charged, lam):
+        # Perron-Frobenius: every off-diagonal entry of H is -lam or 0, and
+        # the plaquette moves connect the sector, so for lam > 0 the
+        # ground state is one positive vector
+        lat = lattice_of(spec)
+        m = Z2Model(lat, lam)
+        sec = build_physical_sector(
+            m, charged_at_ends(lat, 0) if charged else None)
+        _, coords = sector_ground_state(m, sec)
+        assert coords.dtype == np.complex128
+        assert np.all(coords.imag == 0)
+        assert np.all(coords.real > 0)
 
     def test_sector_phase_rule(self, cross_model, cross_sector):
         _, coords = sector_ground_state(cross_model, cross_sector)
         k = int(np.argmax(np.abs(coords)))
         assert coords[k].imag == 0 and coords[k].real > 0
 
+    def test_only_sweeps_solves_stay_complex(self, monkeypatch, cross_model,
+                                             cross_sector):
+        # the recorded sweep references pin the complex solver's rounding
+        # (ROADMAP item 2): sweep's ground state and the exact evolution
+        # solve H cast to complex; ground-state and measure solve it real
+        real_eigh, seen = np.linalg.eigh, []
+
+        def recording(a):
+            seen.append(a.dtype)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        sector_ground_state(cross_model, cross_sector)
+        ground_state(cross_model, cross_sector)
+        exact_evolve_in_sector(cross_model, cross_sector, 0.5, {2})
+        assert seen == [np.float64, np.complex128, np.complex128]
+
     def test_eigenvector_owns_its_data(self, cross_model, cross_sector):
         # a view of eigh's column would keep the dim x dim eigenvector
-        # matrix alive while ground_state embeds; the copy keeps its bits
-        energy, coords = _sector_eigh(cross_model, cross_sector)
-        assert coords.base is None
-        evals, evecs = np.linalg.eigh(
-            hamiltonian_in_sector(cross_model, cross_sector))
-        assert energy == evals[0]
-        assert bit_identical(coords, evecs[:, 0])
+        # matrix alive while ground_state embeds; the copy keeps its bits,
+        # from the real solve of sector_ground_state and from the complex
+        # one of sweep's ground_state
+        for dtype in (np.float64, np.complex128):
+            h = hamiltonian_in_sector(cross_model, cross_sector).astype(dtype)
+            energy, coords = _sector_eigh(h)
+            assert coords.base is None
+            evals, evecs = np.linalg.eigh(h)
+            assert energy == evals[0]
+            assert bit_identical(coords, evecs[:, 0])
 
 
 class TestEvolution:
