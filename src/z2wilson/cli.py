@@ -303,11 +303,15 @@ def _check_overflow(model: Z2Model, program: LoopProgram | None) -> None:
 
 def _solve(solver, model: Z2Model, sector) -> tuple[tuple, bool]:
     """Run a ground-state solver; also report whether it warned that the
-    ground state is degenerate.  Other warnings pass through."""
-    from .gauge import DegenerateGroundStateWarning
+    ground state is degenerate.  Other warnings pass through.  A Lanczos
+    solve that does not converge is a numerical failure."""
+    from .gauge import ConvergenceError, DegenerateGroundStateWarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateGroundStateWarning)
-        result = solver(model, sector)
+        try:
+            result = solver(model, sector)
+        except ConvergenceError as exc:
+            raise NumericalFailure(str(exc)) from None
     degenerate = False
     for w in caught:
         if issubclass(w.category, DegenerateGroundStateWarning):
@@ -379,12 +383,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_measure(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .gauge import sector_ground_state
+    from .gauge import _refuse_dense, sector_ground_state
     from .philox import Philox
     from .trotter import exact_loop_operator, trotterized_loop_operator
     from .wilson import hadamard_test, sample_p_plus
     n_T = _single_nt(cfg, "measure")
     model, program, sector = _setup(cfg)
+    _refuse_dense(sector.dim)       # the oracle cross-checks are dim x dim
     (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()

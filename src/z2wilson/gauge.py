@@ -22,10 +22,13 @@ a gather), and every sigma_1 term is the diagonal :func:`electric_diag`.
 :class:`SectorMoves` alone knows which charge sector a string lands in.
 A sector operator is a plain dim x dim array over these rows (32 x 32 on
 the cross): complex, except the Hamiltonian, which is real in this basis
-(:func:`hamiltonian_in_sector`).  The ground state, its energy and its
-Gauss-law check are all computed in sector coordinates
+(:func:`hamiltonian_in_sector`).  Such arrays stop at 4096 states
+(:func:`_refuse_dense`); only ``sweep``, ``measure``'s oracle
+cross-checks and the test oracles build them.  The ground state, its
+energy and its Gauss-law check are all computed in sector coordinates
 (:func:`sector_ground_state`, :func:`sector_gauge_violation`), the
-eigenpair by the real symmetric solver.
+eigenpair matrix-free by block Lanczos on H v = ``electric_diag * v``
+- lam sum_p ``flipped(v, k_p)``, which reaches 2**16 states.
 
 Embedding into the computational (Z) basis of the full 2**L space is an
 explicit step, needed only by ``sweep``'s pinned state
@@ -50,9 +53,13 @@ from .lattice import Lattice, _odd_links
 _MAX_MASK_BITS = 63         # sector masks are uint64
 _MAX_SECTOR_DIM = 1 << 20   # 2**20 uint64 masks take about 8 MB
 _MAX_EMBED_QUBITS = 26      # one full-space vector of 2**26 amplitudes is 1 GiB
-_MAX_DENSE_DIM = 4096       # a dense real 4096 x 4096 H is 128 MB
+_MAX_DENSE_DIM = 4096       # dim x dim operators: a dense real H is 128 MB
 _FWHT_PIECE = 1 << 13       # amplitudes per half of one fwht piece
 GAP_TOLERANCE = 1e-10       # a smaller ground-state gap warns as degenerate
+_KRYLOV_COLS = 512          # Lanczos basis vectors before the solve gives up
+_KRYLOV_BYTES = 1 << 28     # 256 MiB for that basis: dim 2**16 at most
+_LANCZOS_TOL = 1e-14        # Ritz residual that converges, per unit of
+                            # spectral_bound
 
 
 class GaugeError(ValueError):
@@ -61,6 +68,10 @@ class GaugeError(ValueError):
 
 class DegenerateGroundStateWarning(UserWarning):
     pass
+
+
+class ConvergenceError(ArithmeticError):
+    """The Lanczos ground state did not converge within its basis."""
 
 
 @dataclass(frozen=True)
@@ -353,26 +364,37 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     in H plus the 2 sigma_1 insertion).  In the electric basis the matrix
     is real and symmetric, so it is float64: an integer diagonal, and -lam
     in row ``i ^ k`` of column i for each plaquette, whose sigma_3 string
-    takes row i there.  For lam > 0 it is stoquastic (no positive
-    off-diagonal entry), and the ground state is a positive vector.
-    Sectors above 4096 states are refused: their dense matrix would take
-    more than 128 MB.
+    takes row i there (:func:`_plaquette_rows`, which the matrix-free
+    product of :func:`sector_ground_state` reads too).  For lam > 0 it is
+    stoquastic (no positive off-diagonal entry), and the ground state is a
+    positive vector.  Only ``sweep``'s ground state, the exact evolutions
+    (``sweep``'s and ``measure``'s oracles) and the test oracles build
+    this matrix, and sectors above 4096 states are refused: their dense
+    matrix would take more than 128 MB.
     """
-    lat = model.lattice
-    L = lat.n_links
     for li in modified_links:
-        if not 0 <= li < L:
+        if not 0 <= li < model.lattice.n_links:
             raise GaugeError(f"modified link {li} out of range")
-    dim = sector.dim
+    _refuse_dense(sector.dim)
+    h = np.diag(electric_diag(model, sector, modified_links))
+    rows = np.arange(sector.dim)
+    for k in _plaquette_rows(model, sector):
+        h[rows ^ k, rows] += -model.lam
+    return h
+
+
+def _plaquette_rows(model: Z2Model, sector: PhysicalSector) -> list[int]:
+    """Per plaquette, the row k its sigma_3 string takes row 0 of
+    ``sector`` to: it takes row i to row ``i ^ k``."""
+    return [_row_of(sector, int(sector.masks[0]) ^ _link_mask(plaq))
+            for plaq in model.lattice.plaquettes]
+
+
+def _refuse_dense(dim: int) -> None:
+    """Refuse a dim x dim sector operator above :data:`_MAX_DENSE_DIM`."""
     if dim > _MAX_DENSE_DIM:
         raise GaugeError(f"sector dimension {dim} exceeds the dense-matrix "
                          f"limit {_MAX_DENSE_DIM}")
-    h = np.diag(electric_diag(model, sector, modified_links))
-    rows = np.arange(dim)
-    for plaq in lat.plaquettes:
-        k = _row_of(sector, int(sector.masks[0]) ^ _link_mask(plaq))
-        h[rows ^ k, rows] += -model.lam
-    return h
 
 
 def electric_diag(model: Z2Model, sector: PhysicalSector,
@@ -427,41 +449,149 @@ def exact_evolve_in_sector(model: Z2Model, sector: PhysicalSector, tau: float,
 
 
 def _sector_eigh(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the sector Hamiltonian ``h``, phase as eigh
-    returns it, in ``h``'s dtype.
+    """Lowest eigenpair of the dense sector Hamiltonian ``h``, phase as
+    eigh returns it, in ``h``'s dtype.
 
     The eigenvector is a copy, so the dim x dim eigenvector matrix is freed
     on return.  A spectral gap below :data:`GAP_TOLERANCE` raises a
     DegenerateGroundStateWarning.
     """
     evals, evecs = np.linalg.eigh(h)
+    _warn_if_degenerate(evals)
+    return float(evals[0]), evecs[:, 0].copy()
+
+
+def _warn_if_degenerate(evals: np.ndarray) -> None:
+    """DegenerateGroundStateWarning when the two lowest of the ascending
+    ``evals`` lie within :data:`GAP_TOLERANCE`."""
     if len(evals) > 1 and evals[1] - evals[0] < GAP_TOLERANCE:
         warnings.warn(
             f"ground state degenerate within {GAP_TOLERANCE}: "
             f"gap = {evals[1] - evals[0]:.3e}",
             DegenerateGroundStateWarning,
         )
-    return float(evals[0]), evecs[:, 0].copy()
 
 
 def sector_ground_state(model: Z2Model, sector: PhysicalSector
                         ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, in sector coordinates.
 
-    H is solved by the real symmetric eigensolver, and the coordinates are
-    returned as complex128.  Phase convention: the largest-magnitude
-    sector coordinate is made real positive (lowest index wins ties) by a
-    complex division by its phase.  For lam > 0 the ground state is
-    a Perron-Frobenius vector in both the electric and the computational
+    Solved matrix-free by block Lanczos (:func:`_lanczos_ground`): no
+    dim x dim matrix is built, only the Krylov basis, whose budget
+    (:func:`_refuse_krylov`) is checked before the solve.  The coordinates
+    are real; the largest-magnitude one (lowest index wins ties) is made
+    positive by a sign flip, and they are returned as complex128 with
+    every imaginary part +0.  For lam > 0 the ground state is a
+    Perron-Frobenius vector in both the electric and the computational
     basis, so every coordinate comes out positive and the phase is the
-    same as :func:`ground_state`'s up to rounding.  Nothing of size 2**L
-    is built.  A spectral gap below :data:`GAP_TOLERANCE` raises a
+    same as :func:`ground_state`'s up to rounding.  A spectral gap below
+    :data:`GAP_TOLERANCE` between the two lowest Ritz values raises a
     DegenerateGroundStateWarning.
     """
-    energy, coords = _sector_eigh(hamiltonian_in_sector(model, sector))
-    coords = coords.astype(np.complex128)
+    _refuse_krylov(sector.dim)
+    diag = electric_diag(model, sector)
+    # v is copied into src, whose row-flip views are built once
+    src, flips = np.empty(sector.dim), np.empty(sector.dim)
+    views = [flipped(src, k) for k in _plaquette_rows(model, sector)]
+    cube = flipped(flips, 0)                    # flips' cube, as a view
+
+    def apply_h(v: np.ndarray) -> np.ndarray:
+        """H v: the electric diagonal and -lam per plaquette row flip."""
+        src[...] = v
+        flips[...] = 0.0
+        for view in views:
+            np.add(cube, view, cube)
+        return diag * v - model.lam * flips
+
+    energy, coords = _lanczos_ground(apply_h, sector.dim,
+                                     _LANCZOS_TOL * spectral_bound(model))
     k = int(np.argmax(np.abs(coords)))
-    return energy, coords / (coords[k] / abs(coords[k]))
+    if coords[k] < 0:
+        coords = -coords
+    return energy, coords.astype(np.complex128)
+
+
+def _refuse_krylov(dim: int) -> None:
+    """Refuse a ground-state solve whose Krylov basis could outgrow
+    :data:`_KRYLOV_BYTES`: min(dim, :data:`_KRYLOV_COLS`) vectors of dim
+    float64 each."""
+    need = min(dim, _KRYLOV_COLS) * dim * 8
+    if need > _KRYLOV_BYTES:
+        raise GaugeError(
+            f"sector dimension {dim} exceeds the Lanczos limit: "
+            f"{min(dim, _KRYLOV_COLS)} basis vectors take {need >> 20} MiB, "
+            f"the budget is {_KRYLOV_BYTES >> 20} MiB")
+
+
+def _lanczos_ground(apply_h, dim: int, tol: float
+                    ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric operator ``apply_h`` on R^dim.
+
+    Block Lanczos (Golub & Underwood 1977) in its band form: the block
+    holds two start vectors, the uniform one and a Weyl sequence, so a
+    two-fold or higher degeneracy shows up as two equal Ritz values.
+    Basis vector j, processed in turn, gives H q_j, orthogonalised against
+    the whole basis by classical Gram-Schmidt run twice (full
+    reorthogonalisation): its coefficients are column j of the Rayleigh
+    quotient T, its norm the entry below them, and what is left, unless
+    its norm is at most ``tol``, the next basis vector.  Every eight
+    columns, and when the basis stops growing, the two lowest Ritz pairs
+    of T's processed block are checked: both converge when their
+    residuals, read off T's rows below that block, are at most ``tol``.
+    The energy is the Rayleigh quotient of the normalised Ritz vector.
+    Raises ConvergenceError when the basis fills up first.
+    """
+    rows = min(dim, _KRYLOV_COLS)
+    q = np.empty((rows, dim))
+    t = np.zeros((rows, rows))
+    n = 0                                       # basis vectors
+    weyl = np.modf(np.arange(dim) * 0.6180339887498949)[0] - 0.5
+    for v in (np.ones(dim), weyl):
+        v /= np.sqrt(v @ v)
+        _orthogonalise(q[:n], v)
+        norm = float(np.sqrt(v @ v))
+        if norm > tol:
+            q[n] = v / norm
+            n += 1
+    k = 0                                       # columns of T processed
+    while True:
+        full = False
+        while k < n:
+            w = apply_h(q[k])
+            t[:n, k] = _orthogonalise(q[:n], w)
+            norm = float(np.sqrt(w @ w))
+            if norm > tol and n < dim:
+                if n == rows:
+                    full = True
+                    break
+                q[n] = w / norm
+                t[n, k] = norm
+                n += 1
+            k += 1
+            if k % 8 == 0:
+                break
+        evals, evecs = np.linalg.eigh(t[:k, :k])
+        residual = np.linalg.norm(t[k:n, :k] @ evecs[:, :2], axis=0)
+        if np.all(residual <= tol):
+            break
+        if full:
+            raise ConvergenceError(
+                f"Lanczos ground state not converged in {n} basis vectors: "
+                f"residual {residual.max():.3e} > {tol:.3e}")
+    _warn_if_degenerate(evals)
+    x = evecs[:, 0] @ q[:k]
+    x /= np.sqrt(x @ x)
+    return float(x @ apply_h(x)), x
+
+
+def _orthogonalise(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove the rows of ``q`` from ``w`` in place by classical
+    Gram-Schmidt, twice; the coefficients removed."""
+    c = q @ w
+    w -= c @ q
+    d = q @ w
+    w -= d @ q
+    return c + d
 
 
 def ground_state(model: Z2Model, sector: PhysicalSector

@@ -36,8 +36,8 @@ import numpy as np
 from .circuits import (Circuit, CircuitError, ControlledPauliExp, Gate,
                        Measure, PauliExp, PauliString, PauliStringError,
                        ResetAncilla, _outcome, star_operator)
-from .gauge import (PhysicalSector, Z2Model, embed_sector_coords, flipped,
-                    project_to_sector)
+from .gauge import (PhysicalSector, Z2Model, _refuse_dense,
+                    embed_sector_coords, flipped, project_to_sector)
 from .programs import LoopProgram
 from .wilson import (_spatial_string, trotter_strings,
                      trotterized_program_circuit)
@@ -391,8 +391,10 @@ def trotterized_loop_operator_fullspace(model: Z2Model, sector: PhysicalSector,
     ``export-circuit`` writes (``wilson.trotterized_program_circuit``) in
     the full 2**L space with its global phase, project back.  Same matrix
     as ``trotter.trotterized_loop_operator``, and refuses the same
-    programs; kept as a cross-check oracle."""
+    programs; kept as a cross-check oracle.  Sectors above the
+    dense-matrix limit are refused."""
     circuit = trotterized_program_circuit(model, program, n_T)
+    _refuse_dense(sector.dim)
     cols = embed_sector_coords(sector, np.eye(sector.dim, dtype=np.complex128))
     apply_gates(cols, circuit.gates, sector.n_links)
     cols *= np.exp(1j * circuit.global_phase)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import (PhysicalSector, SectorMoves, Z2Model, _link_mask,
-                    electric_diag, exact_evolve_in_sector, flipped,
-                    unitarity_error)
+                    _refuse_dense, electric_diag, exact_evolve_in_sector,
+                    flipped, unitarity_error)
 from .programs import LoopProgram, Spatial, _check_program
 
 INFIDELITY_FLOOR = 1e-13
@@ -47,8 +47,10 @@ def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
           temporal) -> np.ndarray:
     """The program's product on ``sector``'s rows: a spatial step is a copy
     of the index-flip view (:meth:`SectorMoves.flip`), a temporal step in
-    the current sector ``sec`` is ``w = temporal(moves, sec, step, w)``."""
+    the current sector ``sec`` is ``w = temporal(moves, sec, step, w)``.
+    Sectors above the dense-matrix limit are refused."""
     _check_program(model.lattice, program)
+    _refuse_dense(sector.dim)
     moves = SectorMoves(model, sector)
     w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:

@@ -12,14 +12,27 @@ sector Trotter loop and of the Walsh-Hadamard transform, kept so that the
 tests can hold the package's versions to the same bits, not just to
 rounding.  :func:`stepwise_trotter_strings` is the per-step form of
 ``wilson.trotter_strings``, whose gate list the package builds from one
-step's strings.
+step's strings.  :func:`dense_ground_state` is the dense eigensolve that
+``gauge.sector_ground_state``'s Lanczos solve is checked against, and
+:func:`sparse_h_apply` an H v for its residuals that shares no code with
+the Lanczos product.
+
+The package is imported before numpy, so that its one-BLAS-thread default
+(``z2wilson/__init__.py``) is in place when numpy loads: every in-process
+solve then rounds as the CLI's does, whatever the host's core count.
 """
 
+import sys
+
+NUMPY_BEFORE_PACKAGE = "numpy" in sys.modules     # read by test_blas_env
+
+import z2wilson  # before numpy: see the docstring
 import numpy as np
 import pytest
 
 from z2wilson.gauge import (Z2Model, _link_mask, build_physical_sector,
-                            electric_diag, ground_state, project_to_sector)
+                            electric_diag, ground_state,
+                            hamiltonian_in_sector, project_to_sector)
 from z2wilson.lattice import build_cross, build_rect
 from z2wilson.programs import Spatial
 from z2wilson.statevec import PauliString, StateVector
@@ -97,6 +110,17 @@ def wegner_dual_hamiltonian(cells, lam, modified=()):
     return h
 
 
+def dense_ground_state(model, sector):
+    """The dense oracle of ``gauge.sector_ground_state``: all eigenvalues
+    of the dense real sector H (``hamiltonian_in_sector``, dim <= 4096)
+    and the lowest eigenvector, with its largest-magnitude entry (lowest
+    index on ties) made positive."""
+    evals, evecs = np.linalg.eigh(hamiltonian_in_sector(model, sector))
+    v = evecs[:, 0]
+    k = int(np.argmax(np.abs(v)))
+    return evals, (v if v[k] > 0 else -v)
+
+
 def searchsorted_perm(src_masks, dst_masks, mask):
     """Index in the sorted ``src_masks`` of ``m ^ mask`` for every ``m`` in
     ``dst_masks``: row j of the destination is row ``perm[j]`` of the
@@ -105,6 +129,18 @@ def searchsorted_perm(src_masks, dst_masks, mask):
     perm = np.searchsorted(src_masks, targets)
     assert np.array_equal(src_masks[perm % len(src_masks)], targets)
     return perm
+
+
+def sparse_h_apply(model, sector):
+    """H v from the masks alone: the electric diagonal read bit by bit and
+    one ``searchsorted`` permutation per plaquette, not the row flips of
+    ``gauge.flipped`` that the Lanczos product runs."""
+    bits = (sector.masks[:, None] >> np.arange(model.lattice.n_links,
+                                               dtype=np.uint64)) & 1
+    diag = -np.sum(1.0 - 2.0 * bits, axis=1)
+    perms = [searchsorted_perm(sector.masks, sector.masks, _link_mask(p))
+             for p in model.lattice.plaquettes]
+    return lambda v: diag * v - model.lam * sum(v[perm] for perm in perms)
 
 
 def gather_loop_operator(model, sector, program, n_T):

@@ -294,6 +294,26 @@ CATALOGUE = [
            "the exact evolution from the real solver: the rounding of "
            "sweep's exact W, which the sweep references pin, moves",
            first="tests/test_gauge.py"),
+    Mutant("lanczos-single-start", "src/z2wilson/gauge.py",
+           "for v in (np.ones(dim), weyl):",
+           "for v in (np.ones(dim),):",
+           "a Lanczos block of one start vector: its Krylov space holds one "
+           "vector of a degenerate ground level, so a real degeneracy "
+           "reads as a gap and ground-state exits 0",
+           first="tests/test_gauge.py"),
+    Mutant("lanczos-plaquette-sign", "src/z2wilson/gauge.py",
+           "return diag * v - model.lam * flips",
+           "return diag * v + model.lam * flips",
+           "the matrix-free H v with +lam plaquette terms: on a planar "
+           "lattice the spectrum is the same, but the ground state is no "
+           "longer the positive vector",
+           first="tests/test_gauge.py"),
+    Mutant("lanczos-loose-tol", "src/z2wilson/gauge.py",
+           "_LANCZOS_TOL = 1e-14",
+           "_LANCZOS_TOL = 1e-8",
+           "a Lanczos solve that stops at a loose residual: the energy "
+           "still agrees to rounding, the amplitudes no longer do",
+           first="tests/test_gauge.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)

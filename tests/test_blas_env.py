@@ -68,3 +68,18 @@ def test_eigensolve_runs_on_one_thread():
             "np.linalg.eigh(a + a.T)\n"
             "print(len(os.listdir('/proc/self/task')))")
     assert run_child(code) == "1"
+
+
+def test_tier1_runs_on_the_package_default():
+    """``conftest`` imports the package before numpy, so this process's
+    BLAS reads the package's default (or the caller's preset): an
+    in-process solve rounds as a CLI process does on any host."""
+    import conftest
+
+    assert not conftest.NUMPY_BEFORE_PACKAGE
+    assert VAR in os.environ
+    if (os.environ[VAR] == "1" and os.path.isdir("/proc/self/task")
+            and _uses_openblas()):
+        a = np.arange(256.0 * 256).reshape(256, 256) % 7
+        np.linalg.eigh(a + a.T)
+        assert len(os.listdir("/proc/self/task")) == 1

@@ -10,12 +10,14 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import dense_ground_state, sparse_h_apply
 from z2wilson.circuits import (ControlledPauliExp, block_bit_probability,
                                run_blocks)
-from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_OK,
-                          ConfigError, RunConfig, load_config, main,
-                          resolve_lattice)
-from z2wilson.gauge import Z2Model, build_physical_sector, project_to_sector
+from z2wilson.cli import (EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_DEGENERATE,
+                          EXIT_NUMERICAL, EXIT_OK, ConfigError, RunConfig,
+                          load_config, main, resolve_lattice)
+from z2wilson.gauge import (Z2Model, build_physical_sector,
+                            project_to_sector, spectral_bound)
 from z2wilson.lattice import (Lattice, _build_from_cells, build_cross,
                               build_rect, lattice_to_text)
 from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
@@ -24,6 +26,16 @@ from z2wilson.programs import (LoopProgram, Temporal, program_from_text,
 from z2wilson.statevec import _bit_probability, run_circuit
 from z2wilson.trotter import trotterized_loop_operator
 from z2wilson.wilson import hadamard_test_circuit
+
+
+def ground_state_file(text):
+    """Energy and (re, im) AMP rows of a ``ground-state --out`` file."""
+    lines = text.splitlines()
+    energy = next(float(l.split()[2]) for l in lines
+                  if l.startswith("# ground_energy"))
+    amps = np.array([[float(x) for x in l.split()[2:]]
+                     for l in lines if l.startswith("AMP ")])
+    return energy, amps
 
 
 def run_main(capsys, *argv):
@@ -198,50 +210,72 @@ class TestGroundState:
         # one full-space vector of 2**22 amplitudes is 64 MB
         assert peak < 16 * 2 ** 20
 
-    def test_rect4x2_rows_match_the_complex_solve(self, tmp_path):
-        # the rows of the complex solve that sweep's ground_state runs,
-        # rebuilt beside the command in a child on one BLAS thread (the
-        # CLI's default, so thread count moves neither): at the
-        # benchmark's five couplings the real solve differs only by rounding
-        code = """if True:
-            import sys
-            import numpy as np
-            from z2wilson.cli import main
-            from z2wilson.gauge import (Z2Model, build_physical_sector,
-                                        hamiltonian_in_sector)
-            from z2wilson.lattice import build_rect
-            for lam in ("0.5", "1.0", "2.0", "5.0", "10.0"):
-                path = f"{sys.argv[1]}/gs{lam}.txt"
-                assert main(["ground-state", "--lattice", "rect:4x2",
-                             "--lambda", lam, "--out", path]) == 0
-                model = Z2Model(build_rect(4, 2), float(lam))
-                sector = build_physical_sector(model)
-                evals, evecs = np.linalg.eigh(hamiltonian_in_sector(
-                    model, sector).astype(np.complex128))
-                ref = evecs[:, 0]
-                k = int(np.argmax(np.abs(ref)))
-                ref = ref / (ref[k] / abs(ref[k]))
-                lines = open(path).read().splitlines()
-                energy = next(float(l.split()[2]) for l in lines
-                              if l.startswith("# ground_energy"))
-                amps = np.array([[float(x) for x in l.split()[2:]]
-                                 for l in lines if l.startswith("AMP")])
-                assert amps.shape == (sector.dim, 2)
-                print("ROW", lam, abs(energy - evals[0]), np.max(np.abs(
-                    amps - np.column_stack([ref.real, ref.imag]))))
-            """
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                             env=env, capture_output=True, text=True,
-                             check=True).stdout
-        rows = [line.split()[1:] for line in out.splitlines()
-                if line.startswith("ROW ")]
-        assert [r[0] for r in rows] == ["0.5", "1.0", "2.0", "5.0", "10.0"]
-        for _, d_energy, d_amp in rows:
-            assert float(d_energy) <= 1e-13
-            assert float(d_amp) <= 1e-15
+    def test_rect4x2_rows_match_the_complex_solve(self, capsys, tmp_path):
+        # the CLI's rows at the benchmark's five couplings against the
+        # dense real oracle (the complex solve of sweep's ground_state
+        # agrees with it to rounding): the Lanczos solve differs only by
+        # rounding, and its state is an eigenvector to rounding
+        for lam in ("0.5", "1.0", "2.0", "5.0", "10.0"):
+            path = tmp_path / f"gs{lam}.txt"
+            code, _, _ = run_main(capsys, "ground-state", "--lattice",
+                                  "rect:4x2", "--lambda", lam,
+                                  "--out", str(path))
+            assert code == EXIT_OK
+            model = Z2Model(build_rect(4, 2), float(lam))
+            sector = build_physical_sector(model)
+            evals, ref = dense_ground_state(model, sector)
+            energy, amps = ground_state_file(path.read_text())
+            assert amps.shape == (sector.dim, 2)
+            assert abs(energy - evals[0]) <= 1e-13
+            assert np.max(np.abs(amps[:, 0] - ref)) <= 1e-14
+            assert np.all(amps[:, 1] == 0)
+            x = amps[:, 0]
+            residual = np.linalg.norm(sparse_h_apply(model, sector)(x)
+                                      - energy * x)
+            assert residual <= 5e-15 * spectral_bound(model)
+
+    def test_rect4x3_solves_matrix_free(self, capsys, monkeypatch,
+                                        tmp_path):
+        # dim 4096: above what the dense solve took in memory and time,
+        # and no dense H is built
+        import z2wilson.gauge as gauge_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense sector H was built")
+
+        monkeypatch.setattr(gauge_mod, "hamiltonian_in_sector", refuse)
+        path = tmp_path / "gs.txt"
+        code, out, _ = run_main(capsys, "ground-state", "--lattice",
+                                "rect:4x3", "--out", str(path))
+        assert code == EXIT_OK
+        kv = dict(line.split() for line in out.splitlines())
+        assert kv["sector_dim"] == "4096"
+        assert float(kv["gauge_violation"]) <= 1e-14
+        model = Z2Model(build_rect(4, 3), 10.0)
+        sector = build_physical_sector(model)
+        energy, amps = ground_state_file(path.read_text())
+        assert float(kv["ground_energy"]) == energy
+        x = amps[:, 0]
+        assert abs(x @ x - 1) <= 1e-14 and np.all(x > 0)
+        residual = np.linalg.norm(sparse_h_apply(model, sector)(x)
+                                  - energy * x)
+        assert residual <= 5e-15 * spectral_bound(model)
+
+    def test_amp_imaginary_fields_are_plus_zero(self, capsys, tmp_path):
+        # the sign is fixed on the real vector before the complex cast; the
+        # cross at lambda 10 used to print -0 from one solver and 0 from
+        # another
+        for lattice, lam in [("cross", "10"), ("rect:4x2", "0.5"),
+                             ("rect:2x2", "0")]:
+            path = tmp_path / "gs.txt"
+            code, _, _ = run_main(capsys, "ground-state", "--lattice",
+                                  lattice, "--lambda", lam, "--out",
+                                  str(path))
+            assert code == EXIT_OK
+            fields = [line.split()[3] for line in
+                      path.read_text().splitlines()
+                      if line.startswith("AMP ")]
+            assert fields and set(fields) == {"0"}
 
     def test_above_the_full_space_link_cap(self, capsys):
         # rect:9x1 has 28 links but a 512-dimensional sector
@@ -251,8 +285,8 @@ class TestGroundState:
         assert "sector_dim 512" in out
 
     @pytest.mark.parametrize("lattice, message", [
-        # 38 links, dim 2**15: refused before the dense Hamiltonian
-        ("rect:5x3", "sector dimension 32768 exceeds the dense-matrix limit"),
+        # 49 links, dim 2**20: refused before the Lanczos basis
+        ("rect:5x4", "sector dimension 1048576 exceeds the Lanczos limit"),
         # 60 links, dim 2**25: refused before the masks are spanned
         ("rect:5x5", "sector dimension 2**25 exceeds the enumeration limit"),
         ("rect:6x5", "sector masks are limited to 63 links"),
@@ -261,6 +295,64 @@ class TestGroundState:
         code, _, err = run_main(capsys, "ground-state", "--lattice", lattice)
         assert code == EXIT_CONFIG
         assert message in err
+
+    def test_lanczos_limit_refused_within_a_second(self, capsys, no_eigh):
+        import time
+
+        start = time.process_time()
+        code, out, err = run_main(capsys, "ground-state", "--lattice",
+                                  "rect:5x4")
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == ("error: sector dimension 1048576 exceeds the Lanczos "
+                       "limit: 512 basis vectors take 4096 MiB, the budget "
+                       "is 256 MiB\n")
+
+    @pytest.mark.parametrize("command", ["ground-state", "measure"])
+    def test_unconverged_solve_exit_4_before_output(self, capsys,
+                                                    monkeypatch, tmp_path,
+                                                    command):
+        import z2wilson.gauge as gauge_mod
+
+        monkeypatch.setattr(gauge_mod, "_KRYLOV_COLS", 8)
+        out_path = tmp_path / "gs.txt"
+        extra = (["--out", str(out_path)] if command == "ground-state"
+                 else ["--nt", "2"])
+        code, out, err = run_main(capsys, command, *extra)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical failure: Lanczos ground state not "
+                              "converged in 8 basis vectors")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["ground-state", "measure"])
+    def test_real_degeneracy_exit_3(self, capsys, monkeypatch, tmp_path,
+                                    command):
+        # charges at opposite corners of rect:3x3 at lambda 0: the 20
+        # shortest strings between them share the lowest energy, and
+        # nothing forces the warning
+        import z2wilson.gauge as gauge_mod
+
+        real = gauge_mod.build_physical_sector
+
+        def corners(model, charges=None):
+            if charges is None:
+                charges = [1] * model.lattice.n_vertices
+                charges[0] = charges[-1] = -1
+            return real(model, charges)
+
+        monkeypatch.setattr(gauge_mod, "build_physical_sector", corners)
+        prog = tmp_path / "id.prog"
+        prog.write_text("# empty program\n")
+        extra = ([] if command == "ground-state"
+                 else ["--program", str(prog), "--nt", "1"])
+        code, out, _ = run_main(capsys, command, "--lattice", "rect:3x3",
+                                "--lambda", "0", *extra)
+        assert code == EXIT_DEGENERATE
+        assert out.endswith("degenerate_ground_state true\n")
+        if command == "measure":
+            assert out == "degenerate_ground_state true\n"
+        else:
+            assert "ground_energy -12\n" in out
 
 
 class TestSweep:
@@ -432,14 +524,14 @@ class TestMeasure:
         assert len(calls) == 1
         # the sampled value of the two-run implementation, bit for bit
         assert "p_plus_sampled 0.46999999999999997\n" in out
-        # the block route's digits, bit for bit, on the real symmetric
-        # solver's ground state: the box V-chains run as their exact
-        # operator and return the box ancilla with an exactly zero other
-        # half, so its resets neither clear nor rescale, and p_plus_exact
-        # sits 7.8e-16 from p_plus_oracle 0.42808965237385715
-        assert "p_plus_exact 0.42808965237385638\n" in out
-        assert "re_wilson_loop -0.14382069525228725\n" in out
-        assert "p_plus_oracle 0.42808965237385715\n" in out
+        # the block route's digits, bit for bit, on the Lanczos ground
+        # state: the box V-chains run as their exact operator and return
+        # the box ancilla with an exactly zero other half, so its resets
+        # neither clear nor rescale, and p_plus_exact sits 7.8e-16 from
+        # p_plus_oracle 0.42808965237385721
+        assert "p_plus_exact 0.42808965237385643\n" in out
+        assert "re_wilson_loop -0.14382069525228713\n" in out
+        assert "p_plus_oracle 0.42808965237385721\n" in out
 
     def test_above_26_links_within_ulps_per_gate_of_oracle(self, capsys,
                                                            tmp_path):
@@ -516,7 +608,7 @@ class TestMeasure:
         code, out, _ = run_main(capsys, "measure", "--nt", "2", "--shots",
                                 str(2**63 - 1), "--seed", "5")
         assert code == EXIT_OK
-        assert "p_plus_sampled 0.42808965251222791\n" in out
+        assert "p_plus_sampled 0.42808965251222797\n" in out
 
     def test_negative_seed_refused_before_output(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -910,7 +1002,7 @@ class TestEvolvePrograms:
          "902026b6612905a019d57702df994ba7f88c3a68d60690f8e3046fc8a8e042d2"),
         ("evolve_closed.prog", ["measure", "--nt", "3", "--shots", "500",
                                 "--seed", "11"],
-         "c52d08867d5fad6eeede335eaf6a2088f57da3845bda15ffd39edd44525a96ab"),
+         "5f7f31c807b2131d07b003c4c9f1b7097ac5adac72899fa6d940a3b908653c4a"),
         ("evolve_closed.prog", ["export-circuit", "--nt", "2", "--out"],
          "1f0794323cfe417294da43e2b1ff2e3b57481793a404158ef9a808362767a516"),
         ("evolve_closed.prog", ["validate"],

@@ -6,17 +6,19 @@ bit operations, never through the sector machinery).
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import z2wilson.gauge as gauge_mod
-from conftest import (SX, bit_identical, cell_links, dense_pauli,
-                      expm_i_hermitian, numbered_links, one_plaquette,
-                      outcome, two_copy_fwht, wegner_dual_hamiltonian)
-from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
-                            SectorMoves, Z2Model, _FWHT_PIECE, _link_mask,
-                            _row_of, _sector_eigh,
+from conftest import (SX, bit_identical, cell_links, dense_ground_state,
+                      dense_pauli, expm_i_hermitian, numbered_links,
+                      one_plaquette, outcome, sparse_h_apply,
+                      two_copy_fwht, wegner_dual_hamiltonian)
+from z2wilson.gauge import (ConvergenceError, DegenerateGroundStateWarning,
+                            GaugeError, SectorMoves, Z2Model, _FWHT_PIECE,
+                            _link_mask, _row_of, _sector_eigh,
                             build_physical_sector, embed_sector_coords,
                             exact_evolve_in_sector, fwht,
                             ground_state, hamiltonian_in_sector,
@@ -26,7 +28,8 @@ from z2wilson.gauge import (DegenerateGroundStateWarning, GaugeError,
                             spatial_loop_in_sector, spectral_bound,
                             unitarity_error)
 from z2wilson.circuits import PauliString, star_operator
-from z2wilson.lattice import _build_from_cells, build_cross, build_rect
+from z2wilson.lattice import (Lattice, _build_from_cells, build_cross,
+                              build_rect)
 from z2wilson.statevec import StateVector, expect_pauli, gauge_violation
 
 CROSS_GROUND_ENERGY_LAM10 = -51.917375245849549   # pinned by the oracle below
@@ -562,7 +565,7 @@ class TestGroundState:
 
     def test_sector_ground_state_matches_full_space_route(self, cross_model,
                                                           cross_sector):
-        # the real symmetric solve against sweep's complex one
+        # the Lanczos solve against sweep's complex one
         energy, coords = sector_ground_state(cross_model, cross_sector)
         full_energy, gs = ground_state(cross_model, cross_sector)
         assert abs(energy - full_energy) < 1e-12
@@ -591,28 +594,41 @@ class TestGroundState:
         k = int(np.argmax(np.abs(coords)))
         assert coords[k].imag == 0 and coords[k].real > 0
 
-    def test_only_sweeps_solves_stay_complex(self, monkeypatch, cross_model,
-                                             cross_sector):
+    def test_only_sweeps_solves_stay_complex(self, monkeypatch):
         # the recorded sweep references pin the complex solver's rounding
         # (ROADMAP item 2): sweep's ground state and the exact evolution
-        # solve H cast to complex; ground-state and measure solve it real
-        real_eigh, seen = np.linalg.eigh, []
+        # solve the dense H cast to complex; ground-state and measure build
+        # no dense H, and their Lanczos solve diagonalises only its real
+        # Rayleigh quotient, smaller than the sector
+        model = Z2Model(build_rect(4, 2), 2.0)
+        sector = build_physical_sector(model)
+        real_eigh, seen, built = np.linalg.eigh, [], []
+        real_h = gauge_mod.hamiltonian_in_sector
 
         def recording(a):
-            seen.append(a.dtype)
+            seen.append((a.dtype, len(a)))
             return real_eigh(a)
 
+        def building(*args, **kwargs):
+            built.append(len(seen))
+            return real_h(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        sector_ground_state(cross_model, cross_sector)
-        ground_state(cross_model, cross_sector)
-        exact_evolve_in_sector(cross_model, cross_sector, 0.5, {2})
-        assert seen == [np.float64, np.complex128, np.complex128]
+        monkeypatch.setattr(gauge_mod, "hamiltonian_in_sector", building)
+        sector_ground_state(model, sector)
+        lanczos = len(seen)
+        assert built == []
+        assert lanczos and all(dtype == np.float64 and n < sector.dim
+                               for dtype, n in seen)
+        ground_state(model, sector)
+        exact_evolve_in_sector(model, sector, 0.5, {2})
+        assert built == [lanczos, lanczos + 1]
+        assert seen[lanczos:] == [(np.complex128, sector.dim)] * 2
 
     def test_eigenvector_owns_its_data(self, cross_model, cross_sector):
         # a view of eigh's column would keep the dim x dim eigenvector
         # matrix alive while ground_state embeds; the copy keeps its bits,
-        # from the real solve of sector_ground_state and from the complex
-        # one of sweep's ground_state
+        # for the complex H of sweep's ground_state and for a real one
         for dtype in (np.float64, np.complex128):
             h = hamiltonian_in_sector(cross_model, cross_sector).astype(dtype)
             energy, coords = _sector_eigh(h)
@@ -620,6 +636,92 @@ class TestGroundState:
             evals, evecs = np.linalg.eigh(h)
             assert energy == evals[0]
             assert bit_identical(coords, evecs[:, 0])
+
+
+class TestLanczos:
+    """``sector_ground_state`` solves matrix-free by block Lanczos; the
+    dense eigensolve of ``conftest.dense_ground_state`` is its oracle."""
+
+    @pytest.mark.parametrize("spec", ["cross", "rect:2x2", "rect:3x2",
+                                      "rect:4x2", "rect:5x2", "rect:3x3"])
+    @pytest.mark.parametrize("charged", [False, True],
+                             ids=["neutral", "charged"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 10.0])
+    def test_matches_the_dense_oracle(self, spec, charged, lam):
+        lat = lattice_of(spec)
+        model = Z2Model(lat, lam)
+        sector = build_physical_sector(
+            model, charged_at_ends(lat, 0) if charged else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateGroundStateWarning)
+            energy, coords = sector_ground_state(model, sector)
+        evals, ref = dense_ground_state(model, sector)
+        assert evals[1] - evals[0] > 0.4          # no degeneracy here
+        assert abs(energy - evals[0]) <= 1e-13
+        assert np.all(coords.imag == 0)
+        x = coords.real
+        assert np.max(np.abs(x - ref)) <= 1e-14
+        h_apply = sparse_h_apply(model, sector)
+        assert energy == pytest.approx(x @ h_apply(x), abs=1e-13)
+        residual = np.linalg.norm(h_apply(x) - energy * x)
+        assert residual <= 5e-15 * spectral_bound(model)
+
+    @pytest.mark.parametrize("lam, degenerate", [(0.0, 20), (0.05, 0)])
+    def test_real_degeneracy_seen_as_the_dense_solve_sees_it(
+            self, lam, degenerate):
+        # charges at opposite corners of rect:3x3: at lam = 0 the ground
+        # level is the 20 shortest strings between them; any plaquette
+        # term splits it
+        model = Z2Model(build_rect(3, 3), lam)
+        sector = build_physical_sector(model, corner_charges(model.lattice))
+        evals, _ = dense_ground_state(model, sector)
+        assert np.sum(evals - evals[0] < gauge_mod.GAP_TOLERANCE) == max(
+            degenerate, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateGroundStateWarning)
+            energy, _ = sector_ground_state(model, sector)
+        assert len(caught) == (1 if degenerate else 0)
+        assert abs(energy - evals[0]) <= 1e-13
+
+    def test_refuses_above_the_krylov_budget_before_any_work(
+            self, monkeypatch):
+        # rect:5x4: dim 2**20, whose 512 basis vectors would take 4 GiB
+        model = Z2Model(build_rect(5, 4), 1.0)
+        sector = build_physical_sector(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(gauge_mod, "electric_diag", refuse)
+        with pytest.raises(GaugeError, match="sector dimension 1048576 "
+                           "exceeds the Lanczos limit"):
+            sector_ground_state(model, sector)
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        model = Z2Model(build_rect(4, 2), 2.0)
+        sector = build_physical_sector(model)
+        monkeypatch.setattr(gauge_mod, "_KRYLOV_COLS", 16)
+        with pytest.raises(ConvergenceError, match="not converged in 16 "
+                           "basis vectors"):
+            sector_ground_state(model, sector)
+
+    def test_small_sectors_fill_their_basis(self):
+        # dim 2 and 1: the basis spans the sector, and the second start
+        # vector has nothing left at dim 1
+        model, sector = one_plaquette()
+        energy, coords = sector_ground_state(model, sector)
+        assert energy == pytest.approx(-np.sqrt(17.0), abs=1e-14)
+        path = Z2Model(Lattice(3, ((0, 1), (1, 2)), ()), 1.0)   # no cycle
+        energy, coords = sector_ground_state(path,
+                                             build_physical_sector(path))
+        assert energy == -2.0 and coords.tolist() == [1.0]
+
+
+def corner_charges(lattice):
+    """-1 at the first and the last vertex: opposite corners of a rect."""
+    charges = [1] * lattice.n_vertices
+    charges[0] = charges[-1] = -1
+    return charges
 
 
 class TestEvolution:
