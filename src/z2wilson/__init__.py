@@ -42,7 +42,7 @@ _EXPORTS = {
     "statevec": (),     # the full-space reference routes stay in it
     "gauge": ("DegenerateGroundStateWarning", "PhysicalSector", "SectorMoves",
               "Z2Model", "build_physical_sector", "electric_diag",
-              "exact_evolve_in_sector", "hamiltonian_in_sector",
+              "evolve_vector", "exact_evolve_in_sector", "hamiltonian_in_sector",
               "sector_basis_dump", "sector_gauge_violation",
               "sector_ground_state", "spatial_loop_in_sector",
               "spectral_bound", "unitarity_error"),
@@ -50,8 +50,9 @@ _EXPORTS = {
                  "program_from_text", "program_to_text", "staircase_default",
                  "validate_program"),
     "trotter": ("FidelityReport", "PowerLawFit", "exact_loop_operator",
-                "fit_power_law", "operator_fidelity", "report_to_csv",
-                "state_fidelity", "sweep", "trotterized_loop_operator"),
+                "exact_loop_vector", "fit_power_law", "operator_fidelity",
+                "report_to_csv", "state_fidelity", "sweep",
+                "trotterized_loop_operator", "trotterized_loop_vector"),
     "circuits": ("Circuit", "ControlledPauliExp", "Measure", "PauliExp",
                  "PauliString", "ResetAncilla", "circuit_stats",
                  "circuit_to_text", "run_blocks", "star_commutation_report",

@@ -383,18 +383,27 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_measure(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .gauge import _refuse_dense, sector_ground_state
+    from .gauge import ConvergenceError, sector_ground_state
     from .philox import Philox
-    from .trotter import exact_loop_operator, trotterized_loop_operator
+    from .trotter import exact_loop_vector, trotterized_loop_vector
     from .wilson import hadamard_test, sample_p_plus
     n_T = _single_nt(cfg, "measure")
     model, program, sector = _setup(cfg)
-    _refuse_dense(sector.dim)       # the oracle cross-checks are dim x dim
     (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()
-    print(f"n_T {n_T}")
     p_exact = hadamard_test(model, sector, coords, program, n_T)
+    # sector-oracle cross-checks of the same quantities, from W_nT psi and
+    # W psi: no dim x dim operator is built.  psi is real, so Re <psi|x>
+    # is psi . Re x
+    psi = coords.real
+    try:
+        wl = psi @ exact_loop_vector(model, sector, program, coords).real
+    except ConvergenceError as exc:
+        raise NumericalFailure(str(exc)) from None
+    p_oracle = (2 + 2 * (psi @ trotterized_loop_vector(
+        model, sector, program, n_T, coords).real)) / 4
+    print(f"n_T {n_T}")
     print(f"p_plus_exact {p_exact:.17g}")
     print(f"re_wilson_loop {2 * p_exact - 1:.17g}")
     if cfg.shots:
@@ -403,13 +412,8 @@ def cmd_measure(cfg: RunConfig) -> int:
                                / cfg.shots))
         print(f"p_plus_sampled {p_sampled:.17g}")
         print(f"binomial_std_error {stderr:.17g}")
-    # sector-oracle cross-checks of the same quantities
-    w_nt = trotterized_loop_operator(model, sector, program, n_T)
-    p_oracle = (2 + 2 * np.real(np.vdot(coords, w_nt @ coords))) / 4
     print(f"p_plus_oracle {p_oracle:.17g}")
-    w = exact_loop_operator(model, sector, program)
-    wl = complex(np.vdot(coords, w @ coords))
-    print(f"re_wilson_loop_exact {wl.real:.17g}")
+    print(f"re_wilson_loop_exact {wl:.17g}")
     return EXIT_OK
 
 

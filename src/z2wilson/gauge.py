@@ -23,12 +23,13 @@ a gather), and every sigma_1 term is the diagonal :func:`electric_diag`.
 A sector operator is a plain dim x dim array over these rows (32 x 32 on
 the cross): complex, except the Hamiltonian, which is real in this basis
 (:func:`hamiltonian_in_sector`).  Such arrays stop at 4096 states
-(:func:`_refuse_dense`); only ``sweep``, ``measure``'s oracle
-cross-checks and the test oracles build them.  The ground state, its
-energy and its Gauss-law check are all computed in sector coordinates
-(:func:`sector_ground_state`, :func:`sector_gauge_violation`), the
-eigenpair matrix-free by block Lanczos on H v = ``electric_diag * v``
-- lam sum_p ``flipped(v, k_p)``, which reaches 2**16 states.
+(:func:`_refuse_dense`); only ``sweep`` and the test oracles build them.
+The ground state, its energy and its Gauss-law check are all computed in
+sector coordinates (:func:`sector_ground_state`,
+:func:`sector_gauge_violation`), and so is one evolution of one state
+(:func:`evolve_vector`), all matrix-free on H v = ``electric_diag * v``
+- lam sum_p ``flipped(v, k_p)``: the eigenpair by block Lanczos, the
+evolution by Lanczos exponentials, up to 2**16 states.
 
 Embedding into the computational (Z) basis of the full 2**L space is an
 explicit step, needed only by ``sweep``'s pinned state
@@ -58,8 +59,12 @@ _FWHT_PIECE = 1 << 13       # amplitudes per half of one fwht piece
 GAP_TOLERANCE = 1e-10       # a smaller ground-state gap warns as degenerate
 _KRYLOV_COLS = 512          # Lanczos basis vectors before the solve gives up
 _KRYLOV_BYTES = 1 << 28     # 256 MiB for that basis: dim 2**16 at most
-_LANCZOS_TOL = 1e-14        # Ritz residual that converges, per unit of
+_LANCZOS_TOL = 1e-15        # Ritz residual that converges, per unit of
                             # spectral_bound
+_EXPM_TOL = 1e-15           # error estimate of a converged Krylov
+                            # exponential, per unit of |v|
+_EXPM_PHASE = 128.0         # largest |tau| * spectral_bound per substep
+_EXPM_SUBSTEPS = 1024       # substeps of one evolution before it is refused
 
 
 class GaugeError(ValueError):
@@ -71,7 +76,8 @@ class DegenerateGroundStateWarning(UserWarning):
 
 
 class ConvergenceError(ArithmeticError):
-    """The Lanczos ground state did not converge within its basis."""
+    """A Lanczos ground state or Krylov exponential did not converge
+    within its basis."""
 
 
 @dataclass(frozen=True)
@@ -367,14 +373,10 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     takes row i there (:func:`_plaquette_rows`, which the matrix-free
     product of :func:`sector_ground_state` reads too).  For lam > 0 it is
     stoquastic (no positive off-diagonal entry), and the ground state is a
-    positive vector.  Only ``sweep``'s ground state, the exact evolutions
-    (``sweep``'s and ``measure``'s oracles) and the test oracles build
-    this matrix, and sectors above 4096 states are refused: their dense
-    matrix would take more than 128 MB.
+    positive vector.  Only ``sweep``'s ground state and exact evolutions
+    and the test oracles build this matrix, and sectors above 4096 states
+    are refused: their dense matrix would take more than 128 MB.
     """
-    for li in modified_links:
-        if not 0 <= li < model.lattice.n_links:
-            raise GaugeError(f"modified link {li} out of range")
     _refuse_dense(sector.dim)
     h = np.diag(electric_diag(model, sector, modified_links))
     rows = np.arange(sector.dim)
@@ -404,7 +406,11 @@ def electric_diag(model: Z2Model, sector: PhysicalSector,
 
     The electric labels are exact in the sector basis: link i contributes
     -s_i, or +s_i when modified, with s_i = +1 when bit i of the mask is 0.
+    A modified link off the lattice raises GaugeError.
     """
+    for li in modified_links:
+        if not 0 <= li < model.lattice.n_links:
+            raise GaugeError(f"modified link {li} out of range")
     masks = sector.masks
     diag = np.zeros(sector.dim)
     for li in range(model.lattice.n_links):
@@ -435,9 +441,10 @@ def exact_evolve_in_sector(model: Z2Model, sector: PhysicalSector, tau: float,
     """e^{-i tau (H + sum 2 sigma_1)} by exact eigendecomposition.
 
     Valid because H and every sigma_1(e) commute with all stars, so the
-    evolution never leaves the sector.  H is solved as a complex matrix:
-    the recorded sweep references pin that solver's rounding (ROADMAP
-    item 2).
+    evolution never leaves the sector.  ``sweep`` and the test oracles
+    build it; one state's evolution is :func:`evolve_vector`.  H is solved
+    as a complex matrix: the recorded sweep references pin that solver's
+    rounding (ROADMAP item 2).
     """
     if not np.isfinite(tau):
         raise GaugeError(f"tau must be finite, got {tau}")
@@ -489,21 +496,8 @@ def sector_ground_state(model: Z2Model, sector: PhysicalSector
     DegenerateGroundStateWarning.
     """
     _refuse_krylov(sector.dim)
-    diag = electric_diag(model, sector)
-    # v is copied into src, whose row-flip views are built once
-    src, flips = np.empty(sector.dim), np.empty(sector.dim)
-    views = [flipped(src, k) for k in _plaquette_rows(model, sector)]
-    cube = flipped(flips, 0)                    # flips' cube, as a view
-
-    def apply_h(v: np.ndarray) -> np.ndarray:
-        """H v: the electric diagonal and -lam per plaquette row flip."""
-        src[...] = v
-        flips[...] = 0.0
-        for view in views:
-            np.add(cube, view, cube)
-        return diag * v - model.lam * flips
-
-    energy, coords = _lanczos_ground(apply_h, sector.dim,
+    energy, coords = _lanczos_ground(_hamiltonian_product(model, sector),
+                                     sector.dim,
                                      _LANCZOS_TOL * spectral_bound(model))
     k = int(np.argmax(np.abs(coords)))
     if coords[k] < 0:
@@ -511,10 +505,32 @@ def sector_ground_state(model: Z2Model, sector: PhysicalSector
     return energy, coords.astype(np.complex128)
 
 
+def _hamiltonian_product(model: Z2Model, sector: PhysicalSector,
+                         modified_links: frozenset[int] | set[int]
+                         = frozenset()):
+    """The matrix-free product v -> (H + sum 2 sigma_1) v on real sector
+    vectors: :func:`electric_diag` times v, and -lam times v's row flip
+    per plaquette (:func:`_plaquette_rows`)."""
+    diag = electric_diag(model, sector, modified_links)
+    # v is copied into src, whose row-flip views are built once
+    src, flips = np.empty(sector.dim), np.empty(sector.dim)
+    views = [flipped(src, k) for k in _plaquette_rows(model, sector)]
+    cube = flipped(flips, 0)                    # flips' cube, as a view
+
+    def apply_h(v: np.ndarray) -> np.ndarray:
+        src[...] = v
+        flips[...] = 0.0
+        for view in views:
+            np.add(cube, view, cube)
+        return diag * v - model.lam * flips
+
+    return apply_h
+
+
 def _refuse_krylov(dim: int) -> None:
-    """Refuse a ground-state solve whose Krylov basis could outgrow
-    :data:`_KRYLOV_BYTES`: min(dim, :data:`_KRYLOV_COLS`) vectors of dim
-    float64 each."""
+    """Refuse a Lanczos solve or exponential whose Krylov basis could
+    outgrow :data:`_KRYLOV_BYTES`: min(dim, :data:`_KRYLOV_COLS`) vectors
+    of dim float64 each."""
     need = min(dim, _KRYLOV_COLS) * dim * 8
     if need > _KRYLOV_BYTES:
         raise GaugeError(
@@ -536,9 +552,12 @@ def _lanczos_ground(apply_h, dim: int, tol: float
     quotient T, its norm the entry below them, and what is left, unless
     its norm is at most ``tol``, the next basis vector.  Every eight
     columns, and when the basis stops growing, the two lowest Ritz pairs
-    of T's processed block are checked: both converge when their
-    residuals, read off T's rows below that block, are at most ``tol``.
-    The energy is the Rayleigh quotient of the normalised Ritz vector.
+    of T's processed block are checked, their residuals read off T's rows
+    below that block.  The solve stops when the ground pair's residual is
+    at most ``tol`` and the second one's is too small to move the second
+    Ritz value across the :data:`GAP_TOLERANCE` line above the first: the
+    gap need only be known as well as the degeneracy test reads it.  The
+    energy is the Rayleigh quotient of the normalised Ritz vector.
     Raises ConvergenceError when the basis fills up first.
     """
     rows = min(dim, _KRYLOV_COLS)
@@ -572,7 +591,8 @@ def _lanczos_ground(apply_h, dim: int, tol: float
                 break
         evals, evecs = np.linalg.eigh(t[:k, :k])
         residual = np.linalg.norm(t[k:n, :k] @ evecs[:, :2], axis=0)
-        if np.all(residual <= tol):
+        if residual[0] <= tol and (k == 1 or residual[1] <= max(
+                tol, abs(evals[1] - evals[0] - GAP_TOLERANCE))):
             break
         if full:
             raise ConvergenceError(
@@ -592,6 +612,103 @@ def _orthogonalise(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     d = q @ w
     w -= d @ q
     return c + d
+
+
+def evolve_vector(model: Z2Model, sector: PhysicalSector, tau: float,
+                  modified_links: frozenset[int] | set[int], v: np.ndarray
+                  ) -> np.ndarray:
+    """e^{-i tau (H + sum 2 sigma_1)} v for one sector vector, matrix-free.
+
+    The vector form of :func:`exact_evolve_in_sector`: no dim x dim matrix
+    is built.  The step is cut into equal substeps (:func:`_substeps`),
+    and each substep is a Lanczos exponential (:func:`_krylov_exp`) of
+    Re v and of Im v, real start vectors of the real symmetric
+    :func:`_hamiltonian_product`, so every product is real.  Its Krylov
+    basis is :func:`_refuse_krylov`'s; both limits are checked before any
+    work.  A substep that does not converge within its basis raises
+    ConvergenceError.
+    """
+    if not np.isfinite(tau):
+        raise GaugeError(f"tau must be finite, got {tau}")
+    _refuse_krylov(sector.dim)
+    n = _substeps(model, sector.dim, tau)
+    apply_h = _hamiltonian_product(model, sector, modified_links)
+    # contiguous copies: BLAS rounds a strided product (the real part of
+    # a complex column) differently from a contiguous one
+    re, im = np.array(v.real, dtype=float), np.array(v.imag, dtype=float)
+    for _ in range(n):
+        # e(re + i im) = (a + i b) + i (c + i d)
+        (a, b), (c, d) = (_krylov_exp(apply_h, x, tau / n) for x in (re, im))
+        re, im = a - d, b + c
+    return re + 1j * im
+
+
+def _substeps(model: Z2Model, dim: int, tau: float) -> int:
+    """Substeps of one :func:`evolve_vector` step, from |tau|,
+    :func:`spectral_bound` and the sector dimension alone: enough that
+    each has a phase of at most :data:`_EXPM_PHASE`, but no more than
+    dim / :data:`_EXPM_PHASE` when the basis can span the sector, since a
+    substep then never needs more than dim basis vectors.  More than
+    :data:`_EXPM_SUBSTEPS` is refused."""
+    n = int(np.ceil(abs(tau) * spectral_bound(model) / _EXPM_PHASE))
+    if dim <= _KRYLOV_COLS:
+        n = min(n, int(np.ceil(dim / _EXPM_PHASE)))
+    if n > _EXPM_SUBSTEPS:
+        raise GaugeError(
+            f"evolution phase |tau| * spectral_bound = "
+            f"{abs(tau) * spectral_bound(model):.6g} needs {n} Krylov "
+            f"substeps in a sector of dimension {dim}; the limit is "
+            f"{_EXPM_SUBSTEPS}")
+    return max(n, 1)
+
+
+def _krylov_exp(apply_h, x: np.ndarray, tau: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of e^{-i tau H} x for a real x, with H the
+    symmetric operator ``apply_h``: a Lanczos exponential (Park & Light,
+    J. Chem. Phys. 85, 5870 (1986)).
+
+    The basis starts at x / |x|.  Basis vector j gives H q_j, orthogonalised
+    against the whole basis as in :func:`_lanczos_ground`: its coefficients
+    are column j of T, its norm beta_j the entry below them, and what is
+    left the next basis vector, until the basis spans R^dim.  Every eight
+    columns y = e^{-i tau T} e_1 is formed from a real ``eigh`` of T, as
+    its cosine and sine parts, and the exponential has converged when
+    beta |y_last| is at most :data:`_EXPM_TOL` (Saad, SIAM J. Numer.
+    Anal. 29, 209 (1992)); it is then |x| Q^T y.  Raises ConvergenceError
+    when the basis fills up first.
+    """
+    dim = len(x)
+    norm = float(np.sqrt(x @ x))
+    if norm == 0.0:
+        return np.zeros(dim), np.zeros(dim)
+    rows = min(dim, _KRYLOV_COLS)
+    q = np.empty((rows, dim))
+    t = np.zeros((rows + 1, rows))
+    q[0] = x / norm
+    n, k = 1, 0                                 # basis vectors, columns
+    while True:
+        while k < n:
+            w = apply_h(q[k])
+            t[:n, k] = _orthogonalise(q[:n], w)
+            if n < dim:
+                t[n, k] = np.sqrt(w @ w)
+                if n < rows and t[n, k] > 0.0:
+                    q[n] = w / t[n, k]
+                    n += 1
+            k += 1
+            if k % 8 == 0:
+                break
+        evals, evecs = np.linalg.eigh(t[:k, :k])
+        cos = evecs @ (evecs[0] * np.cos(tau * evals))
+        sin = evecs @ (evecs[0] * np.sin(tau * evals))
+        error = t[k, k - 1] * np.hypot(cos[-1], sin[-1])
+        if error <= _EXPM_TOL:
+            return norm * (cos @ q[:k]), -norm * (sin @ q[:k])
+        if k == n:
+            raise ConvergenceError(
+                f"Krylov exponential not converged in {n} basis vectors: "
+                f"error estimate {error:.3e} > {_EXPM_TOL:.0e}")
 
 
 def ground_state(model: Z2Model, sector: PhysicalSector

@@ -9,9 +9,11 @@ with the electric factor an exact product of single-link X rotations
 factor an exact product of four-link ZZZZ exponentials; all terms inside a
 factor commute, so the only approximation is the electric/magnetic split.
 Consecutive electric half-factors inside one evolution are merged.
-This module runs that product as a sector operator.  Its rows are the
-sector's cycle coordinates (``gauge.build_physical_sector``), where every
-plaquette and spatial step is an index flip through ``gauge.flipped``.
+This module runs that product as a sector operator, or on one state
+(``measure``'s oracle lines, which need only W psi and W_nT psi).  Its
+rows are the sector's cycle coordinates (``gauge.build_physical_sector``),
+where every plaquette and spatial step is an index flip through
+``gauge.flipped``.
 The literal gate list (``wilson.trotterized_program_circuit``, which
 ``export-circuit`` writes and ``measure`` controls, from one walk of the
 program) and its full-space run
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import (PhysicalSector, SectorMoves, Z2Model, _link_mask,
-                    _refuse_dense, electric_diag, exact_evolve_in_sector,
-                    flipped, unitarity_error)
+                    _refuse_dense, electric_diag, evolve_vector,
+                    exact_evolve_in_sector, flipped, unitarity_error)
 from .programs import LoopProgram, Spatial, _check_program
 
 INFIDELITY_FLOOR = 1e-13
@@ -44,15 +46,19 @@ INFIDELITY_FLOOR = 1e-13
 # ---------------------------------------------------------------------------
 
 def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
-          temporal) -> np.ndarray:
-    """The program's product on ``sector``'s rows: a spatial step is a copy
-    of the index-flip view (:meth:`SectorMoves.flip`), a temporal step in
-    the current sector ``sec`` is ``w = temporal(moves, sec, step, w)``.
-    Sectors above the dense-matrix limit are refused."""
+          temporal, w: np.ndarray | None = None) -> np.ndarray:
+    """The program's product applied to the start block ``w``, whose rows
+    are ``sector``'s: a spatial step is a copy of the index-flip view
+    (:meth:`SectorMoves.flip`), a temporal step in the current sector
+    ``sec`` is ``w = temporal(moves, sec, step, w)``.  The start block is
+    the identity by default, which gives the dense dim x dim operator and
+    is refused above the dense-matrix limit; a state as one column of its
+    own, (dim, 1), gives the operator applied to that state."""
     _check_program(model.lattice, program)
-    _refuse_dense(sector.dim)
+    if w is None:
+        _refuse_dense(sector.dim)
+        w = np.eye(sector.dim, dtype=np.complex128)
     moves = SectorMoves(model, sector)
-    w = np.eye(sector.dim, dtype=np.complex128)
     for step in program.steps:
         if isinstance(step, Spatial):
             sector, k = moves.flip(sector, _link_mask(step.links))
@@ -62,6 +68,12 @@ def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
     return w
 
 
+def _column(psi: np.ndarray) -> np.ndarray:
+    """A copy of the sector state ``psi`` as a complex (dim, 1) block, the
+    vector routes' start: the walk may write to its start in place."""
+    return np.array(psi, dtype=np.complex128).reshape(-1, 1)
+
+
 def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
                         program: LoopProgram) -> np.ndarray:
     """Oracle W: exact sector product of the program's steps, each
@@ -69,6 +81,17 @@ def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
     return _walk(model, sector, program,
                  lambda moves, sec, step, w: exact_evolve_in_sector(
                      model, sec, step.tau, step.modified_links) @ w)
+
+
+def exact_loop_vector(model: Z2Model, sector: PhysicalSector,
+                      program: LoopProgram, psi: np.ndarray) -> np.ndarray:
+    """W psi, without W: the walk of :func:`exact_loop_operator` started
+    from ``psi``, each temporal step a matrix-free Krylov exponential
+    (:func:`.gauge.evolve_vector`)."""
+    return _walk(model, sector, program,
+                 lambda moves, sec, step, w: evolve_vector(
+                     model, sec, step.tau, step.modified_links, w[:, 0]
+                 )[:, None], _column(psi))[:, 0]
 
 
 def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
@@ -89,6 +112,16 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     return _walk(model, sector, program,
                  lambda moves, sec, step, w: _trotter_band(
                      model, moves, sec, step, n_T, w))
+
+
+def trotterized_loop_vector(model: Z2Model, sector: PhysicalSector,
+                            program: LoopProgram, n_T: int, psi: np.ndarray
+                            ) -> np.ndarray:
+    """W_{n_T} psi, without W_{n_T}: the walk of
+    :func:`trotterized_loop_operator` started from ``psi``."""
+    return _walk(model, sector, program,
+                 lambda moves, sec, step, w: _trotter_band(
+                     model, moves, sec, step, n_T, w), _column(psi))[:, 0]
 
 
 def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,

@@ -309,11 +309,30 @@ CATALOGUE = [
            "longer the positive vector",
            first="tests/test_gauge.py"),
     Mutant("lanczos-loose-tol", "src/z2wilson/gauge.py",
-           "_LANCZOS_TOL = 1e-14",
+           "_LANCZOS_TOL = 1e-15",
            "_LANCZOS_TOL = 1e-8",
            "a Lanczos solve that stops at a loose residual: the energy "
            "still agrees to rounding, the amplitudes no longer do",
            first="tests/test_gauge.py"),
+    Mutant("lanczos-loose-tol-1e-12", "src/z2wilson/gauge.py",
+           "_LANCZOS_TOL = 1e-15",
+           "_LANCZOS_TOL = 1e-12",
+           "the ground pair's stop 1000 times looser: its residual, which "
+           "alone sets the stop, exceeds the oracle comparison's bound",
+           first="tests/test_gauge.py"),
+    Mutant("evolve-vector-tau-sign", "src/z2wilson/gauge.py",
+           "(_krylov_exp(apply_h, x, tau / n) for x in (re, im))",
+           "(_krylov_exp(apply_h, x, -tau / n) for x in (re, im))",
+           "the Krylov exponential run backwards in time: on a real ground "
+           "state W psi becomes its complex conjugate, so measure's "
+           "re_wilson_loop_exact keeps its value and only W psi shows it",
+           first="tests/test_trotter.py"),
+    Mutant("evolve-vector-loose-tol", "src/z2wilson/gauge.py",
+           "_EXPM_TOL = 1e-15",
+           "_EXPM_TOL = 1e-8",
+           "a Krylov exponential that stops at an error estimate of 1e-8: "
+           "W psi moves by up to 6e-12 from the dense W applied to psi",
+           first="tests/test_trotter.py"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -548,15 +548,58 @@ class TestMeasure:
         tol = ULP_PER_GATE * len(circuit.gates)
         assert abs(vals["p_plus_exact"] - vals["p_plus_oracle"]) <= tol
 
-    def test_refuses_a_sector_above_the_dense_limit(self, capsys, tmp_path):
-        # rect:5x3: sector dimension 2**15, above the 4096 dense limit
+    def test_refuses_a_sector_above_the_lanczos_limit(self, capsys,
+                                                      tmp_path):
+        # rect:5x4: sector dimension 2**20, whose Krylov basis would take
+        # 4 GiB; rect:5x3 (2**15), above the old dense limit, now solves
         prog = tmp_path / "id.prog"
         prog.write_text("# empty program\n")
-        code, out, err = run_main(capsys, "measure", "--lattice", "rect:5x3",
+        code, out, err = run_main(capsys, "measure", "--lattice", "rect:5x4",
                                   "--program", str(prog), "--nt", "1")
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert "dense-matrix limit 4096" in err
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: sector dimension 1048576 exceeds the "
+                              "Lanczos limit")
+
+    def test_rect4x3_builds_no_dense_operator(self, capsys, monkeypatch,
+                                              tmp_path):
+        # dim 4096: the oracle lines come from W psi and W_nT psi, the
+        # ground state from the matrix-free Lanczos solve
+        import z2wilson.gauge as gauge_mod
+        import z2wilson.trotter as trotter_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense sector operator was built")
+
+        for module, name in [(gauge_mod, "hamiltonian_in_sector"),
+                             (trotter_mod, "exact_loop_operator"),
+                             (trotter_mod, "trotterized_loop_operator")]:
+            monkeypatch.setattr(module, name, refuse)
+        prog = tmp_path / "r42.prog"
+        prog.write_text("SPATIAL 1 6 10 5\nTEMPORAL 0.5 5 6\n")
+        code, out, _ = run_main(capsys, "measure", "--lattice", "rect:4x3",
+                                "--program", str(prog), "--nt", "9")
+        assert code == EXIT_OK
+        vals = measured(out)
+        circuit, _ = hadamard_test_circuit(
+            Z2Model(build_rect(4, 3), 10.0),
+            program_from_text(prog.read_text()), 9)
+        tol = ULP_PER_GATE * len(circuit.gates)
+        assert abs(vals["p_plus_exact"] - vals["p_plus_oracle"]) <= tol
+        assert -1 <= vals["re_wilson_loop_exact"] <= 1
+
+    def test_unconverged_exponential_exit_4_before_output(self, capsys,
+                                                          monkeypatch):
+        import z2wilson.trotter as trotter_mod
+        from z2wilson.gauge import ConvergenceError
+
+        def unconverged(*args, **kwargs):
+            raise ConvergenceError("Krylov exponential not converged")
+
+        monkeypatch.setattr(trotter_mod, "evolve_vector", unconverged)
+        code, out, err = run_main(capsys, "measure", "--nt", "2")
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == ("numerical failure: Krylov exponential not "
+                       "converged\n")
 
     @pytest.mark.parametrize("command", ["sweep", "measure", "export-circuit"])
     def test_refuses_an_invalid_program_before_output(self, capsys, tmp_path,
@@ -985,7 +1028,9 @@ class TestEvolvePrograms:
     stdout, a NUL, stderr, a NUL and the ``--out`` file, recorded before
     free evolutions became ``Temporal`` steps with no modified link; the
     two ``measure`` digests were re-recorded when ``measure`` took its
-    ground state from the real symmetric solver.  The
+    ground state from the real symmetric solver, and again when its
+    ``re_wilson_loop_exact`` line came from W psi by Krylov exponentials
+    (it moved by 7.0e-15 and 8.9e-15).  The
     programs sit in the working directory under fixed names, because the
     program path enters the config hash in each header.
     """
@@ -1002,7 +1047,7 @@ class TestEvolvePrograms:
          "902026b6612905a019d57702df994ba7f88c3a68d60690f8e3046fc8a8e042d2"),
         ("evolve_closed.prog", ["measure", "--nt", "3", "--shots", "500",
                                 "--seed", "11"],
-         "5f7f31c807b2131d07b003c4c9f1b7097ac5adac72899fa6d940a3b908653c4a"),
+         "599a92c3c5c0b3f759003c845d487c86745885a9e5131260f0856c7cdf1d686a"),
         ("evolve_closed.prog", ["export-circuit", "--nt", "2", "--out"],
          "1f0794323cfe417294da43e2b1ff2e3b57481793a404158ef9a808362767a516"),
         ("evolve_closed.prog", ["validate"],
@@ -1011,7 +1056,7 @@ class TestEvolvePrograms:
          "a035c2216b6bdf449243bb7122dfc621833a0aadc1ba9ea2bdeb3f7b68beff3f"),
         ("evolve_open.prog", ["measure", "--nt", "3", "--shots", "500",
                               "--seed", "11"],
-         "5d6518379c0d10b172b2cd097ef9d7e40cb8a2c60f3f53cb74b4616969b9be22"),
+         "41e16b614f1c0bbd306ee0657a589dfa2eeffb630ad96d9222a886ef2ea0ddf2"),
         ("evolve_open.prog", ["export-circuit", "--nt", "2", "--out"],
          "423f51b11623aa51a14a7da96b56be5670aa2d86c55a1fed1789ee7359087c9d"),
         ("evolve_open.prog", ["validate"],

@@ -20,7 +20,7 @@ from z2wilson.gauge import (ConvergenceError, DegenerateGroundStateWarning,
                             GaugeError, SectorMoves, Z2Model, _FWHT_PIECE,
                             _link_mask, _row_of, _sector_eigh,
                             build_physical_sector, embed_sector_coords,
-                            exact_evolve_in_sector, fwht,
+                            evolve_vector, exact_evolve_in_sector, fwht,
                             ground_state, hamiltonian_in_sector,
                             moved_charges, pinned_ground_state,
                             project_to_sector, sector_basis_dump, sector_gauge_violation,
@@ -961,6 +961,14 @@ def _disconnected_sector():
      "lattice connectivity"),
     (lambda: exact_evolve_in_sector(*one_plaquette(), float("inf")),
      "GaugeError: tau must be finite, got inf"),
-], ids=["charge-count", "charge-value", "disconnected", "tau-infinite"])
+    (lambda: evolve_vector(*one_plaquette(), float("nan"), set(),
+                           np.ones(2)),
+     "GaugeError: tau must be finite, got nan"),
+    (lambda: exact_evolve_in_sector(*one_plaquette(), 0.5, {4}),
+     "GaugeError: modified link 4 out of range"),
+    (lambda: evolve_vector(*one_plaquette(), 0.5, {-1}, np.ones(2)),
+     "GaugeError: modified link -1 out of range"),
+], ids=["charge-count", "charge-value", "disconnected", "tau-infinite",
+        "vector-tau-nan", "modified-link", "vector-modified-link"])
 def test_input_check(call, expected):
     assert outcome(call) == expected

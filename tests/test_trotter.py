@@ -14,20 +14,27 @@ import pytest
 
 from conftest import (bit_identical, dense_pauli, expm_i_hermitian,
                       gather_loop_operator, one_plaquette, outcome)
-from z2wilson.gauge import (SectorMoves, Z2Model, _link_mask,
-                            build_physical_sector, embed_sector_coords,
+import z2wilson.gauge as gauge_mod
+from z2wilson.gauge import (ConvergenceError, GaugeError, SectorMoves,
+                            Z2Model, _link_mask, build_physical_sector,
+                            embed_sector_coords, evolve_vector,
                             exact_evolve_in_sector, ground_state,
                             moved_charges, project_to_sector,
-                            spatial_loop_in_sector, unitarity_error)
+                            sector_ground_state, spatial_loop_in_sector,
+                            spectral_bound, unitarity_error)
 from z2wilson.lattice import (build_cross, build_rect, lattice_from_text,
                               lattice_to_text, validate)
 from z2wilson.programs import (LoopProgram, ProgramError, Spatial, Temporal,
-                               staircase_default, validate_program)
+                               program_from_text, staircase_default,
+                               validate_program)
 from z2wilson.statevec import (PauliString, StateVector, trotter_evolve,
                                trotterized_loop_operator_fullspace)
 from z2wilson.trotter import (FidelityReport, exact_loop_operator,
-                              fit_power_law, operator_fidelity, report_to_csv,
-                              state_fidelity, sweep, trotterized_loop_operator)
+                              exact_loop_vector, fit_power_law,
+                              operator_fidelity, report_to_csv,
+                              state_fidelity, sweep,
+                              trotterized_loop_operator,
+                              trotterized_loop_vector)
 from z2wilson.wilson import trotter_strings
 
 # oracle-pinned regression values for the default staircase on the cross
@@ -211,6 +218,108 @@ class TestLoopOperators:
             w = trotterized_loop_operator(cross_model, cross_sector, prog,
                                           n_T)
             assert operator_fidelity(w_ex, w) == pytest.approx(1.0, abs=1e-12)
+
+
+# the vector oracles' inputs: the cross's staircase and an open chain,
+# whose band runs in a charged sector; a plaquette of rect:4x2; a two-band
+# staircase and an open chain on rect:3x3
+VECTOR_PROGRAMS = {
+    "cross-staircase": ("cross", None),
+    "cross-chain": ("cross", "SPATIAL 4 8\nTEMPORAL 0.7 4 8\nSPATIAL 8 4\n"),
+    "rect4x2": ("rect:4x2", "SPATIAL 1 6 10 5\nTEMPORAL 0.5 5 6\n"),
+    "rect3x3-staircase": ("rect:3x3", "SPATIAL 8 12 15 11\n"
+                          "TEMPORAL 0.5 11 12\nSPATIAL 1 5 8 4\n"
+                          "TEMPORAL 0.4 4 5\n"),
+    "rect3x3-chain": ("rect:3x3",
+                      "SPATIAL 8 12\nTEMPORAL 0.6 8 12\nSPATIAL 12 8\n"),
+}
+
+
+def vector_case(spec, text, lam):
+    """Model, sector, program and real ground state of one input."""
+    lat = (build_cross() if spec == "cross"
+           else build_rect(*map(int, spec[5:].split("x"))))
+    model = Z2Model(lat, lam)
+    sector = build_physical_sector(model)
+    program = staircase_default() if text is None else program_from_text(text)
+    return model, sector, program, sector_ground_state(model, sector)[1]
+
+
+def max_diff(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+class TestVectorOracles:
+    """W psi and W_nT psi without W or W_nT: the walk started from psi,
+    each exact step a Krylov exponential.  The dense operators applied to
+    psi are the oracle; psi is real, so an exponential run backwards in
+    time would give the complex conjugate, with the same real part."""
+
+    @pytest.mark.parametrize("lam", [2.0, 10.0])
+    @pytest.mark.parametrize("name", sorted(VECTOR_PROGRAMS))
+    def test_match_the_dense_operators(self, name, lam):
+        model, sector, program, psi = vector_case(*VECTOR_PROGRAMS[name], lam)
+        exact = exact_loop_operator(model, sector, program) @ psi
+        assert max_diff(exact_loop_vector(model, sector, program, psi),
+                        exact) <= 1e-13
+        for n_T in (2, 9):
+            trot = trotterized_loop_operator(model, sector, program, n_T) @ psi
+            assert max_diff(trotterized_loop_vector(
+                model, sector, program, n_T, psi), trot) <= 1e-13
+
+    def test_long_step_runs_in_substeps(self):
+        # tau * spectral_bound = 3 * (24 + 10 * 9) = 342 on rect:3x3: three
+        # substeps, each converged on its own
+        model, sector, program, psi = vector_case(
+            "rect:3x3", "SPATIAL 8 12 15 11\nTEMPORAL 3.0 11 12\n", 10.0)
+        assert gauge_mod._substeps(model, sector.dim, 3.0) == 3
+        exact = exact_loop_operator(model, sector, program) @ psi
+        assert max_diff(exact_loop_vector(model, sector, program, psi),
+                        exact) <= 1e-13
+
+    @pytest.mark.parametrize("tau", [0.8, -1.3])
+    def test_complex_start(self, tau):
+        # Re v and Im v each start a Krylov run
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sector = build_physical_sector(model)
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+        v /= np.linalg.norm(v)
+        got = evolve_vector(model, sector, tau, {5, 6}, v)
+        want = exact_evolve_in_sector(model, sector, tau, {5, 6}) @ v
+        assert max_diff(got, want) <= 1e-13
+
+    def test_small_sector_split_no_finer_than_its_basis(self):
+        # dim 32 <= the basis size: one substep at any phase, whose basis
+        # spans the sector
+        model = Z2Model(build_cross(), 10.0)
+        sector = build_physical_sector(model)
+        assert gauge_mod._substeps(model, sector.dim, 1e306) == 1
+        v = sector_ground_state(model, sector)[1]
+        got = evolve_vector(model, sector, 50.0, {1, 3}, v)
+        want = exact_evolve_in_sector(model, sector, 50.0, {1, 3}) @ v
+        assert max_diff(got, want) <= 1e-11
+
+    def test_too_many_substeps_refused_before_any_work(self, monkeypatch):
+        model = Z2Model(build_rect(4, 3), 10.0)      # dim 4096
+        sector = build_physical_sector(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+
+        monkeypatch.setattr(gauge_mod, "electric_diag", refuse)
+        tau = 1025 * gauge_mod._EXPM_PHASE / spectral_bound(model)
+        with pytest.raises(GaugeError, match="needs 1025 Krylov substeps in "
+                           "a sector of dimension 4096; the limit is 1024"):
+            evolve_vector(model, sector, tau, set(), np.ones(sector.dim))
+
+    def test_unconverged_exponential_raises(self, monkeypatch):
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sector = build_physical_sector(model)
+        monkeypatch.setattr(gauge_mod, "_KRYLOV_COLS", 16)
+        with pytest.raises(ConvergenceError, match="Krylov exponential not "
+                           "converged in 16 basis vectors"):
+            evolve_vector(model, sector, 0.5, set(), np.ones(sector.dim))
 
 
 def cross_with_repeated_plaquette():
