@@ -383,12 +383,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_measure(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .gauge import ConvergenceError, sector_ground_state
+    from .gauge import ConvergenceError, _substeps, sector_ground_state
     from .philox import Philox
+    from .programs import Temporal
     from .trotter import exact_loop_vector, trotterized_loop_vector
     from .wilson import hadamard_test, sample_p_plus
     n_T = _single_nt(cfg, "measure")
     model, program, sector = _setup(cfg)
+    for step in program.steps:      # W psi's exponentials, refused up front
+        if isinstance(step, Temporal):
+            _substeps(model, sector.dim, step.tau)
     (_, coords), degenerate = _solve(sector_ground_state, model, sector)
     if degenerate:
         return _report_degenerate()

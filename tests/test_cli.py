@@ -587,6 +587,19 @@ class TestMeasure:
         assert abs(vals["p_plus_exact"] - vals["p_plus_oracle"]) <= tol
         assert -1 <= vals["re_wilson_loop_exact"] <= 1
 
+    def test_too_many_substeps_refused_before_the_solve(self, capsys,
+                                                       no_eigh, tmp_path):
+        # rect:4x3 at lambda 10: tau * spectral_bound = 151000 needs 1180
+        # Krylov substeps, above the 1024 limit
+        prog = tmp_path / "long.prog"
+        prog.write_text("SPATIAL 1 6 10 5\nTEMPORAL 1000 5 6\n")
+        code, out, err = run_main(capsys, "measure", "--lattice", "rect:4x3",
+                                  "--program", str(prog), "--nt", "1")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == ("error: evolution phase |tau| * spectral_bound = "
+                       "151000 needs 1180 Krylov substeps in a sector of "
+                       "dimension 4096; the limit is 1024\n")
+
     def test_unconverged_exponential_exit_4_before_output(self, capsys,
                                                           monkeypatch):
         import z2wilson.trotter as trotter_mod
