@@ -28,8 +28,10 @@ The ground state, its energy and its Gauss-law check are all computed in
 sector coordinates (:func:`sector_ground_state`,
 :func:`sector_gauge_violation`), and so is one evolution of one state
 (:func:`evolve_vector`), all matrix-free on H v = ``electric_diag * v``
-- lam sum_p ``flipped(v, k_p)``: the eigenpair by block Lanczos, the
-evolution by Lanczos exponentials, up to 2**16 states.
+- lam sum_p ``flipped(v, k_p)``, up to 2**16 states.  Both grow one
+block Lanczos basis (:func:`_lanczos`) and differ only in its start
+vectors and their stop rule: the eigenpair's Ritz residual, and the
+exponential's error estimate.
 
 Embedding into the computational (Z) basis of the full 2**L space is an
 explicit step, needed only by ``sweep``'s pinned state
@@ -371,9 +373,9 @@ def hamiltonian_in_sector(model: Z2Model, sector: PhysicalSector,
     is real and symmetric, so it is float64: an integer diagonal, and -lam
     in row ``i ^ k`` of column i for each plaquette, whose sigma_3 string
     takes row i there (:func:`_plaquette_rows`, which the matrix-free
-    product of :func:`sector_ground_state` reads too).  For lam > 0 it is
-    stoquastic (no positive off-diagonal entry), and the ground state is a
-    positive vector.  Only ``sweep``'s ground state and exact evolutions
+    product of :func:`sector_ground_state` and the sector Trotter band
+    read too).  For lam > 0 it is stoquastic (no positive off-diagonal
+    entry), and the ground state is a positive vector.  Only ``sweep``'s ground state and exact evolutions
     and the test oracles build this matrix, and sectors above 4096 states
     are refused: their dense matrix would take more than 128 MB.
     """
@@ -483,26 +485,50 @@ def sector_ground_state(model: Z2Model, sector: PhysicalSector
                         ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sector Hamiltonian, in sector coordinates.
 
-    Solved matrix-free by block Lanczos (:func:`_lanczos_ground`): no
-    dim x dim matrix is built, only the Krylov basis, whose budget
-    (:func:`_refuse_krylov`) is checked before the solve.  The coordinates
-    are real; the largest-magnitude one (lowest index wins ties) is made
-    positive by a sign flip, and they are returned as complex128 with
-    every imaginary part +0.  For lam > 0 the ground state is a
-    Perron-Frobenius vector in both the electric and the computational
-    basis, so every coordinate comes out positive and the phase is the
-    same as :func:`ground_state`'s up to rounding.  A spectral gap below
-    :data:`GAP_TOLERANCE` between the two lowest Ritz values raises a
-    DegenerateGroundStateWarning.
+    Solved matrix-free by block Lanczos (:func:`_lanczos`) from a block of
+    two start vectors, the uniform one and a Weyl sequence, so a two-fold
+    or higher degeneracy shows up as two equal Ritz values.  No dim x dim
+    matrix is built, only the Krylov basis, whose budget
+    (:func:`_refuse_krylov`) is checked before the solve.  At each of the
+    basis's checks the two lowest Ritz pairs are read, their residuals off
+    T's rows below the processed block.  The solve stops when the ground
+    pair's residual is at most :data:`_LANCZOS_TOL` times
+    :func:`spectral_bound` and the second one's is too small to move the
+    second Ritz value across the :data:`GAP_TOLERANCE` line above the
+    first: the gap need only be known as well as the degeneracy test reads
+    it.  The energy is the Rayleigh quotient of the normalised Ritz
+    vector.  A basis that fills up first raises ConvergenceError.  The
+    coordinates are real; the largest-magnitude one (lowest index wins
+    ties) is made positive by a sign flip, and they are returned as
+    complex128 with every imaginary part +0.  For lam > 0 the ground state
+    is a Perron-Frobenius vector in both the electric and the
+    computational basis, so every coordinate comes out positive and the
+    phase is the same as :func:`ground_state`'s up to rounding.  A
+    spectral gap below :data:`GAP_TOLERANCE` between the two lowest Ritz
+    values raises a DegenerateGroundStateWarning.
     """
     _refuse_krylov(sector.dim)
-    energy, coords = _lanczos_ground(_hamiltonian_product(model, sector),
-                                     sector.dim,
-                                     _LANCZOS_TOL * spectral_bound(model))
-    k = int(np.argmax(np.abs(coords)))
-    if coords[k] < 0:
-        coords = -coords
-    return energy, coords.astype(np.complex128)
+    apply_h = _hamiltonian_product(model, sector)
+    tol = _LANCZOS_TOL * spectral_bound(model)
+    weyl = np.modf(np.arange(sector.dim) * 0.6180339887498949)[0] - 0.5
+    for q, (evals, evecs), below, _ in _lanczos(
+            apply_h, (np.ones(sector.dim), weyl), tol):
+        residual = np.linalg.norm(below @ evecs[:, :2], axis=0)
+        if residual[0] <= tol and (len(evals) == 1 or residual[1] <= max(
+                tol, abs(evals[1] - evals[0] - GAP_TOLERANCE))):
+            break
+    else:
+        raise ConvergenceError(
+            f"Lanczos ground state not converged in {len(q) + len(below)} "
+            f"basis vectors: residual {residual.max():.3e} > {tol:.3e}")
+    _warn_if_degenerate(evals)
+    x = evecs[:, 0] @ q
+    x /= np.sqrt(x @ x)
+    energy = float(x @ apply_h(x))
+    k = int(np.argmax(np.abs(x)))
+    if x[k] < 0:
+        x = -x
+    return energy, x.astype(np.complex128)
 
 
 def _hamiltonian_product(model: Z2Model, sector: PhysicalSector,
@@ -539,69 +565,57 @@ def _refuse_krylov(dim: int) -> None:
             f"the budget is {_KRYLOV_BYTES >> 20} MiB")
 
 
-def _lanczos_ground(apply_h, dim: int, tol: float
-                    ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the symmetric operator ``apply_h`` on R^dim.
+def _lanczos(apply_h, starts, tol: float):
+    """Block Lanczos basis of the symmetric operator ``apply_h`` on R^dim,
+    grown from the real vectors ``starts`` (Golub & Underwood 1977, in its
+    band form), for its callers' stop rules.
 
-    Block Lanczos (Golub & Underwood 1977) in its band form: the block
-    holds two start vectors, the uniform one and a Weyl sequence, so a
-    two-fold or higher degeneracy shows up as two equal Ritz values.
-    Basis vector j, processed in turn, gives H q_j, orthogonalised against
-    the whole basis by classical Gram-Schmidt run twice (full
-    reorthogonalisation): its coefficients are column j of the Rayleigh
-    quotient T, its norm the entry below them, and what is left, unless
-    its norm is at most ``tol``, the next basis vector.  Every eight
-    columns, and when the basis stops growing, the two lowest Ritz pairs
-    of T's processed block are checked, their residuals read off T's rows
-    below that block.  The solve stops when the ground pair's residual is
-    at most ``tol`` and the second one's is too small to move the second
-    Ritz value across the :data:`GAP_TOLERANCE` line above the first: the
-    gap need only be known as well as the degeneracy test reads it.  The
-    energy is the Rayleigh quotient of the normalised Ritz vector.
-    Raises ConvergenceError when the basis fills up first.
+    Each start is normalised and orthogonalised against the basis so far,
+    and kept if more than ``tol`` of it is left.  Basis vector j, processed
+    in turn, gives H q_j, orthogonalised against the whole basis by
+    classical Gram-Schmidt run twice (full reorthogonalisation): its
+    coefficients are column j of the Rayleigh quotient T, its norm the
+    entry below them, and what is left, unless its norm is at most
+    ``tol``, the next basis vector, up to min(dim, :data:`_KRYLOV_COLS`).
+    Every eight columns, and once more when the basis can grow no further,
+    this yields the processed basis Q_k (k, dim), ``eigh`` of T_k, T's
+    rows below T_k and the starts' coefficients r (k, len(starts)), so
+    that start j is ``r[:, j] @ Q_k`` up to the dropped remainders.  It
+    then returns, and the caller raises its own ConvergenceError.  The
+    yielded arrays are views that the next step overwrites.
     """
+    dim = len(starts[0])
     rows = min(dim, _KRYLOV_COLS)
     q = np.empty((rows, dim))
     t = np.zeros((rows, rows))
+    r = np.zeros((rows, len(starts)))
     n = 0                                       # basis vectors
-    weyl = np.modf(np.arange(dim) * 0.6180339887498949)[0] - 0.5
-    for v in (np.ones(dim), weyl):
-        v /= np.sqrt(v @ v)
-        _orthogonalise(q[:n], v)
+    for j, v in enumerate(starts):
+        size = float(np.sqrt(v @ v))
+        if size == 0.0:
+            continue
+        v = v / size
+        r[:n, j] = size * _orthogonalise(q[:n], v)
         norm = float(np.sqrt(v @ v))
         if norm > tol:
             q[n] = v / norm
+            r[n, j] = size * norm
             n += 1
     k = 0                                       # columns of T processed
-    while True:
-        full = False
-        while k < n:
-            w = apply_h(q[k])
-            t[:n, k] = _orthogonalise(q[:n], w)
-            norm = float(np.sqrt(w @ w))
-            if norm > tol and n < dim:
-                if n == rows:
-                    full = True
-                    break
-                q[n] = w / norm
-                t[n, k] = norm
-                n += 1
-            k += 1
-            if k % 8 == 0:
+    while k < n:
+        w = apply_h(q[k])
+        t[:n, k] = _orthogonalise(q[:n], w)
+        norm = float(np.sqrt(w @ w))
+        if norm > tol and n < dim:
+            if n == rows:
                 break
-        evals, evecs = np.linalg.eigh(t[:k, :k])
-        residual = np.linalg.norm(t[k:n, :k] @ evecs[:, :2], axis=0)
-        if residual[0] <= tol and (k == 1 or residual[1] <= max(
-                tol, abs(evals[1] - evals[0] - GAP_TOLERANCE))):
-            break
-        if full:
-            raise ConvergenceError(
-                f"Lanczos ground state not converged in {n} basis vectors: "
-                f"residual {residual.max():.3e} > {tol:.3e}")
-    _warn_if_degenerate(evals)
-    x = evecs[:, 0] @ q[:k]
-    x /= np.sqrt(x @ x)
-    return float(x @ apply_h(x)), x
+            q[n] = w / norm
+            t[n, k] = norm
+            n += 1
+        k += 1
+        if k % 8 == 0 and k < n:
+            yield q[:k], np.linalg.eigh(t[:k, :k]), t[k:n, :k], r[:k]
+    yield q[:k], np.linalg.eigh(t[:k, :k]), t[k:n, :k], r[:k]
 
 
 def _orthogonalise(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -621,11 +635,17 @@ def evolve_vector(model: Z2Model, sector: PhysicalSector, tau: float,
 
     The vector form of :func:`exact_evolve_in_sector`: no dim x dim matrix
     is built.  The step is cut into equal substeps (:func:`_substeps`),
-    and each substep is a Lanczos exponential (:func:`_krylov_exp`) of
-    Re v and of Im v, real start vectors of the real symmetric
-    :func:`_hamiltonian_product`, so every product is real.  Its Krylov
-    basis is :func:`_refuse_krylov`'s; both limits are checked before any
-    work.  A substep that does not converge within its basis raises
+    and each substep is a Lanczos exponential (Park & Light, J. Chem.
+    Phys. 85, 5870 (1986)) on one block basis (:func:`_lanczos`) grown
+    from Re v and Im v, real start vectors of the real symmetric
+    :func:`_hamiltonian_product`, so every product is real.  At each of
+    the basis's checks y = e^{-i tau T} r, with r the starts' coefficients
+    taken as Re + i Im, is formed from a real ``eigh`` of T as its cosine
+    and sine parts; the substep has converged when T's rows below the
+    block carry at most :data:`_EXPM_TOL` |v| of y (Saad, SIAM J. Numer.
+    Anal. 29, 209 (1992)), and is then Q^T y.  Its Krylov basis is
+    :func:`_refuse_krylov`'s; both limits are checked before any work.  A
+    substep that does not converge within its basis raises
     ConvergenceError.
     """
     if not np.isfinite(tau):
@@ -633,13 +653,26 @@ def evolve_vector(model: Z2Model, sector: PhysicalSector, tau: float,
     _refuse_krylov(sector.dim)
     n = _substeps(model, sector.dim, tau)
     apply_h = _hamiltonian_product(model, sector, modified_links)
+    tol = _EXPM_TOL * spectral_bound(model)
     # contiguous copies: BLAS rounds a strided product (the real part of
     # a complex column) differently from a contiguous one
     re, im = np.array(v.real, dtype=float), np.array(v.imag, dtype=float)
+    size = float(np.sqrt(re @ re + im @ im))
     for _ in range(n):
-        # e(re + i im) = (a + i b) + i (c + i d)
-        (a, b), (c, d) = (_krylov_exp(apply_h, x, tau / n) for x in (re, im))
-        re, im = a - d, b + c
+        for q, (evals, evecs), below, r in _lanczos(apply_h, (re, im), tol):
+            # e^{-i tau T} (a + i b) = (C a + S b) + i (C b - S a)
+            c, s = (evecs @ (f(tau / n * evals)[:, None] * (evecs.T @ r))
+                    for f in (np.cos, np.sin))
+            y = c[:, 0] + s[:, 1], c[:, 1] - s[:, 0]
+            error = np.hypot(*(np.linalg.norm(below @ part) for part in y))
+            if error <= _EXPM_TOL * size:
+                break
+        else:
+            raise ConvergenceError(
+                f"Krylov exponential not converged in "
+                f"{len(q) + len(below)} basis vectors: error estimate "
+                f"{error / size:.3e} > {_EXPM_TOL:.0e}")
+        re, im = y[0] @ q, y[1] @ q
     return re + 1j * im
 
 
@@ -660,55 +693,6 @@ def _substeps(model: Z2Model, dim: int, tau: float) -> int:
             f"substeps in a sector of dimension {dim}; the limit is "
             f"{_EXPM_SUBSTEPS}")
     return max(n, 1)
-
-
-def _krylov_exp(apply_h, x: np.ndarray, tau: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of e^{-i tau H} x for a real x, with H the
-    symmetric operator ``apply_h``: a Lanczos exponential (Park & Light,
-    J. Chem. Phys. 85, 5870 (1986)).
-
-    The basis starts at x / |x|.  Basis vector j gives H q_j, orthogonalised
-    against the whole basis as in :func:`_lanczos_ground`: its coefficients
-    are column j of T, its norm beta_j the entry below them, and what is
-    left the next basis vector, until the basis spans R^dim.  Every eight
-    columns y = e^{-i tau T} e_1 is formed from a real ``eigh`` of T, as
-    its cosine and sine parts, and the exponential has converged when
-    beta |y_last| is at most :data:`_EXPM_TOL` (Saad, SIAM J. Numer.
-    Anal. 29, 209 (1992)); it is then |x| Q^T y.  Raises ConvergenceError
-    when the basis fills up first.
-    """
-    dim = len(x)
-    norm = float(np.sqrt(x @ x))
-    if norm == 0.0:
-        return np.zeros(dim), np.zeros(dim)
-    rows = min(dim, _KRYLOV_COLS)
-    q = np.empty((rows, dim))
-    t = np.zeros((rows + 1, rows))
-    q[0] = x / norm
-    n, k = 1, 0                                 # basis vectors, columns
-    while True:
-        while k < n:
-            w = apply_h(q[k])
-            t[:n, k] = _orthogonalise(q[:n], w)
-            if n < dim:
-                t[n, k] = np.sqrt(w @ w)
-                if n < rows and t[n, k] > 0.0:
-                    q[n] = w / t[n, k]
-                    n += 1
-            k += 1
-            if k % 8 == 0:
-                break
-        evals, evecs = np.linalg.eigh(t[:k, :k])
-        cos = evecs @ (evecs[0] * np.cos(tau * evals))
-        sin = evecs @ (evecs[0] * np.sin(tau * evals))
-        error = t[k, k - 1] * np.hypot(cos[-1], sin[-1])
-        if error <= _EXPM_TOL:
-            return norm * (cos @ q[:k]), -norm * (sin @ q[:k])
-        if k == n:
-            raise ConvergenceError(
-                f"Krylov exponential not converged in {n} basis vectors: "
-                f"error estimate {error:.3e} > {_EXPM_TOL:.0e}")
 
 
 def ground_state(model: Z2Model, sector: PhysicalSector

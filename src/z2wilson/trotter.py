@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import (PhysicalSector, SectorMoves, Z2Model, _link_mask,
-                    _refuse_dense, electric_diag, evolve_vector,
-                    exact_evolve_in_sector, flipped, unitarity_error)
+                    _plaquette_rows, _refuse_dense, electric_diag,
+                    evolve_vector, exact_evolve_in_sector, flipped,
+                    unitarity_error)
 from .programs import LoopProgram, Spatial, _check_program
 
 INFIDELITY_FLOOR = 1e-13
@@ -50,7 +51,7 @@ def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
     """The program's product applied to the start block ``w``, whose rows
     are ``sector``'s: a spatial step is a copy of the index-flip view
     (:meth:`SectorMoves.flip`), a temporal step in the current sector
-    ``sec`` is ``w = temporal(moves, sec, step, w)``.  The start block is
+    ``sec`` is ``w = temporal(sec, step, w)``.  The start block is
     the identity by default, which gives the dense dim x dim operator and
     is refused above the dense-matrix limit; a state as one column of its
     own, (dim, 1), gives the operator applied to that state."""
@@ -64,7 +65,7 @@ def _walk(model: Z2Model, sector: PhysicalSector, program: LoopProgram,
             sector, k = moves.flip(sector, _link_mask(step.links))
             w = flipped(w, k).reshape(w.shape)
         else:
-            w = temporal(moves, sector, step, w)
+            w = temporal(sector, step, w)
     return w
 
 
@@ -79,7 +80,7 @@ def exact_loop_operator(model: Z2Model, sector: PhysicalSector,
     """Oracle W: exact sector product of the program's steps, each
     temporal step one ``eigh`` evolution."""
     return _walk(model, sector, program,
-                 lambda moves, sec, step, w: exact_evolve_in_sector(
+                 lambda sec, step, w: exact_evolve_in_sector(
                      model, sec, step.tau, step.modified_links) @ w)
 
 
@@ -89,7 +90,7 @@ def exact_loop_vector(model: Z2Model, sector: PhysicalSector,
     from ``psi``, each temporal step a matrix-free Krylov exponential
     (:func:`.gauge.evolve_vector`)."""
     return _walk(model, sector, program,
-                 lambda moves, sec, step, w: evolve_vector(
+                 lambda sec, step, w: evolve_vector(
                      model, sec, step.tau, step.modified_links, w[:, 0]
                  )[:, None], _column(psi))[:, 0]
 
@@ -110,8 +111,7 @@ def trotterized_loop_operator(model: Z2Model, sector: PhysicalSector,
     (``statevec.trotterized_loop_operator_fullspace``) at dim x dim cost.
     """
     return _walk(model, sector, program,
-                 lambda moves, sec, step, w: _trotter_band(
-                     model, moves, sec, step, n_T, w))
+                 lambda sec, step, w: _trotter_band(model, sec, step, n_T, w))
 
 
 def trotterized_loop_vector(model: Z2Model, sector: PhysicalSector,
@@ -120,16 +120,17 @@ def trotterized_loop_vector(model: Z2Model, sector: PhysicalSector,
     """W_{n_T} psi, without W_{n_T}: the walk of
     :func:`trotterized_loop_operator` started from ``psi``."""
     return _walk(model, sector, program,
-                 lambda moves, sec, step, w: _trotter_band(
-                     model, moves, sec, step, n_T, w), _column(psi))[:, 0]
+                 lambda sec, step, w: _trotter_band(model, sec, step, n_T, w),
+                 _column(psi))[:, 0]
 
 
-def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
-                  step, n_T: int, w: np.ndarray) -> np.ndarray:
+def _trotter_band(model: Z2Model, sec: PhysicalSector, step, n_T: int,
+                  w: np.ndarray) -> np.ndarray:
     """Apply one temporal step's Trotter product to ``w`` in place.
 
     Plaquette p maps row i of ``sec`` to row ``i ^ k_p``
-    (:func:`.gauge.flipped`), for any lattice.  Each factor copies its
+    (:func:`.gauge.flipped`), for any lattice, with k_p read from
+    :func:`.gauge._plaquette_rows` as by H and H v.  Each factor copies its
     view into one scratch matrix (a copy through negative strides is
     cheaper than arithmetic through them), then runs three in-place ufunc
     calls on contiguous matrices; nothing inside the loop allocates.  Row
@@ -137,8 +138,7 @@ def _trotter_band(model: Z2Model, moves: SectorMoves, sec: PhysicalSector,
     product per component, and the sum keeps its order, so every entry is
     bit-identical to the gather ``c * w + s * w[perm, :]``.
     """
-    views = [flipped(w, moves.flip(sec, _link_mask(plaq))[1])
-             for plaq in model.lattice.plaquettes]
+    views = [flipped(w, k) for k in _plaquette_rows(model, sec)]
     g = np.empty_like(w)
     g_cube = flipped(g, 0)                      # g's cube, as a view
     half = np.exp(-1j * (step.tau / (2 * n_T)) * electric_diag(

@@ -120,8 +120,8 @@ CATALOGUE = [
            "into: an open string passes as a closed cycle",
            first="tests/test_gauge.py"),
     Mutant("band-drops-plaquette", "src/z2wilson/trotter.py",
-           "for plaq in model.lattice.plaquettes]",
-           "for plaq in model.lattice.plaquettes[1:]]",
+           "views = [flipped(w, k) for k in _plaquette_rows(model, sec)]",
+           "views = [flipped(w, k) for k in _plaquette_rows(model, sec)[1:]]",
            "the sector Trotter band skips one plaquette's exponential",
            first="tests/test_acceptance.py"),
     Mutant("boundary-walk-reversed", "src/z2wilson/lattice.py",
@@ -295,8 +295,8 @@ CATALOGUE = [
            "sweep's exact W, which the sweep references pin, moves",
            first="tests/test_gauge.py"),
     Mutant("lanczos-single-start", "src/z2wilson/gauge.py",
-           "for v in (np.ones(dim), weyl):",
-           "for v in (np.ones(dim),):",
+           "apply_h, (np.ones(sector.dim), weyl), tol):",
+           "apply_h, (np.ones(sector.dim),), tol):",
            "a Lanczos block of one start vector: its Krylov space holds one "
            "vector of a degenerate ground level, so a real degeneracy "
            "reads as a gap and ground-state exits 0",
@@ -321,11 +321,17 @@ CATALOGUE = [
            "alone sets the stop, exceeds the oracle comparison's bound",
            first="tests/test_gauge.py"),
     Mutant("evolve-vector-tau-sign", "src/z2wilson/gauge.py",
-           "(_krylov_exp(apply_h, x, tau / n) for x in (re, im))",
-           "(_krylov_exp(apply_h, x, -tau / n) for x in (re, im))",
+           "f(tau / n * evals)",
+           "f(-tau / n * evals)",
            "the Krylov exponential run backwards in time: on a real ground "
            "state W psi becomes its complex conjugate, so measure's "
            "re_wilson_loop_exact keeps its value and only W psi shows it",
+           first="tests/test_trotter.py"),
+    Mutant("evolve-vector-drop-imag", "src/z2wilson/gauge.py",
+           "_lanczos(apply_h, (re, im), tol)",
+           "_lanczos(apply_h, (re, 0 * im), tol)",
+           "the exponential's block started from Re v alone: the "
+           "evolution of a complex v drops Im v",
            first="tests/test_trotter.py"),
     Mutant("evolve-vector-loose-tol", "src/z2wilson/gauge.py",
            "_EXPM_TOL = 1e-15",

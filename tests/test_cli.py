@@ -1043,7 +1043,9 @@ class TestEvolvePrograms:
     two ``measure`` digests were re-recorded when ``measure`` took its
     ground state from the real symmetric solver, and again when its
     ``re_wilson_loop_exact`` line came from W psi by Krylov exponentials
-    (it moved by 7.0e-15 and 8.9e-15).  The
+    (it moved by 7.0e-15 and 8.9e-15), and once more when Re psi and
+    Im psi of each step began one shared Lanczos basis (it moved by
+    3.5e-15 and 1.2e-16).  The
     programs sit in the working directory under fixed names, because the
     program path enters the config hash in each header.
     """
@@ -1060,7 +1062,7 @@ class TestEvolvePrograms:
          "902026b6612905a019d57702df994ba7f88c3a68d60690f8e3046fc8a8e042d2"),
         ("evolve_closed.prog", ["measure", "--nt", "3", "--shots", "500",
                                 "--seed", "11"],
-         "599a92c3c5c0b3f759003c845d487c86745885a9e5131260f0856c7cdf1d686a"),
+         "9444714b46386d0c2dca02670423bd2c463ab8d772cd134c817eaf0dda70814a"),
         ("evolve_closed.prog", ["export-circuit", "--nt", "2", "--out"],
          "1f0794323cfe417294da43e2b1ff2e3b57481793a404158ef9a808362767a516"),
         ("evolve_closed.prog", ["validate"],
@@ -1069,7 +1071,7 @@ class TestEvolvePrograms:
          "a035c2216b6bdf449243bb7122dfc621833a0aadc1ba9ea2bdeb3f7b68beff3f"),
         ("evolve_open.prog", ["measure", "--nt", "3", "--shots", "500",
                               "--seed", "11"],
-         "41e16b614f1c0bbd306ee0657a589dfa2eeffb630ad96d9222a886ef2ea0ddf2"),
+         "20a40983bea5d729ae370a42d49195c090b79b875604658452d833b77a6d9e60"),
         ("evolve_open.prog", ["export-circuit", "--nt", "2", "--out"],
          "423f51b11623aa51a14a7da96b56be5670aa2d86c55a1fed1789ee7359087c9d"),
         ("evolve_open.prog", ["validate"],

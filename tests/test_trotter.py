@@ -279,7 +279,7 @@ class TestVectorOracles:
 
     @pytest.mark.parametrize("tau", [0.8, -1.3])
     def test_complex_start(self, tau):
-        # Re v and Im v each start a Krylov run
+        # Re v and Im v are the two start vectors of one block basis
         model = Z2Model(build_rect(4, 2), 10.0)
         sector = build_physical_sector(model)
         rng = np.random.default_rng(7)
@@ -287,6 +287,32 @@ class TestVectorOracles:
         v /= np.linalg.norm(v)
         got = evolve_vector(model, sector, tau, {5, 6}, v)
         want = exact_evolve_in_sector(model, sector, tau, {5, 6}) @ v
+        assert max_diff(got, want) <= 1e-13
+
+    def test_zero_vector_evolves_to_exact_zeros(self):
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sector = build_physical_sector(model)
+        got = evolve_vector(model, sector, 0.8, {5, 6},
+                            np.zeros(sector.dim, dtype=np.complex128))
+        assert got.shape == (sector.dim,) and not got.any()
+
+    def test_parallel_real_and_imaginary_parts(self, monkeypatch):
+        # v = e^{i phi} psi: Re v and Im v are parallel, so the block keeps
+        # one start vector, and start 1 has no basis vector of its own
+        model = Z2Model(build_rect(4, 2), 10.0)
+        sector = build_physical_sector(model)
+        v = np.exp(0.7j) * sector_ground_state(model, sector)[1]
+        lanczos, own = gauge_mod._lanczos, []
+
+        def spy(apply_h, starts, tol):
+            for basis, eig, below, r in lanczos(apply_h, starts, tol):
+                own.append(r[1, 1])
+                yield basis, eig, below, r
+
+        monkeypatch.setattr(gauge_mod, "_lanczos", spy)
+        got = evolve_vector(model, sector, 0.8, {5, 6}, v)
+        want = exact_evolve_in_sector(model, sector, 0.8, {5, 6}) @ v
+        assert own and not any(own)
         assert max_diff(got, want) <= 1e-13
 
     def test_small_sector_split_no_finer_than_its_basis(self):
